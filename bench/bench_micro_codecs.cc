@@ -253,14 +253,17 @@ BENCHMARK(BM_AmdDecodeClean);
 void
 BM_Wcrc(benchmark::State &state)
 {
+    // The controller's eWCRC path: one packed word per chip lane with
+    // the intended MTB address in the upper 32 bits.
     Rng rng(9);
     Burst b;
     b.randomize(rng);
+    const uint64_t addrField = (rng.next() & 0xFFFFFFFFu) << 32;
     const Crc &crc = Crc::ddr4Crc8();
     for (auto _ : state) {
         uint32_t acc = 0;
         for (unsigned chip = 0; chip < Burst::numChips; ++chip)
-            acc ^= crc.compute(b.chipBits(chip));
+            acc ^= crc.computeWord(b.chipWord(chip) | addrField, 64);
         benchmark::DoNotOptimize(acc);
     }
 }

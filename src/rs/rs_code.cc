@@ -1,72 +1,129 @@
 #include "rs/rs_code.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 
 #include "common/logging.hh"
+#include "gf/poly.hh"
 
 namespace aiecc
 {
 
-RsCodec::RsCodec(unsigned n, unsigned k, unsigned fcr)
-    : nLen(n), kLen(k), fcrBase(fcr)
+namespace
+{
+
+/** Table entries per degree: 16 low-nibble and 16 high-nibble columns. */
+constexpr unsigned rowLen = 32;
+
+/** XOR of the columns of @p count strided symbols, highest degree first. */
+uint64_t
+applyMap(const uint64_t *rows, unsigned topDegree, const GfElem *sym,
+         unsigned count, size_t stride)
+{
+    const uint64_t *row = rows + static_cast<size_t>(topDegree) * rowLen;
+    uint64_t acc = 0;
+    // The loop is front-end bound: unrolling and a size_t index (so
+    // the +16 folds into the load's displacement) cut its uops.
+#pragma GCC unroll 4
+    for (unsigned i = 0; i < count; ++i, row -= rowLen, sym += stride) {
+        const size_t v = *sym;
+        acc ^= row[v & 15] ^ row[16 + (v >> 4)];
+    }
+    return acc;
+}
+
+/** Scatter the low @p count bytes of @p packed to out[0], out[stride].. */
+void
+unpack(uint64_t packed, GfElem *out, unsigned count, size_t stride)
+{
+    for (unsigned j = 0; j < count; ++j, packed >>= 8)
+        out[j * stride] = static_cast<GfElem>(packed);
+}
+
+} // namespace
+
+/**
+ * A symbol v at codeword degree d adds v * alpha^((1+j) d) to syndrome
+ * j and v * (x^d mod g) to the parity.  Row d holds those columns for
+ * the 16 low-nibble and 16 high-nibble values of v; multiplication is
+ * linear over XOR, so the two entries XOR to v's column.
+ */
+struct RsCodec::LinearMap
+{
+    std::array<uint64_t, Gf256::groupOrder * rowLen> synd;
+    std::array<uint64_t, Gf256::groupOrder * rowLen> parity;
+
+    explicit LinearMap(unsigned nr)
+    {
+        // g(x) = prod (x - alpha^(1+j)), low-degree-first.  rem holds
+        // x^d mod g highest-degree-first, the parity symbol order.
+        const Gf256Poly gen = Gf256Poly::rsGenerator(nr, 1);
+        GfElem rem[rsMaxRoots] = {};
+        rem[nr - 1] = 1;
+        GfElem pw[rsMaxRoots];
+        for (unsigned d = 0; d < Gf256::groupOrder; ++d) {
+            for (unsigned j = 0; j < nr; ++j)
+                pw[j] = Gf256::alphaPow(static_cast<int>((1 + j) * d));
+            fillRow(&synd[d * rowLen], pw, nr);
+            fillRow(&parity[d * rowLen], rem, nr);
+
+            // rem = x * rem mod g: one LFSR step with zero input.
+            const GfElem top = rem[0];
+            for (unsigned m = 0; m + 1 < nr; ++m)
+                rem[m] = static_cast<GfElem>(
+                    rem[m + 1] ^ Gf256::mul(top, gen[nr - 1 - m]));
+            rem[nr - 1] = Gf256::mul(top, gen[0]);
+        }
+    }
+
+    /** row[v & 15] ^ row[16 + (v >> 4)] packs v * coef[j] in byte j. */
+    static void
+    fillRow(uint64_t *row, const GfElem *coef, unsigned nr)
+    {
+        for (unsigned e = 0; e < rowLen; ++e) {
+            const auto v = static_cast<GfElem>(e < 16 ? e : (e - 16) << 4);
+            uint64_t packed = 0;
+            for (unsigned j = 0; j < nr; ++j)
+                packed |= uint64_t{Gf256::mul(v, coef[j])} << (8 * j);
+            row[e] = packed;
+        }
+    }
+};
+
+RsCodec::RsCodec(unsigned n, unsigned k) : nLen(n), kLen(k)
 {
     AIECC_ASSERT(k < n && n <= Gf256::groupOrder,
                  "invalid RS parameters n=" << n << " k=" << k);
-    const unsigned nr = nroots();
+    AIECC_ASSERT(nroots() <= rsMaxRoots,
+                 "RS: more than " << rsMaxRoots << " check symbols");
 
-    // Generator g(x) = prod (x - alpha^(fcr+i)), low-degree-first.
-    const Gf256Poly gen = Gf256Poly::rsGenerator(nr, fcr);
-    genCoef.assign(nr + 1, 0);
-    for (unsigned j = 0; j <= nr; ++j)
-        genCoef[j] = gen[j];
-    AIECC_ASSERT(genCoef[nr] == 1, "RS generator is not monic");
+    // One table set per nroots for the whole process.  The storage is
+    // static (zero pages until first touched); call_once makes the
+    // first construction from concurrent threads safe.
+    static std::array<std::once_flag, rsMaxRoots> built;
+    static std::array<std::optional<LinearMap>, rsMaxRoots> maps;
+    const unsigned slot = nroots() - 1;
+    std::call_once(built[slot], [slot] { maps[slot].emplace(slot + 1); });
+    map = &*maps[slot];
+}
 
-    // LFSR rows: encTab[fb * nr + m] = fb * genCoef[nr - 1 - m].  One
-    // division step shifts the parity register up and subtracts the
-    // feedback-scaled generator; laying the row out in register order
-    // makes the shift update a contiguous walk.
-    encTab.assign(256u * nr, 0);
-    for (unsigned fb = 1; fb < 256; ++fb) {
-        for (unsigned m = 0; m < nr; ++m) {
-            encTab[fb * nr + m] = Gf256::mul(static_cast<GfElem>(fb),
-                                             genCoef[nr - 1 - m]);
-        }
-    }
+uint64_t
+RsCodec::syndromeWord(const GfElem *word, size_t stride) const
+{
+    return applyMap(map->synd.data(), nLen - 1, word, nLen, stride);
+}
 
-    // Per-root Horner multipliers: acc -> acc * alpha^(fcr+j).
-    syndTab.assign(nr * 256u, 0);
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem x = Gf256::alphaPow(static_cast<int>(fcr + j));
-        for (unsigned a = 0; a < 256; ++a) {
-            syndTab[j * 256 + a] =
-                Gf256::mul(static_cast<GfElem>(a), x);
-        }
-    }
-
-    // Chien probes and erasure locators per codeword position.
-    xinvTab.assign(nLen, 0);
-    xlTab.assign(nLen, 0);
-    for (unsigned pos = 0; pos < nLen; ++pos) {
-        xinvTab[pos] =
-            Gf256::alphaPow(-static_cast<int>(nLen - 1 - pos));
-        xlTab[pos] = Gf256::alphaPow(static_cast<int>(nLen - 1 - pos));
-    }
+uint64_t
+RsCodec::parityWord(const GfElem *message, size_t stride) const
+{
+    return applyMap(map->parity.data(), nLen - 1, message, kLen, stride);
 }
 
 void
 RsCodec::parityInto(const GfElem *message, GfElem *parity) const
 {
-    const unsigned nr = nroots();
-    GfElem par[256];
-    std::fill(par, par + nr, 0);
-    for (unsigned i = 0; i < kLen; ++i) {
-        const GfElem fb = static_cast<GfElem>(message[i] ^ par[0]);
-        const GfElem *row = &encTab[static_cast<size_t>(fb) * nr];
-        for (unsigned m = 0; m + 1 < nr; ++m)
-            par[m] = static_cast<GfElem>(par[m + 1] ^ row[m]);
-        par[nr - 1] = row[nr - 1];
-    }
-    std::copy(par, par + nr, parity);
+    unpack(parityWord(message, 1), parity, nroots(), 1);
 }
 
 void
@@ -77,26 +134,9 @@ RsCodec::encodeInto(const GfElem *message, GfElem *codeword) const
 }
 
 bool
-RsCodec::syndromesInto(const GfElem *received, GfElem *synd) const
-{
-    const unsigned nr = nroots();
-    GfElem any = 0;
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem *tab = &syndTab[static_cast<size_t>(j) * 256];
-        GfElem acc = 0;
-        for (unsigned i = 0; i < nLen; ++i)
-            acc = static_cast<GfElem>(tab[acc] ^ received[i]);
-        synd[j] = acc;
-        any = static_cast<GfElem>(any | acc);
-    }
-    return any == 0;
-}
-
-bool
 RsCodec::isCodewordRaw(const GfElem *word) const
 {
-    GfElem synd[256];
-    return syndromesInto(word, synd);
+    return syndromeWord(word, 1) == 0;
 }
 
 RsCodec::Status
@@ -108,8 +148,10 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     numPositions = 0;
 
     const unsigned nr = nroots();
-    if (syndromesInto(received, ws.synd.data()))
+    const uint64_t packed = syndromeWord(received, 1);
+    if (packed == 0)
         return Status::Ok;
+    unpack(packed, ws.synd.data(), nr, 1);
 
     if (numErasures > nr)
         return Status::Uncorrectable;
@@ -131,7 +173,7 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     for (unsigned e = 0; e < numErasures; ++e) {
         const unsigned pos = erasures[e];
         AIECC_ASSERT(pos < nLen, "RS decode: erasure out of range");
-        const GfElem xl = xlTab[pos];
+        const GfElem xl = exp[nLen - 1 - pos];
         for (unsigned i = nr; i >= 1; --i)
             lambda[i] =
                 static_cast<GfElem>(lambda[i] ^ gmul(lambda[i - 1], xl));
@@ -194,7 +236,8 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     // polynomial copies).
     unsigned found = 0;
     for (unsigned pos = 0; pos < nLen; ++pos) {
-        const GfElem xinv = xinvTab[pos];
+        // X^-1 = alpha^(255 - (n-1-pos)); exp[] covers 0..511.
+        const GfElem xinv = exp[Gf256::groupOrder + 1 + pos - nLen];
         GfElem acc = lambda[deg];
         for (int j = static_cast<int>(deg) - 1; j >= 0; --j)
             acc = static_cast<GfElem>(
@@ -221,7 +264,8 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         omega[i] = acc;
     }
 
-    // Forney: e = X^(1-fcr) * Omega(X^-1) / Lambda'(X^-1), applying
+    // Forney (first root alpha^1, so the X^(1-fcr) factor is 1):
+    // e = Omega(X^-1) / Lambda'(X^-1), applying
     // corrections in place and saving overwritten symbols so a failed
     // screen can restore the received word exactly.
     unsigned applied = 0;
@@ -248,10 +292,6 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         for (int j = static_cast<int>(nr) - 2; j >= 0; --j)
             num = static_cast<GfElem>(
                 gmul(num, xinv) ^ omega[static_cast<unsigned>(j)]);
-        if (fcrBase != 1) {
-            // Multiply by X^(1 - fcr) = (X^-1)^(fcr - 1).
-            num = gmul(num, Gf256::pow(xinv, fcrBase - 1));
-        }
         const GfElem magnitude = Gf256::div(num, den);
         const unsigned pos = ws.chien[idx];
         ws.saved[applied] = received[pos];
@@ -264,12 +304,9 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     // Sanity: the corrected word must be a codeword.  When the error
     // pattern exceeds the design distance the BM/Chien pipeline can
     // produce an inconsistent "correction"; screen it out.
-    {
-        GfElem check[256];
-        if (!syndromesInto(received, check)) {
-            rollback();
-            return Status::Uncorrectable;
-        }
+    if (syndromeWord(received, 1) != 0) {
+        rollback();
+        return Status::Uncorrectable;
     }
 
     return Status::Corrected;
@@ -281,25 +318,9 @@ RsCodec::parityBatch(const GfElem *messages, GfElem *parities,
 {
     AIECC_ASSERT(lanes >= 1 && lanes <= maxLanes,
                  "RS parityBatch: bad lane count " << lanes);
-    const unsigned nr = nroots();
-    std::array<GfElem, 256 * maxLanes> par;
-    std::fill(par.begin(), par.begin() + nr * lanes, 0);
-    const GfElem *rows[maxLanes] = {};
-    for (unsigned i = 0; i < kLen; ++i) {
-        const GfElem *msg = messages + static_cast<size_t>(i) * lanes;
-        for (unsigned c = 0; c < lanes; ++c) {
-            const GfElem fb = static_cast<GfElem>(msg[c] ^ par[c]);
-            rows[c] = &encTab[static_cast<size_t>(fb) * nr];
-        }
-        for (unsigned m = 0; m + 1 < nr; ++m) {
-            for (unsigned c = 0; c < lanes; ++c)
-                par[m * lanes + c] = static_cast<GfElem>(
-                    par[(m + 1) * lanes + c] ^ rows[c][m]);
-        }
-        for (unsigned c = 0; c < lanes; ++c)
-            par[(nr - 1) * lanes + c] = rows[c][nr - 1];
-    }
-    std::copy(par.begin(), par.begin() + nr * lanes, parities);
+    for (unsigned c = 0; c < lanes; ++c)
+        unpack(parityWord(messages + c, lanes), parities + c, nroots(),
+               lanes);
 }
 
 void
@@ -308,30 +329,11 @@ RsCodec::decodeBatch(GfElem *received, unsigned lanes,
 {
     AIECC_ASSERT(lanes >= 1 && lanes <= maxLanes,
                  "RS decodeBatch: bad lane count " << lanes);
-    AIECC_ASSERT(nroots() <= 8,
-                 "RS decodeBatch: LaneResult holds at most 8 positions");
-    const unsigned nr = nroots();
-
-    // One interleaved sweep computes every lane's syndromes; lanes
-    // whose syndromes are all zero are finished.
-    GfElem dirty[maxLanes] = {};
-    for (unsigned j = 0; j < nr; ++j) {
-        const GfElem *tab = &syndTab[static_cast<size_t>(j) * 256];
-        GfElem acc[maxLanes] = {};
-        const GfElem *sym = received;
-        for (unsigned i = 0; i < nLen; ++i, sym += lanes) {
-            for (unsigned c = 0; c < lanes; ++c)
-                acc[c] = static_cast<GfElem>(tab[acc[c]] ^ sym[c]);
-        }
-        for (unsigned c = 0; c < lanes; ++c)
-            dirty[c] = static_cast<GfElem>(dirty[c] | acc[c]);
-    }
-
     for (unsigned c = 0; c < lanes; ++c) {
         LaneResult &out = results[c];
         out.status = Status::Ok;
         out.numPositions = 0;
-        if (!dirty[c])
+        if (syndromeWord(received + c, lanes) == 0)
             continue;
         // De-interleave the dirty lane, run the scalar decoder, and
         // scatter any corrections back.
@@ -389,7 +391,7 @@ RsCodec::decode(const std::vector<GfElem> &received,
     res.codeword = received;
 
     RsWorkspace ws;
-    uint8_t positions[256];
+    uint8_t positions[rsMaxRoots];
     unsigned numPositions = 0;
     res.status = decodeInto(res.codeword.data(), ws, positions,
                             numPositions, erasures.data(),

@@ -9,11 +9,15 @@
  * RS(76,68) by appending virtual address symbols (Section IV-A of the
  * AIECC paper).
  *
- * The hot path is allocation-free: callers hand the codec raw symbol
- * buffers plus a reusable RsWorkspace, and the codec runs against
- * tables precomputed at construction (per-root Horner multipliers for
- * syndromes, generator-scaled LFSR rows for parity).  The std::vector
- * API remains as a thin wrapper for tests and cold callers.
+ * Syndromes and parity are linear in the symbols, so the hot path
+ * computes each as an XOR of one precomputed column per symbol, all
+ * check bytes packed in one uint64_t.  The columns are indexed by
+ * codeword degree rather than position, so every code with the same
+ * number of check symbols shares one immutable table set, built once
+ * per process in static storage.  Callers hand the codec raw symbol
+ * buffers plus a reusable RsWorkspace, so nothing touches the heap;
+ * the std::vector API remains as a thin wrapper for tests and cold
+ * callers.
  */
 
 #ifndef AIECC_RS_RS_CODE_HH
@@ -25,29 +29,33 @@
 #include <vector>
 
 #include "gf/gf256.hh"
-#include "gf/poly.hh"
 
 namespace aiecc
 {
 
+/** Most check symbols a codec may have: one uint64_t holds them all. */
+constexpr unsigned rsMaxRoots = 8;
+
 /**
  * Scratch buffers for one decode: syndromes, the BM polynomials, the
  * error evaluator, and the Chien/Forney bookkeeping.  One instance
- * serves any RS(n, k) with n <= 255; codecs embed one per owner so the
- * steady-state decode path never touches the heap.  The buffers carry
- * no state between calls.
+ * serves any RS(n, k) with n <= 255 and n - k <= rsMaxRoots; codecs
+ * embed one per owner so the steady-state decode path never touches
+ * the heap.  The buffers carry no state between calls.
  */
 struct RsWorkspace
 {
-    std::array<GfElem, 256> synd;    ///< S_j, nroots entries
-    std::array<GfElem, 256> lambda;  ///< error locator, nroots+1
-    std::array<GfElem, 256> bpoly;   ///< BM correction poly
-    std::array<GfElem, 256> tpoly;   ///< BM temporary
-    std::array<GfElem, 256> omega;   ///< error evaluator, nroots
-    std::array<GfElem, 256> roots;   ///< located X^-1 values
-    std::array<GfElem, 256> saved;   ///< pre-correction symbol values
-    std::array<uint8_t, 256> chien;  ///< located codeword positions
-    std::array<GfElem, 256> lane;    ///< batch de-interleave buffer
+    static constexpr unsigned polyLen = rsMaxRoots + 1;
+
+    std::array<GfElem, polyLen> synd;    ///< S_j, nroots entries
+    std::array<GfElem, polyLen> lambda;  ///< error locator, nroots+1
+    std::array<GfElem, polyLen> bpoly;   ///< BM correction poly
+    std::array<GfElem, polyLen> tpoly;   ///< BM temporary
+    std::array<GfElem, polyLen> omega;   ///< error evaluator, nroots
+    std::array<GfElem, polyLen> roots;   ///< located X^-1 values
+    std::array<GfElem, polyLen> saved;   ///< pre-correction symbols
+    std::array<uint8_t, polyLen> chien;  ///< located codeword positions
+    std::array<GfElem, 256> lane;        ///< batch de-interleave buffer
 };
 
 /**
@@ -95,20 +103,22 @@ class RsCodec
         Status status = Status::Ok;
         uint8_t numPositions = 0;
         /** Corrected positions, ascending; at most nroots() entries. */
-        std::array<uint8_t, 8> positions{};
+        std::array<uint8_t, rsMaxRoots> positions{};
     };
 
     /** Widest batch the interleaved entry points accept. */
     static constexpr unsigned maxLanes = 4;
 
     /**
-     * Build an RS(n, k) codec.
+     * Build an RS(n, k) codec whose generator has the roots
+     * alpha^1 .. alpha^(n-k).  The first codec with a given n - k
+     * builds that geometry's shared tables (thread-safe); later ones
+     * only point at them.
      *
      * @param n Codeword length in symbols, k < n <= 255.
-     * @param k Message length in symbols.
-     * @param fcr First consecutive root of the generator (default 1).
+     * @param k Message length in symbols, n - k <= rsMaxRoots.
      */
-    RsCodec(unsigned n, unsigned k, unsigned fcr = 1);
+    RsCodec(unsigned n, unsigned k);
 
     unsigned n() const { return nLen; }
     unsigned k() const { return kLen; }
@@ -121,7 +131,7 @@ class RsCodec
 
     /**
      * Compute the n-k parity symbols of @p message (k symbols) into
-     * @p parity via the table-driven LFSR; no heap traffic.
+     * @p parity as an XOR of per-symbol columns; no heap traffic.
      */
     void parityInto(const GfElem *message, GfElem *parity) const;
 
@@ -152,7 +162,9 @@ class RsCodec
     //
     // Symbols are interleaved lane-minor: symbol i of lane c lives at
     // buf[i * lanes + c], matching how the AMD organizations gather
-    // one chip's four codeword symbols in one touch.
+    // one chip's four codeword symbols in one touch.  Each lane runs
+    // the scalar kernels with a stride, so no de-interleave copy is
+    // made unless a lane's syndrome is nonzero.
 
     /**
      * Compute parity for @p lanes interleaved messages at once.
@@ -166,9 +178,9 @@ class RsCodec
     /**
      * Decode @p lanes interleaved received words in place.
      *
-     * Syndromes for every lane are computed in one interleaved sweep;
-     * clean lanes finish there, dirty lanes fall back to the scalar
-     * decoder.  Per-lane status/positions land in @p results.
+     * Clean lanes finish at the syndrome; dirty lanes de-interleave
+     * into the workspace and run decodeInto().  Per-lane
+     * status/positions land in @p results.
      */
     void decodeBatch(GfElem *received, unsigned lanes,
                      LaneResult *results, RsWorkspace &ws) const;
@@ -201,38 +213,19 @@ class RsCodec
                   const std::vector<unsigned> &erasures = {}) const;
 
   private:
+    /** Degree-indexed syndrome and parity columns for one nroots. */
+    struct LinearMap;
+
     unsigned nLen;
     unsigned kLen;
-    unsigned fcrBase;
+    /** Shared tables for this nroots; static storage, never freed. */
+    const LinearMap *map;
 
-    /**
-     * Generator coefficients, low-degree-first; genCoef[nroots] == 1.
-     * Kept for the encode-table builder and for reference.
-     */
-    std::vector<GfElem> genCoef;
+    /** Syndromes of n strided symbols, S_j in byte j; 0 on a codeword. */
+    uint64_t syndromeWord(const GfElem *word, size_t stride) const;
 
-    /**
-     * LFSR rows: encTab[fb * nroots + m] = fb * genCoef[nroots-1-m],
-     * one 256-entry row per feedback symbol, laid out so the shift
-     * update walks a contiguous row.
-     */
-    std::vector<GfElem> encTab;
-
-    /**
-     * Per-root Horner multipliers: syndTab[j * 256 + a] =
-     * a * alpha^(fcr+j), turning each syndrome step into one table
-     * load and one XOR.
-     */
-    std::vector<GfElem> syndTab;
-
-    /** xinvTab[pos] = alpha^-(n-1-pos), the Chien probe per position. */
-    std::vector<GfElem> xinvTab;
-
-    /** xlTab[pos] = alpha^(n-1-pos), the erasure locator per position. */
-    std::vector<GfElem> xlTab;
-
-    /** Syndromes into ws.synd; true if all zero. */
-    bool syndromesInto(const GfElem *received, GfElem *synd) const;
+    /** Parity of k strided symbols, parity symbol j in byte j. */
+    uint64_t parityWord(const GfElem *message, size_t stride) const;
 };
 
 } // namespace aiecc

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <thread>
+
 #include "common/rng.hh"
+#include "gf/poly.hh"
 #include "rs/rs_code.hh"
 
 namespace aiecc
@@ -381,8 +386,6 @@ TEST_P(RsGeometry, DifferentialVectorVsWorkspace)
 TEST_P(RsGeometry, DifferentialVectorVsBatch)
 {
     const auto [n, k] = GetParam();
-    if (n > 128)
-        GTEST_SKIP() << "batch path is sized for the MTB geometries";
     RsCodec rs(n, k);
     Rng rng(53 + n);
     RsWorkspace ws;
@@ -419,6 +422,153 @@ TEST_P(RsGeometry, DifferentialVectorVsBatch)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Differential tests against plain reference arithmetic: syndromes by
+// Horner evaluation at alpha^1 .. alpha^nroots and parity by the
+// generator-division LFSR, both on Gf256::mul alone, so they share no
+// table with the codec's linear maps.
+// ---------------------------------------------------------------------
+
+/** S_j = r(alpha^(1+j)), position 0 the highest-degree coefficient. */
+std::vector<GfElem>
+hornerSyndromes(const std::vector<GfElem> &word, unsigned nroots)
+{
+    std::vector<GfElem> synd(nroots);
+    for (unsigned j = 0; j < nroots; ++j) {
+        const GfElem x = Gf256::alphaPow(static_cast<int>(1 + j));
+        GfElem acc = 0;
+        for (GfElem s : word)
+            acc = static_cast<GfElem>(Gf256::mul(acc, x) ^ s);
+        synd[j] = acc;
+    }
+    return synd;
+}
+
+bool
+hornerIsCodeword(const std::vector<GfElem> &word, unsigned nroots)
+{
+    const auto synd = hornerSyndromes(word, nroots);
+    return std::all_of(synd.begin(), synd.end(),
+                       [](GfElem s) { return s == 0; });
+}
+
+/** Remainder of m(x) x^nroots by g(x), highest degree first. */
+std::vector<GfElem>
+lfsrParity(const std::vector<GfElem> &message, unsigned nroots)
+{
+    const Gf256Poly gen = Gf256Poly::rsGenerator(nroots, 1);
+    std::vector<GfElem> par(nroots, 0);
+    for (GfElem m : message) {
+        const GfElem fb = static_cast<GfElem>(m ^ par[0]);
+        for (unsigned i = 0; i + 1 < nroots; ++i)
+            par[i] = static_cast<GfElem>(
+                par[i + 1] ^ Gf256::mul(fb, gen[nroots - 1 - i]));
+        par[nroots - 1] = Gf256::mul(fb, gen[0]);
+    }
+    return par;
+}
+
+TEST_P(RsGeometry, DifferentialAgainstHornerReference)
+{
+    const auto [n, k] = GetParam();
+    RsCodec rs(n, k);
+    Rng rng(54 + n);
+    RsWorkspace ws;
+    for (int rep = 0; rep < 200; ++rep) {
+        const auto msg = randomMessage(rng, k);
+        const auto par = lfsrParity(msg, rs.nroots());
+        std::vector<GfElem> got(rs.nroots());
+        rs.parityInto(msg.data(), got.data());
+        ASSERT_EQ(got, par) << "n=" << n << " rep=" << rep;
+
+        auto cw = msg;
+        cw.insert(cw.end(), par.begin(), par.end());
+        ASSERT_TRUE(hornerIsCodeword(cw, rs.nroots()));
+
+        // Clean on even reps, else 1..nroots+2 corrupted symbols.
+        const unsigned hits =
+            rep % 2 ? 1 + static_cast<unsigned>(
+                              rng.below(rs.nroots() + 2))
+                    : 0;
+        auto rx = cw;
+        auto posns = rng.sample(n, hits);
+        for (unsigned p : posns)
+            rx[p] ^= static_cast<GfElem>(rng.range(1, 255));
+        std::sort(posns.begin(), posns.end());
+
+        const bool clean = hornerIsCodeword(rx, rs.nroots());
+        EXPECT_EQ(rs.isCodewordRaw(rx.data()), clean);
+
+        auto buf = rx;
+        uint8_t positions[rsMaxRoots];
+        unsigned numPositions = 0;
+        const auto status =
+            rs.decodeInto(buf.data(), ws, positions, numPositions);
+        const std::vector<unsigned> reported(positions,
+                                             positions + numPositions);
+        if (clean) {
+            EXPECT_EQ(status, RsCodec::Status::Ok);
+            EXPECT_TRUE(reported.empty());
+        } else if (hits <= rs.t()) {
+            // Within the design distance the answer is unique.
+            ASSERT_EQ(status, RsCodec::Status::Corrected)
+                << "n=" << n << " hits=" << hits;
+            EXPECT_EQ(buf, cw);
+            EXPECT_EQ(reported,
+                      std::vector<unsigned>(posns.begin(), posns.end()));
+        } else if (status == RsCodec::Status::Corrected) {
+            // A miscorrection must still land on a reference codeword
+            // within t symbols of the received word.
+            EXPECT_TRUE(hornerIsCodeword(buf, rs.nroots()));
+            EXPECT_LE(numPositions, rs.t());
+            for (unsigned i = 0; i < n; ++i) {
+                const bool moved = buf[i] != rx[i];
+                EXPECT_EQ(moved, std::count(reported.begin(),
+                                            reported.end(), i) == 1);
+            }
+        } else {
+            EXPECT_EQ(status, RsCodec::Status::Uncorrectable);
+            EXPECT_EQ(buf, rx);
+            EXPECT_TRUE(reported.empty());
+        }
+    }
+}
+
+TEST(RsCodecThreads, ConcurrentFirstUseMatchesKat)
+{
+    // Run as its own process so the shared tables are still unbuilt
+    // when the threads start; under TSan this checks the first-use
+    // construction is race-free.
+    constexpr unsigned numThreads = 4;
+    const KatVector *kats[] = {&katVectors[0], &katVectors[2],
+                               &katVectors[3]};
+    std::latch start(numThreads);
+    bool matched[numThreads][3] = {};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < numThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (unsigned i = 0; i < 3; ++i) {
+                // Rotate the order so threads race on different
+                // geometries first.
+                const KatVector &kat = *kats[(i + t) % 3];
+                const RsCodec rs(kat.n, kat.k);
+                GfElem parity[rsMaxRoots] = {};
+                rs.parityInto(katMessage(kat.k).data(), parity);
+                matched[t][(i + t) % 3] = std::equal(
+                    kat.parity.begin(), kat.parity.end(), parity);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (unsigned t = 0; t < numThreads; ++t)
+        for (unsigned i = 0; i < 3; ++i)
+            EXPECT_TRUE(matched[t][i])
+                << "thread " << t << " RS(" << kats[i]->n << ","
+                << kats[i]->k << ")";
 }
 
 } // namespace
