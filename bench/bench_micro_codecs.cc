@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the coding substrates: RS
  * encode/decode at the chipkill geometries, eDECC encode/decode, CRC
- * generation, and the pin-level command codec.  Supports the §V-D
- * claim that eDECC adds no meaningful latency to the decode path.
+ * generation, burst marshaling and the pin-level command codec.
+ * Supports the §V-D claim that eDECC adds no meaningful latency to the
+ * decode path.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,8 +15,8 @@
 
 #include "aiecc/edecc.hh"
 #include "common/rng.hh"
-#include "crc/crc.hh"
 #include "ddr4/command.hh"
+#include "dram/rank.hh"
 #include "ecc/amd.hh"
 #include "ecc/qpc.hh"
 #include "rs/rs_code.hh"
@@ -253,21 +254,31 @@ BENCHMARK(BM_AmdDecodeClean);
 void
 BM_Wcrc(benchmark::State &state)
 {
-    // The controller's eWCRC path: one packed word per chip lane with
-    // the intended MTB address in the upper 32 bits.
+    // The eWCRC of one write, as the controller generates it and the
+    // device checks it: 18 chip lanes plus the shared address term.
     Rng rng(9);
     Burst b;
     b.randomize(rng);
-    const uint64_t addrField = (rng.next() & 0xFFFFFFFFu) << 32;
-    const Crc &crc = Crc::ddr4Crc8();
-    for (auto _ : state) {
-        uint32_t acc = 0;
-        for (unsigned chip = 0; chip < Burst::numChips; ++chip)
-            acc ^= crc.computeWord(b.chipWord(chip) | addrField, 64);
-        benchmark::DoNotOptimize(acc);
-    }
+    const uint32_t addr = static_cast<uint32_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(laneCrcs(b, WcrcMode::DataAddress, addr));
 }
 BENCHMARK(BM_Wcrc);
+
+void
+BM_BurstData(benchmark::State &state)
+{
+    // Burst <-> payload marshaling: data() then setData() round trip.
+    Rng rng(10);
+    Burst b;
+    b.randomize(rng);
+    for (auto _ : state) {
+        const BitVec d = b.data();
+        b.setData(d);
+        benchmark::DoNotOptimize(b);
+    }
+}
+BENCHMARK(BM_BurstData);
 
 void
 BM_CommandCodec(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -143,6 +144,27 @@ BitVec::setField(size_t first, size_t nbits, uint64_t value)
     }
 }
 
+// Storage is little-endian within each word, so on a little-endian
+// host byte i of the word array is bits 8i..8i+7 and the byte
+// accessors are plain copies.
+static_assert(std::endian::native == std::endian::little,
+              "BitVec byte accessors assume a little-endian host");
+
+void
+BitVec::getBytes(size_t first, uint8_t *out, size_t n) const
+{
+    AIECC_ASSERT(first + n <= (numBits + 7) / 8, "getBytes out of range");
+    std::memcpy(out, reinterpret_cast<const uint8_t *>(words()) + first, n);
+}
+
+void
+BitVec::setBytes(size_t first, const uint8_t *in, size_t n)
+{
+    AIECC_ASSERT(first + n <= (numBits + 7) / 8, "setBytes out of range");
+    std::memcpy(reinterpret_cast<uint8_t *>(words()) + first, in, n);
+    trimTail();
+}
+
 BitVec &
 BitVec::operator^=(const BitVec &other)
 {
@@ -198,10 +220,8 @@ BitVec::toString() const
 std::vector<uint8_t>
 BitVec::toBytes() const
 {
-    std::vector<uint8_t> out((numBits + 7) / 8, 0);
-    const uint64_t *w = words();
-    for (size_t i = 0; i < out.size(); ++i)
-        out[i] = static_cast<uint8_t>(w[i / 8] >> ((i % 8) * 8));
+    std::vector<uint8_t> out((numBits + 7) / 8);
+    getBytes(0, out.data(), out.size());
     return out;
 }
 
@@ -210,11 +230,7 @@ BitVec::fromBytes(const std::vector<uint8_t> &bytes, size_t nbits)
 {
     AIECC_ASSERT(bytes.size() * 8 >= nbits, "fromBytes: too few bytes");
     BitVec out(nbits);
-    uint64_t *w = out.words();
-    const size_t numBytes = (nbits + 7) / 8;
-    for (size_t i = 0; i < numBytes; ++i)
-        w[i / 8] |= uint64_t(bytes[i]) << ((i % 8) * 8);
-    out.trimTail();
+    out.setBytes(0, bytes.data(), (nbits + 7) / 8);
     return out;
 }
 

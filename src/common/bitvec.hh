@@ -82,6 +82,19 @@ class BitVec
     /** Write the @p nbits-wide field starting at @p first. */
     void setField(size_t first, size_t nbits, uint64_t value);
 
+    /**
+     * Copy @p n bytes out, starting at byte @p first: byte i of @p out
+     * holds bits 8(first + i) .. 8(first + i) + 7, bit j of the byte
+     * being bit 8(first + i) + j.  Bits past size() read as 0.
+     */
+    void getBytes(size_t first, uint8_t *out, size_t n) const;
+
+    /**
+     * Inverse of getBytes(): overwrite bytes [first, first + n).  Bits
+     * of the last byte past size() are dropped.
+     */
+    void setBytes(size_t first, const uint8_t *in, size_t n);
+
     /** XOR another vector of the same length into this one. */
     BitVec &operator^=(const BitVec &other);
 

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "crc/crc.hh"
 
 namespace aiecc
 {
@@ -119,17 +118,7 @@ MemController::makeWriteData(const Command &cmd, const Burst &burst) const
     addr.row = intendedRow;
     addr.col = cmd.col >> Geometry::burstBits;
 
-    const bool withAddr = cfg.wcrcMode == WcrcMode::DataAddress;
-    const uint64_t addrField =
-        static_cast<uint64_t>(addr.pack(cfg.geom)) << 32;
-    for (unsigned chip = 0; chip < Burst::numChips; ++chip) {
-        // One packed word per chip lane, extended by the intended MTB
-        // address for eWCRC; bit order matches the bit-vector form.
-        const uint64_t lane = burst.chipWord(chip);
-        wd.crc[chip] = static_cast<uint8_t>(
-            withAddr ? Crc::ddr4Crc8().computeWord(lane | addrField, 64)
-                     : Crc::ddr4Crc8().computeWord(lane, 32));
-    }
+    wd.crc = laneCrcs(burst, cfg.wcrcMode, addr.pack(cfg.geom));
     return wd;
 }
 

@@ -10,12 +10,15 @@ Crc::Crc(unsigned width, uint32_t poly)
     : crcWidth(width), polynomial(poly)
 {
     AIECC_ASSERT(width >= 1 && width <= 32, "CRC width out of range");
-    if (crcWidth >= 8) {
-        for (unsigned x = 0; x < 256; ++x) {
-            uint32_t reg = x << (crcWidth - 8);
+    for (unsigned x = 0; x < 256; ++x) {
+        uint32_t reg = 0;
+        for (unsigned i = 8; i-- > 0;)
+            reg = step(reg, (x >> i) & 1);
+        sliceTab[0][x] = reg;
+        for (unsigned d = 1; d < sliceTab.size(); ++d) {
             for (unsigned i = 0; i < 8; ++i)
                 reg = step(reg, false);
-            byteTab[x] = reg;
+            sliceTab[d][x] = reg;
         }
     }
 }
@@ -40,20 +43,10 @@ Crc::compute(const BitVec &bits) const
 }
 
 uint32_t
-Crc::computeWord(uint64_t value, unsigned nbits) const
+Crc::computeBits(uint64_t value, unsigned nbits) const
 {
     AIECC_ASSERT(nbits <= 64, "computeWord: too many bits");
     uint32_t reg = 0;
-    if (crcWidth >= 8 && nbits % 8 == 0) {
-        const uint32_t m = static_cast<uint32_t>(mask(crcWidth));
-        for (unsigned i = nbits; i > 0; i -= 8) {
-            const uint32_t byte =
-                static_cast<uint32_t>(value >> (i - 8)) & 0xFF;
-            reg = ((reg << 8) & m) ^
-                  byteTab[((reg >> (crcWidth - 8)) ^ byte) & 0xFF];
-        }
-        return reg;
-    }
     for (unsigned i = nbits; i-- > 0;)
         reg = step(reg, (value >> i) & 1);
     return reg;

@@ -46,11 +46,20 @@ class Crc
     /**
      * CRC of the low @p nbits of an integer.
      *
-     * For width >= 8 and whole-byte messages this runs the
-     * table-driven byte loop (the write-CRC hot path: one table load
-     * per 8 message bits); other shapes fall back to the bit loop.
+     * Whole-byte messages (the write-CRC hot path) are the XOR of one
+     * slice-table load per message byte, independent of each other;
+     * other lengths fall back to the bit loop.
      */
-    uint32_t computeWord(uint64_t value, unsigned nbits) const;
+    uint32_t
+    computeWord(uint64_t value, unsigned nbits) const
+    {
+        if (nbits % 8 != 0 || nbits > 64)
+            return computeBits(value, nbits);
+        uint32_t reg = 0;
+        for (unsigned i = 0; i < nbits / 8; ++i, value >>= 8)
+            reg ^= sliceTab[i][value & 0xFF];
+        return reg;
+    }
 
     /** The DDR4 write-CRC polynomial: CRC-8-ATM, x^8 + x^2 + x + 1. */
     static const Crc &ddr4Crc8();
@@ -63,12 +72,15 @@ class Crc
     uint32_t polynomial;
 
     /**
-     * byteTab[x] = register after eight bit-steps from x << (width-8)
-     * with a zero message; by linearity one whole message byte is then
-     * reg' = ((reg << 8) & mask) ^ byteTab[(reg >> (width-8)) ^ byte].
-     * Only built (and only valid) for width >= 8.
+     * sliceTab[d][x] = CRC of byte x followed by d zero bytes.  With a
+     * zero initial register the CRC is linear in the message, so a
+     * k-byte message is the XOR of sliceTab[i][byte i] over its bytes
+     * (byte 0 the least significant, consumed last).
      */
-    std::array<uint32_t, 256> byteTab{};
+    std::array<std::array<uint32_t, 256>, 8> sliceTab{};
+
+    /** computeWord() by the bit loop, for lengths not byte-aligned. */
+    uint32_t computeBits(uint64_t value, unsigned nbits) const;
 
     /** Advance the CRC register by one message bit. */
     uint32_t step(uint32_t reg, bool msgBit) const;

@@ -84,12 +84,7 @@ BitVec
 Burst::data() const
 {
     BitVec out(dataBits);
-    for (unsigned w = 0; w < dataPins / 8; ++w) {
-        uint64_t v = 0;
-        for (unsigned b = 0; b < 8; ++b)
-            v |= static_cast<uint64_t>(pinBits[w * 8 + b]) << (8 * b);
-        out.setField(w * 64, 64, v);
-    }
+    out.setBytes(0, pinBits.data(), dataPins);
     return out;
 }
 
@@ -97,21 +92,14 @@ void
 Burst::setData(const BitVec &d)
 {
     AIECC_ASSERT(d.size() == dataBits, "setData: wrong width");
-    for (unsigned w = 0; w < dataPins / 8; ++w) {
-        const uint64_t v = d.getField(w * 64, 64);
-        for (unsigned b = 0; b < 8; ++b)
-            pinBits[w * 8 + b] = static_cast<uint8_t>(v >> (8 * b));
-    }
+    d.getBytes(0, pinBits.data(), dataPins);
 }
 
 BitVec
 Burst::check() const
 {
     BitVec out(checkBits);
-    uint64_t v = 0;
-    for (unsigned p = 0; p < checkPins; ++p)
-        v |= static_cast<uint64_t>(pinBits[dataPins + p]) << (8 * p);
-    out.setField(0, 64, v);
+    out.setBytes(0, &pinBits[dataPins], checkPins);
     return out;
 }
 
@@ -119,9 +107,7 @@ void
 Burst::setCheck(const BitVec &c)
 {
     AIECC_ASSERT(c.size() == checkBits, "setCheck: wrong width");
-    const uint64_t v = c.getField(0, 64);
-    for (unsigned p = 0; p < checkPins; ++p)
-        pinBits[dataPins + p] = static_cast<uint8_t>(v >> (8 * p));
+    c.getBytes(0, &pinBits[dataPins], checkPins);
 }
 
 void

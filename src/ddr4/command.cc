@@ -1,9 +1,7 @@
 #include "ddr4/command.hh"
 
+#include <iterator>
 #include <sstream>
-
-#include "common/bits.hh"
-#include "common/logging.hh"
 
 namespace aiecc
 {
@@ -11,27 +9,82 @@ namespace aiecc
 namespace
 {
 
-/** Address-bit to pin mapping used during ACT (A0..A17). */
-constexpr Pin addrPin[18] = {
-    Pin::A0, Pin::A1, Pin::A2, Pin::A3, Pin::A4, Pin::A5, Pin::A6,
-    Pin::A7, Pin::A8, Pin::A9, Pin::A10_AP, Pin::A11, Pin::A12_BC,
-    Pin::A13, Pin::WE_A14, Pin::CAS_A15, Pin::RAS_A16, Pin::A17,
+/** Pin-mask bit of @p pin. */
+constexpr uint32_t
+bit(Pin pin)
+{
+    return 1u << static_cast<unsigned>(pin);
+}
+
+/** Function pins WE_n/CAS_n/RAS_n (pins 19..21) as a 3-bit code. */
+constexpr unsigned funcShift = static_cast<unsigned>(Pin::WE_A14);
+constexpr uint32_t funcPins = 7u << funcShift;
+
+/** Bank pins BA0, BA1, BG0, BG1 (pins 15..18) as ba | bg << 2. */
+constexpr unsigned bankShift = static_cast<unsigned>(Pin::BA0);
+
+/** Column address pins A0..A9 (pins 0..9). */
+constexpr uint32_t colPins = 0x3FF;
+
+/**
+ * RAS_n/CAS_n/WE_n levels (RAS the high bit) of each command type,
+ * indexed by CmdType.  DES leaves them high; ACT replaces them with
+ * row bits A16..A14.
+ */
+constexpr uint8_t funcCode[] = {
+    7, // Des
+    7, // Nop
+    7, // Act
+    5, // Rd
+    4, // Wr
+    2, // Pre
+    2, // PreAll
+    1, // Ref
+    0, // Mrs
+    6, // Zqc
+    3, // Rfu
+};
+static_assert(std::size(funcCode) == static_cast<size_t>(CmdType::Rfu) + 1);
+
+/** Command types by function code (code 2 is PRE or PREA by A10). */
+constexpr CmdType funcType[8] = {
+    CmdType::Mrs, CmdType::Ref, CmdType::Pre, CmdType::Rfu,
+    CmdType::Wr,  CmdType::Rd,  CmdType::Zqc, CmdType::Nop,
 };
 
-void
-driveBankBits(PinWord &pins, unsigned bg, unsigned ba)
+constexpr uint32_t
+bankPins(unsigned bg, unsigned ba)
 {
-    pins.set(Pin::BG0, bg & 1);
-    pins.set(Pin::BG1, (bg >> 1) & 1);
-    pins.set(Pin::BA0, ba & 1);
-    pins.set(Pin::BA1, (ba >> 1) & 1);
+    return ((ba & 3u) | (bg & 3u) << 2) << bankShift;
+}
+
+/**
+ * Row address A0..A17 onto the ACT pins: A0..A11 -> pins 0..11,
+ * A12 -> 14, A13 -> 12, A14..A16 -> 19..21, A17 -> 13.
+ */
+constexpr uint32_t
+rowPins(unsigned row)
+{
+    return (row & 0xFFFu) | ((row >> 12) & 1u) << 14 |
+           ((row >> 13) & 1u) << 12 | ((row >> 14) & 7u) << 19 |
+           ((row >> 17) & 1u) << 13;
+}
+
+/** Inverse of rowPins(). */
+constexpr unsigned
+pinsRow(uint32_t levels)
+{
+    return (levels & 0xFFFu) | ((levels >> 14) & 1u) << 12 |
+           ((levels >> 12) & 1u) << 13 | ((levels >> 19) & 7u) << 14 |
+           ((levels >> 13) & 1u) << 17;
 }
 
 void
-readBankBits(const PinWord &pins, unsigned &bg, unsigned &ba)
+readBankBits(uint32_t levels, unsigned &bg, unsigned &ba)
 {
-    bg = (pins.get(Pin::BG0) ? 1u : 0u) | (pins.get(Pin::BG1) ? 2u : 0u);
-    ba = (pins.get(Pin::BA0) ? 1u : 0u) | (pins.get(Pin::BA1) ? 2u : 0u);
+    const unsigned bank = (levels >> bankShift) & 0xF;
+    ba = bank & 3;
+    bg = bank >> 2;
 }
 
 } // namespace
@@ -164,85 +217,42 @@ DecodedCommand::toString() const
 PinWord
 encodeCommand(const Command &cmd)
 {
+    // Deasserted defaults: CS_n/ACT_n high, CKE high, clock nominal,
+    // address pins low, ODT low, PAR low (driven later).
     PinWord pins;
-    // Deasserted defaults: CS_n/ACT_n/RAS/CAS/WE high, CKE high, clock
-    // nominal, address pins low, ODT low, PAR low (driven later).
-    pins.set(Pin::CKE, true);
-    pins.set(Pin::CK, true);
-    pins.set(Pin::CS, true);
-    pins.set(Pin::ACT, true);
-    pins.set(Pin::RAS_A16, true);
-    pins.set(Pin::CAS_A15, true);
-    pins.set(Pin::WE_A14, true);
-
-    if (cmd.type == CmdType::Des)
+    pins.levels = bit(Pin::CKE) | bit(Pin::CK) | bit(Pin::ACT) |
+                  funcCode[static_cast<unsigned>(cmd.type)] << funcShift;
+    if (cmd.type == CmdType::Des) {
+        pins.levels |= bit(Pin::CS);
         return pins;
-
-    pins.set(Pin::CS, false); // select
+    }
 
     switch (cmd.type) {
       case CmdType::Act:
-        pins.set(Pin::ACT, false);
-        for (unsigned i = 0; i < 18; ++i)
-            pins.set(addrPin[i], (cmd.row >> i) & 1);
-        driveBankBits(pins, cmd.bg, cmd.ba);
+        pins.levels = (pins.levels & ~(bit(Pin::ACT) | funcPins)) |
+                      rowPins(cmd.row) | bankPins(cmd.bg, cmd.ba);
         break;
 
       case CmdType::Rd:
       case CmdType::Wr:
-        pins.set(Pin::RAS_A16, true);
-        pins.set(Pin::CAS_A15, false);
-        pins.set(Pin::WE_A14, cmd.type == CmdType::Rd);
-        for (unsigned i = 0; i < 10; ++i)
-            pins.set(addrPin[i], (cmd.col >> i) & 1);
-        pins.set(Pin::A10_AP, cmd.autoPrecharge);
-        // BC_n is active low: drive high for a full BL8 burst.
-        pins.set(Pin::A12_BC, !cmd.burstChop);
-        driveBankBits(pins, cmd.bg, cmd.ba);
-        // ODT asserted for writes (termination at the receiver).
-        pins.set(Pin::ODT, cmd.type == CmdType::Wr);
+        pins.levels |= (cmd.col & colPins) | bankPins(cmd.bg, cmd.ba) |
+                       (cmd.autoPrecharge ? bit(Pin::A10_AP) : 0) |
+                       // BC_n is active low: high for a full BL8 burst.
+                       (cmd.burstChop ? 0 : bit(Pin::A12_BC)) |
+                       // ODT asserted for writes (receiver termination).
+                       (cmd.type == CmdType::Wr ? bit(Pin::ODT) : 0);
         break;
 
       case CmdType::Pre:
+        pins.levels |= bankPins(cmd.bg, cmd.ba);
+        break;
+
       case CmdType::PreAll:
-        pins.set(Pin::RAS_A16, false);
-        pins.set(Pin::CAS_A15, true);
-        pins.set(Pin::WE_A14, false);
-        pins.set(Pin::A10_AP, cmd.type == CmdType::PreAll);
-        if (cmd.type == CmdType::Pre)
-            driveBankBits(pins, cmd.bg, cmd.ba);
+        pins.levels |= bit(Pin::A10_AP);
         break;
 
-      case CmdType::Ref:
-        pins.set(Pin::RAS_A16, false);
-        pins.set(Pin::CAS_A15, false);
-        pins.set(Pin::WE_A14, true);
+      default:
         break;
-
-      case CmdType::Mrs:
-        pins.set(Pin::RAS_A16, false);
-        pins.set(Pin::CAS_A15, false);
-        pins.set(Pin::WE_A14, false);
-        break;
-
-      case CmdType::Zqc:
-        pins.set(Pin::RAS_A16, true);
-        pins.set(Pin::CAS_A15, true);
-        pins.set(Pin::WE_A14, false);
-        break;
-
-      case CmdType::Rfu:
-        pins.set(Pin::RAS_A16, false);
-        pins.set(Pin::CAS_A15, true);
-        pins.set(Pin::WE_A14, true);
-        break;
-
-      case CmdType::Nop:
-        // RAS/CAS/WE all high.
-        break;
-
-      case CmdType::Des:
-        AIECC_PANIC("unreachable");
     }
     return pins;
 }
@@ -250,12 +260,13 @@ encodeCommand(const Command &cmd)
 DecodedCommand
 decodeCommand(const PinWord &pins)
 {
+    const uint32_t levels = pins.levels;
     DecodedCommand dec;
-    dec.ckeHigh = pins.get(Pin::CKE);
-    dec.odt = pins.get(Pin::ODT);
-    dec.parityBit = pins.get(Pin::PAR);
+    dec.ckeHigh = levels & bit(Pin::CKE);
+    dec.odt = levels & bit(Pin::ODT);
+    dec.parityBit = levels & bit(Pin::PAR);
 
-    if (pins.get(Pin::CS) || !dec.ckeHigh) {
+    if ((levels & bit(Pin::CS)) || !dec.ckeHigh) {
         // Deselected, or CKE dropped: the edge is ignored (a CKE low
         // level additionally nudges the device toward power-down).
         dec.cmd.type = CmdType::Des;
@@ -264,42 +275,29 @@ decodeCommand(const PinWord &pins)
     }
 
     Command &cmd = dec.cmd;
-    if (!pins.get(Pin::ACT)) {
+    if (!(levels & bit(Pin::ACT))) {
         cmd.type = CmdType::Act;
-        cmd.row = 0;
-        for (unsigned i = 0; i < 18; ++i) {
-            if (pins.get(addrPin[i]))
-                cmd.row |= 1u << i;
-        }
-        readBankBits(pins, cmd.bg, cmd.ba);
+        cmd.row = pinsRow(levels);
+        readBankBits(levels, cmd.bg, cmd.ba);
         return dec;
     }
 
-    const unsigned func = (pins.get(Pin::RAS_A16) ? 4u : 0u) |
-                          (pins.get(Pin::CAS_A15) ? 2u : 0u) |
-                          (pins.get(Pin::WE_A14) ? 1u : 0u);
-    switch (func) {
-      case 0: cmd.type = CmdType::Mrs; break;
-      case 1: cmd.type = CmdType::Ref; break;
-      case 2:
-        cmd.type = pins.get(Pin::A10_AP) ? CmdType::PreAll : CmdType::Pre;
-        readBankBits(pins, cmd.bg, cmd.ba);
+    cmd.type = funcType[(levels & funcPins) >> funcShift];
+    switch (cmd.type) {
+      case CmdType::Pre:
+        if (levels & bit(Pin::A10_AP))
+            cmd.type = CmdType::PreAll;
+        readBankBits(levels, cmd.bg, cmd.ba);
         break;
-      case 3: cmd.type = CmdType::Rfu; break;
-      case 4:
-      case 5:
-        cmd.type = func == 5 ? CmdType::Rd : CmdType::Wr;
-        cmd.col = 0;
-        for (unsigned i = 0; i < 10; ++i) {
-            if (pins.get(addrPin[i]))
-                cmd.col |= 1u << i;
-        }
-        cmd.autoPrecharge = pins.get(Pin::A10_AP);
-        cmd.burstChop = !pins.get(Pin::A12_BC);
-        readBankBits(pins, cmd.bg, cmd.ba);
+      case CmdType::Rd:
+      case CmdType::Wr:
+        cmd.col = levels & colPins;
+        cmd.autoPrecharge = levels & bit(Pin::A10_AP);
+        cmd.burstChop = !(levels & bit(Pin::A12_BC));
+        readBankBits(levels, cmd.bg, cmd.ba);
         break;
-      case 6: cmd.type = CmdType::Zqc; break;
-      case 7: cmd.type = CmdType::Nop; break;
+      default:
+        break;
     }
     return dec;
 }

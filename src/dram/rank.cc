@@ -21,6 +21,26 @@ alertKindName(AlertKind kind)
     return "?";
 }
 
+std::array<uint8_t, Burst::numChips>
+laneCrcs(const Burst &burst, WcrcMode mode, uint32_t packedAddr)
+{
+    // CRC(lane | addr << 32) = CRC(lane) ^ CRC(addr << 32): the CRC is
+    // linear with a zero initial register, and the lane's 32-bit CRC
+    // equals its 64-bit one because leading zero bytes leave a zero
+    // register unchanged.  So the address term is computed once per
+    // write, not once per chip.
+    const Crc &crc = Crc::ddr4Crc8();
+    const uint32_t addrTerm =
+        mode == WcrcMode::DataAddress
+            ? crc.computeWord(static_cast<uint64_t>(packedAddr) << 32, 64)
+            : 0;
+    std::array<uint8_t, Burst::numChips> out{};
+    for (unsigned chip = 0; chip < Burst::numChips; ++chip)
+        out[chip] = static_cast<uint8_t>(
+            crc.computeWord(burst.chipWord(chip), 32) ^ addrTerm);
+    return out;
+}
+
 DramRank::DramRank(const RankConfig &config)
     : cfg(config), cstc(config.geom, config.timing),
       garbage(config.garbageSeed),
@@ -401,26 +421,12 @@ DramRank::doWrite(Cycle now, const Command &cmd,
     // detection, §IV-B).  The device computes the reference CRC from
     // the data it received and, for eWCRC, from *its own* view of the
     // target MTB address.
-    if (cfg.wcrcMode != WcrcMode::Off && bank.open && !modeCorrupt) {
+    if (cfg.wcrcMode != WcrcMode::Off && received.crcValid && bank.open &&
+        !modeCorrupt) {
         const MtbAddress devAddr = deviceAddress(cmd, bank);
-        const bool withAddr = cfg.wcrcMode == WcrcMode::DataAddress;
-        const uint64_t addrField =
-            static_cast<uint64_t>(devAddr.pack(cfg.geom)) << 32;
-        bool mismatch = false;
-        for (unsigned chip = 0; chip < Burst::numChips && !mismatch;
-             ++chip) {
-            // The covered word is the chip's 32 data bits, extended by
-            // the device's view of the MTB address for eWCRC; both are
-            // consumed MSB-first, exactly as the bit-vector form was.
-            const uint64_t lane = received.burst.chipWord(chip);
-            const uint8_t expect = static_cast<uint8_t>(
-                withAddr
-                    ? Crc::ddr4Crc8().computeWord(lane | addrField, 64)
-                    : Crc::ddr4Crc8().computeWord(lane, 32));
-            const uint8_t got =
-                received.crcValid ? received.crc[chip] : expect;
-            mismatch = expect != got;
-        }
+        const bool mismatch =
+            laneCrcs(received.burst, cfg.wcrcMode,
+                     devAddr.pack(cfg.geom)) != received.crc;
         if (mismatch) {
             if (oc.wcrcAlerts)
                 ++*oc.wcrcAlerts;

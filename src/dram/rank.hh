@@ -47,6 +47,17 @@ struct WriteData
     bool crcValid = false; ///< controller transmitted CRC beats
 };
 
+/**
+ * The per-chip write CRC of @p burst: CRC-8 of each x4 chip's 32-bit
+ * lane, extended under eWCRC by the packed MTB address @p packedAddr
+ * as the upper 32 bits of a 64-bit word (§IV-B).  The controller
+ * generates with this and the device checks with it, each from its
+ * own view of the address.
+ */
+std::array<uint8_t, Burst::numChips> laneCrcs(const Burst &burst,
+                                              WcrcMode mode,
+                                              uint32_t packedAddr);
+
 /** Everything the device did on one command edge. */
 struct ExecResult
 {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bitvec.hh"
 #include "common/rng.hh"
 
@@ -107,6 +110,50 @@ TEST(BitVec, BytesRoundTrip)
         EXPECT_EQ(bytes.size(), (nbits + 7) / 8);
         EXPECT_EQ(BitVec::fromBytes(bytes, nbits), v);
     }
+}
+
+TEST(BitVec, ByteAccessorsMatchFields)
+{
+    // getBytes/setBytes against the byte-at-a-time getField/setField
+    // form, at every byte offset of vectors that end mid-byte, mid-word
+    // and past the inline buffer.
+    Rng rng(96);
+    for (size_t nbits : {13u, 64u, 100u, 512u, 576u, 700u}) {
+        const size_t nbytes = (nbits + 7) / 8;
+        for (size_t first = 0; first < nbytes; first += 3) {
+            const size_t n = nbytes - first;
+            std::vector<uint8_t> bytes(n);
+            for (auto &b : bytes)
+                b = static_cast<uint8_t>(rng.below(256));
+
+            BitVec viaBytes(nbits), viaFields(nbits);
+            viaBytes.setBytes(first, bytes.data(), n);
+            for (size_t i = 0; i < n; ++i) {
+                const size_t pos = (first + i) * 8;
+                viaFields.setField(pos, std::min<size_t>(8, nbits - pos),
+                                   bytes[i]);
+            }
+            ASSERT_EQ(viaBytes, viaFields) << nbits << " bits @" << first;
+
+            std::vector<uint8_t> out(n);
+            viaBytes.getBytes(first, out.data(), n);
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(out[i], viaFields.getField((first + i) * 8, 8));
+        }
+    }
+}
+
+TEST(BitVec, SetBytesKeepsTailZero)
+{
+    // Bits of the last byte past size() are dropped, so growing the
+    // vector afterwards exposes zeros, not the dropped bits.
+    const uint8_t ones[2] = {0xFF, 0xFF};
+    BitVec v(13);
+    v.setBytes(0, ones, 2);
+    EXPECT_EQ(v.popcount(), 13u);
+    v.resize(16);
+    EXPECT_EQ(v.getField(13, 3), 0u);
+    EXPECT_EQ(v.popcount(), 13u);
 }
 
 TEST(BitVec, ToString)

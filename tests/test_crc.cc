@@ -8,6 +8,7 @@
 
 #include "common/rng.hh"
 #include "crc/crc.hh"
+#include "dram/rank.hh"
 
 namespace aiecc
 {
@@ -37,11 +38,67 @@ TEST(Crc, Linearity)
 
 TEST(Crc, WordAndVectorAgree)
 {
+    // Byte-aligned lengths take the slice tables, the rest the bit
+    // loop; both must equal the bit-serial reference.
+    const struct
+    {
+        unsigned width;
+        uint32_t poly;
+    } engines[] = {
+        {1, 0x1}, {4, 0x3}, {8, 0x07}, {16, 0x1021}, {32, 0x04C11DB7},
+    };
+    Rng rng(66);
+    for (const auto &e : engines) {
+        const Crc crc(e.width, e.poly);
+        for (unsigned nbits = 0; nbits <= 64; ++nbits) {
+            for (int i = 0; i < 50; ++i) {
+                const uint64_t v = rng.next();
+                ASSERT_EQ(crc.computeWord(v, nbits),
+                          crc.compute(BitVec(nbits, v)))
+                    << "width " << e.width << " nbits " << nbits;
+            }
+        }
+    }
+}
+
+TEST(Crc, AddressTermSplitsOffLinearly)
+{
+    // eWCRC hoists the address term: with a zero initial register the
+    // lane's 32-bit CRC equals its 64-bit CRC (leading zero bytes), so
+    // the 64-bit word's CRC is the XOR of the two halves' CRCs.
     const Crc &crc = Crc::ddr4Crc8();
-    Rng rng(62);
-    for (int i = 0; i < 100; ++i) {
-        const uint64_t v = rng.next();
-        EXPECT_EQ(crc.computeWord(v, 64), crc.compute(BitVec(64, v)));
+    Rng rng(67);
+    for (int i = 0; i < 10000; ++i) {
+        const uint64_t lane = rng.next() & 0xFFFFFFFFu;
+        const uint64_t a = rng.next() & 0xFFFFFFFFu;
+        ASSERT_EQ(crc.computeWord(lane | a << 32, 64),
+                  crc.computeWord(lane, 32) ^ crc.computeWord(a << 32, 64));
+    }
+}
+
+TEST(Crc, LaneCrcsMatchPerChipWords)
+{
+    // The shared 18-lane function against one full-width CRC per chip.
+    const Crc &crc = Crc::ddr4Crc8();
+    Rng rng(68);
+    for (WcrcMode mode : {WcrcMode::Data, WcrcMode::DataAddress}) {
+        for (int i = 0; i < 2000; ++i) {
+            Burst b;
+            b.randomize(rng);
+            const uint32_t addr = static_cast<uint32_t>(rng.next());
+            const uint64_t addrField =
+                mode == WcrcMode::DataAddress
+                    ? static_cast<uint64_t>(addr) << 32
+                    : 0;
+            const auto got = laneCrcs(b, mode, addr);
+            for (unsigned chip = 0; chip < Burst::numChips; ++chip) {
+                const uint64_t word = b.chipWord(chip) | addrField;
+                ASSERT_EQ(got[chip], crc.computeWord(word, 64))
+                    << "chip " << chip;
+                ASSERT_EQ(got[chip], crc.compute(BitVec(64, word)))
+                    << "chip " << chip;
+            }
+        }
     }
 }
 

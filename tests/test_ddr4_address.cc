@@ -76,6 +76,40 @@ TEST(Burst, DataCheckRoundTrip)
     EXPECT_EQ(b2, b);
 }
 
+TEST(Burst, DataMatchesFieldMarshaling)
+{
+    // data()/setData() against the word-at-a-time setField/getField
+    // form: pin byte 8w + b is bits 8b..8b+7 of payload word w.
+    Rng rng(86);
+    for (int i = 0; i < 200; ++i) {
+        Burst b;
+        b.randomize(rng);
+        BitVec want(Burst::dataBits);
+        for (unsigned w = 0; w < Burst::dataPins / 8; ++w) {
+            uint64_t v = 0;
+            for (unsigned k = 0; k < 8; ++k)
+                v |= static_cast<uint64_t>(b.pinBits[w * 8 + k]) << (8 * k);
+            want.setField(w * 64, 64, v);
+        }
+        ASSERT_EQ(b.data(), want);
+
+        BitVec d(Burst::dataBits);
+        for (size_t pos = 0; pos < d.size(); pos += 64)
+            d.setField(pos, 64, rng.next());
+        Burst set = b;
+        set.setData(d);
+        for (unsigned w = 0; w < Burst::dataPins / 8; ++w) {
+            const uint64_t v = d.getField(w * 64, 64);
+            for (unsigned k = 0; k < 8; ++k)
+                ASSERT_EQ(set.pinBits[w * 8 + k],
+                          static_cast<uint8_t>(v >> (8 * k)));
+        }
+        // The check pins are untouched.
+        for (unsigned p = Burst::dataPins; p < Burst::numPins; ++p)
+            ASSERT_EQ(set.pinBits[p], b.pinBits[p]);
+    }
+}
+
 TEST(Burst, PinSymbolIsDataByte)
 {
     Burst b;

@@ -265,6 +265,244 @@ TEST(Command, ParityMissesCtrlErrors)
     }
 }
 
+// ---- Differential test: mask codec vs a per-pin reference ------------
+
+/**
+ * Reference codec: the per-pin loop form, one PinWord::set()/get() per
+ * pin, so the mask codec is checked against an independent rendering
+ * of the truth table.
+ */
+constexpr Pin refAddrPin[18] = {
+    Pin::A0, Pin::A1, Pin::A2, Pin::A3, Pin::A4, Pin::A5, Pin::A6,
+    Pin::A7, Pin::A8, Pin::A9, Pin::A10_AP, Pin::A11, Pin::A12_BC,
+    Pin::A13, Pin::WE_A14, Pin::CAS_A15, Pin::RAS_A16, Pin::A17,
+};
+
+void
+refDriveBank(PinWord &pins, unsigned bg, unsigned ba)
+{
+    pins.set(Pin::BG0, bg & 1);
+    pins.set(Pin::BG1, (bg >> 1) & 1);
+    pins.set(Pin::BA0, ba & 1);
+    pins.set(Pin::BA1, (ba >> 1) & 1);
+}
+
+void
+refReadBank(const PinWord &pins, unsigned &bg, unsigned &ba)
+{
+    bg = (pins.get(Pin::BG0) ? 1u : 0u) | (pins.get(Pin::BG1) ? 2u : 0u);
+    ba = (pins.get(Pin::BA0) ? 1u : 0u) | (pins.get(Pin::BA1) ? 2u : 0u);
+}
+
+void
+refFunc(PinWord &pins, bool ras, bool cas, bool we)
+{
+    pins.set(Pin::RAS_A16, ras);
+    pins.set(Pin::CAS_A15, cas);
+    pins.set(Pin::WE_A14, we);
+}
+
+PinWord
+refEncode(const Command &cmd)
+{
+    PinWord pins;
+    pins.set(Pin::CKE, true);
+    pins.set(Pin::CK, true);
+    pins.set(Pin::CS, true);
+    pins.set(Pin::ACT, true);
+    refFunc(pins, true, true, true);
+    if (cmd.type == CmdType::Des)
+        return pins;
+    pins.set(Pin::CS, false);
+    switch (cmd.type) {
+      case CmdType::Act:
+        pins.set(Pin::ACT, false);
+        for (unsigned i = 0; i < 18; ++i)
+            pins.set(refAddrPin[i], (cmd.row >> i) & 1);
+        refDriveBank(pins, cmd.bg, cmd.ba);
+        break;
+      case CmdType::Rd:
+      case CmdType::Wr:
+        refFunc(pins, true, false, cmd.type == CmdType::Rd);
+        for (unsigned i = 0; i < 10; ++i)
+            pins.set(refAddrPin[i], (cmd.col >> i) & 1);
+        pins.set(Pin::A10_AP, cmd.autoPrecharge);
+        pins.set(Pin::A12_BC, !cmd.burstChop);
+        refDriveBank(pins, cmd.bg, cmd.ba);
+        pins.set(Pin::ODT, cmd.type == CmdType::Wr);
+        break;
+      case CmdType::Pre:
+      case CmdType::PreAll:
+        refFunc(pins, false, true, false);
+        pins.set(Pin::A10_AP, cmd.type == CmdType::PreAll);
+        if (cmd.type == CmdType::Pre)
+            refDriveBank(pins, cmd.bg, cmd.ba);
+        break;
+      case CmdType::Ref: refFunc(pins, false, false, true); break;
+      case CmdType::Mrs: refFunc(pins, false, false, false); break;
+      case CmdType::Zqc: refFunc(pins, true, true, false); break;
+      case CmdType::Rfu: refFunc(pins, false, true, true); break;
+      default: break;
+    }
+    return pins;
+}
+
+DecodedCommand
+refDecode(const PinWord &pins)
+{
+    DecodedCommand dec;
+    dec.ckeHigh = pins.get(Pin::CKE);
+    dec.odt = pins.get(Pin::ODT);
+    dec.parityBit = pins.get(Pin::PAR);
+    if (pins.get(Pin::CS) || !dec.ckeHigh) {
+        dec.cmd.type = CmdType::Des;
+        dec.executed = false;
+        return dec;
+    }
+    Command &cmd = dec.cmd;
+    if (!pins.get(Pin::ACT)) {
+        cmd.type = CmdType::Act;
+        for (unsigned i = 0; i < 18; ++i) {
+            if (pins.get(refAddrPin[i]))
+                cmd.row |= 1u << i;
+        }
+        refReadBank(pins, cmd.bg, cmd.ba);
+        return dec;
+    }
+    const unsigned func = (pins.get(Pin::RAS_A16) ? 4u : 0u) |
+                          (pins.get(Pin::CAS_A15) ? 2u : 0u) |
+                          (pins.get(Pin::WE_A14) ? 1u : 0u);
+    switch (func) {
+      case 0: cmd.type = CmdType::Mrs; break;
+      case 1: cmd.type = CmdType::Ref; break;
+      case 2:
+        cmd.type = pins.get(Pin::A10_AP) ? CmdType::PreAll : CmdType::Pre;
+        refReadBank(pins, cmd.bg, cmd.ba);
+        break;
+      case 3: cmd.type = CmdType::Rfu; break;
+      case 4:
+      case 5:
+        cmd.type = func == 5 ? CmdType::Rd : CmdType::Wr;
+        for (unsigned i = 0; i < 10; ++i) {
+            if (pins.get(refAddrPin[i]))
+                cmd.col |= 1u << i;
+        }
+        cmd.autoPrecharge = pins.get(Pin::A10_AP);
+        cmd.burstChop = !pins.get(Pin::A12_BC);
+        refReadBank(pins, cmd.bg, cmd.ba);
+        break;
+      case 6: cmd.type = CmdType::Zqc; break;
+      case 7: cmd.type = CmdType::Nop; break;
+    }
+    return dec;
+}
+
+/** Field-by-field comparison, so a failure names the field. */
+::testing::AssertionResult
+sameDecode(const DecodedCommand &got, const DecodedCommand &want,
+           uint32_t levels)
+{
+    const Command &g = got.cmd;
+    const Command &w = want.cmd;
+    const struct
+    {
+        const char *name;
+        bool same;
+    } fields[] = {
+        {"type", g.type == w.type},
+        {"bg", g.bg == w.bg},
+        {"ba", g.ba == w.ba},
+        {"row", g.row == w.row},
+        {"col", g.col == w.col},
+        {"AP", g.autoPrecharge == w.autoPrecharge},
+        {"BC", g.burstChop == w.burstChop},
+        {"executed", got.executed == want.executed},
+        {"ckeHigh", got.ckeHigh == want.ckeHigh},
+        {"odt", got.odt == want.odt},
+        {"parityBit", got.parityBit == want.parityBit},
+    };
+    for (const auto &f : fields) {
+        if (!f.same) {
+            return ::testing::AssertionFailure()
+                   << f.name << " differs for pins 0x" << std::hex
+                   << levels << ": got " << got.toString() << ", want "
+                   << want.toString();
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+constexpr CmdType allCmdTypes[] = {
+    CmdType::Des,    CmdType::Nop, CmdType::Act, CmdType::Rd,
+    CmdType::Wr,     CmdType::Pre, CmdType::PreAll, CmdType::Ref,
+    CmdType::Mrs,    CmdType::Zqc, CmdType::Rfu,
+};
+
+Command
+randomCommand(CmdType type, Rng &rng)
+{
+    Command c;
+    c.type = type;
+    c.bg = static_cast<unsigned>(rng.below(4));
+    c.ba = static_cast<unsigned>(rng.below(4));
+    c.row = static_cast<unsigned>(rng.below(1u << 18));
+    c.col = static_cast<unsigned>(rng.below(1u << 10));
+    c.autoPrecharge = rng.chance(0.5);
+    c.burstChop = rng.chance(0.5);
+    return c;
+}
+
+TEST(CommandCodecDiff, EveryTypeMatchesReference)
+{
+    Rng rng(0xC0DEC);
+    for (CmdType type : allCmdTypes) {
+        for (int i = 0; i < 2000; ++i) {
+            Command cmd = randomCommand(type, rng);
+            if (i == 0)
+                cmd.row = (1u << 18) - 1;
+            const PinWord pins = encodeCommand(cmd);
+            ASSERT_EQ(pins.levels, refEncode(cmd).levels)
+                << cmd.toString();
+            ASSERT_TRUE(sameDecode(decodeCommand(pins), refDecode(pins),
+                                   pins.levels));
+        }
+    }
+}
+
+TEST(CommandCodecDiff, RandomPinWordsMatchReference)
+{
+    Rng rng(0x28B175);
+    for (int i = 0; i < 1000000; ++i) {
+        PinWord pins;
+        pins.levels = static_cast<uint32_t>(rng.next()) &
+                      ((1u << numCccaPins) - 1);
+        ASSERT_TRUE(sameDecode(decodeCommand(pins), refDecode(pins),
+                               pins.levels));
+    }
+}
+
+TEST(CommandCodecDiff, OneAndTwoPinFlipsMatchReference)
+{
+    Rng rng(0xF11B5);
+    for (CmdType type : allCmdTypes) {
+        for (int i = 0; i < 8; ++i) {
+            PinWord pins = encodeCommand(randomCommand(type, rng));
+            driveParity(pins, rng.chance(0.5));
+            for (unsigned a = 0; a < numCccaPins; ++a) {
+                for (unsigned b = a; b < numCccaPins; ++b) {
+                    // b == a is the single flip of pin a.
+                    PinWord bad = pins;
+                    bad.levels ^= 1u << a;
+                    if (b != a)
+                        bad.levels ^= 1u << b;
+                    ASSERT_TRUE(sameDecode(decodeCommand(bad),
+                                           refDecode(bad), bad.levels));
+                }
+            }
+        }
+    }
+}
+
 TEST(Command, NamesArePrintable)
 {
     for (unsigned i = 0; i < numCccaPins; ++i)
