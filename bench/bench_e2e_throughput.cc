@@ -43,6 +43,7 @@
 #include "obs/lineage.hh"
 #include "obs/observer.hh"
 #include "obs/profile.hh"
+#include "obs/shard_run.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "ras/health.hh"
@@ -636,204 +637,89 @@ deserializePass(PassResult &p, const std::string &text)
     p.latency.deserializeState(histState);
 }
 
-/**
- * Sharded campaign pass: the access budget splits into fixed-size
- * shards, each running its own ProtectionStack over its own RNG
- * stream (Rng::forStream(mix.seed, shard)), executed on @p jobs
- * threads and merged in shard order — so the merged counts are
- * bit-identical for any jobs value.  @p stats / @p profile, when
- * given, receive shard-local registries merged after the join;
- * @p shard0Trace, when given, records shard 0's event stream.
- * elapsedNs of the returned result is the wall clock of the whole
- * parallel region (the number throughput is computed from).
- */
 /** Campaign-mode shard size (accesses per shard); output-affecting. */
 constexpr uint64_t campaignShardSize = 25000;
 
-/** Shard-local state slots for one campaign pass (merge inputs). */
-struct CampaignSlots
-{
-    explicit CampaignSlots(uint64_t shards)
-        : parts(shards), stats(shards), prof(shards), cost(shards),
-          ledgers(shards), rasMon(shards)
-    {
-    }
-
-    std::vector<PassResult> parts;
-    std::vector<std::unique_ptr<obs::StatsRegistry>> stats;
-    std::vector<std::unique_ptr<obs::ProfileRegistry>> prof;
-    std::vector<std::unique_ptr<obs::CostAccountant>> cost;
-    std::vector<std::unique_ptr<obs::LineageLedger>> ledgers;
-    std::vector<std::unique_ptr<ras::HealthMonitor>> rasMon;
-};
-
-/** Run shard @p shard of the campaign into its slots (worker-side). */
-void
-runOneShard(const MixConfig &mix, uint64_t shard, CampaignSlots &slots,
-            bool wantStats, bool wantProfile, obs::TraceSink *shard0Trace,
-            const obs::CostAccountant *cost, bool wantLedger,
-            bool wantRas)
-{
-    MixConfig sub = mix;
-    sub.accesses = shardLength(mix.accesses, campaignShardSize, shard);
-    sub.warmup = sub.accesses / 20 + 500;
-    // One next() hop decouples the shard's access stream from the
-    // raw (seed, shard) pair the derivation mixes.
-    sub.seed = Rng::forStream(mix.seed, shard).next();
-    // Fault IDs stay unique across shards under one ledger.
-    sub.lineageStream = shard;
-
-    obs::Observer shardObs;
-    bool observed = false;
-    if (wantStats) {
-        slots.stats[shard] =
-            std::unique_ptr<obs::StatsRegistry>(new obs::StatsRegistry);
-        shardObs.setStats(slots.stats[shard].get());
-        observed = true;
-    }
-    if (wantProfile) {
-        slots.prof[shard] = std::unique_ptr<obs::ProfileRegistry>(
-            new obs::ProfileRegistry);
-        shardObs.setProfile(slots.prof[shard].get());
-        observed = true;
-    }
-    if (cost) {
-        // Same model, private integer tallies: the shard-order merge
-        // is bit-identical for any jobs value.
-        slots.cost[shard] = std::unique_ptr<obs::CostAccountant>(
-            new obs::CostAccountant(cost->model()));
-        shardObs.setCost(slots.cost[shard].get());
-        observed = true;
-    }
-    if (shard == 0 && shard0Trace) {
-        shardObs.addSink(shard0Trace);
-        observed = true;
-    }
-    if (wantRas) {
-        // Shard-local monitor, merged in shard order after the join —
-        // the merged `ras` section is bit-identical for any --jobs.
-        // Attached after the trace sink so emitted RasHealth events
-        // trail their triggering symptom in shard 0's trace.
-        slots.rasMon[shard] = std::unique_ptr<ras::HealthMonitor>(
-            new ras::HealthMonitor);
-        shardObs.addSink(slots.rasMon[shard].get());
-        slots.rasMon[shard]->setObserver(&shardObs);
-        observed = true;
-    }
-    obs::LineageLedger *shardLedger = nullptr;
-    if (wantLedger) {
-        slots.ledgers[shard] = std::unique_ptr<obs::LineageLedger>(
-            new obs::LineageLedger);
-        shardLedger = slots.ledgers[shard].get();
-    }
-    slots.parts[shard] =
-        runPass(sub, observed ? &shardObs : nullptr, shardLedger);
-}
-
-/** Fold shards [@p b, @p e) into the merge targets, in shard order. */
-void
-mergeShardRange(CampaignSlots &slots, uint64_t b, uint64_t e,
-                PassResult &merged, obs::StatsRegistry *stats,
-                obs::ProfileRegistry *profile, obs::CostAccountant *cost,
-                obs::LineageLedger *ledger, ras::HealthMonitor *rasMon)
-{
-    for (uint64_t shard = b; shard < e; ++shard) {
-        mergePass(merged, slots.parts[shard]);
-        if (stats && slots.stats[shard])
-            stats->merge(*slots.stats[shard]);
-        if (profile && slots.prof[shard])
-            profile->merge(*slots.prof[shard]);
-        if (cost && slots.cost[shard])
-            cost->merge(*slots.cost[shard]);
-        if (ledger && slots.ledgers[shard])
-            ledger->merge(*slots.ledgers[shard]);
-        if (rasMon && slots.rasMon[shard])
-            rasMon->merge(*slots.rasMon[shard]);
-    }
-}
-
-PassResult
-runCampaignPass(const MixConfig &mix, unsigned jobs,
-                obs::StatsRegistry *stats, obs::ProfileRegistry *profile,
-                obs::TraceSink *shard0Trace,
-                obs::CostAccountant *cost = nullptr,
-                obs::LineageLedger *ledger = nullptr,
-                ras::HealthMonitor *rasMon = nullptr,
-                const std::function<void(uint64_t)> &progress = {})
-{
-    const uint64_t shards = shardCount(mix.accesses, campaignShardSize);
-    CampaignSlots slots(shards);
-
-    const auto begin = std::chrono::steady_clock::now();
-    runShards(
-        shards, jobs,
-        [&](uint64_t shard) {
-            runOneShard(mix, shard, slots, stats != nullptr,
-                        profile != nullptr, shard0Trace, cost,
-                        ledger != nullptr, rasMon != nullptr);
-        },
-        progress);
-    const double wallNs = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - begin)
-            .count());
-
-    PassResult merged;
-    mergeShardRange(slots, 0, shards, merged, stats, profile, cost,
-                    ledger, rasMon);
-    merged.elapsedNs = wallNs;
-    return merged;
-}
-
 /**
- * The checkpointed campaign pass: same shard bodies and shard-order
- * merge as runCampaignPass(), executed in durable batches through
- * runShardsCheckpointed().  @p merged and the registries carry the
- * committed prefix in (restored by the caller on resume) and receive
- * each batch's merge before @p persist(batchEnd) runs — so what
- * persist() serializes is always exactly the committed prefix.
- * merged.elapsedNs accumulates the wall clock of this session's
- * batches on top of whatever earlier sessions recorded (timing-only;
- * never compared).
+ * Sharded campaign pass through obs::runSharded(): each shard runs
+ * its own ProtectionStack over its own RNG stream
+ * (Rng::forStream(mix.seed, shard)) and folds into @p merged in shard
+ * order, so merged counts are bit-identical for any jobs value.
+ * @p parent's hookups get shard-local twins; @p shard0Trace records
+ * shard 0's event stream; @p rasMon takes shard-local monitors merged
+ * in shard order.  With @p checkpoint the pass runs in durable
+ * batches on top of the committed prefix that @p merged and the
+ * registries carry in.  merged.elapsedNs is the shard-run wall clock,
+ * summed across sessions without commit time (timing-only).
  */
 RunStatus
-runCampaignPassCheckpointed(
-    const MixConfig &mix, unsigned jobs, uint64_t batch,
-    uint64_t &nextShard, PassResult &merged, obs::StatsRegistry *stats,
-    obs::ProfileRegistry *profile, obs::TraceSink *shard0Trace,
-    obs::CostAccountant *cost, obs::LineageLedger *ledger,
-    ras::HealthMonitor *rasMon,
-    const std::function<void(uint64_t)> &persist,
-    const std::function<void(uint64_t)> &progress)
+runCampaignPass(const MixConfig &mix, unsigned jobs, PassResult &merged,
+                const obs::ShardHookups &parent,
+                obs::TraceSink *shard0Trace, ras::HealthMonitor *rasMon,
+                const std::function<void(uint64_t)> &progress,
+                const obs::ShardCheckpoint *checkpoint)
 {
     const uint64_t shards = shardCount(mix.accesses, campaignShardSize);
-    CampaignSlots slots(shards);
+    std::vector<PassResult> parts(shards);
+    std::vector<std::unique_ptr<ras::HealthMonitor>> rasMons(shards);
 
     // Accumulated wall clock rides inside merged.elapsedNs between
-    // sessions; keep it out of the merge so mergePass() can keep
-    // summing per-shard times we overwrite below.
+    // sessions; it overwrites the per-shard sums mergePass() adds.
     double wallNs = merged.elapsedNs;
-    auto batchBegin = std::chrono::steady_clock::now();
-    return runShardsCheckpointed(
-        shards, batch, jobs, nextShard,
+    auto clockStart = std::chrono::steady_clock::now();
+    const auto stopClock = [&]() {
+        wallNs += static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - clockStart)
+                .count());
+        merged.elapsedNs = wallNs;
+    };
+    obs::ShardCheckpoint timed;
+    if (checkpoint) {
+        timed = *checkpoint;
+        timed.commit = [&](uint64_t b, uint64_t e) {
+            stopClock();
+            checkpoint->commit(b, e);
+            clockStart = std::chrono::steady_clock::now();
+        };
+    }
+
+    const RunStatus status = obs::runSharded(
+        mix.accesses, campaignShardSize, jobs, parent,
+        [&](uint64_t shard, uint64_t, uint64_t n, obs::ShardObservers &so) {
+            MixConfig sub = mix;
+            sub.accesses = n;
+            sub.warmup = sub.accesses / 20 + 500;
+            // One next() hop decouples the shard's access stream from
+            // the raw (seed, shard) pair the derivation mixes.
+            sub.seed = Rng::forStream(mix.seed, shard).next();
+            // Fault IDs stay unique across shards under one ledger.
+            sub.lineageStream = shard;
+
+            obs::Observer &shardObs = so.observer();
+            if (shard == 0)
+                shardObs.addSink(shard0Trace);
+            if (rasMon) {
+                // Attached after the trace sink so emitted RasHealth
+                // events trail their triggering symptom in shard 0's
+                // trace.
+                rasMons[shard] = std::make_unique<ras::HealthMonitor>();
+                shardObs.addSink(rasMons[shard].get());
+                rasMons[shard]->setObserver(&shardObs);
+            }
+            parts[shard] = runPass(sub, so.observed() ? &shardObs : nullptr,
+                                   so.ledger());
+        },
         [&](uint64_t shard) {
-            runOneShard(mix, shard, slots, stats != nullptr,
-                        profile != nullptr, shard0Trace, cost,
-                        ledger != nullptr, rasMon != nullptr);
+            mergePass(merged, parts[shard]);
+            if (rasMon)
+                rasMon->merge(*rasMons[shard]);
+            rasMons[shard].reset();
         },
-        [&](uint64_t b, uint64_t e) {
-            wallNs += static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - batchBegin)
-                    .count());
-            mergeShardRange(slots, b, e, merged, stats, profile, cost,
-                            ledger, rasMon);
-            merged.elapsedNs = wallNs;
-            persist(e);
-            // Exclude persist (checkpoint fsync) time from the wall.
-            batchBegin = std::chrono::steady_clock::now();
-        },
-        progress);
+        checkpoint ? &timed : nullptr, progress);
+    if (!checkpoint)
+        stopClock();
+    return status;
 }
 
 void
@@ -889,27 +775,15 @@ main(int argc, char **argv)
     bench::openHeartbeat(hb, opt, campaignId);
     // Two units (hot pass, instrumented pass) of equal shard count;
     // single-stream mode reports each whole pass as one "shard".
-    const uint64_t hbShardsPerPass = campaignMode ? shards : 1;
-    hb.setTotals(2 * hbShardsPerPass, 2 * mix.accesses);
-    // Measured accesses behind a global (two-pass) shard count.
-    const auto trialsForShards = [&](uint64_t done) {
-        const uint64_t firstPass = std::min(done, hbShardsPerPass);
-        const uint64_t secondPass = done - firstPass;
-        const auto accessesFor = [&](uint64_t passShards) {
-            if (!campaignMode)
-                return passShards ? mix.accesses : uint64_t(0);
-            return std::min(passShards * campaignShardSize,
-                            mix.accesses);
-        };
-        return accessesFor(firstPass) + accessesFor(secondPass);
-    };
-    const auto hbProgressFor = [&](uint64_t doneBase) {
+    bench::UnitProgress progress(hb);
+    for (unsigned unit = 0; unit < 2; ++unit)
+        progress.addUnit(mix.accesses,
+                         campaignMode ? campaignShardSize : mix.accesses);
+    const auto hbProgressFor = [&](unsigned unit) {
         if (!hb.enabled())
             return std::function<void(uint64_t)>();
-        return std::function<void(uint64_t)>([&, doneBase](
-                                                 uint64_t done) {
-            hb.tick(doneBase + done, trialsForShards(doneBase + done));
-        });
+        return std::function<void(uint64_t)>(
+            [&, unit](uint64_t done) { progress.tick(unit, done); });
     };
 
     bench::banner("End-to-end throughput: full AIECC stack, "
@@ -974,15 +848,9 @@ main(int argc, char **argv)
     // every committed batch; unit 0's sections stay in the file while
     // unit 1 runs, so a resume at any point reloads both.
     bench::Checkpointer cp(opt, campaignId);
-    unsigned resumeUnit = 0;
-    uint64_t resumeShard = 0;
+    const auto [resumeUnit, resumeShard] = cp.cursor();
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
         if (st.has("pass:0"))
             deserializePass(hot, st.get("pass:0"));
         if (st.has("pass:1"))
@@ -1002,8 +870,7 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(unit) + " shard " +
-                             std::to_string(nextShard));
+        cp.setCursor(unit, nextShard);
         st.set("pass:" + std::to_string(unit),
                serializePass(unit == 0 ? hot : inst));
         if (unit == 1) {
@@ -1020,48 +887,41 @@ main(int argc, char **argv)
 
     // Campaign mode feeds the trace from shard 0 only — one writer,
     // and a stream a sequential shard-0 run would reproduce exactly.
-    if (cp.enabled()) {
+    if (campaignMode) {
+        obs::ShardHookups instHookups;
+        instHookups.stats = &stats;
+        instHookups.profile = &profile;
+        instHookups.cost = &cost;
+        instHookups.ledger = ledger;
         const uint64_t batch = checkpointBatchShards(opt.jobs);
         for (unsigned unit = resumeUnit; unit < 2; ++unit) {
             uint64_t nextShard = (unit == resumeUnit) ? resumeShard : 0;
             hb.setNote(unit == 0 ? "hot pass" : "instrumented pass");
-            const uint64_t doneBase = unit * shards;
+            const obs::ShardCheckpoint checkpoint{
+                batch, &nextShard,
+                [&](uint64_t, uint64_t end) { persist(unit, end); }};
             const RunStatus status =
                 unit == 0
-                    ? runCampaignPassCheckpointed(
-                          mix, opt.jobs, batch, nextShard, hot, nullptr,
-                          nullptr, nullptr, nullptr, nullptr, nullptr,
-                          [&](uint64_t end) { persist(0, end); },
-                          hbProgressFor(doneBase))
-                    : runCampaignPassCheckpointed(
-                          mix, opt.jobs, batch, nextShard, inst, &stats,
-                          &profile, traceSink.get(), &cost, ledger,
-                          &monitor,
-                          [&](uint64_t end) { persist(1, end); },
-                          hbProgressFor(doneBase));
+                    ? runCampaignPass(mix, opt.jobs, hot, {}, nullptr,
+                                      nullptr, hbProgressFor(unit),
+                                      cp.enabled() ? &checkpoint : nullptr)
+                    : runCampaignPass(mix, opt.jobs, inst, instHookups,
+                                      traceSink.get(), &monitor,
+                                      hbProgressFor(unit),
+                                      cp.enabled() ? &checkpoint : nullptr);
             if (status == RunStatus::Interrupted) {
-                const uint64_t done = doneBase + nextShard;
-                hb.finalTick(done, trialsForShards(done));
+                progress.interrupted(unit, nextShard);
                 cp.exitInterrupted();
             }
         }
-    } else if (campaignMode) {
-        hb.setNote("hot pass");
-        hot = runCampaignPass(mix, opt.jobs, nullptr, nullptr, nullptr,
-                              nullptr, nullptr, nullptr,
-                              hbProgressFor(0));
-        hb.setNote("instrumented pass");
-        inst = runCampaignPass(mix, opt.jobs, &stats, &profile,
-                               traceSink.get(), &cost, ledger, &monitor,
-                               hbProgressFor(shards));
     } else {
         hb.setNote("hot pass");
         hot = runPass(mix, nullptr);
-        hb.tick(1, trialsForShards(1));
+        progress.tick(0, 1);
         hb.setNote("instrumented pass");
         inst = runPass(mix, &observer, ledger, &monitor);
     }
-    hb.finalTick(2 * hbShardsPerPass, 2 * mix.accesses);
+    progress.finish();
 
     std::printf("throughput (hot pass):    %12.0f accesses/sec\n",
                 hot.accessesPerSec());

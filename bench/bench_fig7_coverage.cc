@@ -157,15 +157,9 @@ main(int argc, char **argv)
 
     bench::Checkpointer cp(opt,
                            bench::campaignIdFor(opt, "fig7_coverage"));
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
+    const auto [resumeUnit, resumeShard] = cp.cursor();
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
         for (size_t u = 0; u < units.size(); ++u) {
             const std::string name = "cell:" + std::to_string(u);
             if (st.has(name))
@@ -184,19 +178,13 @@ main(int argc, char **argv)
     obs::HeartbeatEmitter hb;
     bench::openHeartbeat(hb, opt,
                          bench::campaignIdFor(opt, "fig7_coverage"));
-    std::vector<uint64_t> unitTrials, shardsBefore, trialsBefore;
-    uint64_t totalShards = 0, totalTrials = 0;
+    bench::UnitProgress progress(hb);
     for (const UnitSpec &u : units) {
         const InjectionCampaign probe(
             Mechanisms::forLevel(levels[u.levelIdx]));
-        const uint64_t n = unitErrors(u, probe).size();
-        shardsBefore.push_back(totalShards);
-        trialsBefore.push_back(totalTrials);
-        unitTrials.push_back(n);
-        totalShards += shardCount(n, InjectionCampaign::trialShardSize);
-        totalTrials += n;
+        progress.addUnit(unitErrors(u, probe).size(),
+                         InjectionCampaign::trialShardSize);
     }
-    hb.setTotals(totalShards, totalTrials);
     if (opt.health)
         hb.setPayload(
             [&](obs::JsonWriter &w) { rasMon.writeHeartbeat(w); });
@@ -206,8 +194,7 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
+        cp.setCursor(u, nextShard);
         st.set("cell:" + std::to_string(u), cells[u].serializeState());
         for (size_t li = 0; li < 4; ++li)
             st.set("cost:" + std::to_string(li),
@@ -237,24 +224,14 @@ main(int argc, char **argv)
             [&](uint64_t, const TrialResult &r) { cells[u].add(r); },
             [&](uint64_t, uint64_t end) {
                 persist(u, end);
-                hb.tick(shardsBefore[u] + end,
-                        trialsBefore[u] +
-                            std::min(end *
-                                         InjectionCampaign::
-                                             trialShardSize,
-                                     unitTrials[u]));
+                progress.tick(u, end);
             });
         if (status == RunStatus::Interrupted) {
-            hb.finalTick(shardsBefore[u] + nextShard,
-                         trialsBefore[u] +
-                             std::min(nextShard *
-                                          InjectionCampaign::
-                                              trialShardSize,
-                                      unitTrials[u]));
+            progress.interrupted(u, nextShard);
             cp.exitInterrupted();
         }
     }
-    hb.finalTick(totalShards, totalTrials);
+    progress.finish();
 
     // ---- report ---------------------------------------------------
     // Cell index = ((modelIdx * patterns + p) * 4 + li).

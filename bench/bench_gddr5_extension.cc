@@ -79,15 +79,9 @@ main(int argc, char **argv)
     // for any --jobs value by construction.
     ras::HealthMonitor rasMon;
 
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
+    const auto [resumeUnit, resumeShard] = cp.cursor();
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
         for (size_t u = 0; u < numUnits; ++u) {
             const std::string name = "stats:" + std::to_string(u);
             if (st.has(name))
@@ -105,38 +99,20 @@ main(int argc, char **argv)
     bench::openHeartbeat(hb, opt,
                          bench::campaignIdFor(opt, "gddr5_extension"));
     const uint64_t onePinTrials = gddr5InjectablePins().size();
-    auto unitTrials = [&](size_t u) {
-        return unitModel(u) == 0 ? onePinTrials
-                                 : static_cast<uint64_t>(allPinSamples);
-    };
-    std::vector<uint64_t> shardsBefore, trialsBefore;
-    uint64_t totalShards = 0, totalTrials = 0;
-    for (size_t u = 0; u < numUnits; ++u) {
-        shardsBefore.push_back(totalShards);
-        trialsBefore.push_back(totalTrials);
-        totalShards +=
-            shardCount(unitTrials(u), Gddr5Campaign::trialShardSize);
-        totalTrials += unitTrials(u);
-    }
-    hb.setTotals(totalShards, totalTrials);
+    bench::UnitProgress progress(hb);
+    for (size_t u = 0; u < numUnits; ++u)
+        progress.addUnit(unitModel(u) == 0 ? onePinTrials : allPinSamples,
+                         Gddr5Campaign::trialShardSize);
     if (opt.health)
         hb.setPayload(
             [&](obs::JsonWriter &w) { rasMon.writeHeartbeat(w); });
-    auto heartbeatAt = [&](size_t u, uint64_t doneShardsInUnit) {
-        hb.tick(shardsBefore[u] + doneShardsInUnit,
-                trialsBefore[u] +
-                    std::min(doneShardsInUnit *
-                                 Gddr5Campaign::trialShardSize,
-                             unitTrials(u)));
-    };
 
     const uint64_t batch = checkpointBatchShards(opt.jobs);
     auto persist = [&](size_t u, uint64_t nextShard) {
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
+        cp.setCursor(u, nextShard);
         st.set("stats:" + std::to_string(u),
                unitStats[u].serializeState());
         if (opt.health)
@@ -171,7 +147,7 @@ main(int argc, char **argv)
                 if (opt.health) {
                     obs::TraceEvent ev;
                     ev.kind = obs::EventKind::Detection;
-                    ev.cycle = trialsBefore[u] + trial;
+                    ev.cycle = progress.trialsBefore(u) + trial;
                     for (Detector d : res.detectors) {
                         ev.label = detectorName(d);
                         rasMon.record(ev);
@@ -180,18 +156,14 @@ main(int argc, char **argv)
             },
             [&](uint64_t, uint64_t end) {
                 persist(u, end);
-                heartbeatAt(u, end);
+                progress.tick(u, end);
             });
         if (status == RunStatus::Interrupted) {
-            hb.finalTick(shardsBefore[u] + nextShard,
-                         trialsBefore[u] +
-                             std::min(nextShard *
-                                          Gddr5Campaign::trialShardSize,
-                                      unitTrials(u)));
+            progress.interrupted(u, nextShard);
             cp.exitInterrupted();
         }
     }
-    hb.finalTick(totalShards, totalTrials);
+    progress.finish();
 
     // ---- report ---------------------------------------------------
     struct ProtRow

@@ -251,17 +251,10 @@ main(int argc, char **argv)
     obs::HeartbeatEmitter hb;
     bench::openHeartbeat(hb, opt,
                          bench::campaignIdFor(opt, "table2_impact"));
-    std::vector<uint64_t> unitTrials, shardsBefore, trialsBefore;
-    uint64_t totalShards = 0, totalTrials = 0;
-    for (const UnitSpec &u : units) {
-        const uint64_t n = unitErrors(u).size();
-        shardsBefore.push_back(totalShards);
-        trialsBefore.push_back(totalTrials);
-        unitTrials.push_back(n);
-        totalShards += shardCount(n, InjectionCampaign::trialShardSize);
-        totalTrials += n;
-    }
-    hb.setTotals(totalShards, totalTrials);
+    bench::UnitProgress progress(hb);
+    for (const UnitSpec &u : units)
+        progress.addUnit(unitErrors(u).size(),
+                         InjectionCampaign::trialShardSize);
     hb.setPayload([&](obs::JsonWriter &w) {
         const obs::CoverageMatrix::Audit live =
             obs::CoverageMatrix::fromLedger(lineage).audit();
@@ -276,24 +269,11 @@ main(int argc, char **argv)
         if (opt.health)
             rasMon.writeHeartbeat(w);
     });
-    auto heartbeatAt = [&](size_t u, uint64_t doneShardsInUnit) {
-        hb.tick(shardsBefore[u] + doneShardsInUnit,
-                trialsBefore[u] +
-                    std::min(doneShardsInUnit *
-                                 InjectionCampaign::trialShardSize,
-                             unitTrials[u]));
-    };
 
     // ---- resume ---------------------------------------------------
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
+    const auto [resumeUnit, resumeShard] = cp.cursor();
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
         if (st.has("stats:none"))
             noneStats.deserializeState(st.get("stats:none"));
         for (size_t p = 0; p < patterns.size(); ++p) {
@@ -344,8 +324,7 @@ main(int argc, char **argv)
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
+        cp.setCursor(u, nextShard);
         st.set("stats:none", noneStats.serializeState());
         for (size_t p = 0; p < patterns.size(); ++p) {
             const std::string idx = std::to_string(p);
@@ -402,19 +381,14 @@ main(int argc, char **argv)
             },
             [&](uint64_t, uint64_t end) {
                 persist(u, end);
-                heartbeatAt(u, end);
+                progress.tick(u, end);
             });
         if (status == RunStatus::Interrupted) {
-            hb.finalTick(shardsBefore[u] + nextShard,
-                         trialsBefore[u] +
-                             std::min(nextShard *
-                                          InjectionCampaign::
-                                              trialShardSize,
-                                      unitTrials[u]));
+            progress.interrupted(u, nextShard);
             cp.exitInterrupted();
         }
     }
-    hb.finalTick(totalShards, totalTrials);
+    progress.finish();
 
     // ---- report ---------------------------------------------------
     TextTable t;

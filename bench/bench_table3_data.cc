@@ -151,15 +151,9 @@ main(int argc, char **argv)
                            bench::campaignIdFor(opt, "table3_data"));
 
     const size_t numUnits = results.size() * 4;
-    size_t resumeUnit = 0;
-    uint64_t resumeShard = 0;
+    const auto [resumeUnit, resumeShard] = cp.cursor();
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
-        if (st.has("cursor")) {
-            std::istringstream in(st.get("cursor"));
-            std::string tag1, tag2;
-            in >> tag1 >> resumeUnit >> tag2 >> resumeShard;
-        }
         for (size_t u = 0; u < numUnits; ++u) {
             const std::string name = "cell:" + std::to_string(u);
             if (st.has(name))
@@ -184,18 +178,9 @@ main(int argc, char **argv)
     obs::HeartbeatEmitter hb;
     bench::openHeartbeat(hb, opt,
                          bench::campaignIdFor(opt, "table3_data"));
-    auto unitTrials = [&](size_t u) {
-        return results[u / 4].cellTrials;
-    };
-    std::vector<uint64_t> shardsBefore, trialsBefore;
-    uint64_t totalShards = 0, totalTrials = 0;
-    for (size_t u = 0; u < numUnits; ++u) {
-        shardsBefore.push_back(totalShards);
-        trialsBefore.push_back(totalTrials);
-        totalShards += shardCount(unitTrials(u), plan.shardSize);
-        totalTrials += unitTrials(u);
-    }
-    hb.setTotals(totalShards, totalTrials);
+    bench::UnitProgress progress(hb);
+    for (size_t u = 0; u < numUnits; ++u)
+        progress.addUnit(results[u / 4].cellTrials, plan.shardSize);
     hb.setPayload([&](obs::JsonWriter &w) {
         const obs::CoverageMatrix::Audit live =
             obs::CoverageMatrix::fromLedger(lineage).audit();
@@ -212,20 +197,13 @@ main(int argc, char **argv)
         if (opt.health)
             rasMon.writeHeartbeat(w);
     });
-    auto heartbeatAt = [&](size_t u, uint64_t doneShardsInUnit) {
-        hb.tick(shardsBefore[u] + doneShardsInUnit,
-                trialsBefore[u] +
-                    std::min(doneShardsInUnit * plan.shardSize,
-                             unitTrials(u)));
-    };
 
     const uint64_t batch = checkpointBatchShards(opt.jobs);
     auto persist = [&](size_t u, uint64_t nextShard) {
         if (!cp.enabled())
             return;
         CampaignCheckpoint &st = cp.state();
-        st.set("cursor", "unit " + std::to_string(u) + " shard " +
-                             std::to_string(nextShard));
+        cp.setCursor(u, nextShard);
         st.set("cell:" + std::to_string(u),
                results[u / 4].bySch[u % 4].serializeState());
         st.set("lineage", lineage.serializeState());
@@ -257,17 +235,14 @@ main(int argc, char **argv)
             nextShard, res.bySch[si],
             [&](uint64_t, uint64_t end) {
                 persist(u, end);
-                heartbeatAt(u, end);
+                progress.tick(u, end);
             });
         if (status == RunStatus::Interrupted) {
-            hb.finalTick(shardsBefore[u] + nextShard,
-                         trialsBefore[u] +
-                             std::min(nextShard * plan.shardSize,
-                                      unitTrials(u)));
+            progress.interrupted(u, nextShard);
             cp.exitInterrupted();
         }
     }
-    hb.finalTick(totalShards, totalTrials);
+    progress.finish();
     const uint64_t elapsedNs =
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -8,16 +8,19 @@
 #ifndef AIECC_BENCH_BENCH_UTIL_HH
 #define AIECC_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "obs/cost.hh"
 #include "obs/heartbeat.hh"
 #include "obs/json.hh"
@@ -392,6 +395,34 @@ class Checkpointer
     /** True when --resume found a verified checkpoint to continue. */
     bool resumed() const { return wasResumed; }
 
+    /** Resume position: the unit in flight, its first open shard. */
+    struct Cursor
+    {
+        size_t unit = 0;
+        uint64_t shard = 0;
+    };
+
+    /** The saved cursor; {0, 0} unless resumed. */
+    Cursor
+    cursor() const
+    {
+        Cursor c;
+        if (wasResumed && ckpt.has("cursor")) {
+            std::istringstream in(ckpt.get("cursor"));
+            std::string tag;
+            in >> tag >> c.unit >> tag >> c.shard;
+        }
+        return c;
+    }
+
+    /** Record the cursor section for the next save(). */
+    void
+    setCursor(size_t unit, uint64_t nextShard)
+    {
+        ckpt.set("cursor", "unit " + std::to_string(unit) + " shard " +
+                               std::to_string(nextShard));
+    }
+
     /** The durable section store (inert but usable when disabled). */
     CampaignCheckpoint &state() { return ckpt; }
     const CampaignCheckpoint &state() const { return ckpt; }
@@ -527,6 +558,68 @@ openHeartbeat(obs::HeartbeatEmitter &hb, const Options &opt,
         std::exit(2);
     }
 }
+
+/**
+ * Heartbeat progress of a campaign run as sequential sharded units:
+ * maps (unit, shards committed within it) to the campaign-global
+ * shards_done / trials_done that @p hb reports.
+ */
+class UnitProgress
+{
+  public:
+    explicit UnitProgress(obs::HeartbeatEmitter &hb) : hb(hb) {}
+
+    /** Append a unit of @p trials trials in shards of @p shardSize. */
+    void
+    addUnit(uint64_t trials, uint64_t shardSize)
+    {
+        units.push_back({totalShards, totalTrials, trials, shardSize});
+        totalShards += shardCount(trials, shardSize);
+        totalTrials += trials;
+        hb.setTotals(totalShards, totalTrials);
+    }
+
+    /** Trials of the units before @p unit. */
+    uint64_t trialsBefore(size_t unit) const
+    {
+        return units[unit].trialsBefore;
+    }
+
+    /** Tick once @p shardsDone shards of @p unit have committed. */
+    void tick(size_t unit, uint64_t shardsDone)
+    {
+        hb.tick(units[unit].shardsBefore + shardsDone,
+                trialsAt(unit, shardsDone));
+    }
+
+    /** Final record of a run interrupted inside @p unit. */
+    void interrupted(size_t unit, uint64_t shardsDone)
+    {
+        hb.finalTick(units[unit].shardsBefore + shardsDone,
+                     trialsAt(unit, shardsDone));
+    }
+
+    /** Final record of a completed run. */
+    void finish() { hb.finalTick(totalShards, totalTrials); }
+
+  private:
+    struct Unit
+    {
+        uint64_t shardsBefore, trialsBefore, trials, shardSize;
+    };
+
+    uint64_t
+    trialsAt(size_t unit, uint64_t shardsDone) const
+    {
+        const Unit &u = units[unit];
+        return u.trialsBefore +
+               std::min(shardsDone * u.shardSize, u.trials);
+    }
+
+    obs::HeartbeatEmitter &hb;
+    std::vector<Unit> units;
+    uint64_t totalShards = 0, totalTrials = 0;
+};
 
 /**
  * Enforce the AIECC_BUDGET_* resource budgets (obs/memprof.hh)

@@ -361,16 +361,6 @@ RunStatus
 runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
                       unsigned jobs, uint64_t &nextShard,
                       const std::function<void(uint64_t)> &fn,
-                      const std::function<void(uint64_t, uint64_t)> &commit)
-{
-    return runShardsCheckpointed(totalShards, batchShards, jobs,
-                                 nextShard, fn, commit, nullptr);
-}
-
-RunStatus
-runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
-                      unsigned jobs, uint64_t &nextShard,
-                      const std::function<void(uint64_t)> &fn,
                       const std::function<void(uint64_t, uint64_t)> &commit,
                       const std::function<void(uint64_t)> &progress)
 {

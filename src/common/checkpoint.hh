@@ -168,27 +168,19 @@ class CampaignCheckpoint
  * AIECC_CRASH_AFTER_SHARD hook fires after a batch joins but before
  * its commit — the simulated kill always loses in-flight work, which
  * resume must redo identically.
- */
-RunStatus
-runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
-                      unsigned jobs, uint64_t &nextShard,
-                      const std::function<void(uint64_t)> &fn,
-                      const std::function<void(uint64_t, uint64_t)> &commit);
-
-/**
- * runShardsCheckpointed() with a progress callback: @p progress(done)
- * fires after each shard completes, with @p done the *global* count
- * of shards finished (committed prefix + this batch's completions) —
- * the number a heartbeat reports as shards_done.  Invoked from worker
- * threads like the runShards() progress overload, and under the same
- * contract: observability only, never output-affecting.
+ *
+ * @p progress(done), when set, fires after each shard completes, with
+ * @p done the *global* count of shards finished (committed prefix +
+ * this batch's completions) — the number a heartbeat reports as
+ * shards_done.  Invoked from worker threads under the runShards()
+ * progress contract: observability only, never output-affecting.
  */
 RunStatus
 runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
                       unsigned jobs, uint64_t &nextShard,
                       const std::function<void(uint64_t)> &fn,
                       const std::function<void(uint64_t, uint64_t)> &commit,
-                      const std::function<void(uint64_t)> &progress);
+                      const std::function<void(uint64_t)> &progress = {});
 
 /**
  * Batch size for checkpointed campaigns: AIECC_CHECKPOINT_BATCH_SHARDS

@@ -24,13 +24,6 @@ resolveJobs(unsigned jobs)
 
 void
 runShards(uint64_t numShards, unsigned jobs,
-          const std::function<void(uint64_t)> &fn)
-{
-    runShards(numShards, jobs, fn, nullptr);
-}
-
-void
-runShards(uint64_t numShards, unsigned jobs,
           const std::function<void(uint64_t)> &fn,
           const std::function<void(uint64_t)> &progress)
 {

@@ -11,7 +11,8 @@
  * worker count.  Callers pre-size an output vector, let each shard
  * write its own slot, and merge the slots in shard order after the
  * join, which keeps merged statistics bit-identical across
- * `--jobs 1/2/8`.
+ * `--jobs 1/2/8`.  The campaign engines get that whole pattern from
+ * obs::runSharded() (obs/shard_run.hh).
  */
 
 #ifndef AIECC_COMMON_PARALLEL_HH
@@ -55,23 +56,18 @@ unsigned resolveJobs(unsigned jobs);
  * @p fn must confine its writes to per-shard state (its output slot,
  * shard-local registries); it is invoked concurrently from multiple
  * threads otherwise.
- */
-void runShards(uint64_t numShards, unsigned jobs,
-               const std::function<void(uint64_t)> &fn);
-
-/**
- * runShards() with a progress callback: @p progress(done) is invoked
- * after each shard completes, where @p done counts shards finished so
- * far (1..numShards, monotone per call site but interleaved across
- * workers).  Observability only — heartbeat ticking, progress bars —
- * and therefore invoked concurrently from worker threads; the
- * callback must be internally synchronized (HeartbeatEmitter::tick
- * is).  Never output-affecting: the shard set and execution are
- * identical with or without it.
+ *
+ * @p progress(done), when set, is invoked after each shard completes,
+ * where @p done counts shards finished so far (1..numShards, monotone
+ * per call site but interleaved across workers).  Observability only
+ * — heartbeat ticking, progress bars — and therefore invoked
+ * concurrently from worker threads; the callback must be internally
+ * synchronized (HeartbeatEmitter::tick is).  Never output-affecting:
+ * the shard set and execution are identical with or without it.
  */
 void runShards(uint64_t numShards, unsigned jobs,
                const std::function<void(uint64_t)> &fn,
-               const std::function<void(uint64_t)> &progress);
+               const std::function<void(uint64_t)> &progress = {});
 
 /**
  * Number of fixed-size shards covering @p total items.  Overflow-safe

@@ -1,6 +1,5 @@
 #include "gddr5/campaign.hh"
 
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -365,57 +364,11 @@ Gddr5Campaign::runTrials(Pattern pattern,
                          const std::vector<Gddr5Error> &errors,
                          unsigned jobs) const
 {
-    // Small shards keep the pool busy through the tail; the size is
-    // not output-affecting (every trial is a pure function of
-    // (pattern, error, seed)).
-    constexpr uint64_t shardSize = trialShardSize;
-    const uint64_t total = errors.size();
-    const uint64_t shards = shardCount(total, shardSize);
-    std::vector<Gddr5Trial> results(total);
-
-    // Single-threaded prologue: claim this batch's global trial
-    // numbers before any shard runs, so fault IDs depend only on the
-    // call sequence, never on worker interleaving.
-    const uint64_t indexBase = trialCounter;
-    trialCounter += total;
-    const uint64_t salt =
-        seed ^ obs::lineageHash("gddr5:" + prot.describe());
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-
-    runShards(shards, jobs, [&](uint64_t shard) {
-        const uint64_t begin = shard * shardSize;
-        const uint64_t n = shardLength(total, shardSize, shard);
-        obs::LineageLedger *shardLedger = nullptr;
-        if (ledger) {
-            shardLedgers[shard] = std::unique_ptr<obs::LineageLedger>(
-                new obs::LineageLedger);
-            shardLedger = shardLedgers[shard].get();
-        }
-        for (uint64_t i = 0; i < n; ++i) {
-            const Gddr5Error &error = errors[begin + i];
-            const Gddr5Trial trial = runTrial(pattern, error);
-            results[begin + i] = trial;
-            if (!shardLedger)
-                continue;
-            const uint64_t faultId = obs::deriveFaultId(
-                salt, static_cast<uint64_t>(pattern),
-                indexBase + begin + i);
-            shardLedger->recordInjection(faultId, obs::FaultKind::Ccca,
-                                         gddr5Site(pattern, error));
-            std::string mech;
-            if (!trial.detectors.empty())
-                mech = detectorName(trial.detectors.front());
-            shardLedger->resolve(
-                faultId, gddr5Terminal(trial), mech,
-                static_cast<uint32_t>(trial.detectors.size()),
-                trial.detected ? 1u : 0u);
-        }
-    });
-
-    for (uint64_t shard = 0; shard < shards; ++shard) {
-        if (shardLedgers[shard])
-            ledger->merge(*shardLedgers[shard]);
-    }
+    std::vector<Gddr5Trial> results(errors.size());
+    runTrialShards(
+        pattern, errors, jobs,
+        [&](uint64_t index, const Gddr5Trial &t) { results[index] = t; },
+        nullptr);
     return results;
 }
 
@@ -426,70 +379,66 @@ Gddr5Campaign::runTrialsCheckpointed(
     const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
     const std::function<void(uint64_t, uint64_t)> &commit) const
 {
-    // Inner shard size matches runTrials(), so the decomposition and
-    // every derived fault ID are identical to the plain sweep's.
+    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
+    return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
+}
+
+RunStatus
+Gddr5Campaign::runTrialShards(
+    Pattern pattern, const std::vector<Gddr5Error> &errors, unsigned jobs,
+    const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
+    const obs::ShardCheckpoint *checkpoint) const
+{
+    // Small shards keep the pool busy through the tail; the size is
+    // not output-affecting (every trial is a pure function of
+    // (pattern, error, seed)).
     constexpr uint64_t shardSize = trialShardSize;
     const uint64_t total = errors.size();
-    const uint64_t shards = shardCount(total, shardSize);
 
+    // Fault IDs derive from the unit-start counter plus the global
+    // trial index, so they depend only on the call sequence, never on
+    // worker interleaving.
     const uint64_t indexBase = trialCounter;
     const uint64_t salt =
         seed ^ obs::lineageHash("gddr5:" + prot.describe());
+    obs::ShardHookups parent;
+    parent.ledger = ledger;
 
-    std::vector<std::vector<Gddr5Trial>> shardResults(shards);
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-
-    const RunStatus status = runShardsCheckpointed(
-        shards, batchShards, jobs, nextShard,
-        [&](uint64_t shard) {
-            const uint64_t begin = shard * shardSize;
-            const uint64_t n = shardLength(total, shardSize, shard);
-            obs::LineageLedger *shardLedger = nullptr;
-            if (ledger) {
-                shardLedgers[shard] =
-                    std::unique_ptr<obs::LineageLedger>(
-                        new obs::LineageLedger);
-                shardLedger = shardLedgers[shard].get();
-            }
+    std::vector<std::vector<Gddr5Trial>> shardResults(
+        shardCount(total, shardSize));
+    const RunStatus status = obs::runSharded(
+        total, shardSize, jobs, parent,
+        [&](uint64_t shard, uint64_t begin, uint64_t n,
+            obs::ShardObservers &so) {
             shardResults[shard].resize(n);
             for (uint64_t i = 0; i < n; ++i) {
                 const Gddr5Error &error = errors[begin + i];
                 const Gddr5Trial trial = runTrial(pattern, error);
                 shardResults[shard][i] = trial;
-                if (!shardLedger)
+                if (!so.ledger())
                     continue;
                 const uint64_t faultId = obs::deriveFaultId(
                     salt, static_cast<uint64_t>(pattern),
                     indexBase + begin + i);
-                shardLedger->recordInjection(
-                    faultId, obs::FaultKind::Ccca,
-                    gddr5Site(pattern, error));
+                so.ledger()->recordInjection(faultId,
+                                             obs::FaultKind::Ccca,
+                                             gddr5Site(pattern, error));
                 std::string mech;
                 if (!trial.detectors.empty())
                     mech = detectorName(trial.detectors.front());
-                shardLedger->resolve(
+                so.ledger()->resolve(
                     faultId, gddr5Terminal(trial), mech,
                     static_cast<uint32_t>(trial.detectors.size()),
                     trial.detected ? 1u : 0u);
             }
         },
-        [&](uint64_t batchBegin, uint64_t batchEnd) {
-            for (uint64_t shard = batchBegin; shard < batchEnd;
-                 ++shard) {
-                if (shardLedgers[shard]) {
-                    ledger->merge(*shardLedgers[shard]);
-                    shardLedgers[shard].reset();
-                }
-                const uint64_t begin = shard * shardSize;
-                for (uint64_t i = 0; i < shardResults[shard].size();
-                     ++i) {
-                    onResult(begin + i, shardResults[shard][i]);
-                }
-                shardResults[shard].clear();
-                shardResults[shard].shrink_to_fit();
-            }
-            commit(batchBegin, batchEnd);
-        });
+        [&](uint64_t shard) {
+            const uint64_t begin = shard * shardSize;
+            for (uint64_t i = 0; i < shardResults[shard].size(); ++i)
+                onResult(begin + i, shardResults[shard][i]);
+            std::vector<Gddr5Trial>().swap(shardResults[shard]);
+        },
+        checkpoint);
 
     if (status == RunStatus::Completed)
         trialCounter = indexBase + total;

@@ -12,6 +12,7 @@
 #include "gddr5/system.hh"
 #include "inject/campaign.hh" // Outcome / outcomeName reuse
 #include "obs/lineage.hh"
+#include "obs/shard_run.hh"
 
 namespace aiecc
 {
@@ -117,12 +118,10 @@ class Gddr5Campaign
                            unsigned jobs = 1) const;
 
     /**
-     * Checkpointed runTrials(): execute @p errors in contiguous shard
-     * batches starting at @p nextShard (inner shard size identical to
-     * runTrials(), so the decomposition and every fault ID match).
-     * Each batch's shard-local ledgers merge in shard order and
-     * @p onResult fires per trial in global order before
-     * @p commit(begin, end) lets the caller persist.  The caller owns
+     * Checkpointed runTrials() — same shard body and fold, so every
+     * fault ID matches: shard batches run from @p nextShard; after
+     * each batch folds, @p onResult fires per trial in input order
+     * and @p commit(begin, end) lets the caller persist.  The caller owns
      * resume positioning: on entry the trial counter must sit at this
      * unit's start (see advanceTrials()); on Completed it advances
      * past the unit.
@@ -147,7 +146,7 @@ class Gddr5Campaign
      * Attach a fault-lineage ledger (nullptr detaches).  Trials stay
      * pure; the lineage bookkeeping happens in runTrials(), which
      * derives each fault's ID from the campaign-global trial index
-     * (advanced in the single-threaded prologue) and records
+     * (the counter at the call plus the trial's input index) and records
      * injection + terminal resolution per trial, merged in shard
      * order — so ledgers are bit-identical for every jobs value.
      * Direct runTrial() calls bypass the ledger by design.
@@ -163,6 +162,13 @@ class Gddr5Campaign
     obs::LineageLedger *ledger = nullptr;
     /** Campaign-global trial numbering for lineage fault IDs. */
     mutable uint64_t trialCounter = 0;
+
+    /** The one sharded trial run; plain when @p checkpoint is null. */
+    RunStatus runTrialShards(
+        Pattern pattern, const std::vector<Gddr5Error> &errors,
+        unsigned jobs,
+        const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
+        const obs::ShardCheckpoint *checkpoint) const;
 };
 
 } // namespace gddr5

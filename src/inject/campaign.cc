@@ -1,6 +1,5 @@
 #include "inject/campaign.hh"
 
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -730,86 +729,11 @@ InjectionCampaign::runTrials(CommandPattern pattern,
                              const std::vector<PinError> &errors,
                              unsigned jobs)
 {
-    constexpr uint64_t shardSize = trialShardSize;
-    const uint64_t total = errors.size();
-    const uint64_t shards = shardCount(total, shardSize);
-
-    obs::StatsRegistry *parentStats = obsHook ? obsHook->stats() : nullptr;
-    const bool parentTracing = obsHook && obsHook->tracing();
-    const uint64_t indexBase = trialIndex;
-
-    std::vector<TrialResult> results(total);
-    std::vector<std::unique_ptr<obs::StatsRegistry>> shardStats(shards);
-    std::vector<std::unique_ptr<obs::VectorTraceSink>> shardTraces(shards);
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-    std::vector<std::unique_ptr<obs::CostAccountant>> shardCost(shards);
-
-    runShards(shards, jobs, [&](uint64_t shard) {
-        const uint64_t begin = shard * shardSize;
-        const uint64_t n = shardLength(total, shardSize, shard);
-
-        // A private campaign per shard isolates the mutable state
-        // (trial numbering, resolved counters); the parent's
-        // configuration is copied verbatim.
-        InjectionCampaign worker(mech, seed);
-        worker.recoveryCfg = recoveryCfg;
-        worker.trialIndex = indexBase + begin;
-
-        obs::Observer shardObs;
-        if (parentStats) {
-            shardStats[shard] =
-                std::unique_ptr<obs::StatsRegistry>(new obs::StatsRegistry);
-            shardObs.setStats(shardStats[shard].get());
-        }
-        if (parentTracing) {
-            // Unbounded capture: lineage makes the per-trial event
-            // count variable, and the determinism gates need the
-            // stream loss-free.
-            shardTraces[shard] = std::unique_ptr<obs::VectorTraceSink>(
-                new obs::VectorTraceSink);
-            shardObs.addSink(shardTraces[shard].get());
-        }
-        if (parentStats || parentTracing)
-            worker.setObserver(&shardObs);
-        if (ledger) {
-            shardLedgers[shard] = std::unique_ptr<obs::LineageLedger>(
-                new obs::LineageLedger);
-            worker.ledger = shardLedgers[shard].get();
-        }
-        if (costAcct) {
-            // Same model, private integer tallies: the shard-order
-            // merge below reproduces the sequential totals exactly.
-            shardCost[shard] = std::unique_ptr<obs::CostAccountant>(
-                new obs::CostAccountant(costAcct->model()));
-            worker.costAcct = shardCost[shard].get();
-        }
-
-        for (uint64_t i = 0; i < n; ++i) {
-            results[begin + i] =
-                worker.runTrial(pattern, errors[begin + i]);
-        }
-    });
-
-    trialIndex += total;
-
-    // Join-time aggregation, strictly in shard order: stats totals,
-    // the trace event stream and the lineage ledger come out
-    // identical to a sequential run regardless of how many threads
-    // executed the shards.
-    for (uint64_t shard = 0; shard < shards; ++shard) {
-        if (shardStats[shard])
-            parentStats->merge(*shardStats[shard]);
-        if (shardTraces[shard]) {
-            for (const obs::TraceEvent &event :
-                 shardTraces[shard]->events()) {
-                obsHook->emit(event);
-            }
-        }
-        if (shardLedgers[shard])
-            ledger->merge(*shardLedgers[shard]);
-        if (shardCost[shard])
-            costAcct->merge(*shardCost[shard]);
-    }
+    std::vector<TrialResult> results(errors.size());
+    runTrialShards(
+        pattern, errors, jobs,
+        [&](uint64_t index, const TrialResult &tr) { results[index] = tr; },
+        nullptr);
     return results;
 }
 
@@ -820,103 +744,55 @@ InjectionCampaign::runTrialsCheckpointed(
     const std::function<void(uint64_t, const TrialResult &)> &onResult,
     const std::function<void(uint64_t, uint64_t)> &commit)
 {
-    // The inner shard size matches runTrials(): the trial-to-shard
-    // decomposition — and with it every derived fault ID and merge
-    // order — is identical, so a checkpointed run's merged state is
-    // bit-identical to the plain sweep's.
+    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
+    return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
+}
+
+RunStatus
+InjectionCampaign::runTrialShards(
+    CommandPattern pattern, const std::vector<PinError> &errors,
+    unsigned jobs,
+    const std::function<void(uint64_t, const TrialResult &)> &onResult,
+    const obs::ShardCheckpoint *checkpoint)
+{
     constexpr uint64_t shardSize = trialShardSize;
     const uint64_t total = errors.size();
-    const uint64_t shards = shardCount(total, shardSize);
-
-    obs::StatsRegistry *parentStats = obsHook ? obsHook->stats() : nullptr;
-    const bool parentTracing = obsHook && obsHook->tracing();
     const uint64_t indexBase = trialIndex;
+    obs::ShardHookups parent = obs::ShardHookups::of(obsHook, ledger);
+    parent.cost = costAcct;
 
-    // Per-shard slots for the whole space; only the in-flight batch's
-    // slots are populated, and each is released as its shard merges.
-    std::vector<std::vector<TrialResult>> shardResults(shards);
-    std::vector<std::unique_ptr<obs::StatsRegistry>> shardStats(shards);
-    std::vector<std::unique_ptr<obs::VectorTraceSink>> shardTraces(shards);
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-    std::vector<std::unique_ptr<obs::CostAccountant>> shardCost(shards);
-
-    const RunStatus status = runShardsCheckpointed(
-        shards, batchShards, jobs, nextShard,
-        [&](uint64_t shard) {
-            const uint64_t begin = shard * shardSize;
-            const uint64_t n = shardLength(total, shardSize, shard);
-
+    // Per-shard result slots, each released as its shard folds.
+    std::vector<std::vector<TrialResult>> shardResults(
+        shardCount(total, shardSize));
+    const RunStatus status = obs::runSharded(
+        total, shardSize, jobs, parent,
+        [&](uint64_t shard, uint64_t begin, uint64_t n,
+            obs::ShardObservers &so) {
+            // A private campaign per shard isolates the mutable state
+            // (trial numbering, resolved counters); the parent's
+            // configuration is copied verbatim.
             InjectionCampaign worker(mech, seed);
             worker.recoveryCfg = recoveryCfg;
             worker.trialIndex = indexBase + begin;
-
-            obs::Observer shardObs;
-            if (parentStats) {
-                shardStats[shard] = std::unique_ptr<obs::StatsRegistry>(
-                    new obs::StatsRegistry);
-                shardObs.setStats(shardStats[shard].get());
-            }
-            if (parentTracing) {
-                shardTraces[shard] =
-                    std::unique_ptr<obs::VectorTraceSink>(
-                        new obs::VectorTraceSink);
-                shardObs.addSink(shardTraces[shard].get());
-            }
-            if (parentStats || parentTracing)
-                worker.setObserver(&shardObs);
-            if (ledger) {
-                shardLedgers[shard] =
-                    std::unique_ptr<obs::LineageLedger>(
-                        new obs::LineageLedger);
-                worker.ledger = shardLedgers[shard].get();
-            }
-            if (costAcct) {
-                shardCost[shard] = std::unique_ptr<obs::CostAccountant>(
-                    new obs::CostAccountant(costAcct->model()));
-                worker.costAcct = shardCost[shard].get();
-            }
-
+            // Cost bills through costAcct, not the observer: attach
+            // the observer only for what runTrial() reads from it.
+            if (so.observer().stats() || so.observer().tracing())
+                worker.setObserver(&so.observer());
+            worker.ledger = so.ledger();
+            worker.costAcct = so.cost();
             shardResults[shard].resize(n);
             for (uint64_t i = 0; i < n; ++i) {
                 shardResults[shard][i] =
                     worker.runTrial(pattern, errors[begin + i]);
             }
         },
-        [&](uint64_t batchBegin, uint64_t batchEnd) {
-            // Merge the batch strictly in shard order before letting
-            // the caller persist: the on-disk state is always a clean
-            // prefix of the sequential run.
-            for (uint64_t shard = batchBegin; shard < batchEnd;
-                 ++shard) {
-                if (shardStats[shard]) {
-                    parentStats->merge(*shardStats[shard]);
-                    shardStats[shard].reset();
-                }
-                if (shardTraces[shard]) {
-                    for (const obs::TraceEvent &event :
-                         shardTraces[shard]->events()) {
-                        obsHook->emit(event);
-                    }
-                    shardTraces[shard].reset();
-                }
-                if (shardLedgers[shard]) {
-                    ledger->merge(*shardLedgers[shard]);
-                    shardLedgers[shard].reset();
-                }
-                if (shardCost[shard]) {
-                    costAcct->merge(*shardCost[shard]);
-                    shardCost[shard].reset();
-                }
-                const uint64_t begin = shard * shardSize;
-                for (uint64_t i = 0; i < shardResults[shard].size();
-                     ++i) {
-                    onResult(begin + i, shardResults[shard][i]);
-                }
-                shardResults[shard].clear();
-                shardResults[shard].shrink_to_fit();
-            }
-            commit(batchBegin, batchEnd);
-        });
+        [&](uint64_t shard) {
+            const uint64_t begin = shard * shardSize;
+            for (uint64_t i = 0; i < shardResults[shard].size(); ++i)
+                onResult(begin + i, shardResults[shard][i]);
+            std::vector<TrialResult>().swap(shardResults[shard]);
+        },
+        checkpoint);
 
     if (status == RunStatus::Completed)
         trialIndex = indexBase + total;
@@ -945,60 +821,29 @@ CampaignStats
 InjectionCampaign::sweepKPinExhaustive(CommandPattern pattern, unsigned k,
                                        unsigned jobs)
 {
-    // Unranking rank 0..size-1 reproduces the nested-loop order of the
-    // materialized sweeps exactly (the CombinationSpace order
-    // contract), so this is the same campaign — just provably
-    // exhaustive, with the enumeration driven by the combinadic index
-    // rather than by loop structure.
+    // Unranking rank 0..size-1 reproduces the nested-loop order of a
+    // materialized sweep exactly (the CombinationSpace order
+    // contract), so the enumeration is driven by the combinadic index
+    // rather than by loop structure — provably exhaustive.
     const CombinationSpace space = kPinSpace(k);
     std::vector<PinError> errors;
     errors.reserve(space.size());
     for (uint64_t rank = 0; rank < space.size(); ++rank)
         errors.push_back(kPinError(k, rank));
-    CampaignStats stats;
-    for (const TrialResult &tr : runTrials(pattern, errors, jobs))
-        stats.add(tr);
-    AIECC_INFORM("exhaustive " << k << "-pin sweep "
-                               << patternName(pattern) << " ["
-                               << mech.describe() << "]: "
-                               << stats.trials << " combinations, covered "
-                               << stats.coveredFrac());
-    return stats;
+    return sweep(pattern, errors, jobs,
+                 "exhaustive " + std::to_string(k) + "-pin");
 }
 
 CampaignStats
 InjectionCampaign::sweepOnePin(CommandPattern pattern, unsigned jobs)
 {
-    std::vector<PinError> errors;
-    for (Pin pin : injectablePins(mech.parPinPresent()))
-        errors.push_back(PinError::onePin(pin));
-    CampaignStats stats;
-    for (const TrialResult &tr : runTrials(pattern, errors, jobs))
-        stats.add(tr);
-    AIECC_INFORM("1-pin sweep " << patternName(pattern) << " ["
-                                << mech.describe() << "]: "
-                                << stats.trials << " trials, covered "
-                                << stats.coveredFrac());
-    return stats;
+    return sweepKPinExhaustive(pattern, 1, jobs);
 }
 
 CampaignStats
 InjectionCampaign::sweepTwoPin(CommandPattern pattern, unsigned jobs)
 {
-    std::vector<PinError> errors;
-    const auto pins = injectablePins(mech.parPinPresent());
-    for (size_t i = 0; i < pins.size(); ++i) {
-        for (size_t j = i + 1; j < pins.size(); ++j)
-            errors.push_back(PinError::twoPin(pins[i], pins[j]));
-    }
-    CampaignStats stats;
-    for (const TrialResult &tr : runTrials(pattern, errors, jobs))
-        stats.add(tr);
-    AIECC_INFORM("2-pin sweep " << patternName(pattern) << " ["
-                                << mech.describe() << "]: "
-                                << stats.trials << " trials, covered "
-                                << stats.coveredFrac());
-    return stats;
+    return sweepKPinExhaustive(pattern, 2, jobs);
 }
 
 CampaignStats
@@ -1008,30 +853,21 @@ InjectionCampaign::sweepAllPin(CommandPattern pattern, unsigned samples,
     std::vector<PinError> errors;
     for (unsigned s = 0; s < samples; ++s)
         errors.push_back(PinError::allPins(s + 1));
+    return sweep(pattern, errors, jobs, "all-pin");
+}
+
+CampaignStats
+InjectionCampaign::sweep(CommandPattern pattern,
+                         const std::vector<PinError> &errors,
+                         unsigned jobs, const std::string &what)
+{
     CampaignStats stats;
     for (const TrialResult &tr : runTrials(pattern, errors, jobs))
         stats.add(tr);
-    AIECC_INFORM("all-pin sweep " << patternName(pattern) << " ["
-                                  << mech.describe() << "]: "
-                                  << stats.trials
-                                  << " trials, covered "
-                                  << stats.coveredFrac());
+    AIECC_INFORM(what << " sweep " << patternName(pattern) << " ["
+                      << mech.describe() << "]: " << stats.trials
+                      << " trials, covered " << stats.coveredFrac());
     return stats;
-}
-
-std::vector<std::pair<Pin, TrialResult>>
-InjectionCampaign::perPinResults(CommandPattern pattern, unsigned jobs)
-{
-    const auto pins = injectablePins(mech.parPinPresent());
-    std::vector<PinError> errors;
-    for (Pin pin : pins)
-        errors.push_back(PinError::onePin(pin));
-    std::vector<TrialResult> trs = runTrials(pattern, errors, jobs);
-    std::vector<std::pair<Pin, TrialResult>> out;
-    out.reserve(pins.size());
-    for (size_t i = 0; i < pins.size(); ++i)
-        out.emplace_back(pins[i], std::move(trs[i]));
-    return out;
 }
 
 } // namespace aiecc

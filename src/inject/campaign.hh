@@ -26,6 +26,7 @@
 #include "common/combinadic.hh"
 #include "obs/json.hh"
 #include "obs/lineage.hh"
+#include "obs/shard_run.hh"
 
 namespace aiecc
 {
@@ -296,14 +297,10 @@ class InjectionCampaign
               unsigned jobs = 1);
 
     /**
-     * Checkpointed runTrials(): execute @p errors in contiguous shard
-     * batches (inner shard size identical to runTrials(), so the
-     * trial decomposition — and with it every fault ID — is the same)
-     * starting at shard @p nextShard.  After each batch joins, its
-     * shard-local state is merged in shard order, @p onResult fires
-     * once per trial in global input order, and @p commit(begin, end)
-     * runs on the calling thread — the caller's chance to persist a
-     * checkpoint before the next batch claims work.
+     * Checkpointed runTrials() — same shard body and fold, so every
+     * fault ID matches: shard batches run from @p nextShard; after
+     * each batch folds, @p onResult fires per trial in input order
+     * and @p commit(begin, end) lets the caller persist.
      *
      * The caller owns resume positioning: on entry the campaign's
      * trial counter must sit at this unit's *start* (skipTrials() has
@@ -343,27 +340,29 @@ class InjectionCampaign
 
     /**
      * Full enumeration of every k-pin error for one pattern via
-     * combinadic unranking.  Bit-identical to the materialized sweep
-     * of the same k (sweepOnePin/sweepTwoPin) — the unranked order IS
-     * the nested-loop order — and exhaustive by construction: every
+     * combinadic unranking.  Bit-identical to a materialized
+     * nested-loop sweep of the same k — the unranked order IS the
+     * nested-loop order — and exhaustive by construction: every
      * combination visited exactly once.
      */
     CampaignStats sweepKPinExhaustive(CommandPattern pattern, unsigned k,
                                       unsigned jobs = 1);
 
-    /** All 1-pin errors for one pattern (26/27 pins per PAR presence). */
+    /**
+     * All 1-pin errors for one pattern (26/27 pins per PAR presence):
+     * sweepKPinExhaustive(@p pattern, 1, @p jobs).
+     */
     CampaignStats sweepOnePin(CommandPattern pattern, unsigned jobs = 1);
 
-    /** All 2-pin combinations for one pattern. */
+    /**
+     * All 2-pin combinations for one pattern:
+     * sweepKPinExhaustive(@p pattern, 2, @p jobs).
+     */
     CampaignStats sweepTwoPin(CommandPattern pattern, unsigned jobs = 1);
 
     /** @p samples all-pin noise trials for one pattern. */
     CampaignStats sweepAllPin(CommandPattern pattern, unsigned samples,
                               unsigned jobs = 1);
-
-    /** Per-pin 1-pin results for one pattern (Table II rows). */
-    std::vector<std::pair<Pin, TrialResult>>
-    perPinResults(CommandPattern pattern, unsigned jobs = 1);
 
     const Mechanisms &mechanisms() const { return mech; }
 
@@ -386,6 +385,18 @@ class InjectionCampaign
     uint64_t trialIndex = 0;
     obs::LineageLedger *ledger = nullptr;
     obs::CostAccountant *costAcct = nullptr;
+
+    /** runTrials() aggregated, logged as a "@p what sweep". */
+    CampaignStats sweep(CommandPattern pattern,
+                        const std::vector<PinError> &errors, unsigned jobs,
+                        const std::string &what);
+
+    /** The one sharded trial run; plain when @p checkpoint is null. */
+    RunStatus runTrialShards(
+        CommandPattern pattern, const std::vector<PinError> &errors,
+        unsigned jobs,
+        const std::function<void(uint64_t, const TrialResult &)> &onResult,
+        const obs::ShardCheckpoint *checkpoint);
 };
 
 } // namespace aiecc

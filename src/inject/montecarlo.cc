@@ -1,10 +1,9 @@
 #include "inject/montecarlo.hh"
 
-#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace aiecc
 {
@@ -166,12 +165,6 @@ DataMonteCarlo::setObserver(obs::Observer *observer)
     oc.retryExhausted = &reg.counter(
         "montecarlo.retry.exhausted",
         "trials whose re-read budget ran out");
-}
-
-DataOutcome
-DataMonteCarlo::runTrial(DataErrorModel dataErr, AddrErrorModel addrErr)
-{
-    return runTrialDetailed(dataErr, addrErr).outcome;
 }
 
 DataMonteCarlo::TrialDetail
@@ -521,103 +514,15 @@ DataMonteCarlo::runCellSharded(DataErrorModel dataErr,
                                AddrErrorModel addrErr, uint64_t trials,
                                const ShardPlan &plan)
 {
-    AIECC_ASSERT(plan.shardSize > 0, "shard size must be positive");
-    const uint64_t shards = shardCount(trials, plan.shardSize);
-
-    // Every cell of the Table III grid gets its own seed so two cells
-    // sharing a shard index never replay the same error positions.
-    const uint64_t cellSeed = baseSeed ^
-                              (static_cast<uint64_t>(dataErr) << 32) ^
-                              (static_cast<uint64_t>(addrErr) << 40);
-
-    obs::StatsRegistry *parentStats =
-        obsHandle ? obsHandle->stats() : nullptr;
-    obs::CostAccountant *parentCost =
-        obsHandle ? obsHandle->cost() : nullptr;
-    const bool parentTracing = obsHandle && obsHandle->tracing();
-
-    std::vector<MonteCarloCell> cells(shards);
-    std::vector<std::unique_ptr<obs::StatsRegistry>> shardStats(shards);
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-    std::vector<std::unique_ptr<obs::CostAccountant>> shardCost(shards);
-    std::vector<std::unique_ptr<obs::VectorTraceSink>> shardTraces(shards);
-
-    runShards(shards, plan.jobs, [&](uint64_t shard) {
-        // A fully private evaluator per shard: own codec tables, own
-        // RNG stream, own counters.  Nothing here touches `this`
-        // beyond reading the immutable configuration.
-        DataMonteCarlo worker(schemeKind, cellSeed);
-        worker.rng = Rng::forStream(cellSeed, shard);
-        worker.retry = retry;
-
-        obs::Observer shardObs;
-        if (parentStats) {
-            shardStats[shard] =
-                std::unique_ptr<obs::StatsRegistry>(new obs::StatsRegistry);
-            shardObs.setStats(shardStats[shard].get());
-        }
-        if (parentCost) {
-            // Same model, private tallies: integer units make the
-            // shard-order merge bit-identical for any jobs value.
-            shardCost[shard] = std::unique_ptr<obs::CostAccountant>(
-                new obs::CostAccountant(parentCost->model()));
-            shardObs.setCost(shardCost[shard].get());
-        }
-        if (parentTracing) {
-            // Unbounded capture: the per-trial event count is
-            // variable and the shard-order re-emit below needs the
-            // stream loss-free.
-            shardTraces[shard] = std::unique_ptr<obs::VectorTraceSink>(
-                new obs::VectorTraceSink);
-            shardObs.addSink(shardTraces[shard].get());
-        }
-        if (parentStats || parentCost || parentTracing)
-            worker.setObserver(&shardObs);
-
-        obs::LineageLedger *shardLedger = nullptr;
-        if (ledger) {
-            shardLedgers[shard] = std::unique_ptr<obs::LineageLedger>(
-                new obs::LineageLedger);
-            shardLedger = shardLedgers[shard].get();
-        }
-
-        const uint64_t begin = shard * plan.shardSize;
-        const uint64_t n = shardLength(trials, plan.shardSize, shard);
-        for (uint64_t i = 0; i < n; ++i) {
-            const TrialDetail detail =
-                worker.runTrialDetailed(dataErr, addrErr);
-            cells[shard].add(detail.outcome);
-            if (shardLedger) {
-                // Fault IDs come from the parent configuration and
-                // the trial's global (shard-major) index — never from
-                // the worker count.
-                recordLineage(*shardLedger, dataErr, addrErr, begin + i,
-                              detail);
-            }
-            worker.emitTrialEvents(shardObs, begin + i, detail);
-        }
-    });
-
     MonteCarloCell cell;
-    for (uint64_t shard = 0; shard < shards; ++shard) {
-        cell.merge(cells[shard]);
-        if (parentStats && shardStats[shard])
-            parentStats->merge(*shardStats[shard]);
-        if (parentCost && shardCost[shard])
-            parentCost->merge(*shardCost[shard]);
-        if (shardLedgers[shard])
-            ledger->merge(*shardLedgers[shard]);
-        if (shardTraces[shard]) {
-            for (const obs::TraceEvent &event :
-                 shardTraces[shard]->events())
-                obsHandle->emit(event);
-        }
-    }
+    runShardedCell(dataErr, addrErr, trials, /*exhaustive=*/false, plan,
+                   cell, nullptr);
     AIECC_INFORM("Monte-Carlo cell (sharded x"
-                 << shards << ") " << ecc->name() << " / "
-                 << dataErrorName(dataErr) << " / "
-                 << addrErrorName(addrErr) << ": " << cell.trials
-                 << " trials, SDC frac " << cell.sdcFrac());
+                 << shardCount(trials, plan.shardSize) << ") "
+                 << ecc->name() << " / " << dataErrorName(dataErr)
+                 << " / " << addrErrorName(addrErr) << ": "
+                 << cell.trials << " trials, SDC frac "
+                 << cell.sdcFrac());
     return cell;
 }
 
@@ -626,18 +531,9 @@ DataMonteCarlo::runCellExhaustive(DataErrorModel dataErr,
                                   AddrErrorModel addrErr,
                                   const ShardPlan &plan)
 {
-    const uint64_t space = cellSpaceSize(dataErr, addrErr);
-    AIECC_ASSERT(space > 0, "cell " << dataErrorName(dataErr) << "/"
-                                    << addrErrorName(addrErr)
-                                    << " is not enumerable");
     MonteCarloCell cell;
-    uint64_t nextShard = 0;
-    const RunStatus status = runCellCheckpointed(
-        dataErr, addrErr, space, /*exhaustive=*/true, plan,
-        /*batchShards=*/~static_cast<uint64_t>(0) >> 1, nextShard, cell,
-        [](uint64_t, uint64_t) {});
-    AIECC_ASSERT(status == RunStatus::Completed,
-                 "exhaustive cell run interrupted");
+    runShardedCell(dataErr, addrErr, cellSpaceSize(dataErr, addrErr),
+                   /*exhaustive=*/true, plan, cell, nullptr);
     AIECC_INFORM("Monte-Carlo cell (exhaustive) "
                  << ecc->name() << " / " << dataErrorName(dataErr)
                  << " / " << addrErrorName(addrErr) << ": "
@@ -653,7 +549,18 @@ DataMonteCarlo::runCellCheckpointed(
     uint64_t &nextShard, MonteCarloCell &cell,
     const std::function<void(uint64_t, uint64_t)> &commit)
 {
-    AIECC_ASSERT(plan.shardSize > 0, "shard size must be positive");
+    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
+    return runShardedCell(dataErr, addrErr, trials, exhaustive, plan, cell,
+                          &checkpoint);
+}
+
+RunStatus
+DataMonteCarlo::runShardedCell(DataErrorModel dataErr,
+                               AddrErrorModel addrErr, uint64_t trials,
+                               bool exhaustive, const ShardPlan &plan,
+                               MonteCarloCell &cell,
+                               const obs::ShardCheckpoint *checkpoint)
+{
     if (exhaustive) {
         const uint64_t space = cellSpaceSize(dataErr, addrErr);
         AIECC_ASSERT(space > 0,
@@ -664,109 +571,47 @@ DataMonteCarlo::runCellCheckpointed(
                      "exhaustive cell run must cover the whole space ("
                          << trials << " vs " << space << ")");
     }
-    const uint64_t shards = shardCount(trials, plan.shardSize);
 
-    // Same per-cell seed derivation as runCellSharded — an exhaustive
-    // run additionally tags the worker streams so its payload draws
-    // are disjoint from a sampled run of the same cell.
+    // Every cell of the Table III grid gets its own seed so two cells
+    // sharing a shard index never replay the same error positions; an
+    // exhaustive run additionally tags the worker streams so its
+    // payload draws are disjoint from a sampled run of the same cell.
     const uint64_t cellSeed = baseSeed ^
                               (static_cast<uint64_t>(dataErr) << 32) ^
                               (static_cast<uint64_t>(addrErr) << 40) ^
                               (exhaustive ? exhaustiveSeedTag : 0);
 
-    obs::StatsRegistry *parentStats =
-        obsHandle ? obsHandle->stats() : nullptr;
-    obs::CostAccountant *parentCost =
-        obsHandle ? obsHandle->cost() : nullptr;
-    const bool parentTracing = obsHandle && obsHandle->tracing();
-
-    std::vector<MonteCarloCell> cells(shards);
-    std::vector<std::unique_ptr<obs::StatsRegistry>> shardStats(shards);
-    std::vector<std::unique_ptr<obs::LineageLedger>> shardLedgers(shards);
-    std::vector<std::unique_ptr<obs::CostAccountant>> shardCost(shards);
-    std::vector<std::unique_ptr<obs::VectorTraceSink>> shardTraces(shards);
-
-    return runShardsCheckpointed(
-        shards, batchShards, plan.jobs, nextShard,
-        [&](uint64_t shard) {
+    std::vector<MonteCarloCell> cells(shardCount(trials, plan.shardSize));
+    return obs::runSharded(
+        trials, plan.shardSize, plan.jobs,
+        obs::ShardHookups::of(obsHandle, ledger),
+        [&](uint64_t shard, uint64_t begin, uint64_t n,
+            obs::ShardObservers &so) {
+            // A fully private evaluator per shard: own codec tables,
+            // own RNG stream, own counters.  Nothing here touches
+            // `this` beyond reading the immutable configuration.
             DataMonteCarlo worker(schemeKind, cellSeed);
             worker.rng = Rng::forStream(cellSeed, shard);
             worker.retry = retry;
-
-            obs::Observer shardObs;
-            if (parentStats) {
-                shardStats[shard] = std::unique_ptr<obs::StatsRegistry>(
-                    new obs::StatsRegistry);
-                shardObs.setStats(shardStats[shard].get());
-            }
-            if (parentCost) {
-                shardCost[shard] = std::unique_ptr<obs::CostAccountant>(
-                    new obs::CostAccountant(parentCost->model()));
-                shardObs.setCost(shardCost[shard].get());
-            }
-            if (parentTracing) {
-                shardTraces[shard] =
-                    std::unique_ptr<obs::VectorTraceSink>(
-                        new obs::VectorTraceSink);
-                shardObs.addSink(shardTraces[shard].get());
-            }
-            if (parentStats || parentCost || parentTracing)
-                worker.setObserver(&shardObs);
-
-            obs::LineageLedger *shardLedger = nullptr;
-            if (ledger) {
-                shardLedgers[shard] =
-                    std::unique_ptr<obs::LineageLedger>(
-                        new obs::LineageLedger);
-                shardLedger = shardLedgers[shard].get();
-            }
-
-            const uint64_t begin = shard * plan.shardSize;
-            const uint64_t n =
-                shardLength(trials, plan.shardSize, shard);
+            if (so.observed())
+                worker.setObserver(&so.observer());
             for (uint64_t i = 0; i < n; ++i) {
                 const TrialDetail detail =
                     exhaustive
                         ? worker.runTrialAt(dataErr, addrErr, begin + i)
-                        : worker.runTrialImpl(dataErr, addrErr,
-                                              nullptr);
+                        : worker.runTrialDetailed(dataErr, addrErr);
                 cells[shard].add(detail.outcome);
-                if (shardLedger) {
-                    recordLineage(*shardLedger, dataErr, addrErr,
+                if (so.ledger()) {
+                    // Fault IDs come from the parent configuration and
+                    // the trial's global (shard-major) index — never
+                    // from the worker count.
+                    recordLineage(*so.ledger(), dataErr, addrErr,
                                   begin + i, detail, exhaustive);
                 }
-                worker.emitTrialEvents(shardObs, begin + i, detail);
+                worker.emitTrialEvents(so.observer(), begin + i, detail);
             }
         },
-        [&](uint64_t batchBegin, uint64_t batchEnd) {
-            // Shard-order fold, trace re-emit included, before the
-            // caller's commit persists — so checkpointed monitor
-            // state downstream of the re-emit covers this batch.
-            for (uint64_t shard = batchBegin; shard < batchEnd;
-                 ++shard) {
-                cell.merge(cells[shard]);
-                cells[shard] = MonteCarloCell{};
-                if (parentStats && shardStats[shard]) {
-                    parentStats->merge(*shardStats[shard]);
-                    shardStats[shard].reset();
-                }
-                if (parentCost && shardCost[shard]) {
-                    parentCost->merge(*shardCost[shard]);
-                    shardCost[shard].reset();
-                }
-                if (shardLedgers[shard]) {
-                    ledger->merge(*shardLedgers[shard]);
-                    shardLedgers[shard].reset();
-                }
-                if (shardTraces[shard]) {
-                    for (const obs::TraceEvent &event :
-                         shardTraces[shard]->events())
-                        obsHandle->emit(event);
-                    shardTraces[shard].reset();
-                }
-            }
-            commit(batchBegin, batchEnd);
-        });
+        [&](uint64_t shard) { cell.merge(cells[shard]); }, checkpoint);
 }
 
 } // namespace aiecc

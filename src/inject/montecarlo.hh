@@ -26,6 +26,7 @@
 #include "obs/json.hh"
 #include "obs/lineage.hh"
 #include "obs/observer.hh"
+#include "obs/shard_run.hh"
 
 namespace aiecc
 {
@@ -193,16 +194,7 @@ class DataMonteCarlo
         uint32_t addr = 0;
     };
 
-    /** Run one trial; returns the outcome classification. */
-    DataOutcome runTrial(DataErrorModel dataErr, AddrErrorModel addrErr);
-
-    /**
-     * Run one trial and report the retry depth alongside the
-     * classification.  runTrial() is this minus the detail — both are
-     * pure in the same sense (same RNG draw sequence, no hidden
-     * state), so ledger records can carry real attempt counts without
-     * changing any caller of the plain form.
-     */
+    /** Run one sampled trial: its classification and retry depth. */
     TrialDetail runTrialDetailed(DataErrorModel dataErr,
                                  AddrErrorModel addrErr);
 
@@ -211,14 +203,11 @@ class DataMonteCarlo
                            uint64_t trials);
 
     /**
-     * Run one Table III cell decomposed into fixed-size shards, each
-     * on its own ECC instance and RNG stream
-     * (Rng::forStream(cellSeed, shard)), executed on
-     * @p plan.jobs worker threads and merged in shard order — so the
-     * result is bit-identical for any jobs value (but is a different,
-     * equally valid sample than the sequential runCell draw).  When an
-     * observer with a stats registry is attached, each shard counts
-     * into a thread-local registry that is merged after the join.
+     * Run one Table III cell in fixed-size shards, each on its own ECC
+     * instance and RNG stream (Rng::forStream(cellSeed, shard)), on
+     * @p plan.jobs workers, folded with every attached hookup in
+     * shard order — bit-identical for any jobs value (but a different,
+     * equally valid sample than the sequential runCell draw).
      */
     MonteCarloCell runCellSharded(DataErrorModel dataErr,
                                   AddrErrorModel addrErr, uint64_t trials,
@@ -248,8 +237,7 @@ class DataMonteCarlo
 
     /**
      * Full enumeration of one enumerable Table III cell: every error
-     * position visited exactly once, sharded and merged in shard
-     * order like runCellSharded() (bit-identical for any jobs value).
+     * position visited exactly once, sharded like runCellSharded().
      * Lineage fault IDs use a stream tag distinct from the sampled
      * runs', so one ledger can carry both without ID collisions.
      */
@@ -258,14 +246,12 @@ class DataMonteCarlo
                                      const ShardPlan &plan = ShardPlan());
 
     /**
-     * Checkpointed cell run (sampled or exhaustive): execute the
-     * cell's shards in contiguous batches starting at @p nextShard,
-     * folding each batch into @p cell (and the attached
-     * stats/cost/ledger hookups) strictly in shard order before
-     * @p commit(begin, end) runs — the caller's chance to persist.
-     * The shard decomposition and per-shard RNG streams are identical
-     * to runCellSharded()/runCellExhaustive(), so a run resumed any
-     * number of times merges to the same bits as an uninterrupted one.
+     * Checkpointed cell run (sampled or exhaustive): the shards run in
+     * batches from @p nextShard, each batch folding into @p cell and
+     * the attached hookups before @p commit(begin, end) persists.
+     * runCellSharded()/runCellExhaustive() are the plain form — same
+     * shard body, same fold — so a run resumed any number of times
+     * merges to the same bits as an uninterrupted one.
      */
     RunStatus runCellCheckpointed(
         DataErrorModel dataErr, AddrErrorModel addrErr, uint64_t trials,
@@ -298,6 +284,13 @@ class DataMonteCarlo
         unsigned dataPos = 0;
         unsigned addrPos = 0;
     };
+
+    /** The one sharded cell run; plain when @p checkpoint is null. */
+    RunStatus runShardedCell(DataErrorModel dataErr,
+                             AddrErrorModel addrErr, uint64_t trials,
+                             bool exhaustive, const ShardPlan &plan,
+                             MonteCarloCell &cell,
+                             const obs::ShardCheckpoint *checkpoint);
 
     /** The one trial body; @p coords null = sampled positions. */
     TrialDetail runTrialImpl(DataErrorModel dataErr,

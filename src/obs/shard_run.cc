@@ -1,0 +1,117 @@
+#include "obs/shard_run.hh"
+
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/parallel.hh"
+
+namespace aiecc
+{
+namespace obs
+{
+
+ShardHookups
+ShardHookups::of(const Observer *observer, LineageLedger *ledger)
+{
+    ShardHookups h;
+    if (observer) {
+        h.stats = observer->stats();
+        h.profile = observer->profile();
+        h.cost = observer->cost();
+        h.trace = observer;
+    }
+    h.ledger = ledger;
+    return h;
+}
+
+ShardObservers::ShardObservers(const ShardHookups &parent)
+{
+    if (parent.stats) {
+        stats = std::make_unique<StatsRegistry>();
+        obs.setStats(stats.get());
+    }
+    if (parent.profile) {
+        profile = std::make_unique<ProfileRegistry>();
+        obs.setProfile(profile.get());
+    }
+    if (parent.cost) {
+        // Same model, private integer tallies: the shard-order merge
+        // is bit-identical for any jobs value.
+        costAcct = std::make_unique<CostAccountant>(parent.cost->model());
+        obs.setCost(costAcct.get());
+    }
+    if (parent.trace && parent.trace->tracing()) {
+        // Unbounded capture: the per-trial event count is variable
+        // and the shard-order re-emit needs the stream loss-free.
+        events = std::make_unique<obs::VectorTraceSink>();
+        obs.addSink(events.get());
+    }
+    if (parent.ledger)
+        lineage = std::make_unique<LineageLedger>();
+}
+
+bool
+ShardObservers::observed() const
+{
+    return obs.stats() || obs.profile() || obs.cost() || obs.tracing();
+}
+
+void
+ShardObservers::foldInto(const ShardHookups &parent)
+{
+    if (stats)
+        parent.stats->merge(*stats);
+    if (profile)
+        parent.profile->merge(*profile);
+    if (costAcct)
+        parent.cost->merge(*costAcct);
+    if (lineage)
+        parent.ledger->merge(*lineage);
+    if (events) {
+        for (const TraceEvent &event : events->events())
+            parent.trace->emit(event);
+    }
+}
+
+RunStatus
+runSharded(uint64_t total, uint64_t shardSize, unsigned jobs,
+           const ShardHookups &parent, const ShardBody &shardFn,
+           const std::function<void(uint64_t)> &foldFn,
+           const ShardCheckpoint *checkpoint,
+           const std::function<void(uint64_t)> &progress)
+{
+    AIECC_ASSERT(shardSize > 0, "shard size must be positive");
+    const uint64_t shards = shardCount(total, shardSize);
+    std::vector<std::unique_ptr<ShardObservers>> slots(shards);
+
+    const auto run = [&](uint64_t shard) {
+        slots[shard] = std::make_unique<ShardObservers>(parent);
+        shardFn(shard, shard * shardSize,
+                shardLength(total, shardSize, shard), *slots[shard]);
+    };
+    const auto fold = [&](uint64_t begin, uint64_t end) {
+        for (uint64_t shard = begin; shard < end; ++shard) {
+            slots[shard]->foldInto(parent);
+            slots[shard].reset();
+            foldFn(shard);
+        }
+    };
+
+    if (!checkpoint) {
+        runShards(shards, jobs, run, progress);
+        fold(0, shards);
+        return RunStatus::Completed;
+    }
+    return runShardsCheckpointed(
+        shards, checkpoint->batchShards, jobs, *checkpoint->nextShard, run,
+        [&](uint64_t begin, uint64_t end) {
+            // Fold, trace re-emit included, before the commit persists:
+            // the on-disk state is always a clean shard-order prefix.
+            fold(begin, end);
+            checkpoint->commit(begin, end);
+        },
+        progress);
+}
+
+} // namespace obs
+} // namespace aiecc

@@ -498,14 +498,21 @@ TEST(CampaignExhaustive, KPinSpaceCoversInjectablePinsInSweepOrder)
 
 TEST(CampaignExhaustive, TwoPinSweepMatchesMaterializedSweep)
 {
-    // The combinadic enumeration must reproduce the materialized
+    // The combinadic enumeration must reproduce a materialized
     // nested-loop sweep bit for bit — same combinations, same order,
     // same aggregate.
     InjectionCampaign a(level(ProtectionLevel::Aiecc));
     InjectionCampaign b(level(ProtectionLevel::Aiecc));
-    const CampaignStats exh =
-        a.sweepKPinExhaustive(CommandPattern::Wr, 2, 2);
-    const CampaignStats mat = b.sweepTwoPin(CommandPattern::Wr, 2);
+    const auto pins = injectablePins(b.mechanisms().parPinPresent());
+    std::vector<PinError> errors;
+    for (size_t i = 0; i < pins.size(); ++i) {
+        for (size_t j = i + 1; j < pins.size(); ++j)
+            errors.push_back(PinError::twoPin(pins[i], pins[j]));
+    }
+    CampaignStats mat;
+    for (const TrialResult &tr : b.runTrials(CommandPattern::Wr, errors, 2))
+        mat.add(tr);
+    const CampaignStats exh = a.sweepTwoPin(CommandPattern::Wr, 2);
     EXPECT_EQ(exh.serializeState(), mat.serializeState());
     EXPECT_GT(exh.trials, 0u);
 }
