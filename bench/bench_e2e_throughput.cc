@@ -26,12 +26,12 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "aiecc/cost_model.hh"
 #include "aiecc/stack.hh"
+#include "bench_state.hh"
 #include "bench_util.hh"
 #include "common/checkpoint.hh"
 #include "common/parallel.hh"
@@ -187,25 +187,7 @@ agingPlan(const MixConfig &mix, const Geometry &geom, bool parPin)
     return sites;
 }
 
-struct PassResult
-{
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-    uint64_t detections = 0;
-    uint64_t dues = 0;
-    uint64_t corrected = 0;
-    double elapsedNs = 0.0;
-    obs::Histogram latency{"ns_per_access"};
-    RecoveryStats recovery;
-
-    double
-    accessesPerSec() const
-    {
-        const uint64_t n = reads + writes;
-        return elapsedNs > 0.0 ? static_cast<double>(n) * 1e9 / elapsedNs
-                               : 0.0;
-    }
-};
+using bench::PassResult;
 
 /**
  * Run one pass of the access mix; @p observer may be nullptr.
@@ -591,52 +573,6 @@ mergePass(PassResult &into, const PassResult &shard)
     into.recovery.patrolScrubs += shard.recovery.patrolScrubs;
 }
 
-/**
- * Byte-stable text form of a merged PassResult for checkpoint
- * sections: the scalar counters on one line (elapsedNs as whole
- * nanoseconds — sub-ns precision is below clock resolution and the
- * field is timing-only), the latency histogram state on the next.
- */
-std::string
-serializePass(const PassResult &p)
-{
-    std::ostringstream out;
-    out << p.reads << ' ' << p.writes << ' ' << p.detections << ' '
-        << p.dues << ' ' << p.corrected << ' '
-        << static_cast<uint64_t>(p.elapsedNs) << ' '
-        << p.recovery.episodes << ' ' << p.recovery.attempts << ' '
-        << p.recovery.recovered << ' ' << p.recovery.recoveredFirstTry
-        << ' ' << p.recovery.recoveredAfterRetries << ' '
-        << p.recovery.exhausted << ' ' << p.recovery.wrReplays << ' '
-        << p.recovery.rdReissues << ' ' << p.recovery.wrtResyncs << ' '
-        << p.recovery.quarantines << ' ' << p.recovery.rankDegrades
-        << ' ' << p.recovery.patrolReads << ' '
-        << p.recovery.patrolScrubs << '\n'
-        << p.latency.serializeState() << '\n';
-    return out.str();
-}
-
-void
-deserializePass(PassResult &p, const std::string &text)
-{
-    std::istringstream in(text);
-    uint64_t elapsed = 0;
-    in >> p.reads >> p.writes >> p.detections >> p.dues >> p.corrected >>
-        elapsed >> p.recovery.episodes >> p.recovery.attempts >>
-        p.recovery.recovered >> p.recovery.recoveredFirstTry >>
-        p.recovery.recoveredAfterRetries >> p.recovery.exhausted >>
-        p.recovery.wrReplays >> p.recovery.rdReissues >>
-        p.recovery.wrtResyncs >> p.recovery.quarantines >>
-        p.recovery.rankDegrades >> p.recovery.patrolReads >>
-        p.recovery.patrolScrubs;
-    AIECC_ASSERT(static_cast<bool>(in), "pass state: truncated scalars");
-    p.elapsedNs = static_cast<double>(elapsed);
-    std::string histState;
-    std::getline(in, histState); // consume the scalar line's newline
-    std::getline(in, histState);
-    p.latency.deserializeState(histState);
-}
-
 /** Campaign-mode shard size (accesses per shard); output-affecting. */
 constexpr uint64_t campaignShardSize = 25000;
 
@@ -852,9 +788,9 @@ main(int argc, char **argv)
     if (cp.resumed()) {
         CampaignCheckpoint &st = cp.state();
         if (st.has("pass:0"))
-            deserializePass(hot, st.get("pass:0"));
+            bench::deserializePass(hot, st.get("pass:0"));
         if (st.has("pass:1"))
-            deserializePass(inst, st.get("pass:1"));
+            bench::deserializePass(inst, st.get("pass:1"));
         if (st.has("stats"))
             stats.deserializeState(st.get("stats"));
         if (st.has("profile"))
@@ -872,7 +808,7 @@ main(int argc, char **argv)
         CampaignCheckpoint &st = cp.state();
         cp.setCursor(unit, nextShard);
         st.set("pass:" + std::to_string(unit),
-               serializePass(unit == 0 ? hot : inst));
+               bench::serializePass(unit == 0 ? hot : inst));
         if (unit == 1) {
             st.set("stats", stats.serializeState());
             st.set("profile", profile.serializeState());

@@ -22,9 +22,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "aiecc/cost_model.hh"
+#include "bench_state.hh"
 #include "bench_util.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
@@ -52,50 +52,8 @@ transition(const TrialResult &r)
     return "=";
 }
 
-/**
- * The display/artifact slice of one Table II cell — everything the
- * table, the JSON and a resumed process need, nothing more (the full
- * TrialResult carries decoded-command state that would be awkward to
- * round-trip through a checkpoint).
- */
-struct GridCell
-{
-    Outcome outcome = Outcome::NoEffect;
-    bool detected = false;
-    std::string transition; ///< never contains spaces
-};
-
-using Grid = std::map<Pin, std::map<CommandPattern, GridCell>>;
-
-/** Checkpoint form of one pattern's grid column, one cell per line. */
-std::string
-serializeGridColumn(const Grid &grid, CommandPattern pattern)
-{
-    std::ostringstream out;
-    for (const auto &[pin, perPattern] : grid) {
-        const auto it = perPattern.find(pattern);
-        if (it == perPattern.end())
-            continue;
-        out << static_cast<unsigned>(pin) << ' '
-            << static_cast<unsigned>(it->second.outcome) << ' '
-            << (it->second.detected ? 1 : 0) << ' '
-            << it->second.transition << '\n';
-    }
-    return out.str();
-}
-
-void
-deserializeGridColumn(Grid &grid, CommandPattern pattern,
-                      const std::string &text)
-{
-    std::istringstream in(text);
-    unsigned pin = 0, outcome = 0, detected = 0;
-    std::string trans;
-    while (in >> pin >> outcome >> detected >> trans) {
-        grid[static_cast<Pin>(pin)][pattern] = {
-            static_cast<Outcome>(outcome), detected != 0, trans};
-    }
-}
+using bench::Grid;
+using bench::GridCell;
 
 /** The sweeps, each split per pattern into one resumable unit. */
 enum class UnitKind
@@ -279,8 +237,8 @@ main(int argc, char **argv)
         for (size_t p = 0; p < patterns.size(); ++p) {
             const std::string idx = std::to_string(p);
             if (st.has("grid:" + idx))
-                deserializeGridColumn(grid, patterns[p],
-                                      st.get("grid:" + idx));
+                bench::deserializeGridColumn(grid, patterns[p],
+                                             st.get("grid:" + idx));
             if (st.has("rec:" + idx)) {
                 CampaignStats s;
                 s.deserializeState(st.get("rec:" + idx));
@@ -329,7 +287,7 @@ main(int argc, char **argv)
         for (size_t p = 0; p < patterns.size(); ++p) {
             const std::string idx = std::to_string(p);
             st.set("grid:" + idx,
-                   serializeGridColumn(grid, patterns[p]));
+                   bench::serializeGridColumn(grid, patterns[p]));
             const auto rit = recStats.find(patterns[p]);
             if (rit != recStats.end())
                 st.set("rec:" + idx, rit->second.serializeState());

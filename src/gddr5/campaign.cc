@@ -185,30 +185,6 @@ Gddr5Stats::merge(const Gddr5Stats &other)
     both += other.both;
 }
 
-std::string
-Gddr5Stats::serializeState() const
-{
-    std::ostringstream out;
-    out << "counts " << trials << ' ' << detected << ' ' << noEffect
-        << ' ' << corrected << ' ' << due << ' ' << sdc << ' ' << mdc
-        << ' ' << both << '\n';
-    return out.str();
-}
-
-void
-Gddr5Stats::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag;
-    Gddr5Stats fresh;
-    in >> tag >> fresh.trials >> fresh.detected >> fresh.noEffect >>
-        fresh.corrected >> fresh.due >> fresh.sdc >> fresh.mdc >>
-        fresh.both;
-    AIECC_ASSERT(in && tag == "counts",
-                 "gddr5 stats state: expected 'counts' line");
-    *this = fresh;
-}
-
 Gddr5Campaign::Gddr5Campaign(const Protection &prot, uint64_t seed)
     : prot(prot), seed(seed)
 {

@@ -13,6 +13,7 @@
 #include "inject/campaign.hh" // Outcome / outcomeName reuse
 #include "obs/lineage.hh"
 #include "obs/shard_run.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -66,12 +67,21 @@ struct Gddr5Stats
     void merge(const Gddr5Stats &other);
 
     /**
-     * Byte-stable checkpoint state form.  deserializeState() replaces
-     * this aggregate and panics on malformed input (checkpoint
-     * payloads are digest-verified first).
+     * Checkpoint layout (obs/state.hh): one "counts" line.
+     * deserializeState() replaces this aggregate and panics on
+     * malformed input.
      */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    template <class Self, class Archive>
+    static void
+    layout(Self &s, Archive &ar)
+    {
+        ar.tag("counts")(s.trials, s.detected, s.noEffect, s.corrected, s.due,
+                         s.sdc, s.mdc, s.both)
+            .endl();
+    }
+
+    std::string serializeState() const { return obs::writeState(*this); }
+    void deserializeState(const std::string &s) { obs::restoreState(*this, s); }
 
     double
     coveredFrac() const

@@ -180,52 +180,6 @@ CampaignStats::merge(const CampaignStats &other)
     retryExhausted += other.retryExhausted;
 }
 
-std::string
-CampaignStats::serializeState() const
-{
-    std::ostringstream out;
-    out << "counts " << trials << ' ' << detected << ' ' << noEffect
-        << ' ' << corrected << ' ' << due << ' ' << sdc << ' ' << mdc
-        << ' ' << sdcMdcBoth << '\n';
-    out << "recovery " << recoveryEpisodes << ' ' << recoveryAttempts
-        << ' ' << recoveredFirstTry << ' ' << recoveredAfterRetries
-        << ' ' << retryExhausted << '\n';
-    out << "detectors " << byFirstDetector.size() << '\n';
-    for (const auto &[mechKind, count] : byFirstDetector)
-        out << static_cast<unsigned>(mechKind) << ' ' << count << '\n';
-    return out.str();
-}
-
-void
-CampaignStats::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag;
-    CampaignStats fresh;
-    in >> tag >> fresh.trials >> fresh.detected >> fresh.noEffect >>
-        fresh.corrected >> fresh.due >> fresh.sdc >> fresh.mdc >>
-        fresh.sdcMdcBoth;
-    AIECC_ASSERT(in && tag == "counts",
-                 "campaign state: expected 'counts' line");
-    in >> tag >> fresh.recoveryEpisodes >> fresh.recoveryAttempts >>
-        fresh.recoveredFirstTry >> fresh.recoveredAfterRetries >>
-        fresh.retryExhausted;
-    AIECC_ASSERT(in && tag == "recovery",
-                 "campaign state: expected 'recovery' line");
-    uint64_t detectors = 0;
-    in >> tag >> detectors;
-    AIECC_ASSERT(in && tag == "detectors",
-                 "campaign state: expected 'detectors' line");
-    for (uint64_t i = 0; i < detectors; ++i) {
-        unsigned mechKind = 0, count = 0;
-        in >> mechKind >> count;
-        AIECC_ASSERT(in && mechKind < 7,
-                     "campaign state: bad detector entry " << i);
-        fresh.byFirstDetector[static_cast<Mechanism>(mechKind)] = count;
-    }
-    *this = std::move(fresh);
-}
-
 void
 CampaignStats::writeJson(obs::JsonWriter &w) const
 {

@@ -27,6 +27,7 @@
 #include "obs/json.hh"
 #include "obs/lineage.hh"
 #include "obs/shard_run.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -165,12 +166,33 @@ struct CampaignStats
     void merge(const CampaignStats &other);
 
     /**
-     * Byte-stable checkpoint state form.  deserializeState() replaces
-     * this aggregate and panics on malformed input (checkpoint
-     * payloads are digest-verified before they get here).
+     * Checkpoint layout (obs/state.hh): "counts", "recovery" and
+     * "detectors N" lines, then one "mechanism count" line each.
+     * deserializeState() replaces this aggregate and panics on
+     * malformed input.
      */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    template <class Self, class Archive>
+    static void
+    layout(Self &s, Archive &ar)
+    {
+        ar.tag("counts")(s.trials, s.detected, s.noEffect, s.corrected, s.due,
+                         s.sdc, s.mdc, s.sdcMdcBoth)
+            .endl();
+        ar.tag("recovery")(s.recoveryEpisodes, s.recoveryAttempts,
+                           s.recoveredFirstTry, s.recoveredAfterRetries,
+                           s.retryExhausted)
+            .endl();
+        ar.entries(
+            "detectors", s.byFirstDetector,
+            [&](auto &mech) {
+                ar.below(mech, static_cast<unsigned>(Mechanism::EDecc) + 1);
+            },
+            [&](auto mech) { return &s.byFirstDetector[mech]; },
+            [&](auto &count) { ar(count); });
+    }
+
+    std::string serializeState() const { return obs::writeState(*this); }
+    void deserializeState(const std::string &s) { obs::restoreState(*this, s); }
 
     /** Serialize counts and derived fractions as one JSON object. */
     void writeJson(obs::JsonWriter &w) const;

@@ -1,6 +1,5 @@
 #include "inject/montecarlo.hh"
 
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
@@ -90,35 +89,6 @@ MonteCarloCell::writeJson(obs::JsonWriter &w) const
     w.kv("sdc_frac", sdcFrac());
     w.kv("dominant", dataOutcomeName(dominant()));
     w.endObject();
-}
-
-std::string
-MonteCarloCell::serializeState() const
-{
-    std::ostringstream out;
-    out << "trials " << trials << " counts";
-    for (unsigned i = 0; i < 8; ++i)
-        out << ' ' << counts[i];
-    out << '\n';
-    return out.str();
-}
-
-void
-MonteCarloCell::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag;
-    MonteCarloCell fresh;
-    in >> tag >> fresh.trials;
-    AIECC_ASSERT(in && tag == "trials",
-                 "montecarlo cell state: expected 'trials'");
-    in >> tag;
-    AIECC_ASSERT(in && tag == "counts",
-                 "montecarlo cell state: expected 'counts'");
-    for (unsigned i = 0; i < 8; ++i)
-        in >> fresh.counts[i];
-    AIECC_ASSERT(in, "montecarlo cell state: truncated counts");
-    *this = fresh;
 }
 
 DataOutcome

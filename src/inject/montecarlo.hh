@@ -27,6 +27,7 @@
 #include "obs/lineage.hh"
 #include "obs/observer.hh"
 #include "obs/shard_run.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -125,12 +126,22 @@ struct MonteCarloCell
     void writeJson(obs::JsonWriter &w) const;
 
     /**
-     * Byte-stable checkpoint state form ("trials T counts c0..c7").
+     * Checkpoint layout (obs/state.hh): "trials T counts c0..c7".
      * deserializeState() replaces this cell and panics on malformed
-     * input (checkpoint payloads are digest-verified first).
+     * input.
      */
-    std::string serializeState() const;
-    void deserializeState(const std::string &text);
+    template <class Self, class Archive>
+    static void
+    layout(Self &cell, Archive &ar)
+    {
+        ar.tag("trials")(cell.trials).tag("counts");
+        for (auto &n : cell.counts)
+            ar(n);
+        ar.endl();
+    }
+
+    std::string serializeState() const { return obs::writeState(*this); }
+    void deserializeState(const std::string &s) { obs::restoreState(*this, s); }
 };
 
 /** Stat-name-safe outcome slug ("CE-R+" -> "ce_r_plus"). */

@@ -265,86 +265,10 @@ CostAccountant::latencyNsPerAccess() const
            static_cast<double>(nDemandAccesses);
 }
 
-std::string
-CostAccountant::serialize() const
-{
-    // One line per (level, category) cell — zero cells included so the
-    // form is fixed-shape — then the access counters.  Byte-stable:
-    // CI's --jobs determinism gate compares exactly this.
-    std::ostringstream out;
-    for (unsigned l = 0; l < numCostLevels; ++l) {
-        for (unsigned c = 0; c < numCostCategories; ++c) {
-            out << costLevelName(static_cast<CostLevel>(l)) << ' '
-                << costCategoryName(static_cast<CostCategory>(c)) << ' '
-                << cells[l][c] << '\n';
-        }
-    }
-    out << "commands " << nCommands << " reads " << nReads << " writes "
-        << nWrites << " recovery_commands " << nRecoveryCommands
-        << " backoff_cycles " << nBackoffCycles << " stored_blocks "
-        << nStoredBlocks << " demand_accesses " << nDemandAccesses
-        << '\n';
-    return out.str();
-}
-
 uint64_t
 CostAccountant::digest() const
 {
     return lineageHash(serialize());
-}
-
-void
-CostAccountant::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string level, category;
-
-    uint64_t freshCells[numCostLevels][numCostCategories] = {};
-    for (unsigned l = 0; l < numCostLevels; ++l) {
-        for (unsigned c = 0; c < numCostCategories; ++c) {
-            in >> level >> category >> freshCells[l][c];
-            AIECC_ASSERT(
-                in &&
-                    level ==
-                        costLevelName(static_cast<CostLevel>(l)) &&
-                    category == costCategoryName(
-                                    static_cast<CostCategory>(c)),
-                "cost state: bad cell line for ("
-                    << costLevelName(static_cast<CostLevel>(l)) << ", "
-                    << costCategoryName(static_cast<CostCategory>(c))
-                    << ")");
-        }
-    }
-
-    uint64_t counters[7] = {};
-    static const char *counterNames[7] = {
-        "commands",       "reads",         "writes",
-        "recovery_commands", "backoff_cycles", "stored_blocks",
-        "demand_accesses"};
-    for (unsigned i = 0; i < 7; ++i) {
-        std::string name;
-        in >> name >> counters[i];
-        AIECC_ASSERT(in && name == counterNames[i],
-                     "cost state: expected counter '"
-                         << counterNames[i] << "'");
-    }
-
-    for (unsigned l = 0; l < numCostLevels; ++l)
-        for (unsigned c = 0; c < numCostCategories; ++c)
-            cells[l][c] = freshCells[l][c];
-    for (unsigned c = 0; c < numCostCategories; ++c) {
-        totals[c] = 0;
-        for (unsigned l = 0; l < numCostLevels; ++l)
-            totals[c] += cells[l][c];
-    }
-    nCommands = counters[0];
-    nReads = counters[1];
-    nWrites = counters[2];
-    nRecoveryCommands = counters[3];
-    nBackoffCycles = counters[4];
-    nStoredBlocks = counters[5];
-    nDemandAccesses = counters[6];
-    recoveryDepth = 0; // checkpoints are only written between batches
 }
 
 void

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -212,25 +213,52 @@ class CostAccountant
     double latencyNsPerAccess() const;
 
     /**
-     * Canonical byte-stable text form, one line per nonzero cell plus
-     * the access counters.  Two accountants are equal iff their
+     * Checkpoint layout (obs/state.hh), also the canonical digest
+     * form: one "level category units" line per cell, zero cells
+     * included, then the access counters.  The model is NOT in the
+     * text — the caller reconstructs it from the campaign
+     * configuration, exactly as on a fresh run — and the reader
+     * recomputes totals as the sum of the cells.
+     */
+    template <class Self, class Archive>
+    static void
+    layout(Self &acct, Archive &ar)
+    {
+        for (unsigned l = 0; l < numCostLevels; ++l) {
+            for (unsigned c = 0; c < numCostCategories; ++c) {
+                ar.tag(costLevelName(static_cast<CostLevel>(l)));
+                ar.tag(costCategoryName(static_cast<CostCategory>(c)));
+                ar(acct.cells[l][c]).endl();
+            }
+        }
+        ar.tag("commands")(acct.nCommands).tag("reads")(acct.nReads);
+        ar.tag("writes")(acct.nWrites);
+        ar.tag("recovery_commands")(acct.nRecoveryCommands);
+        ar.tag("backoff_cycles")(acct.nBackoffCycles);
+        ar.tag("stored_blocks")(acct.nStoredBlocks);
+        ar.tag("demand_accesses")(acct.nDemandAccesses).endl();
+        if constexpr (Archive::reading) {
+            for (unsigned c = 0; c < numCostCategories; ++c) {
+                acct.totals[c] = 0;
+                for (unsigned l = 0; l < numCostLevels; ++l)
+                    acct.totals[c] += acct.cells[l][c];
+            }
+            acct.recoveryDepth = 0; // checkpoints are written between batches
+        }
+    }
+
+    /**
+     * The layout's text.  Two accountants are equal iff their
      * serializations are equal; CI's --jobs determinism gate can
      * compare exactly this.
      */
-    std::string serialize() const;
+    std::string serialize() const { return writeState(*this); }
 
     /** FNV-1a digest of serialize() — cheap cross-run equality. */
     uint64_t digest() const;
 
-    /**
-     * Restore the tallies from a serialize() form (the text form is
-     * already self-contained: level/category names carry no spaces).
-     * The model is NOT in the text — the caller reconstructs it from
-     * the campaign configuration, exactly as on a fresh run — and
-     * totals are recomputed as Σ cells.  Malformed input panics:
-     * checkpoint payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
+    /** Restore the tallies from serialize(); malformed input panics. */
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
     /**
      * Serialize as one JSON object: the model, access counts, the

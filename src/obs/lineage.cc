@@ -190,96 +190,23 @@ LineageLedger::digest() const
     return lineageHash(serialize());
 }
 
-std::string
-LineageLedger::serializeState() const
-{
-    std::ostringstream out;
-    out << "sites " << sites.size() << '\n';
-    for (const std::string &site : sites)
-        out << site << '\n';
-    out << "mechs " << mechs.size() << '\n';
-    for (const std::string &mech : mechs)
-        out << mech << '\n';
-    out << "records " << recs.size() << " unresolved " << unresolved
-        << '\n';
-    for (const LineageRecord &rec : recs) {
-        out << rec.faultId << ' ' << static_cast<unsigned>(rec.kind)
-            << ' ' << static_cast<unsigned>(rec.terminal) << ' '
-            << rec.site << ' ' << rec.mech << ' ' << rec.observations
-            << ' ' << rec.attempts << '\n';
-    }
-    return out.str();
-}
-
 void
-LineageLedger::deserializeState(const std::string &text)
+LineageLedger::reindex()
 {
-    std::istringstream in(text);
-    std::string tag;
-    uint64_t count = 0;
-
-    LineageLedger fresh;
-    fresh.sites.clear();
-    fresh.siteIndex.clear();
-    fresh.mechs.clear();
-    fresh.mechIndex.clear();
-
-    const auto expectTag = [&](const char *want) {
-        in >> tag >> count;
-        AIECC_ASSERT(in && tag == want,
-                     "lineage state: expected '" << want << "' header");
-        in.ignore(); // the newline before raw name lines
-    };
-
-    expectTag("sites");
-    for (uint64_t i = 0; i < count; ++i) {
-        std::string name;
-        AIECC_ASSERT(static_cast<bool>(std::getline(in, name)),
-                     "lineage state: truncated site table");
-        fresh.siteIndex.emplace(name, fresh.sites.size());
-        fresh.sites.push_back(std::move(name));
-    }
-    expectTag("mechs");
-    for (uint64_t i = 0; i < count; ++i) {
-        std::string name;
-        AIECC_ASSERT(static_cast<bool>(std::getline(in, name)),
-                     "lineage state: truncated mechanism table");
-        fresh.mechIndex.emplace(name, fresh.mechs.size());
-        fresh.mechs.push_back(std::move(name));
-    }
-
-    uint64_t wantUnresolved = 0;
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "records",
-                 "lineage state: expected 'records' header");
-    in >> tag >> wantUnresolved;
-    AIECC_ASSERT(in && tag == "unresolved",
-                 "lineage state: expected 'unresolved' count");
-    for (uint64_t i = 0; i < count; ++i) {
-        LineageRecord rec;
-        unsigned kind = 0, terminal = 0;
-        in >> rec.faultId >> kind >> terminal >> rec.site >> rec.mech >>
-            rec.observations >> rec.attempts;
-        AIECC_ASSERT(in, "lineage state: truncated record "
-                             << i << " of " << count);
-        AIECC_ASSERT(kind < numFaultKinds &&
-                         terminal < numFaultTerminals &&
-                         rec.site < fresh.sites.size() &&
-                         rec.mech < fresh.mechs.size(),
-                     "lineage state: record " << i << " out of range");
-        rec.kind = static_cast<FaultKind>(kind);
-        rec.terminal = static_cast<FaultTerminal>(terminal);
-        if (rec.terminal == FaultTerminal::Unaccounted) {
-            fresh.open.emplace(rec.faultId, fresh.recs.size());
-            ++fresh.unresolved;
+    siteIndex.clear();
+    mechIndex.clear();
+    open.clear();
+    unresolved = 0;
+    for (uint32_t i = 0; i < sites.size(); ++i)
+        siteIndex.emplace(sites[i], i);
+    for (uint32_t i = 0; i < mechs.size(); ++i)
+        mechIndex.emplace(mechs[i], i);
+    for (size_t i = 0; i < recs.size(); ++i) {
+        if (recs[i].terminal == FaultTerminal::Unaccounted) {
+            open.emplace(recs[i].faultId, i);
+            ++unresolved;
         }
-        fresh.recs.push_back(rec);
     }
-    AIECC_ASSERT(fresh.unresolved == wantUnresolved,
-                 "lineage state: unresolved count mismatch ("
-                     << fresh.unresolved << " vs " << wantUnresolved
-                     << ")");
-    *this = std::move(fresh);
 }
 
 void

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -157,21 +158,43 @@ class LineageLedger
     uint64_t digest() const;
 
     /**
-     * Self-contained checkpoint state form: intern tables one name
-     * per line (site names may contain spaces, so the display-oriented
-     * serialize() is not reversible), then numeric records.  A ledger
-     * restored by deserializeState() is behaviorally identical —
-     * serialize(), digest(), merge() and further record/resolve calls
-     * all continue as if the process had never died.
+     * Checkpoint layout (obs/state.hh): intern tables one name per
+     * line (site names may contain spaces, so the display-oriented
+     * serialize() is not reversible), then numeric records.  A
+     * restored ledger is behaviorally identical — serialize(),
+     * digest(), merge() and further record/resolve calls all
+     * continue as if the process had never died.
      */
-    std::string serializeState() const;
+    template <class Self, class Archive>
+    static void
+    layout(Self &led, Archive &ar)
+    {
+        const auto names = [&](const char *tag, auto &table) {
+            uint64_t n = table.size();
+            ar.tag(tag).count(n).endl();
+            ar.items(table, n, [&](auto &name) { ar.line(name); });
+        };
+        names("sites", led.sites);
+        names("mechs", led.mechs);
+        uint64_t n = led.recs.size(), unresolved = led.unresolved;
+        ar.tag("records").count(n).tag("unresolved")(unresolved).endl();
+        ar.items(led.recs, n, [&](auto &rec) {
+            ar(rec.faultId).below(rec.kind, numFaultKinds);
+            ar.below(rec.terminal, numFaultTerminals);
+            ar.below(rec.site, led.sites.size());
+            ar.below(rec.mech, led.mechs.size());
+            ar(rec.observations, rec.attempts).endl();
+        });
+        if constexpr (Archive::reading) {
+            led.reindex();
+            ar.check(led.unresolved == unresolved,
+                     "unresolved count mismatch");
+        }
+    }
 
-    /**
-     * Replace this ledger with @p text (a serializeState() form).
-     * Malformed input panics: checkpoint payloads are digest-verified
-     * before they get here, so damage means a harness bug.
-     */
-    void deserializeState(const std::string &text);
+    std::string serializeState() const { return writeState(*this); }
+    /** Replace this ledger with @p text; malformed input panics. */
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
     /**
      * Serialize as one JSON object: record/unaccounted counts, the
@@ -191,6 +214,8 @@ class LineageLedger
 
     uint32_t internSite(const std::string &name);
     uint32_t internMech(const std::string &name);
+    /** Rebuild the name indexes and the open set from the tables. */
+    void reindex();
 };
 
 } // namespace obs

@@ -1,7 +1,5 @@
 #include "obs/profile.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -10,22 +8,6 @@ namespace aiecc
 {
 namespace obs
 {
-
-namespace
-{
-
-/** Exact double round-trip, matching stats.cc's serialized form. */
-double
-doubleFromBitsHex(const std::string &hex)
-{
-    const uint64_t bits = std::strtoull(hex.c_str(), nullptr, 16);
-    double v;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-} // namespace
 
 Histogram &
 ProfileRegistry::timer(const std::string &name,
@@ -128,52 +110,6 @@ ProfileRegistry::totalScopedAllocs() const
     for (const auto &[name, scope] : allocs)
         total += scope->allocs;
     return total;
-}
-
-std::string
-ProfileRegistry::serializeState() const
-{
-    // Timer names follow the stats registry's dotted convention (no
-    // whitespace), so one space-separated line per timer is
-    // unambiguous: name, histogram state, then the six allocation
-    // counters.
-    std::ostringstream out;
-    out << "profile " << timers.size() << '\n';
-    for (const auto &[name, t] : timers) {
-        const memprof::AllocStats &a = *allocs.at(name);
-        out << name << ' ' << t->serializeState() << ' ' << a.allocs
-            << ' ' << a.frees << ' ' << a.allocBytes << ' '
-            << a.freeBytes << ' ' << a.liveBytes << ' '
-            << a.peakLiveBytes << '\n';
-    }
-    return out.str();
-}
-
-void
-ProfileRegistry::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag, name, hex;
-    uint64_t count = 0;
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "profile",
-                 "profile state: expected 'profile' header");
-    ProfileRegistry fresh;
-    for (uint64_t i = 0; i < count; ++i) {
-        in >> name;
-        AIECC_ASSERT(in, "profile state: truncated timer table");
-        Histogram &h = fresh.timer(name);
-        in >> h.cnt >> hex >> h.mn >> h.mx;
-        h.total = doubleFromBitsHex(hex);
-        for (unsigned b = 0; b < Histogram::numBuckets; ++b)
-            in >> h.buckets[b];
-        memprof::AllocStats &a = *fresh.allocs.at(name);
-        in >> a.allocs >> a.frees >> a.allocBytes >> a.freeBytes >>
-            a.liveBytes >> a.peakLiveBytes;
-        AIECC_ASSERT(in, "profile state: truncated timer '" << name
-                                                            << "'");
-    }
-    *this = std::move(fresh);
 }
 
 std::string

@@ -92,19 +92,31 @@ class ProfileRegistry
     uint64_t totalScopedAllocs() const;
 
     /**
-     * Self-contained checkpoint state form: full histogram state plus
-     * each timer's allocation counters, one line per timer.  Like
-     * StatsRegistry::serializeState, descriptions are not carried —
-     * a restored registry adopts them on re-registration.
+     * Checkpoint layout (obs/state.hh), one line per timer: its name
+     * (dotted, no whitespace), full histogram state, then the six
+     * allocation counters.  Like StatsRegistry's, descriptions are not
+     * carried — a restored registry adopts them on re-registration.
      */
-    std::string serializeState() const;
+    template <class Self, class Archive>
+    static void
+    layout(Self &reg, Archive &ar)
+    {
+        if constexpr (Archive::reading)
+            reg = ProfileRegistry();
+        ar.entries(
+            "profile", reg.timers, [&](auto &name) { ar.word(name); },
+            [&](const auto &name) { return &reg.timer(name); },
+            [&](auto &t) {
+                Histogram::layout(t, ar);
+                auto &a = *reg.allocs.at(t.name());
+                ar(a.allocs, a.frees, a.allocBytes, a.freeBytes, a.liveBytes,
+                   a.peakLiveBytes);
+            });
+    }
 
-    /**
-     * Replace this registry's contents with @p text (a
-     * serializeState() form).  Malformed input panics: checkpoint
-     * payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
+    std::string serializeState() const { return writeState(*this); }
+    /** Replace this registry with @p text; malformed input panics. */
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
     /** Human-readable dump, one line per timer, sorted by name. */
     std::string str() const;

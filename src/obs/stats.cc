@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -147,33 +145,46 @@ StatsRegistry::checkDescription(std::string &existing,
                 << description << "'");
 }
 
-void
-StatsRegistry::registerName(const std::string &name, const char *kind)
+std::string
+StatsRegistry::nameProblem(const std::string &name, const char *kind) const
 {
-    AIECC_ASSERT(!name.empty(), "empty stat name");
+    if (name.empty())
+        return "empty stat name";
     for (const auto &part : splitName(name)) {
-        AIECC_ASSERT(!part.empty(),
-                     "empty component in stat name '" << name << "'");
+        if (part.empty())
+            return "empty component in stat name '" + name + "'";
         for (const char c : part) {
-            AIECC_ASSERT(validComponentChar(c),
-                         "invalid character '" << c << "' in stat name '"
-                                               << name << "'");
+            if (!validComponentChar(c)) {
+                return std::string("invalid character '") + c +
+                       "' in stat name '" + name + "'";
+            }
         }
     }
-    AIECC_ASSERT(leaves.find(name) == leaves.end(),
-                 "stat '" << name << "' re-registered as a different kind ("
-                          << kind << ")");
-    AIECC_ASSERT(groups.find(name) == groups.end(),
-                 "stat '" << name
-                          << "' already names a group of other stats");
+    if (leaves.count(name)) {
+        return "stat '" + name + "' re-registered as a different kind (" +
+               kind + ")";
+    }
+    if (groups.count(name))
+        return "stat '" + name + "' already names a group of other stats";
     for (size_t dot = name.find('.'); dot != std::string::npos;
          dot = name.find('.', dot + 1)) {
         const std::string prefix = name.substr(0, dot);
-        AIECC_ASSERT(leaves.find(prefix) == leaves.end(),
-                     "stat group '" << prefix << "' of '" << name
-                                    << "' already names a leaf stat");
-        groups.insert(prefix);
+        if (leaves.count(prefix)) {
+            return "stat group '" + prefix + "' of '" + name +
+                   "' already names a leaf stat";
+        }
     }
+    return "";
+}
+
+void
+StatsRegistry::registerName(const std::string &name, const char *kind)
+{
+    const std::string problem = nameProblem(name, kind);
+    AIECC_ASSERT(problem.empty(), problem);
+    for (size_t dot = name.find('.'); dot != std::string::npos;
+         dot = name.find('.', dot + 1))
+        groups.insert(name.substr(0, dot));
     leaves.insert(name);
 }
 
@@ -376,123 +387,6 @@ StatsRegistry::str() const
         out << "\n";
     }
     return out.str();
-}
-
-namespace
-{
-
-/** Exact double round-trip: raw IEEE-754 bits in hex. */
-std::string
-doubleBitsHex(double v)
-{
-    uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    std::ostringstream out;
-    out << std::hex << bits;
-    return out.str();
-}
-
-double
-doubleFromBitsHex(const std::string &hex)
-{
-    const uint64_t bits = std::strtoull(hex.c_str(), nullptr, 16);
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-} // namespace
-
-std::string
-Histogram::serializeState() const
-{
-    std::ostringstream out;
-    out << cnt << ' ' << doubleBitsHex(total) << ' ' << mn << ' ' << mx;
-    for (unsigned b = 0; b < numBuckets; ++b)
-        out << ' ' << buckets[b];
-    return out.str();
-}
-
-void
-Histogram::deserializeState(const std::string &text)
-{
-    // Distribution state only: identity (name/description) and the
-    // paired alloc scope belong to the owning registry and survive.
-    std::istringstream in(text);
-    std::string hex;
-    in >> cnt >> hex >> mn >> mx;
-    total = doubleFromBitsHex(hex);
-    for (unsigned b = 0; b < numBuckets; ++b)
-        in >> buckets[b];
-    AIECC_ASSERT(in, "histogram state: truncated '" << nm << "'");
-}
-
-std::string
-StatsRegistry::serializeState() const
-{
-    // Stat names are [A-Za-z0-9_+-.] only (registerName), so
-    // space-separated fields are unambiguous.  Doubles travel as raw
-    // bit patterns: a decimal round trip could perturb a merged sum.
-    std::ostringstream out;
-    out << "counters " << counters.size() << '\n';
-    for (const auto &[name, stat] : counters)
-        out << name << ' ' << stat->value() << '\n';
-    out << "scalars " << scalars.size() << '\n';
-    for (const auto &[name, stat] : scalars)
-        out << name << ' ' << doubleBitsHex(stat->value()) << '\n';
-    out << "histograms " << histograms.size() << '\n';
-    for (const auto &[name, stat] : histograms) {
-        out << name << ' ' << stat->cnt << ' '
-            << doubleBitsHex(stat->total) << ' ' << stat->mn << ' '
-            << stat->mx;
-        for (unsigned b = 0; b < Histogram::numBuckets; ++b)
-            out << ' ' << stat->buckets[b];
-        out << '\n';
-    }
-    return out.str();
-}
-
-void
-StatsRegistry::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string tag, name, hex;
-    uint64_t count = 0;
-
-    StatsRegistry fresh;
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "counters",
-                 "stats state: expected 'counters' header");
-    for (uint64_t i = 0; i < count; ++i) {
-        uint64_t value = 0;
-        in >> name >> value;
-        AIECC_ASSERT(in, "stats state: truncated counter table");
-        fresh.counter(name) += value;
-    }
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "scalars",
-                 "stats state: expected 'scalars' header");
-    for (uint64_t i = 0; i < count; ++i) {
-        in >> name >> hex;
-        AIECC_ASSERT(in, "stats state: truncated scalar table");
-        fresh.scalar(name) = doubleFromBitsHex(hex);
-    }
-    in >> tag >> count;
-    AIECC_ASSERT(in && tag == "histograms",
-                 "stats state: expected 'histograms' header");
-    for (uint64_t i = 0; i < count; ++i) {
-        in >> name;
-        AIECC_ASSERT(in, "stats state: truncated histogram table");
-        Histogram &h = fresh.histogram(name);
-        in >> h.cnt >> hex >> h.mn >> h.mx;
-        h.total = doubleFromBitsHex(hex);
-        for (unsigned b = 0; b < Histogram::numBuckets; ++b)
-            in >> h.buckets[b];
-        AIECC_ASSERT(in, "stats state: truncated histogram '" << name
-                                                              << "'");
-    }
-    *this = std::move(fresh);
 }
 
 } // namespace obs

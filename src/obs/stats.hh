@@ -22,6 +22,7 @@
 #include <string>
 
 #include "obs/json.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -148,15 +149,23 @@ class Histogram
     void setAllocScope(memprof::AllocStats *scope) { alloc = scope; }
 
     /**
-     * Space-separated exact state form (count, sum as raw IEEE-754
-     * bits, min, max, buckets) for checkpoint payloads; the inverse
-     * of deserializeState().  The paired alloc scope is observability
-     * only and deliberately not part of the state.
+     * Checkpoint layout (obs/state.hh), one space-separated line
+     * without its newline: count, sum as raw IEEE-754 bits, min, max,
+     * buckets.  Distribution state only: the name, description and
+     * paired alloc scope belong to the owning registry.
      */
-    std::string serializeState() const;
+    template <class Self, class Archive>
+    static void
+    layout(Self &h, Archive &ar)
+    {
+        ar(h.cnt, h.total, h.mn, h.mx);
+        for (auto &b : h.buckets)
+            ar(b);
+    }
 
+    std::string serializeState() const { return writeState(*this); }
     /** Replace distribution state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
   private:
     friend class StatsRegistry;
@@ -240,20 +249,43 @@ class StatsRegistry
     std::string str() const;
 
     /**
-     * Self-contained checkpoint state form: counter values, scalar
-     * values and full histogram state (doubles as raw bit patterns so
-     * the round trip is exact).  Descriptions are not carried — a
-     * restored registry adopts them on first live re-registration,
-     * exactly as merge() does for stats absent on one side.
+     * Checkpoint layout (obs/state.hh): counter values, scalar values
+     * (raw bits, so the round trip is exact) and full histogram
+     * state, one "name fields" line each under a "kind N" header.
+     * Descriptions are not carried — a restored registry adopts them
+     * on first live re-registration, exactly as merge() does for
+     * stats absent on one side.  The reader rejects any name
+     * registerName() would panic on.
      */
-    std::string serializeState() const;
+    template <class Self, class Archive>
+    static void
+    layout(Self &reg, Archive &ar)
+    {
+        if constexpr (Archive::reading)
+            reg = StatsRegistry();
+        // Stat names are [A-Za-z0-9_+-.] only (registerName), so
+        // space-separated fields are unambiguous.
+        const auto table = [&](const char *tag, auto &stats, auto find,
+                               auto value) {
+            const auto slot = [&](const auto &name) {
+                const std::string problem =
+                    stats.count(name) ? "" : reg.nameProblem(name, tag);
+                ar.check(problem.empty(), problem);
+                return problem.empty() ? &(reg.*find)(name, "") : nullptr;
+            };
+            ar.entries(tag, stats, [&](auto &n) { ar.word(n); }, slot, value);
+        };
+        table("counters", reg.counters, &StatsRegistry::counter,
+              [&](auto &c) { ar(c.val); });
+        table("scalars", reg.scalars, &StatsRegistry::scalar,
+              [&](auto &s) { ar(s.val); });
+        table("histograms", reg.histograms, &StatsRegistry::histogram,
+              [&](auto &h) { Histogram::layout(h, ar); });
+    }
 
-    /**
-     * Replace this registry's contents with @p text (a
-     * serializeState() form).  Malformed input panics: checkpoint
-     * payloads are digest-verified before they get here.
-     */
-    void deserializeState(const std::string &text);
+    std::string serializeState() const { return writeState(*this); }
+    /** Replace this registry with @p text; malformed input panics. */
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
   private:
     std::map<std::string, std::unique_ptr<Counter>> counters;
@@ -264,6 +296,10 @@ class StatsRegistry
 
     /** Validate @p name and record its leaf/group structure. */
     void registerName(const std::string &name, const char *kind);
+
+    /** Why registerName(@p name, @p kind) would panic ("" = it won't). */
+    std::string nameProblem(const std::string &name,
+                            const char *kind) const;
 
     /**
      * Enforce description consistency on re-resolution: adopt into an

@@ -1,7 +1,5 @@
 #include "obs/timeseries.hh"
 
-#include <sstream>
-
 #include "common/logging.hh"
 
 namespace aiecc
@@ -114,32 +112,6 @@ SlidingWindow::reset()
     life = 0;
     for (unsigned s = 0; s < numBuckets; ++s)
         buckets[s] = 0;
-}
-
-std::string
-SlidingWindow::serializeState() const
-{
-    std::ostringstream out;
-    out << bucketWidth << ' ' << (any ? 1 : 0) << ' ' << head << ' '
-        << first << ' ' << life;
-    for (unsigned s = 0; s < numBuckets; ++s)
-        out << ' ' << buckets[s];
-    return out.str();
-}
-
-void
-SlidingWindow::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    uint64_t width = 0;
-    unsigned anyFlag = 0;
-    in >> width >> anyFlag >> head >> first >> life;
-    for (unsigned s = 0; s < numBuckets; ++s)
-        in >> buckets[s];
-    AIECC_ASSERT(!in.fail(), "sliding window: malformed state");
-    AIECC_ASSERT(width > 0, "sliding window: zero width in state");
-    bucketWidth = width;
-    any = anyFlag != 0;
 }
 
 void

@@ -9,8 +9,7 @@
  * allocation-free, and the class follows the registry contract the
  * rest of src/obs obeys: shard-local instances merge bucket-aligned
  * in shard order (bit-identical for any --jobs value) and the full
- * state round-trips through serializeState()/deserializeState() for
- * campaign checkpoints.
+ * state round-trips through one layout() for campaign checkpoints.
  */
 
 #ifndef AIECC_OBS_TIMESERIES_HH
@@ -20,6 +19,7 @@
 #include <string>
 
 #include "obs/json.hh"
+#include "obs/state.hh"
 
 namespace aiecc
 {
@@ -78,13 +78,23 @@ class SlidingWindow
     void reset();
 
     /**
-     * Space-separated exact state (bucket width, head index, lifetime,
-     * buckets); the inverse of deserializeState().
+     * Checkpoint layout (obs/state.hh), one space-separated line
+     * without its newline: bucket width, any-flag, head and first
+     * bucket index, lifetime total, buckets.
      */
-    std::string serializeState() const;
+    template <class Self, class Archive>
+    static void
+    layout(Self &w, Archive &ar)
+    {
+        ar(w.bucketWidth, w.any, w.head, w.first, w.life);
+        for (auto &b : w.buckets)
+            ar(b);
+        ar.check(w.bucketWidth > 0, "zero bucket width");
+    }
 
+    std::string serializeState() const { return writeState(*this); }
     /** Replace state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
+    void deserializeState(const std::string &s) { restoreState(*this, s); }
 
     /**
      * Emit the standard JSON members (window_total, lifetime,

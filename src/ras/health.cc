@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -716,183 +715,6 @@ HealthMonitor::merge(const HealthMonitor &other)
         if (std::find(retiredKeys.begin(), retiredKeys.end(), key) ==
             retiredKeys.end())
             retiredKeys.push_back(key);
-}
-
-std::string
-HealthMonitor::serializeState() const
-{
-    std::ostringstream out;
-    out << "rasv1 " << banks.size() << ' ' << cfg.bucketCycles << '\n';
-    out << "ctr " << seen << ' ' << injects << ' ' << resolves << ' '
-        << droppedLog << ' ' << lastCycle << ' ' << (patrolRaised ? 1 : 0)
-        << ' ' << actionCounts[0] << ' ' << actionCounts[1] << ' '
-        << actionCounts[2] << '\n';
-    out << "rank " << static_cast<int>(rank.state) << ' '
-        << rank.stateSince << ' ' << rank.transitions << '\n';
-    out << rank.ce.serializeState() << '\n'
-        << rank.ue.serializeState() << '\n'
-        << rank.alerts.serializeState() << '\n'
-        << rank.retries.serializeState() << '\n'
-        << rank.scrubs.serializeState() << '\n'
-        << rank.exhausted.serializeState() << '\n';
-    out << "chips";
-    for (unsigned c = 0; c < Burst::numChips; ++c)
-        out << ' ' << chipCounts[c] << ' ' << chipMasks[c];
-    out << '\n';
-    out << "pins";
-    for (unsigned i = 0; i < numCccaPins; ++i)
-        out << ' ' << pinCounts[i];
-    out << '\n';
-    for (size_t b = 0; b < banks.size(); ++b) {
-        const BankHealth &bh = banks[b];
-        out << "bank " << b << ' ' << static_cast<int>(bh.state) << ' '
-            << bh.stateSince << ' ' << bh.transitions << '\n';
-        out << bh.ce.serializeState() << '\n'
-            << bh.ue.serializeState() << '\n';
-        const auto slots = [&out](const Slot *table) {
-            for (unsigned i = 0; i < numSlots; ++i)
-                out << ' ' << table[i].key << ' ' << table[i].count << ' '
-                    << table[i].mask;
-            out << '\n';
-        };
-        out << "rows";
-        slots(bh.rows);
-        out << "cols";
-        slots(bh.cols);
-        out << "cells";
-        slots(bh.cells);
-    }
-    const auto actions = [&out](const std::vector<RecommendedAction> &v) {
-        out << ' ' << v.size();
-        for (const RecommendedAction &a : v)
-            out << ' ' << static_cast<int>(a.kind) << ' ' << a.bank << ' '
-                << a.row << ' ' << a.cycle;
-        out << '\n';
-    };
-    out << "log";
-    actions(log);
-    out << "pending";
-    actions(pending);
-    out << "retired " << retiredKeys.size();
-    for (uint32_t key : retiredKeys)
-        out << ' ' << key;
-    out << '\n';
-    return out.str();
-}
-
-void
-HealthMonitor::deserializeState(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string word;
-    const auto expect = [&](const char *tag) {
-        in >> word;
-        AIECC_ASSERT(in && word == tag,
-                     "ras state: malformed checkpoint (missing tag)");
-    };
-    const auto window = [&](obs::SlidingWindow &w) {
-        // A serialized window is a fixed 21-token record.
-        std::string acc;
-        for (unsigned i = 0; i < 21; ++i) {
-            in >> word;
-            AIECC_ASSERT(in, "ras state: truncated window record");
-            acc += word;
-            acc += ' ';
-        }
-        w.deserializeState(acc);
-    };
-
-    expect("rasv1");
-    size_t numBanks = 0;
-    uint64_t bucketCycles = 0;
-    in >> numBanks >> bucketCycles;
-    AIECC_ASSERT(in && numBanks == banks.size() &&
-                     bucketCycles == cfg.bucketCycles,
-                 "ras state: geometry/config mismatch");
-
-    expect("ctr");
-    int raised = 0;
-    in >> seen >> injects >> resolves >> droppedLog >> lastCycle >>
-        raised >> actionCounts[0] >> actionCounts[1] >> actionCounts[2];
-    AIECC_ASSERT(in, "ras state: malformed counters");
-    patrolRaised = raised != 0;
-
-    expect("rank");
-    int state = 0;
-    in >> state >> rank.stateSince >> rank.transitions;
-    AIECC_ASSERT(in && state >= 0 && state <= 2,
-                 "ras state: malformed rank state");
-    rank.state = static_cast<HealthState>(state);
-    window(rank.ce);
-    window(rank.ue);
-    window(rank.alerts);
-    window(rank.retries);
-    window(rank.scrubs);
-    window(rank.exhausted);
-
-    expect("chips");
-    for (unsigned c = 0; c < Burst::numChips; ++c)
-        in >> chipCounts[c] >> chipMasks[c];
-    expect("pins");
-    for (unsigned i = 0; i < numCccaPins; ++i)
-        in >> pinCounts[i];
-    AIECC_ASSERT(in, "ras state: malformed chip/pin counters");
-
-    for (size_t b = 0; b < banks.size(); ++b) {
-        expect("bank");
-        size_t idx = 0;
-        in >> idx >> state;
-        BankHealth &bh = banks[b];
-        in >> bh.stateSince >> bh.transitions;
-        AIECC_ASSERT(in && idx == b && state >= 0 && state <= 2,
-                     "ras state: malformed bank record");
-        bh.state = static_cast<HealthState>(state);
-        window(bh.ce);
-        window(bh.ue);
-        const auto slots = [&](const char *tag, Slot *table) {
-            expect(tag);
-            for (unsigned i = 0; i < numSlots; ++i)
-                in >> table[i].key >> table[i].count >> table[i].mask;
-            AIECC_ASSERT(in, "ras state: malformed sketch");
-        };
-        slots("rows", bh.rows);
-        slots("cols", bh.cols);
-        slots("cells", bh.cells);
-    }
-
-    const auto actions = [&](const char *tag,
-                             std::vector<RecommendedAction> &v) {
-        expect(tag);
-        size_t n = 0;
-        in >> n;
-        AIECC_ASSERT(in && n <= 1000000, "ras state: malformed actions");
-        v.clear();
-        v.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-            int kind = 0;
-            RecommendedAction a;
-            in >> kind >> a.bank >> a.row >> a.cycle;
-            AIECC_ASSERT(in && kind >= 0 && kind <= 2,
-                         "ras state: malformed action");
-            a.kind = static_cast<ActionKind>(kind);
-            v.push_back(a);
-        }
-    };
-    actions("log", log);
-    actions("pending", pending);
-
-    expect("retired");
-    size_t n = 0;
-    in >> n;
-    AIECC_ASSERT(in && n <= 1000000, "ras state: malformed retired set");
-    retiredKeys.clear();
-    retiredKeys.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        uint32_t key = 0;
-        in >> key;
-        AIECC_ASSERT(in, "ras state: malformed retired key");
-        retiredKeys.push_back(key);
-    }
 }
 
 // ---- Reporting ----------------------------------------------------------

@@ -34,6 +34,7 @@
 #include "ddr4/pins.hh"
 #include "obs/json.hh"
 #include "obs/observer.hh"
+#include "obs/state.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 
@@ -211,11 +212,72 @@ class HealthMonitor : public obs::TraceSink
      */
     void merge(const HealthMonitor &other);
 
-    /** Exact text state for checkpoints (inverse of deserialize). */
-    std::string serializeState() const;
+    /**
+     * Checkpoint layout (obs/state.hh): counters, rank and per-bank
+     * health with their sliding windows, sketches, action log,
+     * pending actions and retired rows.  Bank count and window width
+     * come from the configuration: the reader checks them against its
+     * own.
+     */
+    template <class Self, class Archive>
+    static void
+    layout(Self &mon, Archive &ar)
+    {
+        uint64_t banks = mon.banks.size(), width = mon.cfg.bucketCycles;
+        ar.tag("rasv1")(banks, width).endl();
+        ar.check(banks == mon.banks.size() && width == mon.cfg.bucketCycles,
+                 "geometry/config mismatch");
+        ar.tag("ctr")(mon.seen, mon.injects, mon.resolves, mon.droppedLog,
+                      mon.lastCycle, mon.patrolRaised, mon.actionCounts[0],
+                      mon.actionCounts[1], mon.actionCounts[2])
+            .endl();
+        // A state line, then one line per sliding window.
+        const auto health = [&](auto &h, auto &...windows) {
+            ar.below(h.state, 3)(h.stateSince, h.transitions).endl();
+            ((obs::SlidingWindow::layout(windows, ar), ar.endl()), ...);
+        };
+        auto &r = mon.rank;
+        ar.tag("rank");
+        health(r, r.ce, r.ue, r.alerts, r.retries, r.scrubs, r.exhausted);
+        ar.tag("chips");
+        for (unsigned c = 0; c < Burst::numChips; ++c)
+            ar(mon.chipCounts[c], mon.chipMasks[c]);
+        ar.endl().tag("pins");
+        for (auto &n : mon.pinCounts)
+            ar(n);
+        ar.endl();
+        for (uint64_t b = 0; b < mon.banks.size(); ++b) {
+            auto &bank = mon.banks[b];
+            uint64_t index = b;
+            ar.tag("bank")(index);
+            ar.check(index == b, "bank index mismatch");
+            health(bank, bank.ce, bank.ue);
+            const auto slots = [&](const char *tag, auto &table) {
+                ar.tag(tag);
+                for (auto &slot : table)
+                    ar(slot.key, slot.count, slot.mask);
+                ar.endl();
+            };
+            slots("rows", bank.rows);
+            slots("cols", bank.cols);
+            slots("cells", bank.cells);
+        }
+        const auto list = [&](const char *tag, auto &v, auto item) {
+            uint64_t n = v.size();
+            ar.tag(tag).count(n).items(v, n, item);
+            ar.endl();
+        };
+        const auto action = [&](auto &a) {
+            ar.below(a.kind, 3)(a.bank, a.row, a.cycle);
+        };
+        list("log", mon.log, action);
+        list("pending", mon.pending, action);
+        list("retired", mon.retiredKeys, [&](auto &key) { ar(key); });
+    }
 
+    std::string serializeState() const { return obs::writeState(*this); }
     /** Replace state with @p text; malformed input panics. */
-    void deserializeState(const std::string &text);
+    void deserializeState(const std::string &s) { obs::restoreState(*this, s); }
 
     /**
      * Emit the artifact `ras` section members into an already-open
