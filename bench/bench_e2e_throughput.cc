@@ -581,7 +581,7 @@ constexpr uint64_t campaignShardSize = 25000;
  * its own ProtectionStack over its own RNG stream
  * (Rng::forStream(mix.seed, shard)) and folds into @p merged in shard
  * order, so merged counts are bit-identical for any jobs value.
- * @p parent's hookups get shard-local twins; @p shard0Trace records
+ * What @p parent carries gets shard-local twins; @p shard0Trace records
  * shard 0's event stream; @p rasMon takes shard-local monitors merged
  * in shard order.  With @p checkpoint the pass runs in durable
  * batches on top of the committed prefix that @p merged and the
@@ -590,7 +590,7 @@ constexpr uint64_t campaignShardSize = 25000;
  */
 RunStatus
 runCampaignPass(const MixConfig &mix, unsigned jobs, PassResult &merged,
-                const obs::ShardHookups &parent,
+                const obs::Observer *parent,
                 obs::TraceSink *shard0Trace, ras::HealthMonitor *rasMon,
                 const std::function<void(uint64_t)> &progress,
                 const obs::ShardCheckpoint *checkpoint)
@@ -644,7 +644,7 @@ runCampaignPass(const MixConfig &mix, unsigned jobs, PassResult &merged,
                 rasMons[shard]->setObserver(&shardObs);
             }
             parts[shard] = runPass(sub, so.observed() ? &shardObs : nullptr,
-                                   so.ledger());
+                                   shardObs.lineage());
         },
         [&](uint64_t shard) {
             mergePass(merged, parts[shard]);
@@ -823,12 +823,13 @@ main(int argc, char **argv)
 
     // Campaign mode feeds the trace from shard 0 only — one writer,
     // and a stream a sequential shard-0 run would reproduce exactly.
+    // Its parent Observer therefore carries no sinks; the shard
+    // monitors merge into `monitor` separately.
     if (campaignMode) {
-        obs::ShardHookups instHookups;
-        instHookups.stats = &stats;
-        instHookups.profile = &profile;
-        instHookups.cost = &cost;
-        instHookups.ledger = ledger;
+        obs::Observer instParent(&stats);
+        instParent.setProfile(&profile);
+        instParent.setCost(&cost);
+        instParent.setLineage(ledger);
         const uint64_t batch = checkpointBatchShards(opt.jobs);
         for (unsigned unit = resumeUnit; unit < 2; ++unit) {
             uint64_t nextShard = (unit == resumeUnit) ? resumeShard : 0;
@@ -838,10 +839,10 @@ main(int argc, char **argv)
                 [&](uint64_t, uint64_t end) { persist(unit, end); }};
             const RunStatus status =
                 unit == 0
-                    ? runCampaignPass(mix, opt.jobs, hot, {}, nullptr,
+                    ? runCampaignPass(mix, opt.jobs, hot, nullptr, nullptr,
                                       nullptr, hbProgressFor(unit),
                                       cp.enabled() ? &checkpoint : nullptr)
-                    : runCampaignPass(mix, opt.jobs, inst, instHookups,
+                    : runCampaignPass(mix, opt.jobs, inst, &instParent,
                                       traceSink.get(), &monitor,
                                       hbProgressFor(unit),
                                       cp.enabled() ? &checkpoint : nullptr);

@@ -151,9 +151,6 @@ main(int argc, char **argv)
     // detection-replay path (inject -> observe* -> resolve per
     // trial); it is discarded with the unit.
     ras::HealthMonitor rasMon;
-    obs::Observer rasObs;
-    if (opt.health)
-        rasObs.addSink(&rasMon);
 
     bench::Checkpointer cp(opt,
                            bench::campaignIdFor(opt, "fig7_coverage"));
@@ -208,14 +205,16 @@ main(int argc, char **argv)
 
     for (size_t u = resumeUnit; u < units.size(); ++u) {
         const UnitSpec &spec = units[u];
+        obs::LineageLedger rasLineage;
+        obs::Observer unitObs;
+        unitObs.setCost(&levelCost[spec.levelIdx]);
+        if (opt.health) {
+            unitObs.addSink(&rasMon);
+            unitObs.setLineage(&rasLineage);
+        }
         InjectionCampaign camp(
             Mechanisms::forLevel(levels[spec.levelIdx]));
-        camp.setCostAccountant(&levelCost[spec.levelIdx]);
-        obs::LineageLedger rasLineage;
-        if (opt.health) {
-            camp.setObserver(&rasObs);
-            camp.setLineageLedger(&rasLineage);
-        }
+        camp.setObserver(&unitObs);
         const std::vector<PinError> errors = unitErrors(spec, camp);
         uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
         hb.setNote(unitLabel(spec));

@@ -109,8 +109,10 @@ main(int argc, char **argv)
             std::vector<std::string> row{config.name};
             std::vector<double> covered;
             for (CommandPattern pattern : allPatterns()) {
+                obs::Observer costObs;
+                costObs.setCost(&componentCost[ci]);
                 InjectionCampaign camp(config.mech);
-                camp.setCostAccountant(&componentCost[ci]);
+                camp.setObserver(&costObs);
                 CampaignStats stats;
                 if (std::string(model) == "1-pin")
                     stats = camp.sweepOnePin(pattern);

@@ -51,7 +51,7 @@ main(int argc, char **argv)
         {"EDC+CSTC", {true, false, false, true}},
         {"AIECC-G", Protection::aiecc()},
     };
-    const std::vector<Pattern> patterns = allGddr5Patterns();
+    const std::vector<CommandPattern> patterns = allPatterns();
     const char *models[] = {"1-pin", "all-pin"};
 
     // ---- checkpointed campaign plan -------------------------------
@@ -121,7 +121,7 @@ main(int argc, char **argv)
                 std::to_string(numUnits) + " (" +
                 std::string(models[unitModel(u)]) + "/" +
                 configs[unitConfig(u)].name + "/" +
-                gddr5PatternName(patterns[unitPattern(u)]) +
+                patternName(patterns[unitPattern(u)]) +
                 ") shard " + std::to_string(nextShard));
     };
 
@@ -137,7 +137,7 @@ main(int argc, char **argv)
         uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
         hb.setNote(std::string(models[unitModel(u)]) + "/" +
                    configs[unitConfig(u)].name + "/" +
-                   gddr5PatternName(patterns[unitPattern(u)]));
+                   patternName(patterns[unitPattern(u)]));
         const Gddr5Campaign campaign(configs[unitConfig(u)].prot);
         const RunStatus status = campaign.runTrialsCheckpointed(
             patterns[unitPattern(u)], errors, opt.jobs, batch,
@@ -179,8 +179,8 @@ main(int argc, char **argv)
                     models[mi]);
         TextTable t;
         std::vector<std::string> head{"protection"};
-        for (Pattern pattern : patterns)
-            head.push_back(gddr5PatternName(pattern));
+        for (CommandPattern pattern : patterns)
+            head.push_back(patternName(pattern));
         head.push_back("SDC+MDC total");
         t.header(head);
         std::vector<ProtRow> rows;
@@ -230,7 +230,7 @@ main(int argc, char **argv)
                     w.key(pr.name);
                     w.beginObject();
                     for (size_t i = 0; i < patterns.size(); ++i)
-                        w.kv(gddr5PatternName(patterns[i]),
+                        w.kv(patternName(patterns[i]),
                              pr.covered[i]);
                     w.kv("sdc_mdc_total", pr.harm);
                     w.endObject();

@@ -46,8 +46,10 @@ main(int argc, char **argv)
     for (unsigned li = 0; li < 4; ++li) {
         const Mechanisms mech = Mechanisms::forLevel(levels[li]);
         obs::CostAccountant acct(makeCostModel(mech));
+        obs::Observer costObs;
+        costObs.setCost(&acct);
         InjectionCampaign camp(mech);
-        camp.setCostAccountant(&acct);
+        camp.setObserver(&costObs);
         CampaignStats stats;
         for (CommandPattern pattern : allPatterns())
             stats.merge(camp.sweepOnePin(pattern, opt.jobs));

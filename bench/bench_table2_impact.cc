@@ -89,9 +89,11 @@ main(int argc, char **argv)
         Mechanisms::forLevel(ProtectionLevel::None);
     obs::CostAccountant noneCost(makeCostModel(noneMech));
 
+    obs::Observer campObs;
+    campObs.setLineage(&lineage);
+    campObs.setCost(&noneCost);
     InjectionCampaign camp(noneMech);
-    camp.setLineageLedger(&lineage);
-    camp.setCostAccountant(&noneCost);
+    camp.setObserver(&campObs);
 
     // The AIECC campaign runs both the recovery sweep and the
     // exhaustive 2-pin sweep (shared trial counter, shared salt — the
@@ -106,22 +108,22 @@ main(int argc, char **argv)
     const Mechanisms aieccMech =
         Mechanisms::forLevel(ProtectionLevel::Aiecc);
     obs::CostAccountant aieccCost(makeCostModel(aieccMech));
+    obs::Observer aieccObs;
+    aieccObs.setLineage(&lineage);
+    aieccObs.setCost(&aieccCost);
     InjectionCampaign aiecc(aieccMech);
     aiecc.setRecoveryConfig(rc);
-    aiecc.setLineageLedger(&lineage);
-    aiecc.setCostAccountant(&aieccCost);
+    aiecc.setObserver(&aieccObs);
 
     // ---- RAS health telemetry (--health, DESIGN.md §15) -----------
     // One monitor rides both campaigns' detection-replay streams
-    // (the ledgers are already attached, so attaching trace sinks is
-    // all it takes).  Shard buffers re-emit in shard order, keeping
-    // the monitor bit-identical for any --jobs value.
+    // (the ledger is already attached, so attaching the sink is all
+    // it takes).  Shard buffers re-emit in shard order, keeping the
+    // monitor bit-identical for any --jobs value.
     ras::HealthMonitor rasMon;
-    obs::Observer rasObs;
     if (opt.health) {
-        rasObs.addSink(&rasMon);
-        camp.setObserver(&rasObs);
-        aiecc.setObserver(&rasObs);
+        campObs.addSink(&rasMon);
+        aieccObs.addSink(&rasMon);
     }
 
     // ---- checkpointed campaign plan -------------------------------

@@ -118,16 +118,19 @@ main(int argc, char **argv)
 
     // One cost accountant per scheme, accumulated across every cell:
     // each trial bills its write, demand read, codec work, and any
-    // retry re-reads (recovery-billed) to the scheme under test.
-    obs::Observer costObs[4];
+    // retry re-reads (recovery-billed) to the scheme under test.  Each
+    // scheme's Observer carries its accountant and the shared ledger.
+    obs::Observer schemeObs[4];
     std::vector<obs::CostAccountant> schemeCost;
     for (unsigned si = 0; si < 4; ++si) {
         Mechanisms mech;
         mech.ecc = schemes[si];
         schemeCost.emplace_back(makeCostModel(mech));
     }
-    for (unsigned si = 0; si < 4; ++si)
-        costObs[si].setCost(&schemeCost[si]);
+    for (unsigned si = 0; si < 4; ++si) {
+        schemeObs[si].setCost(&schemeCost[si]);
+        schemeObs[si].setLineage(&lineage);
+    }
 
     // ---- RAS health telemetry (--health, DESIGN.md §15) -----------
     // One monitor rides all four schemes' symptom streams: with a
@@ -140,7 +143,7 @@ main(int argc, char **argv)
     ras::HealthMonitor rasMon;
     if (opt.health) {
         for (unsigned si = 0; si < 4; ++si)
-            costObs[si].addSink(&rasMon);
+            schemeObs[si].addSink(&rasMon);
     }
 
     // ---- checkpointed campaign plan -------------------------------
@@ -226,8 +229,7 @@ main(int argc, char **argv)
         const unsigned si = static_cast<unsigned>(u % 4);
         uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
         DataMonteCarlo mc(schemes[si]);
-        mc.setLineageLedger(&lineage);
-        mc.setObserver(&costObs[si]);
+        mc.setObserver(&schemeObs[si]);
         hb.setNote(std::string(schemeNames[si]) + "/" +
                    dataErrorName(res.dm) + "/" + addrErrorName(res.am));
         const RunStatus status = mc.runCellCheckpointed(

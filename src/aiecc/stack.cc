@@ -531,15 +531,6 @@ ProtectionStack::issuePreAll()
 }
 
 void
-ProtectionStack::issueRef()
-{
-    const size_t mark = events.size();
-    ctrl->issue(Command::ref());
-    drainAlerts();
-    maybeRecoverAlert(mark, Command::ref(), std::nullopt);
-}
-
-void
 ProtectionStack::issueNop()
 {
     const size_t mark = events.size();

@@ -96,10 +96,9 @@ class ProtectionStack : private RecoveryPort
     /** Issue a RD from @p addr and run the data ECC over the result. */
     ReadOutcome issueRd(const MtbAddress &addr);
 
-    /** Issue a PRE / PREA / REF / NOP. */
+    /** Issue a PRE / PREA / NOP. */
     void issuePre(unsigned bg, unsigned ba);
     void issuePreAll();
-    void issueRef();
     void issueNop();
 
     // ---- High-level convenience (applications) ----
@@ -124,7 +123,6 @@ class ProtectionStack : private RecoveryPort
      * to the fault under test.  0 clears the context.
      */
     void setFaultContext(uint64_t faultId);
-    uint64_t faultContext() const { return faultCtx; }
 
     /** Detections accumulated since the last clear. */
     const std::vector<DetectionEvent> &detections() const
@@ -167,9 +165,6 @@ class ProtectionStack : private RecoveryPort
      * caller re-writes live data it wants to keep.
      */
     void retireRow(unsigned flatBank, unsigned row, unsigned spareRow);
-
-    /** Rows retired so far. */
-    size_t retiredRows() const { return rowRemaps.size(); }
 
     DramRank &rank() { return *rankModel; }
     const DramRank &rank() const { return *rankModel; }

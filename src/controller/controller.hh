@@ -157,9 +157,6 @@ class MemController
         return replayBuffer.back();
     }
 
-    /** Writes currently held for replay. */
-    size_t replayDepth() const { return replayBuffer.size(); }
-
   private:
     RankConfig cfg;
     DramRank *rank;

@@ -44,9 +44,6 @@ enum class AlertKind
     Cstc,      ///< command state / timing violation
 };
 
-/** Printable alert-source name. */
-std::string alertKindName(AlertKind kind);
-
 /** One device-side detection event. */
 struct Alert
 {

@@ -10,17 +10,6 @@
 namespace aiecc
 {
 
-std::string
-alertKindName(AlertKind kind)
-{
-    switch (kind) {
-      case AlertKind::CaParity: return "CA-parity";
-      case AlertKind::Wcrc: return "write-CRC";
-      case AlertKind::Cstc: return "CSTC";
-    }
-    return "?";
-}
-
 std::array<uint8_t, Burst::numChips>
 laneCrcs(const Burst &burst, WcrcMode mode, uint32_t packedAddr)
 {

@@ -37,7 +37,7 @@ tagOf(const Address &addr)
 
 /** Open every bank at rowA with data; plant rowT data too. */
 void
-setup(Gddr5System &sys, Pattern pattern)
+setup(Gddr5System &sys, CommandPattern pattern)
 {
     for (unsigned bank = 0; bank < 16; ++bank) {
         sys.act(bank, rowT);
@@ -47,7 +47,8 @@ setup(Gddr5System &sys, Pattern pattern)
         sys.wr({bank, rowA, col1}, payload(tagOf({bank, rowA, col1})));
         sys.wr({bank, rowA, col2}, payload(tagOf({bank, rowA, col2})));
     }
-    if (pattern == Pattern::ActWr || pattern == Pattern::ActRd)
+    if (pattern == CommandPattern::ActWr ||
+        pattern == CommandPattern::ActRd)
         sys.pre(targetBank);
 }
 
@@ -72,24 +73,24 @@ readBack(Gddr5System &sys, const Address &addr, ReadLog *log)
 }
 
 void
-runPattern(Gddr5System &sys, Pattern pattern, ReadLog *log)
+runPattern(Gddr5System &sys, CommandPattern pattern, ReadLog *log)
 {
     switch (pattern) {
-      case Pattern::ActWr:
+      case CommandPattern::ActWr:
         sys.act(targetBank, rowT);
         sys.wr({targetBank, rowT, col1}, payload(0xF2E5D));
         break;
-      case Pattern::ActRd:
+      case CommandPattern::ActRd:
         sys.act(targetBank, rowT);
         readBack(sys, {targetBank, rowT, col1}, log);
         break;
-      case Pattern::Wr:
+      case CommandPattern::Wr:
         sys.wr({targetBank, rowA, col1}, payload(0xF2E5D));
         break;
-      case Pattern::Rd:
+      case CommandPattern::Rd:
         readBack(sys, {targetBank, rowA, col1}, log);
         break;
-      case Pattern::Pre:
+      case CommandPattern::Pre:
         sys.pre(targetBank);
         sys.act(targetBank, rowT);
         readBack(sys, {targetBank, rowT, col1}, log);
@@ -112,37 +113,18 @@ runVerify(Gddr5System &sys, ReadLog *log)
 }
 
 void
-restore(Gddr5System &sys, Pattern pattern)
+restore(Gddr5System &sys, CommandPattern pattern)
 {
     sys.resyncWrt();
     sys.preAll();
     for (unsigned bank = 0; bank < 16; ++bank)
         sys.act(bank, rowA);
-    if (pattern == Pattern::ActWr || pattern == Pattern::ActRd)
+    if (pattern == CommandPattern::ActWr ||
+        pattern == CommandPattern::ActRd)
         sys.pre(targetBank);
 }
 
 } // namespace
-
-std::vector<Pattern>
-allGddr5Patterns()
-{
-    return {Pattern::ActWr, Pattern::ActRd, Pattern::Wr, Pattern::Rd,
-            Pattern::Pre};
-}
-
-std::string
-gddr5PatternName(Pattern pattern)
-{
-    switch (pattern) {
-      case Pattern::ActWr: return "ACT+WR";
-      case Pattern::ActRd: return "ACT+RD";
-      case Pattern::Wr: return "WR";
-      case Pattern::Rd: return "RD";
-      case Pattern::Pre: return "PRE";
-    }
-    return "?";
-}
 
 std::vector<Pin>
 gddr5InjectablePins()
@@ -191,7 +173,8 @@ Gddr5Campaign::Gddr5Campaign(const Protection &prot, uint64_t seed)
 }
 
 Gddr5Trial
-Gddr5Campaign::runTrial(Pattern pattern, const Gddr5Error &error) const
+Gddr5Campaign::runTrial(CommandPattern pattern,
+                        const Gddr5Error &error) const
 {
     const uint64_t runSeed =
         seed ^ (static_cast<uint64_t>(pattern) << 48) ^ error.noiseSeed;
@@ -320,10 +303,10 @@ gddr5Terminal(const Gddr5Trial &trial)
 }
 
 std::string
-gddr5Site(Pattern pattern, const Gddr5Error &error)
+gddr5Site(CommandPattern pattern, const Gddr5Error &error)
 {
     std::ostringstream out;
-    out << gddr5PatternName(pattern) << "/";
+    out << patternName(pattern) << "/";
     if (error.allPin) {
         out << "all-pin";
     } else {
@@ -336,7 +319,7 @@ gddr5Site(Pattern pattern, const Gddr5Error &error)
 } // namespace
 
 std::vector<Gddr5Trial>
-Gddr5Campaign::runTrials(Pattern pattern,
+Gddr5Campaign::runTrials(CommandPattern pattern,
                          const std::vector<Gddr5Error> &errors,
                          unsigned jobs) const
 {
@@ -350,7 +333,7 @@ Gddr5Campaign::runTrials(Pattern pattern,
 
 RunStatus
 Gddr5Campaign::runTrialsCheckpointed(
-    Pattern pattern, const std::vector<Gddr5Error> &errors,
+    CommandPattern pattern, const std::vector<Gddr5Error> &errors,
     unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
     const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
     const std::function<void(uint64_t, uint64_t)> &commit) const
@@ -361,7 +344,8 @@ Gddr5Campaign::runTrialsCheckpointed(
 
 RunStatus
 Gddr5Campaign::runTrialShards(
-    Pattern pattern, const std::vector<Gddr5Error> &errors, unsigned jobs,
+    CommandPattern pattern, const std::vector<Gddr5Error> &errors,
+    unsigned jobs,
     const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
     const obs::ShardCheckpoint *checkpoint) const
 {
@@ -377,13 +361,11 @@ Gddr5Campaign::runTrialShards(
     const uint64_t indexBase = trialCounter;
     const uint64_t salt =
         seed ^ obs::lineageHash("gddr5:" + prot.describe());
-    obs::ShardHookups parent;
-    parent.ledger = ledger;
 
     std::vector<std::vector<Gddr5Trial>> shardResults(
         shardCount(total, shardSize));
     const RunStatus status = obs::runSharded(
-        total, shardSize, jobs, parent,
+        total, shardSize, jobs, obsHook,
         [&](uint64_t shard, uint64_t begin, uint64_t n,
             obs::ShardObservers &so) {
             shardResults[shard].resize(n);
@@ -391,18 +373,18 @@ Gddr5Campaign::runTrialShards(
                 const Gddr5Error &error = errors[begin + i];
                 const Gddr5Trial trial = runTrial(pattern, error);
                 shardResults[shard][i] = trial;
-                if (!so.ledger())
+                obs::LineageLedger *ledger = so.observer().lineage();
+                if (!ledger)
                     continue;
                 const uint64_t faultId = obs::deriveFaultId(
                     salt, static_cast<uint64_t>(pattern),
                     indexBase + begin + i);
-                so.ledger()->recordInjection(faultId,
-                                             obs::FaultKind::Ccca,
-                                             gddr5Site(pattern, error));
+                ledger->recordInjection(faultId, obs::FaultKind::Ccca,
+                                        gddr5Site(pattern, error));
                 std::string mech;
                 if (!trial.detectors.empty())
                     mech = detectorName(trial.detectors.front());
-                so.ledger()->resolve(
+                ledger->resolve(
                     faultId, gddr5Terminal(trial), mech,
                     static_cast<uint32_t>(trial.detectors.size()),
                     trial.detected ? 1u : 0u);
@@ -422,7 +404,7 @@ Gddr5Campaign::runTrialShards(
 }
 
 Gddr5Stats
-Gddr5Campaign::sweepOnePin(Pattern pattern, unsigned jobs) const
+Gddr5Campaign::sweepOnePin(CommandPattern pattern, unsigned jobs) const
 {
     std::vector<Gddr5Error> errors;
     for (Pin pin : gddr5InjectablePins())
@@ -434,7 +416,7 @@ Gddr5Campaign::sweepOnePin(Pattern pattern, unsigned jobs) const
 }
 
 Gddr5Stats
-Gddr5Campaign::sweepAllPin(Pattern pattern, unsigned samples,
+Gddr5Campaign::sweepAllPin(CommandPattern pattern, unsigned samples,
                            unsigned jobs) const
 {
     std::vector<Gddr5Error> errors;

@@ -2,16 +2,15 @@
  * @file
  * A compact CCCA fault-injection campaign for the GDDR5 adaptation
  * (Section VI): golden-vs-faulty dual simulation, 1-pin and all-pin
- * errors on the 21 injectable CA pins, outcome classification shared
- * with the DDR4 campaign.
+ * errors on the 21 injectable CA pins, over the DDR4 campaign's five
+ * command patterns (CommandPattern), with its outcome classification.
  */
 
 #ifndef AIECC_GDDR5_CAMPAIGN_HH
 #define AIECC_GDDR5_CAMPAIGN_HH
 
 #include "gddr5/system.hh"
-#include "inject/campaign.hh" // Outcome / outcomeName reuse
-#include "obs/lineage.hh"
+#include "inject/campaign.hh" // CommandPattern / Outcome reuse
 #include "obs/shard_run.hh"
 #include "obs/state.hh"
 
@@ -19,19 +18,6 @@ namespace aiecc
 {
 namespace gddr5
 {
-
-/** Command patterns mirroring the DDR4 campaign's five. */
-enum class Pattern
-{
-    ActWr,
-    ActRd,
-    Wr,
-    Rd,
-    Pre,
-};
-
-std::vector<Pattern> allGddr5Patterns();
-std::string gddr5PatternName(Pattern pattern);
 
 /** Error spec: flip a set of pins, or randomize all (clock noise). */
 struct Gddr5Error
@@ -93,7 +79,10 @@ struct Gddr5Stats
     }
 };
 
-/** Campaign runner for one protection configuration. */
+/**
+ * Campaign runner for one protection configuration.  Its lineage
+ * ledger arrives through the one setObserver() hookup.
+ */
 class Gddr5Campaign
 {
   public:
@@ -112,7 +101,8 @@ class Gddr5Campaign
      * Trials read only the immutable (prot, seed) configuration, so
      * runTrial is const and safe to call from concurrent shards.
      */
-    Gddr5Trial runTrial(Pattern pattern, const Gddr5Error &error) const;
+    Gddr5Trial runTrial(CommandPattern pattern,
+                        const Gddr5Error &error) const;
 
     /**
      * Run @p errors against @p pattern on @p jobs threads (1 =
@@ -120,62 +110,54 @@ class Gddr5Campaign
      * and are bit-identical for every jobs value.
      */
     std::vector<Gddr5Trial>
-    runTrials(Pattern pattern, const std::vector<Gddr5Error> &errors,
+    runTrials(CommandPattern pattern,
+              const std::vector<Gddr5Error> &errors,
               unsigned jobs = 1) const;
 
-    Gddr5Stats sweepOnePin(Pattern pattern, unsigned jobs = 1) const;
-    Gddr5Stats sweepAllPin(Pattern pattern, unsigned samples,
+    Gddr5Stats sweepOnePin(CommandPattern pattern,
+                           unsigned jobs = 1) const;
+    Gddr5Stats sweepAllPin(CommandPattern pattern, unsigned samples,
                            unsigned jobs = 1) const;
 
     /**
      * Checkpointed runTrials() — same shard body and fold, so every
      * fault ID matches: shard batches run from @p nextShard; after
      * each batch folds, @p onResult fires per trial in input order
-     * and @p commit(begin, end) lets the caller persist.  The caller owns
-     * resume positioning: on entry the trial counter must sit at this
-     * unit's start (see advanceTrials()); on Completed it advances
-     * past the unit.
+     * and @p commit(begin, end) lets the caller persist.  On entry the
+     * trial counter must sit at this unit's start; on Completed it
+     * advances past the unit.
      */
     RunStatus runTrialsCheckpointed(
-        Pattern pattern, const std::vector<Gddr5Error> &errors,
+        CommandPattern pattern, const std::vector<Gddr5Error> &errors,
         unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
         const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
         const std::function<void(uint64_t, uint64_t)> &commit) const;
-
-    /**
-     * Advance the global trial counter by @p n without running trials
-     * — resume-time positioning past units completed by an earlier
-     * process, keeping later fault IDs identical.
-     */
-    void advanceTrials(uint64_t n) const { trialCounter += n; }
 
     /** Global trial counter (fault-ID numbering state). */
     uint64_t trialCount() const { return trialCounter; }
 
     /**
-     * Attach a fault-lineage ledger (nullptr detaches).  Trials stay
-     * pure; the lineage bookkeeping happens in runTrials(), which
-     * derives each fault's ID from the campaign-global trial index
-     * (the counter at the call plus the trial's input index) and records
-     * injection + terminal resolution per trial, merged in shard
-     * order — so ledgers are bit-identical for every jobs value.
-     * Direct runTrial() calls bypass the ledger by design.
+     * Attach the measurement hookup (nullptr detaches).  The campaign
+     * reads only its lineage ledger.  Trials stay pure; the lineage
+     * bookkeeping happens in runTrials(), which derives each fault's
+     * ID from the campaign-global trial index (the counter at the
+     * call plus the trial's input index) and records injection +
+     * terminal resolution per trial, merged in shard order — so
+     * ledgers are bit-identical for every jobs value.  Direct
+     * runTrial() calls bypass the ledger by design.
      */
-    void setLineageLedger(obs::LineageLedger *lineage)
-    {
-        ledger = lineage;
-    }
+    void setObserver(obs::Observer *observer) { obsHook = observer; }
 
   private:
     Protection prot;
     uint64_t seed;
-    obs::LineageLedger *ledger = nullptr;
+    obs::Observer *obsHook = nullptr;
     /** Campaign-global trial numbering for lineage fault IDs. */
     mutable uint64_t trialCounter = 0;
 
     /** The one sharded trial run; plain when @p checkpoint is null. */
     RunStatus runTrialShards(
-        Pattern pattern, const std::vector<Gddr5Error> &errors,
+        CommandPattern pattern, const std::vector<Gddr5Error> &errors,
         unsigned jobs,
         const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
         const obs::ShardCheckpoint *checkpoint) const;

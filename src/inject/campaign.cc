@@ -422,6 +422,10 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
     cfg.seed = seed ^ (static_cast<uint64_t>(pattern) << 56) ^
                error.noiseSeed;
 
+    obs::LineageLedger *ledger = obsHook ? obsHook->lineage() : nullptr;
+    obs::CostAccountant *costAcct = obsHook ? obsHook->cost() : nullptr;
+    const bool tracing = obsHook && obsHook->tracing();
+
     TrialResult tr;
     tr.intended = targetCommand(pattern);
 
@@ -590,7 +594,7 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
     // the replayed detections come before the Classification so the
     // per-fault timeline reads inject -> observe* -> classify ->
     // resolve in emission order.
-    if (ledger && obsHook && obsHook->tracing()) {
+    if (ledger && tracing) {
         obs::TraceEvent inj;
         inj.kind = obs::EventKind::FaultInject;
         inj.cycle = injectCycle;
@@ -615,27 +619,27 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
         }
     }
 
-    if (obsHook) {
-        if (oc.trials) {
-            ++*oc.trials;
-            if (tr.detected)
-                ++*oc.detected;
-            ++*oc.byOutcome[static_cast<unsigned>(tr.outcome)];
-            if (auto first = tr.firstDetector())
-                ++*oc.byFirstDetector[static_cast<unsigned>(*first)];
-            switch (tr.recovery) {
-              case RecoveryClass::None: break;
-              case RecoveryClass::FirstTry:
-                ++*oc.recoveredFirstTry;
-                break;
-              case RecoveryClass::AfterRetries:
-                ++*oc.recoveredAfterRetries;
-                break;
-              case RecoveryClass::Exhausted:
-                ++*oc.retryExhausted;
-                break;
-            }
+    if (oc.trials) {
+        ++*oc.trials;
+        if (tr.detected)
+            ++*oc.detected;
+        ++*oc.byOutcome[static_cast<unsigned>(tr.outcome)];
+        if (auto first = tr.firstDetector())
+            ++*oc.byFirstDetector[static_cast<unsigned>(*first)];
+        switch (tr.recovery) {
+          case RecoveryClass::None: break;
+          case RecoveryClass::FirstTry:
+            ++*oc.recoveredFirstTry;
+            break;
+          case RecoveryClass::AfterRetries:
+            ++*oc.recoveredAfterRetries;
+            break;
+          case RecoveryClass::Exhausted:
+            ++*oc.retryExhausted;
+            break;
         }
+    }
+    if (tracing) {
         std::string detail = patternName(pattern) + " / " +
                              error.toString();
         if (auto first = tr.firstDetector())
@@ -663,7 +667,7 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
                         static_cast<uint32_t>(tr.detectors.size()),
                         static_cast<uint32_t>(tr.recoveryAttempts));
 
-        if (obsHook && obsHook->tracing()) {
+        if (tracing) {
             obs::TraceEvent res;
             res.kind = obs::EventKind::FaultResolve;
             res.cycle = faulty.controller().now();
@@ -712,14 +716,12 @@ InjectionCampaign::runTrialShards(
     constexpr uint64_t shardSize = trialShardSize;
     const uint64_t total = errors.size();
     const uint64_t indexBase = trialIndex;
-    obs::ShardHookups parent = obs::ShardHookups::of(obsHook, ledger);
-    parent.cost = costAcct;
 
     // Per-shard result slots, each released as its shard folds.
     std::vector<std::vector<TrialResult>> shardResults(
         shardCount(total, shardSize));
     const RunStatus status = obs::runSharded(
-        total, shardSize, jobs, parent,
+        total, shardSize, jobs, obsHook,
         [&](uint64_t shard, uint64_t begin, uint64_t n,
             obs::ShardObservers &so) {
             // A private campaign per shard isolates the mutable state
@@ -728,12 +730,7 @@ InjectionCampaign::runTrialShards(
             InjectionCampaign worker(mech, seed);
             worker.recoveryCfg = recoveryCfg;
             worker.trialIndex = indexBase + begin;
-            // Cost bills through costAcct, not the observer: attach
-            // the observer only for what runTrial() reads from it.
-            if (so.observer().stats() || so.observer().tracing())
-                worker.setObserver(&so.observer());
-            worker.ledger = so.ledger();
-            worker.costAcct = so.cost();
+            worker.setObserver(&so.observer());
             shardResults[shard].resize(n);
             for (uint64_t i = 0; i < n; ++i) {
                 shardResults[shard][i] =

@@ -25,7 +25,6 @@
 #include "common/checkpoint.hh"
 #include "common/combinadic.hh"
 #include "obs/json.hh"
-#include "obs/lineage.hh"
 #include "obs/shard_run.hh"
 #include "obs/state.hh"
 
@@ -227,7 +226,9 @@ struct CampaignStats
  * Runs injection trials for one mechanism configuration.
  *
  * Each trial builds a fresh pair of memory systems (faulty + golden),
- * so trials are independent and deterministic given the seed.
+ * so trials are independent and deterministic given the seed.  All
+ * measurement — stats, trace sinks, cost, lineage — arrives through
+ * the one setObserver() hookup.
  */
 class InjectionCampaign
 {
@@ -251,10 +252,22 @@ class InjectionCampaign
 
     /**
      * Attach the measurement hookup (nullptr detaches).  The campaign
-     * counts trials and classifications and emits one Classification
-     * trace event per trial; the ephemeral golden/faulty stack pairs
-     * built inside each trial stay unobserved so that campaign-level
-     * stats are not diluted by golden-run traffic.
+     * reads four things from it:
+     *  - stats: trial and classification counters;
+     *  - sinks: one Classification trace event per trial;
+     *  - lineage: every trial opens a ledger record under its derived
+     *    fault ID before the faulty run and resolves it at
+     *    classification; with sinks too, the trial also emits the
+     *    per-fault stream (FaultInject, the fault's Detections,
+     *    FaultResolve) so traces carry inject→observe*→resolve;
+     *  - cost: each trial's *faulty* stack runs under a trial-local
+     *    observer carrying only the accountant, so the protected run's
+     *    command edges, codec work and recovery are billed per level
+     *    (obs/cost.hh).
+     * The golden stack stays unobserved, so campaign-level stats are
+     * not diluted by golden-run traffic.  Sharded runs twin every
+     * hookup per shard and merge in shard order, so output is
+     * bit-identical for any jobs value.
      */
     void setObserver(obs::Observer *observer);
 
@@ -265,38 +278,6 @@ class InjectionCampaign
     void setRecoveryConfig(const RecoveryConfig &config)
     {
         recoveryCfg = config;
-    }
-
-    /**
-     * Attach a fault-lineage ledger (nullptr detaches).  With one
-     * attached, every trial opens a ledger record under its derived
-     * fault ID before the faulty run and resolves it to its terminal
-     * state at classification; with an observer also attached, the
-     * trial additionally emits the per-fault lineage event stream
-     * (FaultInject, the fault's Detections, FaultResolve) so traces
-     * carry full inject→observe*→resolve timelines.  Off by default:
-     * pre-lineage consumers keep the one-Classification-per-trial
-     * event stream.
-     */
-    void setLineageLedger(obs::LineageLedger *lineage)
-    {
-        ledger = lineage;
-    }
-
-    /**
-     * Attach a protection-cost accountant (nullptr detaches).  Each
-     * trial's *faulty* stack then runs under a trial-local observer
-     * carrying only the accountant, so every command edge, ECC
-     * encode/decode and recovery episode of the protected run is
-     * billed per level (obs/cost.hh) — the golden run stays unbilled
-     * (it exists only as a comparison oracle), and campaign-level
-     * stats/traces are unaffected.  runTrials() gives each shard a
-     * private accountant over the same model and merges them in shard
-     * order, so cost output is bit-identical for any jobs value.
-     */
-    void setCostAccountant(obs::CostAccountant *accountant)
-    {
-        costAcct = accountant;
     }
 
     /** Run one trial: inject @p error into @p pattern's target edge. */
@@ -405,8 +386,6 @@ class InjectionCampaign
     };
     CampaignCounters oc;
     uint64_t trialIndex = 0;
-    obs::LineageLedger *ledger = nullptr;
-    obs::CostAccountant *costAcct = nullptr;
 
     /** runTrials() aggregated, logged as a "@p what sweep". */
     CampaignStats sweep(CommandPattern pattern,

@@ -465,10 +465,12 @@ DataMonteCarlo::runCell(DataErrorModel dataErr, AddrErrorModel addrErr,
     for (uint64_t i = 0; i < trials; ++i) {
         const TrialDetail detail = runTrialDetailed(dataErr, addrErr);
         cell.add(detail.outcome);
-        if (ledger)
-            recordLineage(*ledger, dataErr, addrErr, i, detail);
-        if (obsHandle)
+        if (obsHandle) {
+            if (obsHandle->lineage())
+                recordLineage(*obsHandle->lineage(), dataErr, addrErr, i,
+                              detail);
             emitTrialEvents(*obsHandle, i, detail);
+        }
     }
     AIECC_INFORM("Monte-Carlo cell " << ecc->name() << " / "
                                      << dataErrorName(dataErr) << " / "
@@ -554,7 +556,7 @@ DataMonteCarlo::runShardedCell(DataErrorModel dataErr,
     std::vector<MonteCarloCell> cells(shardCount(trials, plan.shardSize));
     return obs::runSharded(
         trials, plan.shardSize, plan.jobs,
-        obs::ShardHookups::of(obsHandle, ledger),
+        obsHandle,
         [&](uint64_t shard, uint64_t begin, uint64_t n,
             obs::ShardObservers &so) {
             // A fully private evaluator per shard: own codec tables,
@@ -571,12 +573,12 @@ DataMonteCarlo::runShardedCell(DataErrorModel dataErr,
                         ? worker.runTrialAt(dataErr, addrErr, begin + i)
                         : worker.runTrialDetailed(dataErr, addrErr);
                 cells[shard].add(detail.outcome);
-                if (so.ledger()) {
+                if (obs::LineageLedger *led = so.observer().lineage()) {
                     // Fault IDs come from the parent configuration and
                     // the trial's global (shard-major) index — never
                     // from the worker count.
-                    recordLineage(*so.ledger(), dataErr, addrErr,
-                                  begin + i, detail, exhaustive);
+                    recordLineage(*led, dataErr, addrErr, begin + i,
+                                  detail, exhaustive);
                 }
                 worker.emitTrialEvents(so.observer(), begin + i, detail);
             }

@@ -148,7 +148,9 @@ struct MonteCarloCell
 const char *dataOutcomeSlug(DataOutcome outcome);
 
 /**
- * Monte-Carlo evaluator for one ECC scheme.
+ * Monte-Carlo evaluator for one ECC scheme.  All measurement — stats,
+ * trace sinks, cost, lineage — arrives through the one setObserver()
+ * hookup.
  */
 class DataMonteCarlo
 {
@@ -160,37 +162,30 @@ class DataMonteCarlo
     explicit DataMonteCarlo(EccScheme scheme, uint64_t seed = 0x7AB1E3);
 
     /**
-     * Attach the measurement hookup (nullptr detaches): per-outcome
-     * trial counters under "montecarlo.".  With a trace sink attached
-     * (observer->tracing()), every *flagged* trial also emits its
-     * symptom stream — a Detection tagged "data-ecc" (so RAS health
-     * monitors classify it as a data-path symptom), one Retry per
-     * re-read attempt, and a Recovery exhaustion when the retry
-     * budget runs dry — with the cell-global trial index standing in
-     * for the cycle (the only timeline a Monte-Carlo has).  Sharded
-     * runs buffer events per shard and re-emit them in shard order,
-     * so the stream is bit-identical for any jobs value.
+     * Attach the measurement hookup (nullptr detaches).  The engine
+     * reads four things from it:
+     *  - stats: per-outcome trial counters under "montecarlo.";
+     *  - sinks: every *flagged* trial emits its symptom stream — a
+     *    Detection tagged "data-ecc" (so RAS health monitors classify
+     *    it as a data-path symptom), one Retry per re-read attempt,
+     *    and a Recovery exhaustion when the retry budget runs dry —
+     *    with the cell-global trial index standing in for the cycle
+     *    (the only timeline a Monte-Carlo has);
+     *  - cost: each trial bills its write, read, codec work and
+     *    re-reads;
+     *  - lineage: runCell and runCellSharded open and resolve one
+     *    record per trial that injects anything (the no-error/no-error
+     *    cell stays out).  Fault IDs derive from the scheme, the
+     *    (data, addr) cell and the trial's index within the cell, so
+     *    each Table III cell may be run once per ledger; a repeat run
+     *    trips the duplicate-injection panic by design.
+     * Sharded runs twin every hookup per shard and fold in shard
+     * order, so output is bit-identical for any jobs value.
      */
     void setObserver(obs::Observer *observer);
 
     /** Replace the retry policy (attempt bound, persistence). */
     void setRetryPolicy(const RetryPolicy &policy) { retry = policy; }
-
-    const RetryPolicy &retryPolicy() const { return retry; }
-
-    /**
-     * Attach a fault-lineage ledger (nullptr detaches).  runCell and
-     * runCellSharded then open and resolve one record per trial that
-     * injects anything (the no-error/no-error cell stays out of the
-     * ledger — nothing is injected there).  Fault IDs derive from the
-     * scheme, the (data, addr) cell, and the trial's index within the
-     * cell, so each Table III cell may be run once per ledger; a
-     * repeat run trips the duplicate-injection panic by design.
-     */
-    void setLineageLedger(obs::LineageLedger *lineage)
-    {
-        ledger = lineage;
-    }
 
     /**
      * One trial's full record: the classification, the re-read
@@ -287,7 +282,6 @@ class DataMonteCarlo
         obs::Counter *retryExhausted = nullptr;
     };
     McCounters oc;
-    obs::LineageLedger *ledger = nullptr;
 
     /** Fixed error coordinates for exhaustive-mode trials. */
     struct ErrorCoords

@@ -34,8 +34,14 @@ JsonWriter::resetNonFiniteWarning()
 std::string
 JsonWriter::escape(std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size());
+    JsonWriter w;
+    w.appendEscaped(text);
+    return w.out;
+}
+
+void
+JsonWriter::appendEscaped(std::string_view text)
+{
     for (const char c : text) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -57,7 +63,6 @@ JsonWriter::escape(std::string_view text)
             }
         }
     }
-    return out;
 }
 
 void
@@ -98,7 +103,7 @@ JsonWriter::key(std::string_view name)
         out += ',';
     newline();
     out += '"';
-    out += escape(name);
+    appendEscaped(name);
     out += indentWidth > 0 ? "\": " : "\":";
     keyPending = true;
     return *this;
@@ -154,7 +159,7 @@ JsonWriter::value(std::string_view text)
 {
     beforeValue();
     out += '"';
-    out += escape(text);
+    appendEscaped(text);
     out += '"';
     return *this;
 }
@@ -223,17 +228,33 @@ JsonWriter::null()
     return *this;
 }
 
-std::string
+const std::string &
 JsonWriter::str() const
 {
     AIECC_ASSERT(complete(), "JSON document has unbalanced begin/end");
     return out;
 }
 
+void
+JsonWriter::reserve(size_t bytes, size_t depth)
+{
+    out.reserve(bytes);
+    stack.reserve(depth);
+}
+
+void
+JsonWriter::clear()
+{
+    out.clear();
+    stack.clear();
+    keyPending = false;
+    started = false;
+}
+
 bool
 JsonWriter::writeFile(const std::string &path) const
 {
-    const std::string doc = str();
+    const std::string &doc = str();
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;

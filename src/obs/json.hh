@@ -73,7 +73,16 @@ class JsonWriter
     bool complete() const { return started && stack.empty(); }
 
     /** The document so far (panics unless complete()). */
-    std::string str() const;
+    const std::string &str() const;
+
+    /**
+     * Start a new document, keeping the buffers' capacity: a writer
+     * reused per record allocates nothing once warmed up.
+     */
+    void clear();
+
+    /** Pre-size the buffers for @p bytes of output and @p depth levels. */
+    void reserve(size_t bytes, size_t depth);
 
     /**
      * Write the document (plus a trailing newline) to @p path.
@@ -109,6 +118,8 @@ class JsonWriter
     /** Comma/indent bookkeeping before a value or key is emitted. */
     void beforeValue();
     void newline();
+    /** Append @p text to the document, JSON-escaped. */
+    void appendEscaped(std::string_view text);
 };
 
 } // namespace obs

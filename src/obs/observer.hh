@@ -3,11 +3,14 @@
  * The Observer handle the simulation models carry.
  *
  * An Observer bundles an optional StatsRegistry, an optional
- * wall-clock ProfileRegistry, an optional CostAccountant, and any
- * number of TraceSinks.  Models hold a plain `Observer *` (nullptr = fully
- * disabled): the null check is the only cost on the hot path, and
- * producers pre-resolve their Counters at construction so enabled
- * operation stays allocation- and lookup-free per event.
+ * wall-clock ProfileRegistry, an optional CostAccountant, an optional
+ * fault-lineage LineageLedger, and any number of TraceSinks.  It is
+ * the one measurement hookup: models, campaign engines and the
+ * sharded-campaign driver (obs/shard_run.hh) all take an
+ * `Observer *` (nullptr = fully disabled).  The null check is the
+ * only cost on the hot path, and producers pre-resolve their Counters
+ * at construction so enabled operation stays allocation- and
+ * lookup-free per event.
  */
 
 #ifndef AIECC_OBS_OBSERVER_HH
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "obs/cost.hh"
+#include "obs/lineage.hh"
 #include "obs/profile.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -46,6 +50,14 @@ class Observer
     void setCost(CostAccountant *accountant) { costAcct = accountant; }
     CostAccountant *cost() const { return costAcct; }
 
+    /**
+     * Attach a fault-lineage ledger (nullptr = lineage off).  Campaign
+     * engines open and resolve one record per injected fault in it
+     * (DESIGN.md §10).
+     */
+    void setLineage(LineageLedger *ledger) { ledgerPtr = ledger; }
+    LineageLedger *lineage() const { return ledgerPtr; }
+
     void addSink(TraceSink *sink)
     {
         if (sink)
@@ -65,7 +77,6 @@ class Observer
      * trial; 0 clears it.
      */
     void setFaultContext(uint64_t faultId) { faultCtx = faultId; }
-    uint64_t faultContext() const { return faultCtx; }
 
     void
     emit(const TraceEvent &event) const
@@ -108,6 +119,7 @@ class Observer
     StatsRegistry *reg = nullptr;
     ProfileRegistry *prof = nullptr;
     CostAccountant *costAcct = nullptr;
+    LineageLedger *ledgerPtr = nullptr;
     std::vector<TraceSink *> sinkList;
     uint64_t faultCtx = 0;
 };

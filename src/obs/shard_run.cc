@@ -10,44 +10,34 @@ namespace aiecc
 namespace obs
 {
 
-ShardHookups
-ShardHookups::of(const Observer *observer, LineageLedger *ledger)
+ShardObservers::ShardObservers(const Observer *parent)
 {
-    ShardHookups h;
-    if (observer) {
-        h.stats = observer->stats();
-        h.profile = observer->profile();
-        h.cost = observer->cost();
-        h.trace = observer;
-    }
-    h.ledger = ledger;
-    return h;
-}
-
-ShardObservers::ShardObservers(const ShardHookups &parent)
-{
-    if (parent.stats) {
+    if (!parent)
+        return;
+    if (parent->stats()) {
         stats = std::make_unique<StatsRegistry>();
         obs.setStats(stats.get());
     }
-    if (parent.profile) {
+    if (parent->profile()) {
         profile = std::make_unique<ProfileRegistry>();
         obs.setProfile(profile.get());
     }
-    if (parent.cost) {
+    if (parent->cost()) {
         // Same model, private integer tallies: the shard-order merge
         // is bit-identical for any jobs value.
-        costAcct = std::make_unique<CostAccountant>(parent.cost->model());
+        costAcct = std::make_unique<CostAccountant>(parent->cost()->model());
         obs.setCost(costAcct.get());
     }
-    if (parent.trace && parent.trace->tracing()) {
+    if (parent->lineage()) {
+        ledger = std::make_unique<LineageLedger>();
+        obs.setLineage(ledger.get());
+    }
+    if (parent->tracing()) {
         // Unbounded capture: the per-trial event count is variable
         // and the shard-order re-emit needs the stream loss-free.
         events = std::make_unique<obs::VectorTraceSink>();
         obs.addSink(events.get());
     }
-    if (parent.ledger)
-        lineage = std::make_unique<LineageLedger>();
 }
 
 bool
@@ -57,25 +47,25 @@ ShardObservers::observed() const
 }
 
 void
-ShardObservers::foldInto(const ShardHookups &parent)
+ShardObservers::foldInto(const Observer &parent)
 {
     if (stats)
-        parent.stats->merge(*stats);
+        parent.stats()->merge(*stats);
     if (profile)
-        parent.profile->merge(*profile);
+        parent.profile()->merge(*profile);
     if (costAcct)
-        parent.cost->merge(*costAcct);
-    if (lineage)
-        parent.ledger->merge(*lineage);
+        parent.cost()->merge(*costAcct);
+    if (ledger)
+        parent.lineage()->merge(*ledger);
     if (events) {
         for (const TraceEvent &event : events->events())
-            parent.trace->emit(event);
+            parent.emit(event);
     }
 }
 
 RunStatus
 runSharded(uint64_t total, uint64_t shardSize, unsigned jobs,
-           const ShardHookups &parent, const ShardBody &shardFn,
+           const Observer *parent, const ShardBody &shardFn,
            const std::function<void(uint64_t)> &foldFn,
            const ShardCheckpoint *checkpoint,
            const std::function<void(uint64_t)> &progress)
@@ -91,7 +81,8 @@ runSharded(uint64_t total, uint64_t shardSize, unsigned jobs,
     };
     const auto fold = [&](uint64_t begin, uint64_t end) {
         for (uint64_t shard = begin; shard < end; ++shard) {
-            slots[shard]->foldInto(parent);
+            if (parent)
+                slots[shard]->foldInto(*parent);
             slots[shard].reset();
             foldFn(shard);
         }

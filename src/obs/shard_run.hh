@@ -4,8 +4,8 @@
  *
  * Every campaign engine — the Table III Monte-Carlo, the CCCA and
  * GDDR5 injection campaigns, the e2e bench's campaign mode — splits a
- * budget into fixed-size shards, gives each shard private copies of
- * the caller's measurement hookups, runs the shards on a worker pool
+ * budget into fixed-size shards, gives each shard private twins of
+ * what the caller's Observer carries, runs the shards on a worker pool
  * and folds them back strictly in shard order, so merged artifacts
  * are bit-identical for any `--jobs` value.  runSharded() is that
  * shape, once; an engine supplies its shard body and its result fold.
@@ -24,7 +24,6 @@
 #include <memory>
 
 #include "common/checkpoint.hh"
-#include "obs/lineage.hh"
 #include "obs/observer.hh"
 
 namespace aiecc
@@ -32,41 +31,29 @@ namespace aiecc
 namespace obs
 {
 
-/** A sharded run's parent hookups; each may be null. */
-struct ShardHookups
-{
-    StatsRegistry *stats = nullptr;
-    ProfileRegistry *profile = nullptr;
-    CostAccountant *cost = nullptr;
-    /** Re-emit target for the shard event streams (when tracing()). */
-    const Observer *trace = nullptr;
-    LineageLedger *ledger = nullptr;
-
-    /** @p observer's stats, profile, cost and sinks, plus @p ledger. */
-    static ShardHookups of(const Observer *observer,
-                           LineageLedger *ledger = nullptr);
-};
-
 /**
- * One shard's private twins of the parent's hookups, allocating only
- * what the parent attached: stats, profile and cost (same model)
- * wired into observer(), an unbounded event buffer as its first sink
- * when the parent traces, and a lineage ledger.
+ * One shard's private twins of what the parent Observer carries,
+ * allocating only what it attached: stats, profile, cost (same
+ * model) and lineage ledger wired into observer(), plus an unbounded
+ * event buffer as its first sink when the parent traces.
  */
 class ShardObservers
 {
   public:
-    explicit ShardObservers(const ShardHookups &parent);
+    /** @p parent may be null (nothing to twin). */
+    explicit ShardObservers(const Observer *parent);
 
     /** Shard-local observer; engines may add sinks of their own. */
     Observer &observer() { return obs; }
-    /** True when observer() carries anything at all. */
+    /**
+     * True when observer() carries stats, profile, cost or sinks —
+     * what a stack or engine would act on.  A ledger alone does not
+     * count: engines record lineage themselves.
+     */
     bool observed() const;
-    CostAccountant *cost() const { return costAcct.get(); }
-    LineageLedger *ledger() const { return lineage.get(); }
 
     /** Merge into @p parent and re-emit the buffered events. */
-    void foldInto(const ShardHookups &parent);
+    void foldInto(const Observer &parent);
 
   private:
     Observer obs;
@@ -74,7 +61,7 @@ class ShardObservers
     std::unique_ptr<ProfileRegistry> profile;
     std::unique_ptr<CostAccountant> costAcct;
     std::unique_ptr<VectorTraceSink> events;
-    std::unique_ptr<LineageLedger> lineage;
+    std::unique_ptr<LineageLedger> ledger;
 };
 
 /** The checkpointed form's extra inputs. */
@@ -95,16 +82,16 @@ using ShardBody =
  * Run @p total items in shards of @p shardSize on @p jobs workers.
  * @p shardFn runs concurrently and may write only its own shard's
  * slots.  After the shards join (per batch when checkpointed), each
- * shard's bundle folds into @p parent and then @p foldFn(shard) folds
- * the engine's results — in shard order, on the calling thread, after
- * which the bundle is released.  @p progress goes to the pool.
+ * shard's twins fold into @p parent (null = nothing attached) and
+ * then @p foldFn(shard) folds the engine's results — in shard order,
+ * on the calling thread, after which the twins are released.  @p progress goes to the pool.
  *
  * Without @p checkpoint the run always completes.  With it, the run
  * resumes at *nextShard, commits per batch, and returns Interrupted
  * on a pending stop request.
  */
 RunStatus runSharded(uint64_t total, uint64_t shardSize, unsigned jobs,
-                     const ShardHookups &parent, const ShardBody &shardFn,
+                     const Observer *parent, const ShardBody &shardFn,
                      const std::function<void(uint64_t)> &foldFn,
                      const ShardCheckpoint *checkpoint = nullptr,
                      const std::function<void(uint64_t)> &progress = {});

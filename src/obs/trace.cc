@@ -38,7 +38,7 @@ void
 TraceEvent::writeJson(JsonWriter &w) const
 {
     w.beginObject()
-        .kv("kind", eventKindName(kind))
+        .kv("kind", eventKindNameView(kind))
         .kv("cycle", cycle);
     if (!label.empty())
         w.kv("label", label);
@@ -51,58 +51,13 @@ TraceEvent::writeJson(JsonWriter &w) const
     w.endObject();
 }
 
-RingTraceSink::RingTraceSink(size_t capacity) : cap(capacity)
-{
-    ring.reserve(capacity);
-}
-
-void
-RingTraceSink::record(const TraceEvent &event)
-{
-    if (ring.size() < cap)
-        ring.push_back(event);
-    else if (cap)
-        ring[count % cap] = event;
-    ++count;
-}
-
-std::vector<TraceEvent>
-RingTraceSink::events() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(size());
-    if (count <= cap) {
-        out = ring;
-    } else {
-        // The slot the next record would overwrite is the oldest.
-        const size_t head = count % cap;
-        for (size_t i = 0; i < cap; ++i)
-            out.push_back(ring[(head + i) % cap]);
-    }
-    return out;
-}
-
-std::vector<TraceEvent>
-RingTraceSink::eventsOfKind(EventKind kind) const
-{
-    std::vector<TraceEvent> out;
-    for (auto &event : events()) {
-        if (event.kind == kind)
-            out.push_back(std::move(event));
-    }
-    return out;
-}
-
-void
-RingTraceSink::clear()
-{
-    ring.clear();
-    count = 0;
-}
-
 JsonlTraceSink::JsonlTraceSink(const std::string &path)
     : file(std::fopen(path.c_str(), "w"))
 {
+    // Sized up front so that lines recorded later, inside profiling
+    // scopes, never grow it: an event is one flat object, and few
+    // lines come near 1 KiB.
+    line.reserve(1024, 1);
 }
 
 JsonlTraceSink::~JsonlTraceSink()
@@ -121,11 +76,11 @@ JsonlTraceSink::record(const TraceEvent &event)
         ++drops;
         return;
     }
-    JsonWriter w(0); // compact: one line per event
-    event.writeJson(w);
-    const std::string line = w.str();
-    const size_t wrote = std::fwrite(line.data(), 1, line.size(), file);
-    if (wrote != line.size() || std::fputc('\n', file) == EOF) {
+    line.clear();
+    event.writeJson(line);
+    const std::string &text = line.str();
+    const size_t wrote = std::fwrite(text.data(), 1, text.size(), file);
+    if (wrote != text.size() || std::fputc('\n', file) == EOF) {
         ++drops;
         ++errors;
         return;

@@ -4,8 +4,8 @@
  *
  * Producers emit flat TraceEvents (kind + cycle timestamp + a small,
  * schema-stable payload) through the TraceSink interface.  Two sinks
- * are provided: a bounded in-memory ring for tests and interactive
- * debugging, and a JSONL file sink that streams one JSON object per
+ * are provided: an unbounded in-memory vector for tests and sharded
+ * capture, and a JSONL file sink that streams one JSON object per
  * line for offline analysis and trend tracking.
  */
 
@@ -130,40 +130,10 @@ class TraceSink
 };
 
 /**
- * A bounded in-memory ring: keeps the newest @p capacity events and
- * counts what it had to drop.
- */
-class RingTraceSink : public TraceSink
-{
-  public:
-    explicit RingTraceSink(size_t capacity);
-
-    void record(const TraceEvent &event) override;
-
-    /** Retained events, oldest first. */
-    std::vector<TraceEvent> events() const;
-
-    /** Retained events of one kind, oldest first. */
-    std::vector<TraceEvent> eventsOfKind(EventKind kind) const;
-
-    size_t size() const { return count < cap ? count : cap; }
-    size_t capacity() const { return cap; }
-    /** Events overwritten because the ring was full. */
-    uint64_t dropped() const { return count < cap ? 0 : count - cap; }
-    void clear();
-
-  private:
-    size_t cap;
-    uint64_t count = 0; ///< total record() calls
-    std::vector<TraceEvent> ring;
-};
-
-/**
  * An unbounded in-memory sink: keeps every event, in order.  Sharded
  * campaigns capture each worker's full event stream with one of
  * these and re-emit in shard order — lineage tracing makes the
- * per-trial event count variable, so a pre-sized ring can't give the
- * loss-free capture the determinism gates need.
+ * per-trial event count variable, so the capture must be loss-free.
  */
 class VectorTraceSink : public TraceSink
 {
@@ -187,6 +157,8 @@ class VectorTraceSink : public TraceSink
  * because the file never opened or a write failed — are counted, not
  * silently lost: dropped() is the number of record() calls that left
  * no complete line behind, ioErrors() the stream-level failures seen.
+ * Each line renders into one reused, pre-sized writer, so record()
+ * allocates nothing unless a line outgrows every earlier one.
  */
 class JsonlTraceSink : public TraceSink
 {
@@ -213,6 +185,7 @@ class JsonlTraceSink : public TraceSink
 
   private:
     std::FILE *file = nullptr;
+    JsonWriter line{0}; ///< compact: one line per event
     uint64_t lines = 0;
     uint64_t drops = 0;
     uint64_t errors = 0;

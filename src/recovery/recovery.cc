@@ -79,20 +79,6 @@ RecoveryEngine::quarantinedBanks() const
     return n;
 }
 
-unsigned
-RecoveryEngine::bucketLevel(unsigned flatBank, Cycle now) const
-{
-    if (flatBank >= buckets.size())
-        return 0;
-    const Bucket &b = buckets[flatBank];
-    double level = b.level;
-    if (cfg.bucketLeakPeriod && now > b.lastLeak) {
-        level -= static_cast<double>(now - b.lastLeak) /
-                 static_cast<double>(cfg.bucketLeakPeriod);
-    }
-    return level > 0.0 ? static_cast<unsigned>(level) : 0;
-}
-
 void
 RecoveryEngine::charge(unsigned flatBank, double tokens, Cycle now)
 {

@@ -237,9 +237,6 @@ class RecoveryEngine
     /** Rank-degraded mode entered? */
     bool rankDegraded() const { return degraded; }
 
-    /** Current leaky-bucket level of one bank (tests/diagnostics). */
-    unsigned bucketLevel(unsigned flatBank, Cycle now) const;
-
   private:
     /** Per-bank leaky bucket for the escalation ladder. */
     struct Bucket

@@ -42,8 +42,10 @@ measureHarmProbs(const Mechanisms &mech, unsigned allPinSamples,
     HarmProbs probs;
     probs.label = mech.describe();
     probs.allPinSamples = allPinSamples;
+    obs::Observer costObs;
+    costObs.setCost(cost);
     InjectionCampaign campaign(mech, seed);
-    campaign.setCostAccountant(cost);
+    campaign.setObserver(&costObs);
     const auto patterns = allPatterns();
     for (size_t i = 0; i < patterns.size(); ++i) {
         const auto onePin = campaign.sweepOnePin(patterns[i]);

@@ -371,18 +371,17 @@ TEST(CampaignSharded, StatsAndTraceIdenticalAcrossJobs)
     const unsigned jobsValues[2] = {1, 4};
     for (unsigned i = 0; i < 2; ++i) {
         obs::StatsRegistry reg;
-        obs::RingTraceSink ring(1u << 10);
+        obs::VectorTraceSink sink;
         obs::Observer observer;
         observer.setStats(&reg);
-        observer.addSink(&ring);
+        observer.addSink(&sink);
         InjectionCampaign camp(level(ProtectionLevel::Ddr4EDecc));
         camp.setObserver(&observer);
         camp.runTrials(CommandPattern::Rd, errors, jobsValues[i]);
         obs::JsonWriter w(0);
         reg.writeJson(w);
         statsJson[i] = w.str();
-        ASSERT_EQ(ring.dropped(), 0u);
-        events[i] = ring.events();
+        events[i] = sink.events();
     }
     EXPECT_EQ(statsJson[0], statsJson[1]);
     ASSERT_EQ(events[0].size(), events[1].size());
@@ -522,10 +521,13 @@ TEST(CampaignExhaustive, TwoPinSweepMatchesMaterializedSweep)
 TEST(CampaignCheckpointed, MatchesPlainRunTrialsAndLedger)
 {
     obs::LineageLedger plainLedger, ckptLedger;
+    obs::Observer plainObs, ckptObs;
+    plainObs.setLineage(&plainLedger);
+    ckptObs.setLineage(&ckptLedger);
     InjectionCampaign plain(level(ProtectionLevel::Aiecc));
-    plain.setLineageLedger(&plainLedger);
+    plain.setObserver(&plainObs);
     InjectionCampaign ckpt(level(ProtectionLevel::Aiecc));
-    ckpt.setLineageLedger(&ckptLedger);
+    ckpt.setObserver(&ckptObs);
 
     std::vector<PinError> errors;
     for (Pin pin : injectablePins(true))
@@ -561,8 +563,10 @@ TEST(CampaignCheckpointed, InterruptAndResumeIsBitIdentical)
 
     // Reference: one uninterrupted checkpointed run.
     obs::LineageLedger refLedger;
+    obs::Observer refObs;
+    refObs.setLineage(&refLedger);
     InjectionCampaign ref(level(ProtectionLevel::Aiecc));
-    ref.setLineageLedger(&refLedger);
+    ref.setObserver(&refObs);
     std::vector<TrialResult> want(errors.size());
     uint64_t refShard = 0;
     ASSERT_EQ(ref.runTrialsCheckpointed(
@@ -577,8 +581,10 @@ TEST(CampaignCheckpointed, InterruptAndResumeIsBitIdentical)
     // starts from the same base.
     clearStopRequest();
     obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
     InjectionCampaign camp(level(ProtectionLevel::Aiecc));
-    camp.setLineageLedger(&ledger);
+    camp.setObserver(&observer);
     std::vector<TrialResult> got(errors.size());
     uint64_t nextShard = 0;
     ASSERT_EQ(camp.runTrialsCheckpointed(

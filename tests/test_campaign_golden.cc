@@ -20,6 +20,7 @@
 #include "gddr5/campaign.hh"
 #include "inject/campaign.hh"
 #include "inject/montecarlo.hh"
+#include "obs/json.hh"
 #include "obs/lineage.hh"
 #include "obs/observer.hh"
 #include "obs/stats.hh"
@@ -39,6 +40,24 @@ plan(uint64_t shardSize, unsigned jobs)
     return p;
 }
 
+/**
+ * Hash of every event's full JSONL text (kind, cycle, label, value,
+ * detail, fault ID) in emission order: pins what a trace file holds,
+ * not only the numeric fields.
+ */
+uint64_t
+traceTextHash(const obs::VectorTraceSink &sink)
+{
+    std::string text;
+    for (const obs::TraceEvent &e : sink.events()) {
+        obs::JsonWriter w(0);
+        e.writeJson(w);
+        text += w.str();
+        text += '\n';
+    }
+    return obs::lineageHash(text);
+}
+
 TEST(CampaignGolden, MonteCarloSampledCell)
 {
     obs::StatsRegistry stats;
@@ -46,9 +65,9 @@ TEST(CampaignGolden, MonteCarloSampledCell)
     obs::Observer observer(&stats);
     observer.addSink(&sink);
     obs::LineageLedger ledger;
+    observer.setLineage(&ledger);
     DataMonteCarlo mc(EccScheme::EDeccQpc, 0x601D);
     mc.setObserver(&observer);
-    mc.setLineageLedger(&ledger);
     const MonteCarloCell cell = mc.runCellSharded(
         DataErrorModel::Chip1, AddrErrorModel::Bit1, 3000, plan(256, 2));
     EXPECT_EQ(cell.serializeState(),
@@ -64,13 +83,16 @@ TEST(CampaignGolden, MonteCarloSampledCell)
         stream += std::to_string(e.cycle) + ':' + std::to_string(e.value) +
                   ' ';
     EXPECT_EQ(obs::lineageHash(stream), 0x1a406be6c864e174ULL);
+    EXPECT_EQ(traceTextHash(sink), 0x9fedcd69dbecccecULL);
 }
 
 TEST(CampaignGolden, MonteCarloExhaustiveCell)
 {
     obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
     DataMonteCarlo mc(EccScheme::AzulQpc, 0x601D);
-    mc.setLineageLedger(&ledger);
+    mc.setObserver(&observer);
     const MonteCarloCell cell = mc.runCellExhaustive(
         DataErrorModel::Bit1, AddrErrorModel::Bit1, plan(1024, 2));
     EXPECT_EQ(cell.serializeState(),
@@ -83,9 +105,11 @@ TEST(CampaignGolden, AieccOnePinSweepWithCost)
     const Mechanisms mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
     obs::LineageLedger ledger;
     obs::CostAccountant cost(makeCostModel(mech));
+    obs::Observer observer;
+    observer.setLineage(&ledger);
+    observer.setCost(&cost);
     InjectionCampaign camp(mech);
-    camp.setLineageLedger(&ledger);
-    camp.setCostAccountant(&cost);
+    camp.setObserver(&observer);
     const CampaignStats stats = camp.sweepOnePin(CommandPattern::Wr, 2);
     EXPECT_EQ(stats.serializeState(), "counts 27 27 0 27 0 0 0 0\n"
                                       "recovery 27 27 27 0 0\n"
@@ -96,13 +120,35 @@ TEST(CampaignGolden, AieccOnePinSweepWithCost)
     EXPECT_EQ(cost.digest(), 0x9012375e6dde2638ULL);
 }
 
+TEST(CampaignGolden, AieccOnePinSweepTraceText)
+{
+    const Mechanisms mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
+    obs::LineageLedger ledger;
+    obs::CostAccountant cost(makeCostModel(mech));
+    obs::VectorTraceSink sink;
+    obs::Observer observer;
+    observer.addSink(&sink);
+    observer.setLineage(&ledger);
+    observer.setCost(&cost);
+    InjectionCampaign camp(mech);
+    camp.setObserver(&observer);
+    camp.sweepOnePin(CommandPattern::Wr, 2);
+    // Sinks never move results: same ledger and cost as above.
+    EXPECT_EQ(ledger.digest(), 0x7cb7c0284ba3f435ULL);
+    EXPECT_EQ(cost.digest(), 0x9012375e6dde2638ULL);
+    EXPECT_EQ(sink.size(), 108u);
+    EXPECT_EQ(traceTextHash(sink), 0x09f0f413979b191eULL);
+}
+
 TEST(CampaignGolden, Gddr5OnePinSweep)
 {
     obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
     gddr5::Gddr5Campaign camp(gddr5::Protection::aiecc());
-    camp.setLineageLedger(&ledger);
+    camp.setObserver(&observer);
     const gddr5::Gddr5Stats stats =
-        camp.sweepOnePin(gddr5::Pattern::Wr, 2);
+        camp.sweepOnePin(CommandPattern::Wr, 2);
     EXPECT_EQ(stats.serializeState(), "counts 22 16 6 5 11 0 0 0\n");
     EXPECT_EQ(ledger.digest(), 0x8df537a2fbfebd54ULL);
 }

@@ -266,8 +266,10 @@ TEST(CostSharded, InjectionCampaignBitIdenticalAcrossJobs)
     const unsigned jobsValues[3] = {1, 2, 8};
     for (unsigned i = 0; i < 3; ++i) {
         CostAccountant acct(makeCostModel(mech));
+        obs::Observer costObs;
+        costObs.setCost(&acct);
         InjectionCampaign camp(mech);
-        camp.setCostAccountant(&acct);
+        camp.setObserver(&costObs);
         camp.runTrials(CommandPattern::ActWr, errors, jobsValues[i]);
         EXPECT_TRUE(acct.audit().ok) << "--jobs " << jobsValues[i];
         EXPECT_GT(acct.total(CostCategory::Latency), 0u);
@@ -288,8 +290,10 @@ TEST(Cost, CheckpointStateRoundTripIsExact)
     // continued usability after the restore.
     const Mechanisms mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
     CostAccountant acct(makeCostModel(mech));
+    obs::Observer acctObs;
+    acctObs.setCost(&acct);
     InjectionCampaign camp(mech);
-    camp.setCostAccountant(&acct);
+    camp.setObserver(&acctObs);
     camp.sweepOnePin(CommandPattern::ActWr, 2);
     ASSERT_TRUE(acct.audit().ok);
 
@@ -300,11 +304,13 @@ TEST(Cost, CheckpointStateRoundTripIsExact)
     EXPECT_TRUE(restored.audit().ok);
 
     // Both must accept further billing identically.
+    obs::Observer restoredObs;
+    restoredObs.setCost(&restored);
     InjectionCampaign moreA(mech);
-    moreA.setCostAccountant(&acct);
+    moreA.setObserver(&acctObs);
     moreA.sweepAllPin(CommandPattern::Pre, 10, 1);
     InjectionCampaign moreB(mech);
-    moreB.setCostAccountant(&restored);
+    moreB.setObserver(&restoredObs);
     moreB.sweepAllPin(CommandPattern::Pre, 10, 1);
     EXPECT_EQ(restored.serialize(), acct.serialize());
 }

@@ -210,10 +210,10 @@ TEST(Gddr5System, CstcCatchesDuplicateAct)
 TEST(Gddr5Campaign, AieccGCoversAllOnePinErrors)
 {
     Gddr5Campaign campaign(Protection::aiecc());
-    for (Pattern pattern : allGddr5Patterns()) {
+    for (CommandPattern pattern : allPatterns()) {
         const auto stats = campaign.sweepOnePin(pattern);
         EXPECT_DOUBLE_EQ(stats.coveredFrac(), 1.0)
-            << gddr5PatternName(pattern);
+            << patternName(pattern);
         EXPECT_EQ(stats.sdc, 0u);
         EXPECT_EQ(stats.mdc, 0u);
     }
@@ -223,7 +223,7 @@ TEST(Gddr5Campaign, BaselineEdcLeavesHoles)
 {
     Gddr5Campaign campaign(Protection::baseline());
     unsigned harmful = 0;
-    for (Pattern pattern : allGddr5Patterns()) {
+    for (CommandPattern pattern : allPatterns()) {
         const auto stats = campaign.sweepOnePin(pattern);
         harmful += stats.sdc + stats.mdc;
     }
@@ -234,18 +234,18 @@ TEST(Gddr5Campaign, BaselineEdcLeavesHoles)
 TEST(Gddr5Campaign, AieccGSurvivesAllPinNoise)
 {
     Gddr5Campaign campaign(Protection::aiecc());
-    for (Pattern pattern : allGddr5Patterns()) {
+    for (CommandPattern pattern : allPatterns()) {
         const auto stats = campaign.sweepAllPin(pattern, 15);
-        EXPECT_EQ(stats.sdc, 0u) << gddr5PatternName(pattern);
-        EXPECT_EQ(stats.mdc, 0u) << gddr5PatternName(pattern);
+        EXPECT_EQ(stats.sdc, 0u) << patternName(pattern);
+        EXPECT_EQ(stats.mdc, 0u) << patternName(pattern);
     }
 }
 
 TEST(Gddr5Campaign, StatsStateRoundTripIsExact)
 {
     Gddr5Campaign campaign(Protection::baseline());
-    Gddr5Stats stats = campaign.sweepOnePin(Pattern::ActWr);
-    stats.merge(campaign.sweepAllPin(Pattern::Rd, 12));
+    Gddr5Stats stats = campaign.sweepOnePin(CommandPattern::ActWr);
+    stats.merge(campaign.sweepAllPin(CommandPattern::Rd, 12));
     ASSERT_GT(stats.trials, 0u);
 
     Gddr5Stats restored;
@@ -266,10 +266,12 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
         errors.push_back(Gddr5Error::onePin(pin));
 
     obs::LineageLedger refLedger;
+    obs::Observer refObs;
+    refObs.setLineage(&refLedger);
     Gddr5Campaign ref(Protection::aiecc());
-    ref.setLineageLedger(&refLedger);
+    ref.setObserver(&refObs);
     Gddr5Stats want;
-    for (const auto &trial : ref.runTrials(Pattern::Wr, errors, 2))
+    for (const auto &trial : ref.runTrials(CommandPattern::Wr, errors, 2))
         want.add(trial);
 
     // Interrupt in the first commit, then continue from the recorded
@@ -277,12 +279,14 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
     // uninterrupted sweep and the ledger must match bit for bit.
     clearStopRequest();
     obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
     Gddr5Campaign camp(Protection::aiecc());
-    camp.setLineageLedger(&ledger);
+    camp.setObserver(&observer);
     Gddr5Stats got;
     uint64_t nextShard = 0;
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  Pattern::Wr, errors, 2, /*batchShards=*/2, nextShard,
+                  CommandPattern::Wr, errors, 2, /*batchShards=*/2, nextShard,
                   [&](uint64_t, const Gddr5Trial &t) { got.add(t); },
                   [](uint64_t, uint64_t) { requestStop(); }),
               RunStatus::Interrupted);
@@ -292,7 +296,7 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
     EXPECT_EQ(camp.trialCount(), 0u); // left at the unit start
 
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  Pattern::Wr, errors, 2, 2, nextShard,
+                  CommandPattern::Wr, errors, 2, 2, nextShard,
                   [&](uint64_t, const Gddr5Trial &t) { got.add(t); },
                   [](uint64_t, uint64_t) {}),
               RunStatus::Completed);

@@ -181,7 +181,9 @@ TEST(CampaignLineage, LedgerIdenticalAcrossJobs)
         InjectionCampaign camp(
             Mechanisms::forLevel(ProtectionLevel::Aiecc));
         LineageLedger ledger;
-        camp.setLineageLedger(&ledger);
+        obs::Observer observer;
+        observer.setLineage(&ledger);
+        camp.setObserver(&observer);
         camp.runTrials(CommandPattern::ActWr, campaignErrors(),
                        jobsValues[i]);
         EXPECT_EQ(ledger.size(), campaignErrors().size());
@@ -195,12 +197,12 @@ TEST(CampaignLineage, LedgerIdenticalAcrossJobs)
 TEST(CampaignLineage, TraceCarriesInjectObserveResolve)
 {
     obs::VectorTraceSink sink;
+    LineageLedger ledger;
     obs::Observer observer;
     observer.addSink(&sink);
+    observer.setLineage(&ledger);
     InjectionCampaign camp(Mechanisms::forLevel(ProtectionLevel::Aiecc));
     camp.setObserver(&observer);
-    LineageLedger ledger;
-    camp.setLineageLedger(&ledger);
     camp.runTrials(CommandPattern::Rd, campaignErrors(), 1);
 
     const obs::LineageView view = obs::buildLineageView(sink.events());
@@ -249,9 +251,11 @@ TEST(Gddr5Lineage, LedgerIdenticalAcrossJobs)
     for (unsigned i = 0; i < 3; ++i) {
         gddr5::Gddr5Campaign camp(gddr5::Protection::aiecc());
         LineageLedger ledger;
-        camp.setLineageLedger(&ledger);
-        camp.runTrials(gddr5::Pattern::ActWr, errors, jobsValues[i]);
-        camp.runTrials(gddr5::Pattern::Rd, errors, jobsValues[i]);
+        obs::Observer observer;
+        observer.setLineage(&ledger);
+        camp.setObserver(&observer);
+        camp.runTrials(CommandPattern::ActWr, errors, jobsValues[i]);
+        camp.runTrials(CommandPattern::Rd, errors, jobsValues[i]);
         EXPECT_EQ(ledger.size(), 2 * errors.size());
         EXPECT_EQ(ledger.unaccounted(), 0u);
         serialized[i] = ledger.serialize();
@@ -267,7 +271,9 @@ TEST(MonteCarloLineage, LedgerIdenticalAcrossJobs)
     for (unsigned i = 0; i < 2; ++i) {
         DataMonteCarlo mc(EccScheme::EDeccQpc);
         LineageLedger ledger;
-        mc.setLineageLedger(&ledger);
+        obs::Observer observer;
+        observer.setLineage(&ledger);
+        mc.setObserver(&observer);
         ShardPlan plan;
         plan.shardSize = 16;
         plan.jobs = jobsValues[i];
@@ -286,7 +292,9 @@ TEST(MonteCarloLineage, NothingInjectedStaysOutOfLedger)
 {
     DataMonteCarlo mc(EccScheme::Qpc);
     LineageLedger ledger;
-    mc.setLineageLedger(&ledger);
+    obs::Observer observer;
+    observer.setLineage(&ledger);
+    mc.setObserver(&observer);
     mc.runCell(DataErrorModel::None, AddrErrorModel::None, 50);
     EXPECT_EQ(ledger.size(), 0u);
 }

@@ -342,14 +342,18 @@ TEST(MonteCarloCheckpointed, SampledMatchesShardedAndLedger)
     plan.jobs = 2;
 
     obs::LineageLedger refLedger;
+    obs::Observer refObs;
+    refObs.setLineage(&refLedger);
     DataMonteCarlo ref(EccScheme::EDeccQpc, 0xACE);
-    ref.setLineageLedger(&refLedger);
+    ref.setObserver(&refObs);
     const auto want = ref.runCellSharded(dm, am, trials, plan);
 
     clearStopRequest();
     obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
     DataMonteCarlo mc(EccScheme::EDeccQpc, 0xACE);
-    mc.setLineageLedger(&ledger);
+    mc.setObserver(&observer);
     MonteCarloCell got;
     uint64_t nextShard = 0;
     ASSERT_EQ(mc.runCellCheckpointed(dm, am, trials, /*exhaustive=*/false,

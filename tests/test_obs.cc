@@ -1,10 +1,10 @@
 /**
  * @file
  * Observability-layer tests: JsonWriter structure and escaping, the
- * stats registry's naming/idempotence/reset contract, the ring and
- * JSONL trace sinks, and the end-to-end cross-check that a stack
- * replay's registry counters and ring events agree with the
- * ReplayReport it returns.
+ * stats registry's naming/idempotence/reset contract, the JSONL
+ * trace sink, and the end-to-end cross-check that a stack replay's
+ * registry counters and traced events agree with the ReplayReport it
+ * returns.
  */
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "aiecc/stack.hh"
 #include "common/rng.hh"
 #include "obs/json.hh"
+#include "obs/memprof.hh"
 #include "obs/observer.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -294,35 +295,19 @@ mkEvent(obs::EventKind kind, uint64_t cycle)
     return ev;
 }
 
+/** @p sink's events of one kind, oldest first. */
+std::vector<obs::TraceEvent>
+eventsOfKind(const obs::VectorTraceSink &sink, obs::EventKind kind)
+{
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent &event : sink.events()) {
+        if (event.kind == kind)
+            out.push_back(event);
+    }
+    return out;
+}
+
 } // namespace
-
-TEST(RingTraceSink, KeepsNewestAndCountsDropped)
-{
-    obs::RingTraceSink ring(3);
-    for (uint64_t i = 0; i < 5; ++i)
-        ring.record(mkEvent(obs::EventKind::CommandIssued, i));
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.dropped(), 2u);
-    const auto events = ring.events();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].cycle, 2u); // oldest retained
-    EXPECT_EQ(events[2].cycle, 4u); // newest
-    ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(RingTraceSink, FiltersByKind)
-{
-    obs::RingTraceSink ring(8);
-    ring.record(mkEvent(obs::EventKind::Detection, 1));
-    ring.record(mkEvent(obs::EventKind::Retry, 2));
-    ring.record(mkEvent(obs::EventKind::Detection, 3));
-    const auto det = ring.eventsOfKind(obs::EventKind::Detection);
-    ASSERT_EQ(det.size(), 2u);
-    EXPECT_EQ(det[0].cycle, 1u);
-    EXPECT_EQ(det[1].cycle, 3u);
-}
 
 TEST(JsonlTraceSink, WritesOneEscapedObjectPerLine)
 {
@@ -381,6 +366,32 @@ TEST(JsonlTraceSink, HealthyStreamReportsNoDropsOrErrors)
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, "{\"kind\":\"scrub\",\"cycle\":9}");
+    std::remove(path.c_str());
+}
+
+TEST(JsonlTraceSink, RecordAllocatesNothingOnceWarm)
+{
+    const std::string path =
+        testing::TempDir() + "/aiecc_test_noalloc.jsonl";
+    {
+        obs::JsonlTraceSink sink(path);
+        ASSERT_TRUE(sink.ok());
+        obs::TraceEvent ev;
+        ev.kind = obs::EventKind::Classification;
+        ev.cycle = 123456789;
+        ev.label = "corrected";
+        ev.value = 42;
+        ev.detail = "a detail longer than any small-string buffer, "
+                    "with \"quotes\", a \\ and a \n to escape";
+        ev.faultId = 0xF00DF00DF00DULL;
+        sink.record(ev); // warm-up sizes the reused line buffer
+        const uint64_t before = obs::memprof::processTotals().allocs;
+        for (int i = 0; i < 1000; ++i)
+            sink.record(ev);
+        const uint64_t after = obs::memprof::processTotals().allocs;
+        EXPECT_EQ(after - before, 0u);
+        EXPECT_EQ(sink.recorded(), 1001u);
+    }
     std::remove(path.c_str());
 }
 
@@ -486,7 +497,7 @@ TEST(Histogram, QuantileMatchesSortedReferenceWithinOneBucket)
 TEST(Observer, EmitFansOutToAllSinks)
 {
     obs::Observer observer;
-    obs::RingTraceSink a(4), b(4);
+    obs::VectorTraceSink a, b;
     EXPECT_FALSE(observer.tracing());
     observer.addSink(&a);
     observer.addSink(&b);
@@ -502,10 +513,10 @@ TEST(Observer, EmitFansOutToAllSinks)
 TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
 {
     obs::StatsRegistry reg;
-    obs::RingTraceSink ring(1u << 16);
+    obs::VectorTraceSink sink;
     obs::Observer observer;
     observer.setStats(&reg);
-    observer.addSink(&ring);
+    observer.addSink(&sink);
 
     StackConfig cfg;
     cfg.mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
@@ -546,11 +557,9 @@ TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
             << mechanismName(mech);
     }
 
-    // Ring Detection events agree with the per-mechanism counters.
-    ASSERT_EQ(ring.dropped(), 0u) << "ring sized too small for test";
+    // Traced Detection events agree with the per-mechanism counters.
     std::map<std::string, uint64_t> byLabel;
-    for (const auto &ev :
-         ring.eventsOfKind(obs::EventKind::Detection))
+    for (const auto &ev : eventsOfKind(sink, obs::EventKind::Detection))
         ++byLabel[ev.label];
     for (unsigned m = 0; m < 7; ++m) {
         const std::string name =
@@ -566,18 +575,16 @@ TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
     // cause ("ca-parity", "read-decode", ...), which the report does
     // not count.
     uint64_t harnessRetries = 0;
-    for (const auto &ev : ring.eventsOfKind(obs::EventKind::Retry)) {
+    for (const auto &ev : eventsOfKind(sink, obs::EventKind::Retry)) {
         if (ev.label == "wr" || ev.label == "rd")
             ++harnessRetries;
     }
     EXPECT_EQ(harnessRetries, report.retries);
     // Every command edge was traced.
-    EXPECT_EQ(
-        ring.eventsOfKind(obs::EventKind::CommandIssued).size(),
-        report.commandEdges);
-    EXPECT_EQ(
-        ring.eventsOfKind(obs::EventKind::PinCorruption).size(),
-        report.injectedErrors);
+    EXPECT_EQ(eventsOfKind(sink, obs::EventKind::CommandIssued).size(),
+              report.commandEdges);
+    EXPECT_EQ(eventsOfKind(sink, obs::EventKind::PinCorruption).size(),
+              report.injectedErrors);
 }
 
 TEST(ObservedStack, ZeroObserverPathStillWorks)
@@ -600,10 +607,10 @@ TEST(ObservedStack, ZeroObserverPathStillWorks)
 TEST(ObservedStack, ScrubAndDetectionCountersFire)
 {
     obs::StatsRegistry reg;
-    obs::RingTraceSink ring(256);
+    obs::VectorTraceSink sink;
     obs::Observer observer;
     observer.setStats(&reg);
-    observer.addSink(&ring);
+    observer.addSink(&sink);
 
     StackConfig cfg;
     cfg.mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
@@ -627,9 +634,8 @@ TEST(ObservedStack, ScrubAndDetectionCountersFire)
     EXPECT_EQ(reg.counterValue("stack.detections"), 1u);
     EXPECT_EQ(reg.counterValue("stack.corrections"), 1u);
     EXPECT_EQ(reg.counterValue("stack.scrubs"), 1u);
-    EXPECT_EQ(
-        ring.eventsOfKind(obs::EventKind::Detection).size(), 1u);
-    EXPECT_EQ(ring.eventsOfKind(obs::EventKind::Scrub).size(), 1u);
+    EXPECT_EQ(eventsOfKind(sink, obs::EventKind::Detection).size(), 1u);
+    EXPECT_EQ(eventsOfKind(sink, obs::EventKind::Scrub).size(), 1u);
 }
 
 TEST(StatsRegistry, CheckpointStateRoundTripIsExact)

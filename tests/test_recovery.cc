@@ -44,6 +44,17 @@ aieccConfig()
     return cfg;
 }
 
+/** True if @p sink recorded at least one event of @p kind. */
+bool
+hasKind(const obs::VectorTraceSink &sink, obs::EventKind kind)
+{
+    for (const obs::TraceEvent &event : sink.events()) {
+        if (event.kind == kind)
+            return true;
+    }
+    return false;
+}
+
 // ---------------------------------------------------------------------
 // Transient faults: the engine, not a golden-restore replay, carries
 // every detected single-edge error back to a corrected state.
@@ -245,9 +256,9 @@ TEST(Recovery, PatrolScrubRemovesAccumulatedFlips)
 TEST(Recovery, CountersAndTraceEventsFlow)
 {
     obs::StatsRegistry reg;
-    obs::RingTraceSink ring(256);
+    obs::VectorTraceSink sink;
     obs::Observer observer(&reg);
-    observer.addSink(&ring);
+    observer.addSink(&sink);
 
     StackConfig cfg = aieccConfig();
     cfg.observer = &observer;
@@ -269,16 +280,16 @@ TEST(Recovery, CountersAndTraceEventsFlow)
     EXPECT_GE(reg.counterValue("stack.recovery.recovered"), 1u);
     EXPECT_GE(reg.counterValue("stack.recovery.wrt_resyncs"), 1u);
     EXPECT_EQ(reg.counterValue("stack.recovery.exhausted"), 0u);
-    EXPECT_FALSE(ring.eventsOfKind(obs::EventKind::Retry).empty());
-    EXPECT_FALSE(ring.eventsOfKind(obs::EventKind::Recovery).empty());
+    EXPECT_TRUE(hasKind(sink, obs::EventKind::Retry));
+    EXPECT_TRUE(hasKind(sink, obs::EventKind::Recovery));
 }
 
 TEST(Recovery, EscalationAndPatrolEventsFlow)
 {
     obs::StatsRegistry reg;
-    obs::RingTraceSink ring(512);
+    obs::VectorTraceSink sink;
     obs::Observer observer(&reg);
-    observer.addSink(&ring);
+    observer.addSink(&sink);
 
     StackConfig cfg = aieccConfig();
     cfg.observer = &observer;
@@ -309,8 +320,8 @@ TEST(Recovery, EscalationAndPatrolEventsFlow)
 
     EXPECT_GE(reg.counterValue("stack.recovery.quarantines"), 1u);
     EXPECT_GE(reg.counterValue("stack.recovery.rank_degrades"), 1u);
-    EXPECT_FALSE(ring.eventsOfKind(obs::EventKind::Escalation).empty());
-    EXPECT_FALSE(ring.eventsOfKind(obs::EventKind::PatrolScrub).empty());
+    EXPECT_TRUE(hasKind(sink, obs::EventKind::Escalation));
+    EXPECT_TRUE(hasKind(sink, obs::EventKind::PatrolScrub));
 }
 
 // ---------------------------------------------------------------------
@@ -378,15 +389,14 @@ TEST(Recovery, SoakIntermittentFaultsNeverSilent)
     constexpr uint64_t shardSize = 16;
     const uint64_t shards = shardCount(iters, shardSize);
     std::vector<std::unique_ptr<obs::StatsRegistry>> shardStats(shards);
-    std::vector<std::unique_ptr<obs::RingTraceSink>> shardTraces(shards);
+    std::vector<std::unique_ptr<obs::VectorTraceSink>> shardTraces(shards);
     std::vector<std::vector<std::string>> shardFailures(shards);
     std::vector<unsigned> shardExhausted(shards, 0);
 
     runShards(shards, jobs, [&](uint64_t shard) {
         shardStats[shard] = std::make_unique<obs::StatsRegistry>();
         const uint64_t n = shardLength(iters, shardSize, shard);
-        shardTraces[shard] =
-            std::make_unique<obs::RingTraceSink>(n + 16);
+        shardTraces[shard] = std::make_unique<obs::VectorTraceSink>();
         obs::Observer shardObs(shardStats[shard].get());
         shardObs.addSink(shardTraces[shard].get());
         const uint64_t base = shard * shardSize;
@@ -423,7 +433,6 @@ TEST(Recovery, SoakIntermittentFaultsNeverSilent)
         for (const std::string &failure : shardFailures[shard])
             ADD_FAILURE() << "silent corruption escaped: " << failure;
         reg.merge(*shardStats[shard]);
-        ASSERT_EQ(shardTraces[shard]->dropped(), 0u);
         for (const auto &event : shardTraces[shard]->events())
             if (jsonl)
                 jsonl->record(event);
