@@ -435,8 +435,7 @@ runPass(const MixConfig &mix, obs::Observer *observer,
         if (agingPinSites && agingActive) {
             bool alert = false;
             for (const DetectionEvent &ev : stack.detections())
-                alert |= ev.mech != Mechanism::Decc &&
-                         ev.mech != Mechanism::EDecc;
+                alert |= ev.alert.has_value();
             if (alert)
                 for (size_t k = 0; k < agingActive; ++k)
                     if (aging[k].kind == AgingSite::Kind::Pin)

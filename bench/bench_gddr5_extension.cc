@@ -148,6 +148,7 @@ main(int argc, char **argv)
                     obs::TraceEvent ev;
                     ev.kind = obs::EventKind::Detection;
                     ev.cycle = progress.trialsBefore(u) + trial;
+                    ev.symptom = obs::Symptom::Alert;
                     for (Detector d : res.detectors) {
                         ev.label = detectorName(d);
                         rasMon.record(ev);

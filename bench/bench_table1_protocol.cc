@@ -70,52 +70,52 @@ main(int argc, char **argv)
     {
         Cstc cstc(geom, tp);
         const bool idleOk =
-            !cstc.check(10000, Command::act(0, 0, 1)).has_value();
+            !cstc.checkFast(10000, Command::act(0, 0, 1));
         cstc.commit(10000, Command::act(0, 0, 1));
         const bool openBad =
-            cstc.check(20000, Command::act(0, 0, 2)).has_value();
+            cstc.checkFast(20000, Command::act(0, 0, 2)) != nullptr;
         liveRow(t, "ACT", "Idle", "tRC, tRRD, tFAW, tRP, tRFC",
                 idleOk && openBad);
     }
     {
         Cstc cstc(geom, tp);
         const bool idleOk =
-            !cstc.check(10000, Command::ref()).has_value();
+            !cstc.checkFast(10000, Command::ref());
         cstc.commit(10000, Command::act(0, 0, 1));
         const bool openBad =
-            cstc.check(20000, Command::ref()).has_value();
+            cstc.checkFast(20000, Command::ref()) != nullptr;
         liveRow(t, "REF", "Idle", "tRRD, tFAW, tRP, tRFC",
                 idleOk && openBad);
     }
     {
         Cstc cstc(geom, tp);
         const bool idleBad =
-            cstc.check(10000, Command::rd(0, 0, 0)).has_value();
+            cstc.checkFast(10000, Command::rd(0, 0, 0)) != nullptr;
         cstc.commit(10000, Command::act(0, 0, 1));
         const bool openOk =
-            !cstc.check(20000, Command::rd(0, 0, 0)).has_value();
+            !cstc.checkFast(20000, Command::rd(0, 0, 0));
         liveRow(t, "RD", "Open", "tRCD, tCCD, tWTR", idleBad && openOk);
     }
     {
         Cstc cstc(geom, tp);
         const bool idleBad =
-            cstc.check(10000, Command::wr(0, 0, 0)).has_value();
+            cstc.checkFast(10000, Command::wr(0, 0, 0)) != nullptr;
         cstc.commit(10000, Command::act(0, 0, 1));
         const bool openOk =
-            !cstc.check(20000, Command::wr(0, 0, 0)).has_value();
+            !cstc.checkFast(20000, Command::wr(0, 0, 0));
         liveRow(t, "WR", "Open", "tRCD, tCCD", idleBad && openOk);
     }
     {
         Cstc cstc(geom, tp);
         cstc.commit(10000, Command::act(0, 0, 1));
         const bool openOk =
-            !cstc.check(20000, Command::pre(0, 0)).has_value();
+            !cstc.checkFast(20000, Command::pre(0, 0));
         liveRow(t, "PRE", "Open", "tRAS, tRTP, tWR", openOk);
     }
     {
         Cstc cstc(geom, tp);
         const bool anyOk =
-            !cstc.check(10000, Command::nop()).has_value();
+            !cstc.checkFast(10000, Command::nop());
         liveRow(t, "NOP", "Any", "-", anyOk);
     }
     std::printf("%s\n", t.str().c_str());

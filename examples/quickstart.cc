@@ -70,7 +70,7 @@ main()
     for (const auto &event : memory.detections()) {
         std::printf("  mechanism: %s (%s)\n",
                     mechanismName(event.mech).c_str(),
-                    event.detail.c_str());
+                    detectionText(event, memory.geometry()).c_str());
         if (event.diagnosedAddress) {
             // 4. Precise diagnosis (Section IV-F): eDECC recovers the
             //    address DRAM actually used, pinpointing faulty pins.

@@ -28,7 +28,7 @@ class AzulQpc : public DataEcc
   public:
     AzulQpc() = default;
 
-    std::string name() const override { return "QPC+Azul"; }
+    const char *name() const override { return "QPC+Azul"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }

@@ -8,10 +8,11 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "ddr4/address.hh"
 #include "ddr4/command.hh"
 #include "dram/config.hh"
+#include "obs/trace.hh"
 
 namespace aiecc
 {
@@ -56,10 +57,29 @@ struct DetectionEvent
     std::optional<uint32_t> accessAddress;
     /** Chips whose symbols were corrected (EccResult::correctedChips). */
     uint32_t correctedChips = 0;
-    std::string detail;
+    /** The device alert behind an early detection (CAP/WCRC/CSTC). */
+    std::optional<Alert> alert{};
+    /** Scheme name of the data codec that flagged a decode. */
+    const char *codec = nullptr;
     /** Lineage fault ID under test when this fired (0 = none). */
     uint64_t faultId = 0;
 };
+
+/**
+ * The human-readable account of @p event — what a recorded trace
+ * carries as the detection's "detail" text.  Rendered on demand, only
+ * where text is written or printed.
+ */
+std::string detectionText(const DetectionEvent &event, const Geometry &geom);
+
+/**
+ * The trace event a detection becomes: label = mechanism name,
+ * value = the best address evidence (a precise eDECC diagnosis, else
+ * the access address of the flagged read), detail = detectionText(),
+ * and the typed symptom fields a RAS monitor reads.
+ */
+obs::TraceEvent detectionTrace(const DetectionEvent &event,
+                               const Geometry &geom);
 
 } // namespace aiecc
 

@@ -35,7 +35,7 @@ class EDeccQpc : public DataEcc
   public:
     EDeccQpc();
 
-    std::string name() const override { return "QPC+eDECC-c"; }
+    const char *name() const override { return "QPC+eDECC-c"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }
@@ -56,7 +56,7 @@ class EDeccAmd : public DataEcc
   public:
     EDeccAmd();
 
-    std::string name() const override { return "AMD+eDECC-c"; }
+    const char *name() const override { return "AMD+eDECC-c"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }

@@ -28,7 +28,7 @@ class EDeccTransformQpc : public DataEcc
   public:
     EDeccTransformQpc() = default;
 
-    std::string name() const override { return "QPC+eDECC-t"; }
+    const char *name() const override { return "QPC+eDECC-t"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }

@@ -1,7 +1,6 @@
 #include "aiecc/stack.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "aiecc/diagnosis.hh"
 #include "common/logging.hh"
@@ -9,20 +8,6 @@
 
 namespace aiecc
 {
-
-namespace
-{
-
-/** Lowercase-hex chip bitmask for detection details ("chips=24"). */
-std::string
-chipMaskString(uint32_t mask)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%x", mask);
-    return buf;
-}
-
-} // namespace
 
 ProtectionStack::ProtectionStack(const StackConfig &config)
     : cfg(config), codec(makeEcc(config.mech.ecc)),
@@ -115,18 +100,13 @@ ProtectionStack::noteDetection(DetectionEvent event)
             if (event.diagnosedAddress)
                 ++*oc.addrDiagnoses;
         }
-        // The trace value carries the best address evidence available:
-        // a precise eDECC diagnosis when there is one, otherwise the
-        // access address of the flagged read — the corrected-error
-        // address stream RAS topology inference consumes.
-        uint64_t addrEvidence = 0;
-        if (event.diagnosedAddress)
-            addrEvidence = *event.diagnosedAddress;
-        else if (event.accessAddress)
-            addrEvidence = *event.accessAddress;
-        cfg.observer->emit(obs::EventKind::Detection, event.when,
-                           mechanismName(event.mech), addrEvidence,
-                           event.detail);
+        // The trace value carries the best address evidence available
+        // (detectionTrace): the corrected-error address stream RAS
+        // topology inference consumes.
+        if (cfg.observer->tracing()) {
+            obs::TraceEvent trace = detectionTrace(event, cfg.geom);
+            cfg.observer->emit(trace);
+        }
     }
     events.push_back(std::move(event));
 }
@@ -137,36 +117,35 @@ ProtectionStack::setPinCorruptor(PinCorruptor corruptor)
     ctrl->setPinCorruptor(std::move(corruptor));
 }
 
-void
-ProtectionStack::drainAlerts()
+bool
+ProtectionStack::noteAlert(const IssueResult &issued)
 {
-    const auto &alerts = ctrl->alerts();
-    for (; alertsSeen < alerts.size(); ++alertsSeen) {
-        const Alert &alert = alerts[alertsSeen];
-        if (alert.flatBank)
-            lastAlertBank = alert.flatBank;
-        DetectionEvent ev;
-        ev.when = alert.when;
-        ev.early = true; // device alerts block the command pre-array
-        ev.detail = alert.detail;
-        switch (alert.kind) {
-          case AlertKind::CaParity:
-            ev.mech = cfg.mech.parity == ParityMode::ECap
-                          ? Mechanism::ECap
-                          : Mechanism::Cap;
-            break;
-          case AlertKind::Wcrc:
-            ev.mech = cfg.mech.wcrc == WcrcMode::DataAddress
-                          ? Mechanism::EWcrc
-                          : Mechanism::Wcrc;
-            ev.addressError = cfg.mech.wcrc == WcrcMode::DataAddress;
-            break;
-          case AlertKind::Cstc:
-            ev.mech = Mechanism::Cstc;
-            break;
-        }
-        noteDetection(std::move(ev));
+    const std::optional<Alert> &alert = issued.exec.alert;
+    if (!alert)
+        return false;
+    if (alert->flatBank)
+        lastAlertBank = alert->flatBank;
+    DetectionEvent ev;
+    ev.when = alert->when;
+    ev.early = true; // device alerts block the command pre-array
+    ev.alert = alert;
+    switch (alert->kind) {
+      case AlertKind::CaParity:
+        ev.mech = cfg.mech.parity == ParityMode::ECap ? Mechanism::ECap
+                                                      : Mechanism::Cap;
+        break;
+      case AlertKind::Wcrc:
+        ev.mech = cfg.mech.wcrc == WcrcMode::DataAddress
+                      ? Mechanism::EWcrc
+                      : Mechanism::Wcrc;
+        ev.addressError = cfg.mech.wcrc == WcrcMode::DataAddress;
+        break;
+      case AlertKind::Cstc:
+        ev.mech = Mechanism::Cstc;
+        break;
     }
+    noteDetection(std::move(ev));
+    return true;
 }
 
 // ---- RecoveryPort: the engine drives recovery through the same
@@ -238,26 +217,22 @@ ProtectionStack::reopenRow(unsigned bg, unsigned ba, unsigned row)
 bool
 ProtectionStack::replayWrite(const ReplayEntry &entry)
 {
-    const size_t mark = events.size();
     if (oc.writes)
         ++*oc.writes;
-    ctrl->issue(Command::wr(entry.addr.bg, entry.addr.ba,
-                            entry.addr.col << Geometry::burstBits),
-                entry.burst);
-    drainAlerts();
-    return events.size() == mark;
+    return !noteAlert(
+        ctrl->issue(Command::wr(entry.addr.bg, entry.addr.ba,
+                                entry.addr.col << Geometry::burstBits),
+                    entry.burst));
 }
 
 std::optional<BitVec>
 ProtectionStack::reissueRead(const MtbAddress &addr)
 {
-    const size_t mark = events.size();
     if (oc.reads)
         ++*oc.reads;
     const auto res = ctrl->issue(
         Command::rd(addr.bg, addr.ba, addr.col << Geometry::burstBits));
-    drainAlerts();
-    if (events.size() != mark || !res.readBurst)
+    if (noteAlert(res) || !res.readBurst)
         return std::nullopt;
     if (!codec)
         return res.readBurst->data();
@@ -277,43 +252,37 @@ ProtectionStack::reissueRead(const MtbAddress &addr)
 bool
 ProtectionStack::reissue(const Command &cmd)
 {
-    const size_t mark = events.size();
-    ctrl->issue(cmd);
-    drainAlerts();
-    return events.size() == mark;
+    return !noteAlert(ctrl->issue(cmd));
 }
 
 void
-ProtectionStack::maybeRecoverAlert(
-    size_t mark, const Command &intended,
-    const std::optional<ReplayEntry> &wrEntry)
+ProtectionStack::issueChecked(const Command &cmd,
+                              const std::optional<ReplayEntry> &wrEntry)
 {
-    if (!rec || inRecovery || events.size() == mark)
+    const IssueResult res = ctrl->issue(
+        cmd, wrEntry ? std::optional<Burst>(wrEntry->burst) : std::nullopt);
+    if (!noteAlert(res) || !rec || inRecovery)
         return;
     RecoveryCause cause = RecoveryCause::CaParity;
-    switch (events[mark].mech) {
-      case Mechanism::Cap:
-      case Mechanism::ECap:
+    switch (res.exec.alert->kind) {
+      case AlertKind::CaParity:
         cause = RecoveryCause::CaParity;
         break;
-      case Mechanism::Wcrc:
-      case Mechanism::EWcrc:
+      case AlertKind::Wcrc:
         cause = RecoveryCause::Wcrc;
         break;
-      case Mechanism::Cstc:
+      case AlertKind::Cstc:
         cause = RecoveryCause::Cstc;
         break;
-      default:
-        return; // decode detections recover through issueRd
     }
     unsigned flatBank = 0;
-    if (intended.type == CmdType::Act || intended.type == CmdType::Wr ||
-        intended.type == CmdType::Rd || intended.type == CmdType::Pre)
-        flatBank = intended.bg * cfg.geom.banksPerGroup() + intended.ba;
+    if (cmd.type == CmdType::Act || cmd.type == CmdType::Wr ||
+        cmd.type == CmdType::Rd || cmd.type == CmdType::Pre)
+        flatBank = cmd.bg * cfg.geom.banksPerGroup() + cmd.ba;
     else if (lastAlertBank)
         flatBank = *lastAlertBank;
     inRecovery = true;
-    rec->onAlert(cause, intended, flatBank, wrEntry, *this);
+    rec->onAlert(cause, cmd, flatBank, wrEntry, *this);
     inRecovery = false;
 }
 
@@ -370,10 +339,7 @@ ProtectionStack::encodeWrite(const MtbAddress &addr,
 void
 ProtectionStack::issueAct(unsigned bg, unsigned ba, unsigned row)
 {
-    const size_t mark = events.size();
-    ctrl->issue(Command::act(bg, ba, row));
-    drainAlerts();
-    maybeRecoverAlert(mark, Command::act(bg, ba, row), std::nullopt);
+    issueChecked(Command::act(bg, ba, row));
 }
 
 void
@@ -382,12 +348,9 @@ ProtectionStack::issueWr(const MtbAddress &addr, const BitVec &data)
     const Burst burst = encodeWrite(addr, data);
     if (oc.writes)
         ++*oc.writes;
-    const size_t mark = events.size();
-    const Command cmd =
-        Command::wr(addr.bg, addr.ba, addr.col << Geometry::burstBits);
-    ctrl->issue(cmd, burst);
-    drainAlerts();
-    maybeRecoverAlert(mark, cmd, ReplayEntry{addr, burst});
+    issueChecked(
+        Command::wr(addr.bg, addr.ba, addr.col << Geometry::burstBits),
+        ReplayEntry{addr, burst});
 }
 
 ReadOutcome
@@ -395,11 +358,9 @@ ProtectionStack::issueRd(const MtbAddress &addr)
 {
     if (oc.reads)
         ++*oc.reads;
-    const size_t mark = events.size();
     const auto res = ctrl->issue(
         Command::rd(addr.bg, addr.ba, addr.col << Geometry::burstBits));
-    drainAlerts();
-    const bool deviceAlert = events.size() > mark;
+    const bool deviceAlert = noteAlert(res);
 
     ReadOutcome out;
     bool addressFault = false;
@@ -426,46 +387,40 @@ ProtectionStack::issueRd(const MtbAddress &addr)
             out.correctedChips = ecc.correctedChips;
             addressFault = ecc.addressError;
 
-            DetectionEvent ev;
-            ev.mech = codec->protectsAddress() ? Mechanism::EDecc
-                                               : Mechanism::Decc;
-            ev.when = ctrl->now();
-            ev.early = false;
-            ev.corrected = out.corrected;
-            ev.addressError = ecc.addressError;
-            ev.diagnosedAddress = ecc.recoveredAddress;
-            ev.accessAddress = addr.pack(cfg.geom);
-            ev.correctedChips = ecc.correctedChips;
-            ev.detail = codec->name() +
-                        (out.corrected ? " corrected read @"
-                                       : " DUE on read @") +
-                        addr.toString();
-            if (ecc.correctedChips)
-                ev.detail += " chips=" + chipMaskString(ecc.correctedChips);
-            const bool scrub = cfg.scrubOnCorrection && out.corrected &&
-                               !ecc.addressError;
-            const bool diagnose =
-                cfg.observer && ecc.addressError && ecc.recoveredAddress;
-            noteDetection(std::move(ev));
+            noteDetection({.mech = codec->protectsAddress()
+                                       ? Mechanism::EDecc
+                                       : Mechanism::Decc,
+                           .when = ctrl->now(),
+                           .addressError = ecc.addressError,
+                           .corrected = out.corrected,
+                           .diagnosedAddress = ecc.recoveredAddress,
+                           .accessAddress = addr.pack(cfg.geom),
+                           .correctedChips = ecc.correctedChips,
+                           .codec = codec->name()});
 
-            if (diagnose) {
+            if (cfg.observer && cfg.observer->tracing() &&
+                ecc.addressError && ecc.recoveredAddress) {
                 // Cross-check the eDECC diagnosis against the CA-pin
                 // model: which command pins must have flipped for the
                 // intended address to land where it did (§IV-F).
                 const uint32_t intended = addr.pack(cfg.geom);
                 const AddressDiagnosis diag = diagnoseAddress(
                     intended, *ecc.recoveredAddress, cfg.geom);
-                cfg.observer->emit(
-                    obs::EventKind::Diagnosis, ctrl->now(),
-                    diag.suspectPins.empty()
-                        ? std::string("?")
-                        : pinName(diag.suspectPins.front()),
-                    static_cast<uint64_t>(intended) << 32 |
-                        *ecc.recoveredAddress,
-                    diag.toString());
+                const bool named = !diag.suspectPins.empty();
+                obs::TraceEvent trace{
+                    .kind = obs::EventKind::Diagnosis,
+                    .cycle = ctrl->now(),
+                    .label = named ? pinName(diag.suspectPins[0]) : "?",
+                    .value = static_cast<uint64_t>(intended) << 32 |
+                             *ecc.recoveredAddress,
+                    .detail = diag.toString(),
+                    .pin = named ? static_cast<int>(diag.suspectPins[0])
+                                 : -1};
+                cfg.observer->emit(trace);
             }
 
-            if (scrub) {
+            if (cfg.scrubOnCorrection && out.corrected &&
+                !ecc.addressError) {
                 // Redirect scrubbing (§V-D): write the corrected block
                 // back so the transient flip cannot combine with a
                 // later one into an uncorrectable pattern.  The
@@ -474,9 +429,9 @@ ProtectionStack::issueRd(const MtbAddress &addr)
                 obs::ScopedRecoveryCost billScrub(costAcct());
                 issueWr(addr, out.data);
                 ++scrubs;
-                if (cfg.observer) {
-                    if (oc.scrubs)
-                        ++*oc.scrubs;
+                if (oc.scrubs)
+                    ++*oc.scrubs;
+                if (cfg.observer && cfg.observer->tracing()) {
                     cfg.observer->emit(
                         obs::EventKind::Scrub, ctrl->now(),
                         codec->name(), addr.pack(cfg.geom),
@@ -515,39 +470,29 @@ ProtectionStack::issueRd(const MtbAddress &addr)
 void
 ProtectionStack::issuePre(unsigned bg, unsigned ba)
 {
-    const size_t mark = events.size();
-    ctrl->issue(Command::pre(bg, ba));
-    drainAlerts();
-    maybeRecoverAlert(mark, Command::pre(bg, ba), std::nullopt);
+    issueChecked(Command::pre(bg, ba));
 }
 
 void
 ProtectionStack::issuePreAll()
 {
-    const size_t mark = events.size();
-    ctrl->issue(Command::preAll());
-    drainAlerts();
-    maybeRecoverAlert(mark, Command::preAll(), std::nullopt);
+    issueChecked(Command::preAll());
 }
 
 void
 ProtectionStack::issueNop()
 {
-    const size_t mark = events.size();
-    ctrl->issue(Command::nop());
-    drainAlerts();
-    maybeRecoverAlert(mark, Command::nop(), std::nullopt);
+    issueChecked(Command::nop());
 }
 
 void
 ProtectionStack::recover()
 {
-    if (cfg.observer) {
-        if (oc.recoveries)
-            ++*oc.recoveries;
+    if (oc.recoveries)
+        ++*oc.recoveries;
+    if (cfg.observer && cfg.observer->tracing())
         cfg.observer->emit(obs::EventKind::Recovery, ctrl->now(), "", 0,
                            "resync WRT, drain read FIFO, PREA");
-    }
     ctrl->resyncWrt();
     ctrl->resetReadFifo();
     issuePreAll();
@@ -570,12 +515,11 @@ ProtectionStack::retireRow(unsigned flatBank, unsigned row,
     rowRemaps.push_back({flatBank, row, spareRow});
 }
 
-void
-ProtectionStack::write(const MtbAddress &addr_, const BitVec &data)
+MtbAddress
+ProtectionStack::openForAccess(const MtbAddress &requested)
 {
-    obs::ScopedTimer timeWrite(oc.tWrite);
-    const unsigned bank = addr_.flatBank(cfg.geom);
-    MtbAddress addr = addr_;
+    const unsigned bank = requested.flatBank(cfg.geom);
+    MtbAddress addr = requested;
     if (!rowRemaps.empty())
         applyRowRemap(bank, addr);
     if (hlOpenRow[bank] != static_cast<int>(addr.row)) {
@@ -587,25 +531,22 @@ ProtectionStack::write(const MtbAddress &addr_, const BitVec &data)
         issueAct(addr.bg, addr.ba, addr.row);
         hlOpenRow[bank] = static_cast<int>(addr.row);
     }
-    issueWr(addr, data);
+    return addr;
+}
+
+void
+ProtectionStack::write(const MtbAddress &addr, const BitVec &data)
+{
+    obs::ScopedTimer timeWrite(oc.tWrite);
+    issueWr(openForAccess(addr), data);
     tickPatrol();
 }
 
 ReadOutcome
-ProtectionStack::read(const MtbAddress &addr_)
+ProtectionStack::read(const MtbAddress &addr)
 {
     obs::ScopedTimer timeRead(oc.tRead);
-    const unsigned bank = addr_.flatBank(cfg.geom);
-    MtbAddress addr = addr_;
-    if (!rowRemaps.empty())
-        applyRowRemap(bank, addr);
-    if (hlOpenRow[bank] != static_cast<int>(addr.row)) {
-        if (hlOpenRow[bank] >= 0 || ctrl->bankOpen(bank))
-            issuePre(addr.bg, addr.ba);
-        issueAct(addr.bg, addr.ba, addr.row);
-        hlOpenRow[bank] = static_cast<int>(addr.row);
-    }
-    const ReadOutcome out = issueRd(addr);
+    const ReadOutcome out = issueRd(openForAccess(addr));
     tickPatrol();
     return out;
 }

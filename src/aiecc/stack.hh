@@ -187,14 +187,13 @@ class ProtectionStack : private RecoveryPort
     std::unique_ptr<DramRank> rankModel;
     std::unique_ptr<MemController> ctrl;
     std::vector<DetectionEvent> events;
-    size_t alertsSeen = 0;
     uint64_t scrubs = 0;
     uint64_t faultCtx = 0;
 
     std::unique_ptr<RecoveryEngine> rec;
     bool inRecovery = false; ///< port calls must not re-enter the engine
     bool inPatrol = false;   ///< patrol reads must not re-tick the patrol
-    /** Bank the newest drained alert was attributable to. */
+    /** Bank the newest alert was attributable to. */
     std::optional<unsigned> lastAlertBank;
     uint64_t accessesSincePatrol = 0;
     size_t patrolCursor = 0;
@@ -249,8 +248,11 @@ class ProtectionStack : private RecoveryPort
         return cfg.observer ? cfg.observer->cost() : nullptr;
     }
 
-    /** Translate newly-raised device alerts into detection events. */
-    void drainAlerts();
+    /**
+     * Record the device alert the issued edge raised, if any.
+     * @return true when there was one.
+     */
+    bool noteAlert(const IssueResult &issued);
 
     /** Record a detection: stats, trace event, and the event log. */
     void noteDetection(DetectionEvent event);
@@ -259,11 +261,14 @@ class ProtectionStack : private RecoveryPort
     Burst encodeWrite(const MtbAddress &addr, const BitVec &data) const;
 
     /**
-     * Hand a freshly-drained alert (events grew past @p mark while
-     * issuing @p intended) to the recovery engine.
+     * Issue @p cmd (a WR carries @p wrEntry's burst) and hand an alert
+     * it raises to the recovery engine.
      */
-    void maybeRecoverAlert(size_t mark, const Command &intended,
-                           const std::optional<ReplayEntry> &wrEntry);
+    void issueChecked(const Command &cmd,
+                      const std::optional<ReplayEntry> &wrEntry = {});
+
+    /** Remap @p requested past retired rows and open its row. */
+    MtbAddress openForAccess(const MtbAddress &requested);
 
     /** Run one patrol-scrub step when the access period elapsed. */
     void tickPatrol();

@@ -175,15 +175,17 @@ MemController::issue(const Command &cmd, const std::optional<Burst> &data)
             cost->onCommand(cmd.type == CmdType::Wr,
                             cmd.type == CmdType::Rd);
         }
-        obsHook->emit(obs::EventKind::CommandIssued, cycle,
-                      cmdName(cmd.type), cmdIndex);
-        if (!(pins == intended)) {
-            if (oc.pinCorruptions)
-                ++*oc.pinCorruptions;
-            obsHook->emit(obs::EventKind::PinCorruption, cycle,
-                          cmdName(cmd.type),
-                          static_cast<uint64_t>(std::popcount(
-                              pins.levels ^ intended.levels)));
+        const bool corrupted = !(pins == intended);
+        if (corrupted && oc.pinCorruptions)
+            ++*oc.pinCorruptions;
+        if (obsHook->tracing()) {
+            obsHook->emit(obs::EventKind::CommandIssued, cycle,
+                          cmdName(cmd.type), cmdIndex);
+            if (corrupted)
+                obsHook->emit(obs::EventKind::PinCorruption, cycle,
+                              cmdName(cmd.type),
+                              static_cast<uint64_t>(std::popcount(
+                                  pins.levels ^ intended.levels)));
         }
     }
 
@@ -195,10 +197,11 @@ MemController::issue(const Command &cmd, const std::optional<Burst> &data)
         wrData = makeWriteData(cmd, *data);
 
     result.exec = rank->step(cycle, pins, wrData, odtError);
-    if (oc.alerts)
-        *oc.alerts += result.exec.alerts.size();
-    for (const auto &alert : result.exec.alerts)
-        alertLog.push_back(alert);
+    if (result.exec.alert) {
+        ++alertTally.count;
+        if (oc.alerts)
+            ++*oc.alerts;
+    }
 
     // Whatever burst the device drove lands in the PHY read FIFO.
     if (result.exec.readData)

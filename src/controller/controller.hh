@@ -103,11 +103,16 @@ class MemController
         return sched.bankOpen(flatBank);
     }
 
-    /** All device alerts observed so far. */
-    const std::vector<Alert> &alerts() const { return alertLog; }
-
-    /** Drop the recorded alerts (e.g. after a retry round). */
-    void clearAlerts() { alertLog.clear(); }
+    /**
+     * Device alerts observed so far, as a tally: no log is kept, each
+     * alert reaches the caller in the IssueResult of its own edge.
+     */
+    struct AlertTally
+    {
+        uint64_t count = 0;
+        bool empty() const { return count == 0; }
+    };
+    const AlertTally &alerts() const { return alertTally; }
 
     /** Number of command edges issued. */
     uint64_t commandsIssued() const { return cmdIndex; }
@@ -179,7 +184,7 @@ class MemController
     uint64_t cmdIndex = 0;
     bool wrt = false;
     Rng staleRng;        ///< models reads of an empty PHY FIFO
-    std::vector<Alert> alertLog;
+    AlertTally alertTally;
 
     Ring<Burst> phyFifo;
     Burst lastPopped;    ///< stale entry re-read on FIFO underflow

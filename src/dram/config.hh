@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 
 #include "ddr4/address.hh"
 #include "ddr4/burst.hh"
@@ -44,12 +43,24 @@ enum class AlertKind
     Cstc,      ///< command state / timing violation
 };
 
-/** One device-side detection event. */
+/**
+ * One device-side detection event, as the facts its text is built
+ * from (aiecc/detection.hh renders it only where text is wanted).
+ */
 struct Alert
 {
     AlertKind kind;
     Cycle when = 0;
-    std::string detail;
+    /**
+     * Why the CSTC blocked the command: a static reason string
+     * (Cstc::checkFast's, or the tXP power-down-exit breach); nullptr
+     * for the other kinds.
+     */
+    const char *why = nullptr;
+    /** The command as the device decoded it. */
+    Command cmd{};
+    /** WCRC: the device's own view of the written MTB address. */
+    MtbAddress deviceAddress{};
     /**
      * Flat bank index the offending command addressed, when the alert
      * is attributable to one bank (WCRC mismatch, most CSTC checks).

@@ -15,8 +15,6 @@
 #define AIECC_DRAM_CSTC_HH
 
 #include <array>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "ddr4/address.hh"
@@ -52,18 +50,6 @@ class Cstc
      *         command is legal.
      */
     const char *checkFast(Cycle now, const Command &cmd) const;
-
-    /**
-     * checkFast() wrapped in std::optional<std::string> for tests and
-     * cold callers that want an owning message.
-     */
-    std::optional<std::string>
-    check(Cycle now, const Command &cmd) const
-    {
-        if (const char *why = checkFast(now, cmd))
-            return std::string(why);
-        return std::nullopt;
-    }
 
     /**
      * The first cycle >= @p now at which every *timing* constraint on

@@ -1,7 +1,6 @@
 #include "dram/rank.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -165,6 +164,19 @@ DramRank::openRow(unsigned bg, unsigned ba) const
     return banks[bg * cfg.geom.banksPerGroup() + ba].row;
 }
 
+void
+DramRank::cstcAlert(Cycle now, ExecResult &result, const char *why)
+{
+    if (oc.cstcAlerts)
+        ++*oc.cstcAlerts;
+    const Command &cmd = result.decoded.cmd;
+    std::optional<unsigned> bank;
+    if (cmd.type == CmdType::Act || cmd.type == CmdType::Rd ||
+        cmd.type == CmdType::Wr || cmd.type == CmdType::Pre)
+        bank = cmd.bg * cfg.geom.banksPerGroup() + cmd.ba;
+    result.alert = Alert{AlertKind::Cstc, now, why, cmd, {}, bank};
+}
+
 ExecResult
 DramRank::step(Cycle now, const PinWord &pins,
                const std::optional<WriteData> &wrData, bool dataCorrupt)
@@ -194,17 +206,8 @@ DramRank::step(Cycle now, const PinWord &pins,
             result.decoded.cmd.type != CmdType::Des &&
             result.decoded.cmd.type != CmdType::Nop &&
             now < pdEntry + cfg.timing.tXP) {
-            if (oc.cstcAlerts)
-                ++*oc.cstcAlerts;
-            const Command &pd = result.decoded.cmd;
-            std::optional<unsigned> bank;
-            if (pd.type == CmdType::Act || pd.type == CmdType::Rd ||
-                pd.type == CmdType::Wr || pd.type == CmdType::Pre)
-                bank = pd.bg * cfg.geom.banksPerGroup() + pd.ba;
-            result.alerts.push_back(
-                {AlertKind::Cstc, now,
-                 "command violates tXP after power-down exit (" +
-                     pd.toString() + ")", bank});
+            cstcAlert(now, result,
+                      "command violates tXP after power-down exit");
             return result;
         }
     }
@@ -222,9 +225,8 @@ DramRank::step(Cycle now, const PinWord &pins,
         if (!checkParity(pins, wrtForParity)) {
             if (oc.capAlerts)
                 ++*oc.capAlerts;
-            result.alerts.push_back(
-                {AlertKind::CaParity, now,
-                 "parity mismatch on " + cmd.toString(), std::nullopt});
+            result.alert = Alert{AlertKind::CaParity, now, nullptr, cmd, {},
+                                 std::nullopt};
             return result;
         }
     }
@@ -236,16 +238,8 @@ DramRank::step(Cycle now, const PinWord &pins,
 
     // 2. CSTC: protocol state and timing validation (Section IV-C).
     if (cfg.cstcEnabled) {
-        if (auto violation = cstc.check(now, cmd)) {
-            if (oc.cstcAlerts)
-                ++*oc.cstcAlerts;
-            std::optional<unsigned> bank;
-            if (cmd.type == CmdType::Act || cmd.type == CmdType::Rd ||
-                cmd.type == CmdType::Wr || cmd.type == CmdType::Pre)
-                bank = cmd.bg * cfg.geom.banksPerGroup() + cmd.ba;
-            result.alerts.push_back(
-                {AlertKind::Cstc, now,
-                 *violation + " (" + cmd.toString() + ")", bank});
+        if (const char *why = cstc.checkFast(now, cmd)) {
+            cstcAlert(now, result, why);
             return result;
         }
     }
@@ -419,10 +413,8 @@ DramRank::doWrite(Cycle now, const Command &cmd,
         if (mismatch) {
             if (oc.wcrcAlerts)
                 ++*oc.wcrcAlerts;
-            std::ostringstream detail;
-            detail << "write CRC mismatch at " << devAddr.toString();
-            result.alerts.push_back({AlertKind::Wcrc, now, detail.str(),
-                                     devAddr.flatBank(cfg.geom)});
+            result.alert = Alert{AlertKind::Wcrc, now, nullptr, cmd,
+                                 devAddr, devAddr.flatBank(cfg.geom)};
             // The write is blocked: no array mutation.
             return;
         }

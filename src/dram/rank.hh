@@ -63,7 +63,11 @@ struct ExecResult
 {
     DecodedCommand decoded;
     std::optional<Burst> readData;  ///< burst driven back on a RD
-    std::vector<Alert> alerts;      ///< device-side detections
+    /**
+     * The device-side detection, if any: a failed check blocks the
+     * command, so an edge raises at most one alert.
+     */
+    std::optional<Alert> alert;
     bool arrayMutated = false;      ///< storage changed this edge
     bool executed = false;          ///< command reached the array logic
 };
@@ -85,7 +89,7 @@ class DramRank
      *               edge is a write (nullopt otherwise).
      * @param dataCorrupt The data bus is disturbed this edge (e.g. an
      *               ODT error degraded signal integrity).
-     * @return Decode outcome, read data, and any alerts raised.
+     * @return Decode outcome, read data, and any alert raised.
      */
     ExecResult step(Cycle now, const PinWord &pins,
                     const std::optional<WriteData> &wrData = std::nullopt,
@@ -178,6 +182,9 @@ class DramRank
 
     /** The device's own view of the MTB address for a column command. */
     MtbAddress deviceAddress(const Command &cmd, const Bank &bank) const;
+
+    /** Raise a CSTC alert for the decoded command, blocked for @p why. */
+    void cstcAlert(Cycle now, ExecResult &result, const char *why);
 
     void doActivate(Cycle now, const Command &cmd, ExecResult &result);
     void doRead(Cycle now, const Command &cmd, bool dataCorrupt,

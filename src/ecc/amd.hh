@@ -26,7 +26,7 @@ class AmdChipkillEcc : public DataEcc
   public:
     AmdChipkillEcc();
 
-    std::string name() const override { return "AMD-chipkill"; }
+    const char *name() const override { return "AMD-chipkill"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return false; }

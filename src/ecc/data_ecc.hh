@@ -72,7 +72,7 @@ class DataEcc
     virtual ~DataEcc() = default;
 
     /** Scheme name for reports ("QPC", "QPC+eDECC-c", ...). */
-    virtual std::string name() const = 0;
+    virtual const char *name() const = 0;
 
     /**
      * Encode a payload into a full burst.

@@ -25,7 +25,7 @@ class QpcEcc : public DataEcc
   public:
     QpcEcc();
 
-    std::string name() const override { return "QPC"; }
+    const char *name() const override { return "QPC"; }
     Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return false; }

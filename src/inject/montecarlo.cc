@@ -379,7 +379,7 @@ DataMonteCarlo::recordLineage(obs::LineageLedger &led,
         data && addr ? obs::FaultKind::DataAddr
                      : (data ? obs::FaultKind::Data : obs::FaultKind::Addr);
     const uint64_t salt =
-        baseSeed ^ obs::lineageHash("mc:" + ecc->name());
+        baseSeed ^ obs::lineageHash(std::string("mc:") + ecc->name());
     const uint64_t stream = (static_cast<uint64_t>(dataErr) << 8) |
                             static_cast<uint64_t>(addrErr) |
                             (exhaustive ? exhaustiveStreamTag : 0);
@@ -427,9 +427,10 @@ DataMonteCarlo::emitTrialEvents(obs::Observer &to, uint64_t trial,
     // trial: the flagged detection with its address evidence, the
     // retry episode's re-reads, and an exhaustion when the budget ran
     // dry.  NoError and SDC trials emit nothing — nothing fired.  The
-    // "data-ecc" detail tag routes the detection down the data-path
-    // (not alert-family) branch of health monitors.
+    // detection is a data-path (not alert-family) symptom; its
+    // "data-ecc" detail tag says so in a recorded trace.
     const char *tag;
+    obs::Symptom symptom = obs::Symptom::DataCe;
     switch (detail.outcome) {
       case DataOutcome::NoError:
       case DataOutcome::Sdc:
@@ -446,15 +447,16 @@ DataMonteCarlo::emitTrialEvents(obs::Observer &to, uint64_t trial,
       case DataOutcome::Due:
       default:
         tag = "data-ecc DUE";
+        symptom = obs::Symptom::DataUe;
         break;
     }
     to.emit(obs::EventKind::Detection, trial, ecc->name(), detail.addr,
-            tag);
+            tag, symptom);
     for (unsigned a = 1; a <= detail.attempts; ++a)
         to.emit(obs::EventKind::Retry, trial, "re-read", a, "");
     if (detail.outcome == DataOutcome::Due && detail.attempts)
         to.emit(obs::EventKind::Recovery, trial, "retry",
-                detail.attempts, "exhausted");
+                detail.attempts, "exhausted", obs::Symptom::Exhausted);
 }
 
 MonteCarloCell

@@ -78,24 +78,28 @@ class Observer
      */
     void setFaultContext(uint64_t faultId) { faultCtx = faultId; }
 
+    /**
+     * Hand @p event to every sink, stamping the lineage context into
+     * it first when it carries no fault ID of its own.
+     */
     void
-    emit(const TraceEvent &event) const
+    emit(TraceEvent &event) const
     {
-        if (faultCtx && !event.faultId) {
-            TraceEvent stamped = event;
-            stamped.faultId = faultCtx;
-            for (TraceSink *sink : sinkList)
-                sink->record(stamped);
-            return;
-        }
+        if (faultCtx && !event.faultId)
+            event.faultId = faultCtx;
         for (TraceSink *sink : sinkList)
             sink->record(event);
     }
 
-    /** Build-and-emit convenience for producers without a ready event. */
+    /**
+     * Build-and-emit convenience for producers without a ready event.
+     * Producers that compute label or detail text test tracing()
+     * first, so an observer without sinks never pays for the text.
+     */
     void
     emit(EventKind kind, uint64_t cycle, std::string label = "",
-         uint64_t value = 0, std::string detail = "") const
+         uint64_t value = 0, std::string detail = "",
+         Symptom symptom = Symptom::None) const
     {
         if (sinkList.empty())
             return;
@@ -105,6 +109,7 @@ class Observer
         event.label = std::move(label);
         event.value = value;
         event.detail = std::move(detail);
+        event.symptom = symptom;
         emit(event);
     }
 

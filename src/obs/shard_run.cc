@@ -58,7 +58,7 @@ ShardObservers::foldInto(const Observer &parent)
     if (ledger)
         parent.lineage()->merge(*ledger);
     if (events) {
-        for (const TraceEvent &event : events->events())
+        for (TraceEvent &event : events->take())
             parent.emit(event);
     }
 }

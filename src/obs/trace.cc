@@ -17,12 +17,6 @@ eventKindNameView(EventKind kind)
     return "?";
 }
 
-std::string
-eventKindName(EventKind kind)
-{
-    return std::string(eventKindNameView(kind));
-}
-
 std::optional<EventKind>
 eventKindFromName(std::string_view name)
 {

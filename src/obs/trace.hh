@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -80,22 +81,31 @@ constexpr unsigned numEventKinds = []() consteval {
     return n;
 }();
 
-/** Printable event-kind name (the JSONL schema string). */
-std::string eventKindName(EventKind kind);
-
-/**
- * eventKindName() without the std::string: a view of the static
- * schema string.  Hot-path consumers (the RAS health monitor) match
- * kinds without allocating.
- */
+/** Printable event-kind name: a view of the static JSONL schema string. */
 std::string_view eventKindNameView(EventKind kind);
 
 /**
- * Inverse of eventKindName(): the kind whose schema string is
+ * Inverse of eventKindNameView(): the kind whose schema string is
  * @p name, or nullopt for an unknown string.  Used by trace-file
  * parsers (tools/aiecc-trace) to round-trip recorded events.
  */
 std::optional<EventKind> eventKindFromName(std::string_view name);
+
+/**
+ * What an event tells a RAS monitor, typed.  Producers set it from
+ * facts they hold; it says no more than the event's label and detail
+ * text do, and it is not written to JSONL (a recorded trace recovers
+ * it from that text: ras::symptomsFromText).
+ */
+enum class Symptom : uint8_t
+{
+    None,
+    DataCe,     ///< Detection: corrected data-ECC error (value = address)
+    DataUe,     ///< Detection: uncorrectable data-ECC error (ditto)
+    Alert,      ///< Detection: device alert family (CAP/WCRC/CSTC)
+    Exhausted,  ///< Recovery: the retry budget ran out
+    Quarantine, ///< Escalation: bank quarantined (value = bank)
+};
 
 /** One structured observation, timestamped in controller cycles. */
 struct TraceEvent
@@ -114,6 +124,12 @@ struct TraceEvent
      * member is omitted so pre-lineage consumers see the old schema.
      */
     uint64_t faultId = 0;
+    /** Typed RAS symptom (not serialized). */
+    Symptom symptom = Symptom::None;
+    /** DataCe/DataUe: chips whose symbols were corrected (bit = chip). */
+    uint32_t chips = 0;
+    /** Diagnosis: the suspect CCCA pin index, -1 when none is named. */
+    int pin = -1;
 
     /** Serialize as one self-contained JSON object value. */
     void writeJson(JsonWriter &w) const;
@@ -145,6 +161,9 @@ class VectorTraceSink : public TraceSink
 
     size_t size() const { return log.size(); }
     void clear() { log.clear(); }
+
+    /** Move the recorded events out, leaving the sink empty. */
+    std::vector<TraceEvent> take() { return std::exchange(log, {}); }
 
   private:
     std::vector<TraceEvent> log;

@@ -187,6 +187,32 @@ parseValue(std::string_view s, size_t &i, FlatValue &out,
     return true;
 }
 
+/**
+ * One Chrome instant event for @p event: name = kind[:label], args =
+ * [fault,] value[, detail].
+ */
+void
+writeInstant(JsonWriter &w, const TraceEvent &event, std::string_view cat,
+             uint64_t pid, uint64_t tid, const char *faultHex)
+{
+    const std::string kind(eventKindNameView(event.kind));
+    w.beginObject()
+        .kv("name", event.label.empty() ? kind : kind + ":" + event.label)
+        .kv("cat", cat)
+        .kv("ph", "i")
+        .kv("ts", event.cycle)
+        .kv("pid", pid)
+        .kv("tid", tid)
+        .kv("s", "t");
+    w.key("args").beginObject();
+    if (faultHex)
+        w.kv("fault", std::string_view(faultHex));
+    w.kv("value", event.value);
+    if (!event.detail.empty())
+        w.kv("detail", event.detail);
+    w.endObject().endObject();
+}
+
 } // namespace
 
 std::optional<TraceEvent>
@@ -416,7 +442,7 @@ readHeartbeatFile(const std::string &path)
 
 StreamResult
 streamTraceFile(const std::string &path,
-                const std::function<void(const TraceEvent &)> &consume)
+                const std::function<void(TraceEvent &)> &consume)
 {
     StreamResult out;
     std::ifstream in(path);
@@ -540,22 +566,8 @@ writeChromeTrace(const std::vector<TraceEvent> &events, JsonWriter &w)
     w.key("traceEvents").beginArray();
 
     // Instant events: one per trace event, cycle as timestamp.
-    for (const TraceEvent &event : sorted) {
-        const std::string kind = eventKindName(event.kind);
-        w.beginObject()
-            .kv("name",
-                event.label.empty() ? kind : kind + ":" + event.label)
-            .kv("cat", kind)
-            .kv("ph", "i")
-            .kv("ts", event.cycle)
-            .kv("pid", 0)
-            .kv("tid", 0)
-            .kv("s", "t");
-        w.key("args").beginObject().kv("value", event.value);
-        if (!event.detail.empty())
-            w.kv("detail", event.detail);
-        w.endObject().endObject();
-    }
+    for (const TraceEvent &event : sorted)
+        writeInstant(w, event, eventKindNameView(event.kind), 0, 0, nullptr);
 
     // Duration spans: a recovery episode opens at its first Retry
     // (attempt number 1) and closes at the next Recovery event
@@ -748,25 +760,9 @@ writeLineageChromeTrace(const LineageView &view, JsonWriter &w)
         }
 
         // Observation marks inside (or orphaned outside) the span.
-        for (const TraceEvent &event : fault.events) {
-            const std::string kind = eventKindName(event.kind);
-            w.beginObject()
-                .kv("name",
-                    event.label.empty() ? kind : kind + ":" + event.label)
-                .kv("cat", fault.injected ? "lineage" : "orphan")
-                .kv("ph", "i")
-                .kv("ts", event.cycle)
-                .kv("pid", pid)
-                .kv("tid", tid)
-                .kv("s", "t");
-            w.key("args")
-                .beginObject()
-                .kv("fault", std::string(idHex))
-                .kv("value", event.value);
-            if (!event.detail.empty())
-                w.kv("detail", event.detail);
-            w.endObject().endObject();
-        }
+        for (const TraceEvent &event : fault.events)
+            writeInstant(w, event, fault.injected ? "lineage" : "orphan",
+                         pid, tid, idHex);
     }
 
     w.endArray();

@@ -130,14 +130,15 @@ struct StreamResult
 
 /**
  * Stream a JSONL trace file one event at a time: @p consume is called
- * for every parsed line in file order and nothing is retained, so
+ * for every parsed line in file order (the event is the consumer's to
+ * modify, e.g. with ras::symptomsFromText) and nothing is retained, so
  * arbitrarily large traces process in constant memory.  Line handling
  * (blank lines, truncated tails) matches readTraceFile, which is a
  * collect-into-a-vector wrapper around this.
  */
 StreamResult
 streamTraceFile(const std::string &path,
-                const std::function<void(const TraceEvent &)> &consume);
+                const std::function<void(TraceEvent &)> &consume);
 
 /** Per-kind aggregate of one trace. */
 struct KindSummary

@@ -29,28 +29,6 @@ popcount64(uint64_t v)
     return n;
 }
 
-/** Parse the " chips=<hex>" suffix a data-ECC detection carries. */
-uint32_t
-parseChipsMask(const std::string &detail)
-{
-    const size_t at = detail.find(" chips=");
-    if (at == std::string::npos)
-        return 0;
-    uint32_t mask = 0;
-    for (size_t i = at + 7; i < detail.size(); ++i) {
-        const char c = detail[i];
-        unsigned digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            break;
-        mask = mask << 4 | digit;
-    }
-    return mask;
-}
-
 /** The severity the raw windowed counts call for, ignoring dwell. */
 HealthState
 severityFor(uint64_t ces, uint64_t ues, uint64_t degradeCes,
@@ -202,59 +180,52 @@ void
 HealthMonitor::record(const obs::TraceEvent &event)
 {
     using obs::EventKind;
+    using obs::Symptom;
     ++seen;
     if (event.cycle > lastCycle)
         lastCycle = event.cycle;
 
-    switch (event.kind) {
-      case EventKind::Detection:
-        // label = mechanism name.  DECC/eDECC are data-path symptoms
-        // with address evidence; standalone data-codec engines (the
-        // Table III Monte-Carlo) tag theirs "data-ecc" in the detail;
-        // the rest are alert families.
-        if (event.label == "DECC" || event.label == "eDECC" ||
-            event.detail.find("data-ecc") != std::string::npos)
-            onDataDetection(event);
-        else
-            onAlertDetection(event);
+    switch (event.symptom) {
+      case Symptom::DataCe:
+      case Symptom::DataUe:
+        onDataDetection(event);
         break;
-
-      case EventKind::Diagnosis:
-        // label = the eDECC-diagnosed suspect CA pin.
-        for (unsigned i = 0; i < numCccaPins; ++i) {
-            if (pinName(static_cast<Pin>(i)) == event.label) {
-                ++pinCounts[i];
-                break;
-            }
+      case Symptom::Alert:
+        rank.alerts.record(event.cycle);
+        evalRank(event.cycle);
+        break;
+      case Symptom::Exhausted:
+        rank.exhausted.record(event.cycle);
+        evalRank(event.cycle);
+        break;
+      case Symptom::Quarantine:
+        // The escalation ladder already decided: adopt its verdict as
+        // external evidence, skipping the windowed thresholds.
+        if (event.value < banks.size()) {
+            BankHealth &bh = banks[event.value];
+            transition(bh.state, bh.stateSince, bh.transitions,
+                       HealthState::Failing, event.cycle,
+                       static_cast<unsigned>(event.value), false);
         }
+        break;
+      case Symptom::None:
+        break;
+    }
+
+    switch (event.kind) {
+      case EventKind::Diagnosis:
+        // The eDECC-diagnosed suspect CA pin.
+        if (event.pin >= 0 && event.pin < static_cast<int>(numCccaPins))
+            ++pinCounts[event.pin];
         break;
 
       case EventKind::Retry:
         rank.retries.record(event.cycle);
         break;
 
-      case EventKind::Recovery:
-        if (event.detail.find("exhausted") != std::string::npos) {
-            rank.exhausted.record(event.cycle);
-            evalRank(event.cycle);
-        }
-        break;
-
       case EventKind::Scrub:
       case EventKind::PatrolScrub:
         rank.scrubs.record(event.cycle);
-        break;
-
-      case EventKind::Escalation:
-        // The escalation ladder already decided: adopt its verdict as
-        // external evidence, skipping the windowed thresholds.
-        if (event.label == "quarantine" && event.value < banks.size()) {
-            BankHealth &bh = banks[event.value];
-            if (worse(HealthState::Failing, bh.state))
-                transition(bh.state, bh.stateSince, bh.transitions,
-                           HealthState::Failing, event.cycle,
-                           static_cast<unsigned>(event.value), false);
-        }
         break;
 
       case EventKind::FaultInject:
@@ -266,9 +237,11 @@ HealthMonitor::record(const obs::TraceEvent &event)
         break;
 
       default:
-        // CommandIssued (the hot path), PinCorruption (injector ground
-        // truth a real monitor could not see), Classification, and our
-        // own RasHealth/RasAction feedback are not symptoms.
+        // Detection, Recovery and Escalation speak through their
+        // symptom.  CommandIssued (the hot path), PinCorruption
+        // (injector ground truth a real monitor could not see),
+        // Classification, and our own RasHealth/RasAction feedback are
+        // not symptoms.
         break;
     }
 
@@ -286,7 +259,7 @@ HealthMonitor::record(const obs::TraceEvent &event)
 void
 HealthMonitor::onDataDetection(const obs::TraceEvent &event)
 {
-    const bool ue = event.detail.find(" DUE") != std::string::npos;
+    const bool ue = event.symptom == obs::Symptom::DataUe;
     const MtbAddress addr = MtbAddress::unpack(
         static_cast<uint32_t>(event.value), cfg.geom);
     const unsigned bank = addr.flatBank(cfg.geom);
@@ -308,12 +281,10 @@ HealthMonitor::onDataDetection(const obs::TraceEvent &event)
                (static_cast<uint32_t>(addr.row) << cfg.geom.mtbColBits()) |
                    addr.col,
                1);
-        uint32_t chips = parseChipsMask(event.detail);
-        for (unsigned c = 0; c < Burst::numChips && chips; ++c) {
-            if (chips & (1u << c)) {
+        for (unsigned c = 0; c < Burst::numChips; ++c) {
+            if (event.chips >> c & 1) {
                 ++chipCounts[c];
                 chipMasks[c] |= 1ull << (bank & 63);
-                chips &= ~(1u << c);
             }
         }
     }
@@ -321,13 +292,6 @@ HealthMonitor::onDataDetection(const obs::TraceEvent &event)
     evalRank(event.cycle);
     if (!ue)
         maybeRecommendRetire(bank, event.cycle);
-}
-
-void
-HealthMonitor::onAlertDetection(const obs::TraceEvent &event)
-{
-    rank.alerts.record(event.cycle);
-    evalRank(event.cycle);
 }
 
 // ---- State machine ------------------------------------------------------
@@ -341,17 +305,8 @@ HealthMonitor::evalBank(unsigned bank, uint64_t cycle)
     const HealthState want = severityFor(
         bh.ce.windowTotal(), bh.ue.windowTotal(), cfg.degradeCes,
         cfg.failCes, cfg.degradeUes, cfg.failUes);
-    if (worse(want, bh.state)) {
-        transition(bh.state, bh.stateSince, bh.transitions, want, cycle,
-                   bank, false);
-    } else if (worse(bh.state, want) &&
-               cycle >= bh.stateSince + cfg.recoverDwell) {
-        // Downgrade one step per dwell period (hysteresis).
-        const HealthState next =
-            static_cast<HealthState>(static_cast<int>(bh.state) - 1);
-        transition(bh.state, bh.stateSince, bh.transitions, next, cycle,
-                   bank, false);
-    }
+    transition(bh.state, bh.stateSince, bh.transitions, want, cycle, bank,
+               false);
 }
 
 void
@@ -372,34 +327,33 @@ HealthMonitor::evalRank(uint64_t cycle)
         cfg.linkAlerts, 4 * cfg.linkAlerts, 1, 2);
     if (worse(alertWant, want))
         want = alertWant;
-    if (worse(want, rank.state)) {
-        transition(rank.state, rank.stateSince, rank.transitions, want,
-                   cycle, 0, true);
-    } else if (worse(rank.state, want) &&
-               cycle >= rank.stateSince + cfg.recoverDwell) {
-        const HealthState next =
-            static_cast<HealthState>(static_cast<int>(rank.state) - 1);
-        transition(rank.state, rank.stateSince, rank.transitions, next,
-                   cycle, 0, true);
-    }
+    transition(rank.state, rank.stateSince, rank.transitions, want, cycle,
+               0, true);
 }
 
 void
 HealthMonitor::transition(HealthState &state, uint64_t &since,
-                          uint64_t &transitions, HealthState next,
+                          uint64_t &transitions, HealthState want,
                           uint64_t cycle, unsigned bank, bool isRank)
 {
+    // Escalate at once; downgrade one step per dwell period
+    // (hysteresis).
+    HealthState next = want;
+    if (worse(state, want) && cycle >= since + cfg.recoverDwell)
+        next = static_cast<HealthState>(static_cast<int>(state) - 1);
+    else if (!worse(want, state))
+        return;
     const HealthState prev = state;
     state = next;
     since = cycle;
     ++transitions;
 
-    char component[16];
-    if (isRank)
-        std::snprintf(component, sizeof(component), "rank");
-    else
-        std::snprintf(component, sizeof(component), "bank%u", bank);
-    if (obsHook) {
+    if (obsHook && obsHook->tracing()) {
+        char component[16];
+        if (isRank)
+            std::snprintf(component, sizeof(component), "rank");
+        else
+            std::snprintf(component, sizeof(component), "bank%u", bank);
         char detail[48];
         std::snprintf(detail, sizeof(detail), "%s -> %s",
                       healthStateName(prev), healthStateName(next));
@@ -442,7 +396,7 @@ HealthMonitor::recommend(ActionKind kind, unsigned bank, unsigned row,
         log.push_back(action);
     else
         ++droppedLog;
-    if (obsHook) {
+    if (obsHook && obsHook->tracing()) {
         char detail[64];
         std::snprintf(detail, sizeof(detail),
                       "recommend %s bank=%u row=%u", actionName(kind),

@@ -133,12 +133,22 @@ struct HealthConfig
 };
 
 /**
+ * Recover the typed symptom fields (obs::Symptom, chip mask, suspect
+ * pin) of a recorded @p event from its label and detail text — the
+ * only place text maps back to those fields.  Replaying a JSONL trace
+ * through this and HealthMonitor::record reaches the state the live
+ * monitor reached.
+ */
+void symptomsFromText(obs::TraceEvent &event);
+
+/**
  * The monitor.  Attach with observer.addSink(&monitor) — after any
  * JSONL sink, so emitted RasHealth/RasAction events trail the
  * triggering symptom in the file — or replay a recorded trace through
  * record() offline.  Give it an Observer (setObserver) to emit
  * RasHealth/RasAction events on transitions; it ignores those kinds
- * on input, so the feedback loop terminates.
+ * on input, so the feedback loop terminates.  It reads the events'
+ * kinds and typed symptom fields, never their text.
  */
 class HealthMonitor : public obs::TraceSink
 {
@@ -353,11 +363,11 @@ class HealthMonitor : public obs::TraceSink
     static void mergeSketch(Slot *into, const Slot *from);
 
     void onDataDetection(const obs::TraceEvent &event);
-    void onAlertDetection(const obs::TraceEvent &event);
     void evalBank(unsigned bank, uint64_t cycle);
     void evalRank(uint64_t cycle);
+    /** Move a component's state toward @p want (hysteresis applies). */
     void transition(HealthState &state, uint64_t &since,
-                    uint64_t &transitions, HealthState next,
+                    uint64_t &transitions, HealthState want,
                     uint64_t cycle, unsigned bank, bool isRank);
     void recommend(ActionKind kind, unsigned bank, unsigned row,
                    uint64_t cycle);

@@ -106,23 +106,17 @@ RecoveryEngine::enterQuarantine(unsigned flatBank, Cycle now,
 {
     Bucket &b = buckets[flatBank];
     b.quarantined = true;
-    ++st.quarantines;
-    if (oc.quarantines)
-        ++*oc.quarantines;
-    if (obsHook) {
+    bump(st.quarantines, oc.quarantines);
+    if (tracing())
         obsHook->emit(obs::EventKind::Escalation, now, "quarantine",
-                      flatBank, why);
-    }
+                      flatBank, why, obs::Symptom::Quarantine);
     if (!degraded && quarantinedBanks() >= cfg.rankDegradeBanks) {
         degraded = true;
-        ++st.rankDegrades;
-        if (oc.rankDegrades)
-            ++*oc.rankDegrades;
-        if (obsHook) {
+        bump(st.rankDegrades, oc.rankDegrades);
+        if (tracing())
             obsHook->emit(obs::EventKind::Escalation, now,
                           "rank_degraded", quarantinedBanks(),
                           "quarantined-bank threshold crossed");
-        }
     }
 }
 
@@ -145,17 +139,13 @@ RecoveryEngine::resyncIfNeeded(RecoveryPort &port)
     // buffered write so the array holds what the consumer believes
     // (the paper's alert handling before command replay, §IV-G).
     port.resyncWrt();
-    ++st.wrtResyncs;
-    if (oc.wrtResyncs)
-        ++*oc.wrtResyncs;
+    bump(st.wrtResyncs, oc.wrtResyncs);
     const auto entry = port.newestWrite();
     if (!entry)
         return true; // nothing buffered: toggle adopted, data unknown
     if (!port.reopenRow(entry->addr.bg, entry->addr.ba, entry->addr.row))
         return false;
-    ++st.wrReplays;
-    if (oc.wrReplays)
-        ++*oc.wrReplays;
+    bump(st.wrReplays, oc.wrReplays);
     if (!port.replayWrite(*entry))
         return false;
     // A replay lost in flight leaves the toggles apart again.
@@ -174,9 +164,7 @@ RecoveryEngine::tryOnce(RecoveryCause cause, const Command &intended,
         // duplicate this one).
         if (port.wrtMismatch()) {
             port.resyncWrt();
-            ++st.wrtResyncs;
-            if (oc.wrtResyncs)
-                ++*oc.wrtResyncs;
+            bump(st.wrtResyncs, oc.wrtResyncs);
         }
         if (!wrEntry)
             return false; // no buffered payload: unrecoverable here
@@ -189,9 +177,7 @@ RecoveryEngine::tryOnce(RecoveryCause cause, const Command &intended,
             !port.reopenRow(wrEntry->addr.bg, wrEntry->addr.ba,
                             wrEntry->addr.row))
             return false;
-        ++st.wrReplays;
-        if (oc.wrReplays)
-            ++*oc.wrReplays;
+        bump(st.wrReplays, oc.wrReplays);
         if (!port.replayWrite(*wrEntry))
             return false;
         return !port.wrtMismatch();
@@ -216,11 +202,10 @@ RecoveryEngine::tryOnce(RecoveryCause cause, const Command &intended,
     }
 }
 
+template <class Attempt>
 RecoveryOutcome
-RecoveryEngine::runEpisode(RecoveryCause cause, const Command &intended,
-                           unsigned flatBank,
-                           const std::optional<ReplayEntry> &wrEntry,
-                           RecoveryPort &port)
+RecoveryEngine::runEpisode(RecoveryCause cause, unsigned flatBank,
+                           RecoveryPort &port, Attempt &&attempt)
 {
     RecoveryOutcome out;
     if (!cfg.enabled || cfg.maxAttempts == 0)
@@ -232,23 +217,14 @@ RecoveryEngine::runEpisode(RecoveryCause cause, const Command &intended,
     obs::ScopedRecoveryCost billEpisode(obsHook ? obsHook->cost()
                                                 : nullptr);
     out.attempted = true;
-    ++st.episodes;
-    if (oc.episodes)
-        ++*oc.episodes;
+    bump(st.episodes, oc.episodes);
 
-    for (unsigned attempt = 1; attempt <= cfg.maxAttempts; ++attempt) {
-        if (attempt > 1 && cfg.backoffCycles)
+    for (unsigned n = 1; n <= cfg.maxAttempts; ++n) {
+        if (n > 1 && cfg.backoffCycles)
             port.backoff(cfg.backoffCycles);
-        out.attempts = attempt;
-        ++st.attempts;
-        if (oc.attempts)
-            ++*oc.attempts;
-        if (obsHook) {
-            obsHook->emit(obs::EventKind::Retry, port.portNow(),
-                          recoveryCauseName(cause), attempt,
-                          "replay " + intended.toString());
-        }
-        if (tryOnce(cause, intended, wrEntry, attempt, port)) {
+        out.attempts = n;
+        bump(st.attempts, oc.attempts);
+        if (attempt(n, out)) {
             out.recovered = true;
             break;
         }
@@ -256,35 +232,27 @@ RecoveryEngine::runEpisode(RecoveryCause cause, const Command &intended,
     }
 
     if (out.recovered) {
-        ++st.recovered;
-        if (oc.recovered)
-            ++*oc.recovered;
-        if (out.attempts == 1) {
-            ++st.recoveredFirstTry;
-            if (oc.recoveredFirstTry)
-                ++*oc.recoveredFirstTry;
-        } else {
-            ++st.recoveredAfterRetries;
-            if (oc.recoveredAfterRetries)
-                ++*oc.recoveredAfterRetries;
-        }
+        bump(st.recovered, oc.recovered);
+        if (out.attempts == 1)
+            bump(st.recoveredFirstTry, oc.recoveredFirstTry);
+        else
+            bump(st.recoveredAfterRetries, oc.recoveredAfterRetries);
     } else {
         out.exhausted = true;
-        ++st.exhausted;
-        if (oc.exhausted)
-            ++*oc.exhausted;
+        bump(st.exhausted, oc.exhausted);
         // Exhaustion weighs extra in the ladder: the fault outlived
         // the whole retry window.
         charge(flatBank, 2.0, port.portNow());
     }
     if (oc.retryDepth)
         oc.retryDepth->sample(out.attempts);
-    if (obsHook) {
+    if (tracing())
         obsHook->emit(obs::EventKind::Recovery, port.portNow(),
                       recoveryCauseName(cause), out.attempts,
                       out.recovered ? "in-band recovery succeeded"
-                                    : "retry budget exhausted");
-    }
+                                    : "retry budget exhausted",
+                      out.exhausted ? obs::Symptom::Exhausted
+                                    : obs::Symptom::None);
     return out;
 }
 
@@ -294,91 +262,38 @@ RecoveryEngine::onAlert(RecoveryCause cause, const Command &intended,
                         const std::optional<ReplayEntry> &wrEntry,
                         RecoveryPort &port)
 {
-    return runEpisode(cause, intended, flatBank, wrEntry, port);
+    return runEpisode(cause, flatBank, port,
+                      [&](unsigned attempt, RecoveryOutcome &) {
+        if (tracing())
+            obsHook->emit(obs::EventKind::Retry, port.portNow(),
+                          recoveryCauseName(cause), attempt,
+                          "replay " + intended.toString());
+        return tryOnce(cause, intended, wrEntry, attempt, port);
+    });
 }
 
 RecoveryOutcome
 RecoveryEngine::onReadDetection(const MtbAddress &addr, unsigned flatBank,
                                 RecoveryPort &port)
 {
-    RecoveryOutcome out;
-    if (!cfg.enabled || cfg.maxAttempts == 0)
-        return out;
-    obs::ScopedTimer timeEpisode(oc.tEpisode);
-    // Reissued reads are extra bandwidth the fault caused: bill the
-    // whole episode to the recovery cost level (obs/cost.hh).
-    obs::ScopedRecoveryCost billEpisode(obsHook ? obsHook->cost()
-                                                : nullptr);
-    out.attempted = true;
-    ++st.episodes;
-    if (oc.episodes)
-        ++*oc.episodes;
-
-    for (unsigned attempt = 1; attempt <= cfg.maxAttempts; ++attempt) {
-        if (attempt > 1 && cfg.backoffCycles)
-            port.backoff(cfg.backoffCycles);
-        out.attempts = attempt;
-        ++st.attempts;
-        if (oc.attempts)
-            ++*oc.attempts;
-        if (obsHook) {
+    const RecoveryCause cause = RecoveryCause::ReadDecode;
+    return runEpisode(cause, flatBank, port,
+                      [&](unsigned attempt, RecoveryOutcome &out) {
+        if (tracing())
             obsHook->emit(obs::EventKind::Retry, port.portNow(),
-                          recoveryCauseName(RecoveryCause::ReadDecode),
-                          attempt, "reissue RD @" + addr.toString());
-        }
-        bool ok = resyncIfNeeded(port);
-        if (ok) {
-            // A skewed FIFO pointer would hand the reissued RD stale
-            // data: drain it first so the device's fresh burst is the
-            // one popped.
-            port.drainReadFifo();
-            if (attempt > 1 &&
-                !port.reopenRow(addr.bg, addr.ba, addr.row))
-                ok = false;
-        }
-        if (ok) {
-            ++st.rdReissues;
-            if (oc.rdReissues)
-                ++*oc.rdReissues;
-            if (auto data = port.reissueRead(addr)) {
-                out.recovered = true;
-                out.data = std::move(data);
-                break;
-            }
-        }
-        charge(flatBank, 1.0, port.portNow());
-    }
-
-    if (out.recovered) {
-        ++st.recovered;
-        if (oc.recovered)
-            ++*oc.recovered;
-        if (out.attempts == 1) {
-            ++st.recoveredFirstTry;
-            if (oc.recoveredFirstTry)
-                ++*oc.recoveredFirstTry;
-        } else {
-            ++st.recoveredAfterRetries;
-            if (oc.recoveredAfterRetries)
-                ++*oc.recoveredAfterRetries;
-        }
-    } else {
-        out.exhausted = true;
-        ++st.exhausted;
-        if (oc.exhausted)
-            ++*oc.exhausted;
-        charge(flatBank, 2.0, port.portNow());
-    }
-    if (oc.retryDepth)
-        oc.retryDepth->sample(out.attempts);
-    if (obsHook) {
-        obsHook->emit(obs::EventKind::Recovery, port.portNow(),
-                      recoveryCauseName(RecoveryCause::ReadDecode),
-                      out.attempts,
-                      out.recovered ? "in-band recovery succeeded"
-                                    : "retry budget exhausted");
-    }
-    return out;
+                          recoveryCauseName(cause), attempt,
+                          "reissue RD @" + addr.toString());
+        if (!resyncIfNeeded(port))
+            return false;
+        // A skewed FIFO pointer would hand the reissued RD stale data:
+        // drain it first so the device's fresh burst is the one popped.
+        port.drainReadFifo();
+        if (attempt > 1 && !port.reopenRow(addr.bg, addr.ba, addr.row))
+            return false;
+        bump(st.rdReissues, oc.rdReissues);
+        out.data = port.reissueRead(addr);
+        return out.data.has_value();
+    });
 }
 
 void
@@ -388,13 +303,10 @@ RecoveryEngine::notePatrol(const MtbAddress &addr, bool scrubbed,
     ++st.patrolReads;
     if (!scrubbed)
         return;
-    ++st.patrolScrubs;
-    if (oc.patrolScrubs)
-        ++*oc.patrolScrubs;
-    if (obsHook) {
+    bump(st.patrolScrubs, oc.patrolScrubs);
+    if (tracing())
         obsHook->emit(obs::EventKind::PatrolScrub, now, "patrol",
                       addr.pack(), "patrol scrub @" + addr.toString());
-    }
 }
 
 } // namespace aiecc

@@ -281,15 +281,29 @@ class RecoveryEngine
                  const std::optional<ReplayEntry> &wrEntry,
                  unsigned attempt, RecoveryPort &port);
 
-    /** Shared episode driver: bounded attempts + escalation. */
-    RecoveryOutcome runEpisode(RecoveryCause cause,
-                               const Command &intended,
-                               unsigned flatBank,
-                               const std::optional<ReplayEntry> &wrEntry,
-                               RecoveryPort &port);
+    /**
+     * Shared episode driver: bounded attempts of
+     * @p attempt(n, outcome) (true = recovered), backoff, the
+     * outcome tallies and escalation charges.
+     */
+    template <class Attempt>
+    RecoveryOutcome runEpisode(RecoveryCause cause, unsigned flatBank,
+                               RecoveryPort &port, Attempt &&attempt);
+
+    /** Count one event in the engine totals and any attached counter. */
+    static void
+    bump(uint64_t &total, obs::Counter *counter)
+    {
+        ++total;
+        if (counter)
+            ++*counter;
+    }
 
     /** Leak, then charge @p tokens into one bank's bucket. */
     void charge(unsigned flatBank, double tokens, Cycle now);
+
+    /** Some sink wants events (text is built only then). */
+    bool tracing() const { return obsHook && obsHook->tracing(); }
 
     /** Shared quarantine transition (reactive and advisory paths). */
     void enterQuarantine(unsigned flatBank, Cycle now, const char *why);

@@ -174,14 +174,13 @@ replayTrace(ProtectionStack &stack,
                 ++report.retries;
                 if (retryCtr)
                     ++*retryCtr;
-                if (obsHook) {
+                if (obsHook && obsHook->tracing())
                     obsHook->emit(obs::EventKind::Retry,
                                   stack.controller().now(),
                                   pending.write ? "wr" : "rd",
                                   pending.addr.pack(geom),
                                   "window replay @" +
                                       pending.addr.toString());
-                }
                 doAccess(pending);
             }
         }

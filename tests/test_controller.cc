@@ -83,9 +83,10 @@ TEST_F(ControllerTest, ParityDrivenWhenEnabled)
         if (idx == 0)
             pins.flip(Pin::A5);
     });
-    ctrl->issue(Command::act(0, 0, 7));
-    ASSERT_EQ(ctrl->alerts().size(), 1u);
-    EXPECT_EQ(ctrl->alerts()[0].kind, AlertKind::CaParity);
+    const IssueResult r = ctrl->issue(Command::act(0, 0, 7));
+    ASSERT_TRUE(r.exec.alert.has_value());
+    EXPECT_EQ(r.exec.alert->kind, AlertKind::CaParity);
+    EXPECT_EQ(ctrl->alerts().count, 1u);
     EXPECT_FALSE(rank->bankOpen(0, 0));
 }
 
@@ -99,9 +100,11 @@ TEST_F(ControllerTest, EWcrcCoversIntendedAddress)
             pins.flip(Pin::A3);
     });
     ctrl->issue(Command::act(0, 0, 7));
-    ctrl->issue(Command::wr(0, 0, 2 << 3), patternBurst(2));
-    ASSERT_EQ(ctrl->alerts().size(), 1u);
-    EXPECT_EQ(ctrl->alerts()[0].kind, AlertKind::Wcrc);
+    const IssueResult r =
+        ctrl->issue(Command::wr(0, 0, 2 << 3), patternBurst(2));
+    ASSERT_TRUE(r.exec.alert.has_value());
+    EXPECT_EQ(r.exec.alert->kind, AlertKind::Wcrc);
+    EXPECT_EQ(ctrl->alerts().count, 1u);
 }
 
 TEST_F(ControllerTest, WrtBitsStaySynchronized)
@@ -133,9 +136,9 @@ TEST_F(ControllerTest, MissingWriteDesynchronizesWrtAndIsDetected)
     EXPECT_TRUE(ctrl->alerts().empty());
     EXPECT_NE(ctrl->wrtBit(), rank->wrtBit());
     // The next command is flagged by eCAP.
-    ctrl->issue(Command::rd(0, 0, 2 << 3));
-    ASSERT_FALSE(ctrl->alerts().empty());
-    EXPECT_EQ(ctrl->alerts()[0].kind, AlertKind::CaParity);
+    const IssueResult r = ctrl->issue(Command::rd(0, 0, 2 << 3));
+    ASSERT_TRUE(r.exec.alert.has_value());
+    EXPECT_EQ(r.exec.alert->kind, AlertKind::CaParity);
 }
 
 TEST_F(ControllerTest, MissingReadUnderflowsFifo)
@@ -210,7 +213,7 @@ TEST_F(ControllerTest, CorruptorOnlyHitsTargetEdge)
     EXPECT_EQ(hits, 1);
 }
 
-TEST_F(ControllerTest, ClearAlerts)
+TEST_F(ControllerTest, AlertArrivesOnItsOwnEdge)
 {
     cfg.parityMode = ParityMode::Cap;
     build();
@@ -218,10 +221,11 @@ TEST_F(ControllerTest, ClearAlerts)
         if (idx == 0)
             pins.flip(Pin::A0);
     });
-    ctrl->issue(Command::act(0, 0, 7));
-    EXPECT_FALSE(ctrl->alerts().empty());
-    ctrl->clearAlerts();
-    EXPECT_TRUE(ctrl->alerts().empty());
+    // The alert rides the result of the edge that raised it; the
+    // controller keeps only a tally, so the next clean edge has none.
+    EXPECT_TRUE(ctrl->issue(Command::act(0, 0, 7)).exec.alert);
+    EXPECT_FALSE(ctrl->issue(Command::act(0, 1, 7)).exec.alert);
+    EXPECT_EQ(ctrl->alerts().count, 1u);
 }
 
 } // namespace

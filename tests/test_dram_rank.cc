@@ -130,7 +130,7 @@ TEST_F(RankTest, WriteToIdleBankIsSilentlyDropped)
     auto wr = step(rank, Command::wr(0, 0, 2 << 3),
                    makeWd(cfg, patternBurst(2), addr));
     EXPECT_FALSE(wr.arrayMutated);
-    EXPECT_TRUE(wr.alerts.empty());
+    EXPECT_FALSE(wr.alert.has_value());
     EXPECT_EQ(rank.peek(addr), before);
 }
 
@@ -187,8 +187,8 @@ TEST_F(RankTest, ExtraWriteCaughtByWcrc)
     rank.poke(MtbAddress{0, 0, 0, 7, 2}, good);
     step(rank, Command::act(0, 0, 7));
     auto res = step(rank, Command::wr(0, 0, 2 << 3), std::nullopt);
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Wcrc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Wcrc);
     EXPECT_FALSE(res.arrayMutated);
     EXPECT_EQ(rank.peek(MtbAddress{0, 0, 0, 7, 2}), good);
 }
@@ -216,7 +216,7 @@ TEST_F(RankTest, BaseWcrcAcceptsMatchingWrite)
     const MtbAddress addr{0, 0, 0, 7, 2};
     auto res = step(rank, Command::wr(0, 0, 2 << 3),
                     makeWd(cfg, patternBurst(9), addr));
-    EXPECT_TRUE(res.alerts.empty());
+    EXPECT_FALSE(res.alert.has_value());
     EXPECT_TRUE(res.arrayMutated);
 }
 
@@ -231,7 +231,7 @@ TEST_F(RankTest, BaseWcrcMissesAddressErrors)
     // The command's column got corrupted to 3 in flight.
     auto res = step(rank, Command::wr(0, 0, 3 << 3),
                     makeWd(cfg, patternBurst(10), intended));
-    EXPECT_TRUE(res.alerts.empty());
+    EXPECT_FALSE(res.alert.has_value());
     EXPECT_TRUE(res.arrayMutated);
 }
 
@@ -243,8 +243,8 @@ TEST_F(RankTest, EWcrcDetectsColumnError)
     const MtbAddress intended{0, 0, 0, 7, 2};
     auto res = step(rank, Command::wr(0, 0, 3 << 3),
                     makeWd(cfg, patternBurst(11), intended));
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Wcrc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Wcrc);
     EXPECT_FALSE(res.arrayMutated);
 }
 
@@ -258,8 +258,8 @@ TEST_F(RankTest, EWcrcDetectsWrongOpenRow)
     const MtbAddress intended{0, 0, 0, 7, 2};
     auto res = step(rank, Command::wr(0, 0, 2 << 3),
                     makeWd(cfg, patternBurst(12), intended));
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Wcrc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Wcrc);
 }
 
 TEST_F(RankTest, CapBlocksCommandOnParityError)
@@ -270,8 +270,8 @@ TEST_F(RankTest, CapBlocksCommandOnParityError)
     driveParity(pins, false);
     pins.flip(Pin::A3); // 1-pin CMD/ADD error
     auto res = rank.step(500, pins);
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::CaParity);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::CaParity);
     EXPECT_FALSE(rank.bankOpen(0, 0));
 }
 
@@ -284,7 +284,7 @@ TEST_F(RankTest, CapMissesTwoPinErrors)
     pins.flip(Pin::A3);
     pins.flip(Pin::A4);
     auto res = rank.step(500, pins);
-    EXPECT_TRUE(res.alerts.empty());
+    EXPECT_FALSE(res.alert.has_value());
     EXPECT_TRUE(rank.bankOpen(0, 0));
     EXPECT_EQ(rank.openRow(0, 0), 7u ^ 8u ^ 16u);
 }
@@ -317,13 +317,13 @@ TEST_F(RankTest, ECapDetectsMissingWriteAtNextCommand)
     ctrlWrt = !ctrlWrt;
     lostPins.flip(Pin::CS); // deselect: DRAM never sees the WR
     auto res1 = rank.step(700, lostPins);
-    EXPECT_TRUE(res1.alerts.empty());
+    EXPECT_FALSE(res1.alert.has_value());
     EXPECT_FALSE(rank.wrtBit());
 
     // Next command carries parity computed with the controller's WRT.
     auto res2 = step(rank, Command::rd(0, 0, 2 << 3));
-    ASSERT_EQ(res2.alerts.size(), 1u);
-    EXPECT_EQ(res2.alerts[0].kind, AlertKind::CaParity);
+    ASSERT_TRUE(res2.alert.has_value());
+    EXPECT_EQ(res2.alert->kind, AlertKind::CaParity);
 }
 
 TEST_F(RankTest, CstcBlocksDuplicateAct)
@@ -334,8 +334,8 @@ TEST_F(RankTest, CstcBlocksDuplicateAct)
     const Burst before = rank.peek(MtbAddress{0, 0, 0, 20, 5});
     step(rank, Command::act(0, 0, 10));
     auto res = step(rank, Command::act(0, 0, 20));
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Cstc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Cstc);
     // Row B survives.
     EXPECT_EQ(rank.peek(MtbAddress{0, 0, 0, 20, 5}), before);
 }
@@ -345,8 +345,8 @@ TEST_F(RankTest, CstcBlocksReadToIdleBank)
     cfg.cstcEnabled = true;
     DramRank rank(cfg);
     auto res = step(rank, Command::rd(0, 0, 0));
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Cstc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Cstc);
     EXPECT_FALSE(res.readData.has_value());
 }
 
@@ -381,14 +381,14 @@ TEST_F(RankTest, CstcFlagsTooEarlyWakeAfterCkeGlitch)
     ASSERT_TRUE(rank.inPowerDown());
 
     auto res = rank.step(502, encodeCommand(Command::act(0, 0, 7)));
-    ASSERT_EQ(res.alerts.size(), 1u);
-    EXPECT_EQ(res.alerts[0].kind, AlertKind::Cstc);
+    ASSERT_TRUE(res.alert.has_value());
+    EXPECT_EQ(res.alert->kind, AlertKind::Cstc);
     EXPECT_FALSE(rank.bankOpen(0, 0));
 
     // Past tXP, commands proceed normally.
     auto res2 = rank.step(502 + cfg.timing.tXP,
                           encodeCommand(Command::act(0, 0, 7)));
-    EXPECT_TRUE(res2.alerts.empty());
+    EXPECT_FALSE(res2.alert.has_value());
     EXPECT_TRUE(rank.bankOpen(0, 0));
 }
 

@@ -8,13 +8,17 @@
  * round-trip.
  */
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aiecc/stack.hh"
 #include "ddr4/address.hh"
+#include "inject/montecarlo.hh"
 #include "obs/json.hh"
+#include "obs/trace_reader.hh"
 #include "ras/health.hh"
 
 namespace aiecc
@@ -24,8 +28,7 @@ namespace
 
 obs::TraceEvent
 dataCe(unsigned bank, unsigned row, unsigned col, uint64_t cycle,
-       const std::string &label = "DECC",
-       const std::string &detail = "")
+       uint32_t chips = 0)
 {
     const Geometry geom;
     MtbAddress addr;
@@ -36,19 +39,40 @@ dataCe(unsigned bank, unsigned row, unsigned col, uint64_t cycle,
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::Detection;
     ev.cycle = cycle;
-    ev.label = label;
     ev.value = addr.pack(geom);
-    ev.detail = detail;
+    ev.symptom = obs::Symptom::DataCe;
+    ev.chips = chips;
     return ev;
 }
 
 obs::TraceEvent
-alert(uint64_t cycle, const std::string &label = "CSTC")
+dataUe(unsigned bank, unsigned row, unsigned col, uint64_t cycle)
+{
+    obs::TraceEvent ev = dataCe(bank, row, col, cycle);
+    ev.symptom = obs::Symptom::DataUe;
+    return ev;
+}
+
+obs::TraceEvent
+alert(uint64_t cycle)
 {
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::Detection;
     ev.cycle = cycle;
+    ev.symptom = obs::Symptom::Alert;
+    return ev;
+}
+
+/** A recorded event: text only, typed fields left at their defaults. */
+obs::TraceEvent
+recorded(obs::EventKind kind, const std::string &label,
+         const std::string &detail = "", uint64_t value = 0)
+{
+    obs::TraceEvent ev;
+    ev.kind = kind;
     ev.label = label;
+    ev.detail = detail;
+    ev.value = value;
     return ev;
 }
 
@@ -82,9 +106,9 @@ TEST(HealthMonitor, WindowedCesDegradeTheBank)
 TEST(HealthMonitor, UesEscalateFasterThanCes)
 {
     ras::HealthMonitor mon;
-    mon.record(dataCe(4, 1, 1, 100, "eDECC", "uncorrectable DUE"));
+    mon.record(dataUe(4, 1, 1, 100));
     EXPECT_EQ(mon.bankState(4), ras::HealthState::Degraded);
-    mon.record(dataCe(4, 2, 2, 200, "eDECC", "uncorrectable DUE"));
+    mon.record(dataUe(4, 2, 2, 200));
     EXPECT_EQ(mon.bankState(4), ras::HealthState::Failing);
     EXPECT_EQ(mon.failingBanks(), 1u);
     bool quarantined = false;
@@ -100,9 +124,14 @@ TEST(HealthMonitor, DataEccDetailRoutesToDataPath)
     // name, not DECC/eDECC; the "data-ecc" detail tag must route them
     // down the address-evidence path all the same.
     ras::HealthMonitor mon;
-    for (unsigned i = 0; i < 8; ++i)
-        mon.record(dataCe(1, 9, i, 100 * i, "QPC",
-                          "data-ecc corrected"));
+    for (unsigned i = 0; i < 8; ++i) {
+        obs::TraceEvent ev = recorded(obs::EventKind::Detection, "QPC",
+                                      "data-ecc corrected",
+                                      dataCe(1, 9, i, 0).value);
+        ev.cycle = 100 * i;
+        ras::symptomsFromText(ev);
+        mon.record(ev);
+    }
     const ras::TopologyCall call = mon.bankTopology(1);
     EXPECT_EQ(call.kind, ras::Topology::Row);
     EXPECT_EQ(call.bank, 1u);
@@ -114,9 +143,9 @@ TEST(HealthMonitor, NonDataDetectionsAreAlerts)
     ras::HealthMonitor mon;
     const uint64_t need = mon.config().linkAlerts;
     for (uint64_t i = 0; i < need - 1; ++i)
-        mon.record(alert(100 + i, "eWCRC"));
+        mon.record(alert(100 + i));
     EXPECT_EQ(mon.linkTopology().kind, ras::Topology::None);
-    mon.record(alert(200, "CA-parity"));
+    mon.record(alert(200));
     const ras::TopologyCall call = mon.linkTopology();
     EXPECT_EQ(call.kind, ras::Topology::Link);
     EXPECT_EQ(call.evidence, need);
@@ -134,7 +163,7 @@ TEST(HealthMonitor, DiagnosisNamesTheSuspectPin)
     obs::TraceEvent diag;
     diag.kind = obs::EventKind::Diagnosis;
     diag.cycle = 500;
-    diag.label = pinName(static_cast<Pin>(3));
+    diag.pin = 3;
     mon.record(diag);
     const ras::TopologyCall call = mon.linkTopology();
     EXPECT_EQ(call.kind, ras::Topology::Link);
@@ -202,7 +231,7 @@ TEST(HealthMonitor, ChipCallNeedsBankSpreadAndMedianDominance)
     ras::HealthMonitor mon;
     // Chip 7's symbols keep getting corrected across six banks.
     for (unsigned i = 0; i < 6; ++i)
-        mon.record(dataCe(i, i, i, 100 * i, "DECC", " chips=80"));
+        mon.record(dataCe(i, i, i, 100 * i, 0x80));
     const std::vector<ras::TopologyCall> chips = mon.chipTopologies();
     ASSERT_EQ(chips.size(), 1u);
     EXPECT_EQ(chips[0].kind, ras::Topology::Chip);
@@ -217,7 +246,7 @@ TEST(HealthMonitor, ConcentratedBankActivityIsNotAChip)
     // A weak row also lands on few chips, but never across banks:
     // the bank-spread test must reject the chip explanation.
     for (unsigned i = 0; i < 10; ++i)
-        mon.record(dataCe(2, 44, i, 100 * i, "DECC", " chips=80"));
+        mon.record(dataCe(2, 44, i, 100 * i, 0x80));
     EXPECT_TRUE(mon.chipTopologies().empty());
 }
 
@@ -227,10 +256,9 @@ TEST(HealthMonitor, MedianDominanceSurvivesMultiChipFaults)
     // Two chips dying at once: a mean-based test would let each mask
     // the other; the median (still 0 with 16 quiet chips) must not.
     for (unsigned i = 0; i < 8; ++i) {
-        mon.record(dataCe(i % 8, i, i, 100 * i, "DECC", " chips=4"));
+        mon.record(dataCe(i % 8, i, i, 100 * i, 0x4));
         mon.record(
-            dataCe(i % 8, 40 + i, i, 50 + 100 * i, "DECC",
-                   " chips=20000")); // chip 17 (hex bit 17)
+            dataCe(i % 8, 40 + i, i, 50 + 100 * i, 0x20000)); // chip 17
     }
     const std::vector<ras::TopologyCall> chips = mon.chipTopologies();
     ASSERT_EQ(chips.size(), 2u);
@@ -244,7 +272,7 @@ TEST(HealthMonitor, EscalationVerdictForcesFailing)
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::Escalation;
     ev.cycle = 1234;
-    ev.label = "quarantine";
+    ev.symptom = obs::Symptom::Quarantine;
     ev.value = 5;
     mon.record(ev);
     EXPECT_EQ(mon.bankState(5), ras::HealthState::Failing);
@@ -294,7 +322,7 @@ TEST(HealthMonitor, MergeFoldsCountersStatesAndSketches)
     for (unsigned i = 3; i < 8; ++i)
         b.record(dataCe(3, 44, i, 100 * i));
     for (uint64_t i = 0; i < b.config().degradeUes; ++i)
-        b.record(dataCe(6, 1, 1, 500 + i, "eDECC", "uncorrectable DUE"));
+        b.record(dataUe(6, 1, 1, 500 + i));
     EXPECT_EQ(a.bankTopology(3).kind, ras::Topology::None);
 
     a.merge(b);
@@ -333,7 +361,7 @@ TEST(HealthMonitor, SerializeRoundTripIsExact)
     for (unsigned i = 0; i < 8; ++i)
         mon.record(dataCe(3, 44, i, 100 * i)); // row call + retire
     for (unsigned i = 0; i < 6; ++i)
-        mon.record(dataCe(i, i, i, 200 * i, "DECC", " chips=80"));
+        mon.record(dataCe(i, i, i, 200 * i, 0x80));
     for (uint64_t i = 0; i < mon.config().linkAlerts; ++i)
         mon.record(alert(3000 + i));
 
@@ -360,7 +388,7 @@ TEST(HealthMonitor, JsonCarriesSymptomTotals)
     ev.kind = obs::EventKind::Scrub;
     mon.record(ev);
     ev.kind = obs::EventKind::Recovery;
-    ev.detail = "retries exhausted";
+    ev.symptom = obs::Symptom::Exhausted;
     mon.record(ev);
     obs::JsonWriter w;
     mon.writeJson(w);
@@ -368,6 +396,183 @@ TEST(HealthMonitor, JsonCarriesSymptomTotals)
     EXPECT_NE(json.find("\"retries_total\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"scrubs_total\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"exhausted_total\": 1"), std::string::npos);
+}
+
+// ---- symptomsFromText: the replay adapter's text rules ----
+
+TEST(SymptomsFromText, DataDetectionsCarryClassAndChips)
+{
+    using obs::EventKind;
+    using obs::Symptom;
+    obs::TraceEvent ev = recorded(
+        EventKind::Detection, "eDECC",
+        "QPC+eDECC-c corrected read @rank0.bg1.ba2.row0x3.col0x4 chips=80");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::DataCe);
+    EXPECT_EQ(ev.chips, 0x80u);
+
+    ev = recorded(EventKind::Detection, "DECC",
+                  "QPC DUE on read @rank0.bg0.ba0.row0x1.col0x2");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::DataUe);
+    EXPECT_EQ(ev.chips, 0u);
+
+    // Standalone data-codec engines: the "data-ecc" tag, any label.
+    ev = recorded(EventKind::Detection, "QPC", "data-ecc DUE");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::DataUe);
+    ev = recorded(EventKind::Detection, "QPC", "data-ecc retry-recovered");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::DataCe);
+}
+
+TEST(SymptomsFromText, EveryOtherDetectionIsAnAlert)
+{
+    for (const char *label : {"CSTC", "eCAP", "eWCRC", "read-EDC"}) {
+        obs::TraceEvent ev = recorded(obs::EventKind::Detection, label,
+                                      "RD to idle bank (RD bg0 ba0)");
+        ras::symptomsFromText(ev);
+        EXPECT_EQ(ev.symptom, obs::Symptom::Alert) << label;
+    }
+}
+
+TEST(SymptomsFromText, PinsExhaustionAndQuarantine)
+{
+    using obs::EventKind;
+    using obs::Symptom;
+    obs::TraceEvent ev =
+        recorded(EventKind::Diagnosis, pinName(static_cast<Pin>(3)));
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.pin, 3);
+    ev = recorded(EventKind::Diagnosis, "?");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.pin, -1);
+
+    ev = recorded(EventKind::Recovery, "cstc", "retry budget exhausted");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::Exhausted);
+    ev = recorded(EventKind::Recovery, "cstc", "in-band recovery succeeded");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::None);
+
+    ev = recorded(EventKind::Escalation, "quarantine", "", 5);
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::Quarantine);
+    ev = recorded(EventKind::Escalation, "rank_degraded", "", 4);
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::None);
+
+    // Kinds the monitor reads by kind alone gain nothing.
+    ev = recorded(EventKind::Retry, "read-decode", "exhausted");
+    ras::symptomsFromText(ev);
+    EXPECT_EQ(ev.symptom, Symptom::None);
+}
+
+// ---- Live monitor vs. offline replay ----
+
+TEST(HealthMonitor, ReplayedTraceReachesTheLiveState)
+{
+    // A traced faulty AIECC stack plus a traced Monte-Carlo cell feed
+    // a live monitor; the recorded JSONL, replayed through
+    // symptomsFromText into a fresh monitor, must reach the same state.
+    const std::string path =
+        ::testing::TempDir() + "/aiecc_test_ras_replay.jsonl";
+    ras::HealthMonitor live;
+    {
+        obs::JsonlTraceSink file(path);
+        ASSERT_TRUE(file.ok());
+        obs::Observer observer;
+        observer.addSink(&file);
+        observer.addSink(&live);
+
+        StackConfig cfg;
+        cfg.mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
+        cfg.observer = &observer;
+        cfg.recovery.bucketCapacity = 2; // quarantine quickly
+        ProtectionStack stack(cfg);
+        Rng rng(0x5EED);
+        BitVec payload(Burst::dataBits);
+        for (size_t i = 0; i < payload.size(); i += 64)
+            payload.setField(i, 64, rng.next());
+        const auto block = [](unsigned i) {
+            return MtbAddress{0, i % 4, 0, 7, i % 8};
+        };
+        for (unsigned i = 0; i < 32; ++i)
+            stack.write(block(i), payload);
+
+        // Alert families: single CMD/ADD pin flips on random edges.
+        stack.setPinCorruptor([&rng](uint64_t, PinWord &pins) {
+            if (rng.chance(0.05))
+                pins.flip(static_cast<Pin>(rng.below(22)));
+        });
+        for (unsigned i = 0; i < 400; ++i)
+            stack.read(block(i));
+        stack.setPinCorruptor({});
+        stack.recover();
+
+        // An even 2-pin column flip escapes eCAP on a RD: eDECC
+        // diagnoses the address and names the suspect pin.
+        stack.read(block(1));
+        const uint64_t rdEdge = stack.controller().commandsIssued();
+        stack.setPinCorruptor([rdEdge](uint64_t idx, PinWord &pins) {
+            if (idx == rdEdge) {
+                pins.flip(Pin::A3);
+                pins.flip(Pin::A4);
+            }
+        });
+        stack.read(block(1));
+        stack.setPinCorruptor({});
+
+        // A dying chip in bank 2 (corrected, chip mask) and a dead row
+        // in bank 3 (uncorrectable; retries exhaust, the bank is
+        // quarantined).
+        stack.rank().setReadDisturb(
+            [&rng](const MtbAddress &addr, Burst &out) {
+                if (addr.bg == 2) {
+                    const unsigned pin = 5 * Burst::pinsPerChip;
+                    out.setBit(pin, 0, !out.getBit(pin, 0));
+                } else if (addr.bg == 3) {
+                    out.randomize(rng);
+                }
+            });
+        for (unsigned i = 0; i < 64; ++i)
+            stack.read(block(i));
+        stack.rank().setReadDisturb({});
+
+        // Standalone data-codec symptoms: "data-ecc" detections.
+        DataMonteCarlo mc(EccScheme::EDeccQpc);
+        mc.setObserver(&observer);
+        mc.setRetryPolicy({3, 1.0}); // address errors outlive retries
+        mc.runCell(DataErrorModel::Chip1, AddrErrorModel::None, 20);
+        mc.runCell(DataErrorModel::None, AddrErrorModel::Bits32, 20);
+        observer.flush();
+    }
+
+    const obs::TraceFile trace = obs::readTraceFile(path);
+    ASSERT_TRUE(trace.opened);
+    ASSERT_EQ(trace.badLines, 0u);
+    ras::HealthMonitor replayed;
+    unsigned seen[6] = {}, chipMasks = 0, pins = 0, dataEcc = 0;
+    for (obs::TraceEvent event : trace.events) {
+        ras::symptomsFromText(event);
+        replayed.record(event);
+        ++seen[static_cast<unsigned>(event.symptom)];
+        chipMasks += event.chips != 0;
+        pins += event.pin >= 0;
+        dataEcc += event.detail.rfind("data-ecc", 0) == 0;
+    }
+    EXPECT_EQ(replayed.serializeState(), live.serializeState());
+
+    // Every symptom the monitor reads was exercised.
+    EXPECT_GT(seen[static_cast<unsigned>(obs::Symptom::Alert)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(obs::Symptom::DataCe)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(obs::Symptom::DataUe)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(obs::Symptom::Exhausted)], 0u);
+    EXPECT_GT(seen[static_cast<unsigned>(obs::Symptom::Quarantine)], 0u);
+    EXPECT_GT(chipMasks, 0u);
+    EXPECT_GT(pins, 0u);
+    EXPECT_GT(dataEcc, 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace

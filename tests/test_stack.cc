@@ -9,6 +9,7 @@
 
 #include "aiecc/stack.hh"
 #include "common/rng.hh"
+#include "obs/memprof.hh"
 
 namespace aiecc
 {
@@ -363,6 +364,46 @@ TEST(Stack, MechanismDescriptions)
               "eCAP+eWCRC+CSTC+QPC+eDECC-c");
     EXPECT_EQ(Mechanisms::forLevel(ProtectionLevel::Ddr4Decc).describe(),
               "CAP+WCRC+QPC");
+}
+
+TEST(Stack, AlertsLeaveNoLiveHeapBehind)
+{
+    // An unobserved AIECC stack under steady CCCA pin flips over a
+    // small address set: once the stored rows, the detection log's
+    // capacity and the recovery buffers have warmed up, live heap
+    // bytes must stop growing.  Each alert is consumed on the edge
+    // that raised it; nothing keeps a log of them.
+    ProtectionStack stack(configFor(ProtectionLevel::Aiecc));
+    Rng noise(0xF1195);
+    stack.setPinCorruptor([&noise](uint64_t, PinWord &pins) {
+        if (noise.chance(0.05))
+            pins.flip(static_cast<Pin>(noise.below(numCccaPins)));
+    });
+    Rng rng(0x4EA9);
+    const BitVec payload = randomData(rng);
+    const auto pass = [&](unsigned accesses) {
+        for (unsigned i = 0; i < accesses; ++i) {
+            const MtbAddress addr{0, i % 2, (i / 2) % 2, (i / 4) % 2,
+                                  (i / 8) % 4};
+            if (i % 3 == 0)
+                stack.write(addr, payload);
+            else
+                stack.read(addr);
+            stack.clearDetections();
+        }
+    };
+    const auto liveBytes = [] {
+        const auto t = obs::memprof::processTotals();
+        return static_cast<int64_t>(t.allocBytes - t.freeBytes);
+    };
+    pass(4000);
+    const int64_t warm = liveBytes();
+    pass(20000);
+    // Slack: one container doubling that warm-up did not reach.
+    const int64_t slack = 16 * 1024;
+    EXPECT_LT(liveBytes() - warm, slack)
+        << "live heap grew by " << liveBytes() - warm << " bytes";
+    EXPECT_GT(stack.recoveryStats().episodes, 100u);
 }
 
 } // namespace

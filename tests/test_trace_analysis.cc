@@ -36,7 +36,7 @@ TEST(EventKindName, RoundTripsEveryKind)
 {
     for (unsigned k = 0; k < obs::numEventKinds; ++k) {
         const auto kind = static_cast<obs::EventKind>(k);
-        const std::string name = obs::eventKindName(kind);
+        const std::string name(obs::eventKindNameView(kind));
         const auto back = obs::eventKindFromName(name);
         ASSERT_TRUE(back.has_value()) << name;
         EXPECT_EQ(*back, kind) << name;

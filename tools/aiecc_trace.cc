@@ -54,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aiecc/cost_model.hh"
@@ -120,10 +121,10 @@ usage(std::FILE *to)
         "  -o, --out PATH  also write the accountant's JSON to PATH\n");
     std::fprintf(to, "\nknown kinds:");
     for (unsigned k = 0; k < obs::numEventKinds; ++k) {
-        std::fprintf(to, " %s",
-                     obs::eventKindName(
-                         static_cast<obs::EventKind>(k))
-                         .c_str());
+        const std::string_view name =
+            obs::eventKindNameView(static_cast<obs::EventKind>(k));
+        std::fprintf(to, " %.*s", static_cast<int>(name.size()),
+                     name.data());
     }
     std::fprintf(to, "\n");
 }
@@ -180,7 +181,7 @@ loadAll(const std::vector<std::string> &paths, bool strict)
  */
 uint64_t
 streamAll(const std::vector<std::string> &paths, bool strict,
-          const std::function<void(const obs::TraceEvent &)> &consume)
+          const std::function<void(obs::TraceEvent &)> &consume)
 {
     uint64_t total = 0;
     bool damaged = false;
@@ -231,8 +232,9 @@ cmdSummary(const std::vector<std::string> &paths, bool strict)
     std::printf("%-16s %10s %12s %12s %12s %12s\n", "kind", "count",
                 "per-kcycle", "gap-mean", "gap-p50", "gap-p99");
     for (const auto &[kind, ks] : sum.byKind) {
-        std::printf("%-16s %10llu %12.3f %12.1f %12.1f %12.1f\n",
-                    obs::eventKindName(kind).c_str(),
+        const std::string_view name = obs::eventKindNameView(kind);
+        std::printf("%-16.*s %10llu %12.3f %12.1f %12.1f %12.1f\n",
+                    static_cast<int>(name.size()), name.data(),
                     static_cast<unsigned long long>(ks.count),
                     sum.ratePerKiloCycle(kind), ks.gaps.mean(),
                     ks.gaps.quantile(0.50), ks.gaps.quantile(0.99));
@@ -241,7 +243,9 @@ cmdSummary(const std::vector<std::string> &paths, bool strict)
         if (ks.byLabel.empty() ||
             (ks.byLabel.size() == 1 && ks.byLabel.count("")))
             continue;
-        std::printf("\n%s by label:\n", obs::eventKindName(kind).c_str());
+        const std::string_view name = obs::eventKindNameView(kind);
+        std::printf("\n%.*s by label:\n", static_cast<int>(name.size()),
+                    name.data());
         for (const auto &[label, n] : ks.byLabel) {
             std::printf("  %-24s %10llu\n",
                         label.empty() ? "(none)" : label.c_str(),
@@ -304,9 +308,10 @@ printTimeline(const obs::FaultTimeline &ft)
                 ft.injected ? "" : "  [NO INJECT — orphan]",
                 ft.resolved ? "" : "  [UNRESOLVED]");
     for (const obs::TraceEvent &event : ft.events) {
-        std::printf("  cycle %8llu  %-14s %-20s value=%llu%s%s\n",
+        const std::string_view kind = obs::eventKindNameView(event.kind);
+        std::printf("  cycle %8llu  %-14.*s %-20s value=%llu%s%s\n",
                     static_cast<unsigned long long>(event.cycle),
-                    obs::eventKindName(event.kind).c_str(),
+                    static_cast<int>(kind.size()), kind.data(),
                     event.label.empty() ? "-" : event.label.c_str(),
                     static_cast<unsigned long long>(event.value),
                     event.detail.empty() ? "" : "  ",
@@ -681,7 +686,7 @@ cmdHealth(const std::string &outPath,
     ras::HealthMonitor monitor;
     std::vector<std::string> sites;
     const uint64_t totalEvents = streamAll(
-        paths, strict, [&](const obs::TraceEvent &event) {
+        paths, strict, [&](obs::TraceEvent &event) {
             if (event.kind == obs::EventKind::FaultInject &&
                 (event.label.rfind("row:b", 0) == 0 ||
                  event.label.rfind("chip:", 0) == 0 ||
@@ -689,6 +694,7 @@ cmdHealth(const std::string &outPath,
                 std::find(sites.begin(), sites.end(), event.label) ==
                     sites.end())
                 sites.push_back(event.label);
+            ras::symptomsFromText(event);
             monitor.record(event);
         });
 
