@@ -139,6 +139,48 @@ BENCHMARK(BM_RsDecodeInto)->Args({18, 16, 0})->Args({19, 17, 0})
     ->Args({76, 68, 4});
 
 void
+BM_RsDecodeDirty(benchmark::State &state)
+{
+    // The dirty path as the ECC organizations run it: decodeInto() on
+    // a reused workspace, cycling through a fixed pool of codewords
+    // with 1..t symbol errors and fully random words (mostly
+    // uncorrectable), each restored before its decode.
+    const unsigned n = static_cast<unsigned>(state.range(0));
+    const unsigned k = static_cast<unsigned>(state.range(1));
+    RsCodec rs(n, k);
+    Rng rng(11);
+    constexpr unsigned poolSize = 64;
+    std::vector<std::vector<GfElem>> pool(poolSize);
+    for (unsigned i = 0; i < poolSize; ++i) {
+        std::vector<GfElem> msg(k);
+        for (auto &s : msg)
+            s = static_cast<GfElem>(rng.below(256));
+        auto &w = pool[i] = rs.encode(msg);
+        const unsigned nerr = 1 + i % (rs.t() + 1);
+        if (nerr > rs.t()) {
+            for (auto &s : w)
+                s = static_cast<GfElem>(rng.below(256));
+        } else {
+            for (unsigned p : rng.sample(n, nerr))
+                w[p] ^= static_cast<GfElem>(rng.range(1, 255));
+        }
+    }
+    RsWorkspace ws;
+    GfElem buf[255];
+    uint8_t positions[8];
+    unsigned i = 0;
+    for (auto _ : state) {
+        std::memcpy(buf, pool[i].data(), n);
+        i = (i + 1) % poolSize;
+        unsigned numPositions = 0;
+        benchmark::DoNotOptimize(
+            rs.decodeInto(buf, ws, positions, numPositions));
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_RsDecodeDirty)->Args({72, 64})->Args({76, 68});
+
+void
 BM_RsDecodeBatch(benchmark::State &state)
 {
     const unsigned n = static_cast<unsigned>(state.range(0));

@@ -76,8 +76,7 @@ EDeccQpc::decode(const Burst &burst, uint32_t mtbAddr) const
       case RsCodec::Status::Corrected: {
         res.status = EccStatus::Corrected;
         res.symbolsCorrected = numPositions;
-        for (unsigned p = 0; p < Burst::dataPins; ++p)
-            res.data.setField(p * 8, 8, received[p]);
+        res.data.setBytes(0, received, Burst::dataPins);
         for (unsigned i = 0; i < numPositions; ++i) {
             if (positions[i] >= Burst::dataPins &&
                 positions[i] < Burst::dataPins + addrSymbols) {

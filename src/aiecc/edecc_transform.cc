@@ -6,14 +6,13 @@ namespace aiecc
 void
 EDeccTransformQpc::applyMask(Burst &burst, uint32_t mtbAddr)
 {
-    for (unsigned i = 0; i < numSubBlocks; ++i) {
-        if (!((mtbAddr >> i) & 1))
-            continue;
-        const unsigned beat = i % Burst::numBeats;
-        const unsigned pin0 = (i / Burst::numBeats) * subBlockBits;
-        for (unsigned p = 0; p < subBlockBits; ++p)
-            burst.setBit(pin0 + p, beat, !burst.getBit(pin0 + p, beat));
-    }
+    // Sub-block i covers beat i % 8 of the 16 pins of group i / 8, so
+    // a pin's byte flips by the address byte of its group.
+    static_assert(numSubBlocks == 4 * Burst::numBeats &&
+                  subBlockBits * 4 == Burst::dataPins);
+    for (unsigned p = 0; p < Burst::dataPins; ++p)
+        burst.pinBits[p] ^= static_cast<uint8_t>(
+            mtbAddr >> (Burst::numBeats * (p / subBlockBits)));
 }
 
 Burst

@@ -52,8 +52,7 @@ QpcEcc::decode(const Burst &burst, uint32_t mtbAddr) const
         // Pin symbols map 4-per-chip, so position/4 is the x4 chip.
         for (unsigned i = 0; i < numPositions; ++i)
             res.correctedChips |= 1u << (positions[i] / Burst::pinsPerChip);
-        for (unsigned p = 0; p < Burst::dataPins; ++p)
-            res.data.setField(p * 8, 8, received[p]);
+        res.data.setBytes(0, received, Burst::dataPins);
         break;
       case RsCodec::Status::Uncorrectable:
         res.status = EccStatus::Uncorrectable;

@@ -16,10 +16,13 @@ Gf256::Tables::Tables()
         if (x & 0x100)
             x ^= primPoly;
     }
-    // Duplicate the cycle so mul() can index exp[la + lb] directly.
-    for (unsigned i = groupOrder; i < 512; ++i)
+    // Duplicate the cycle so mul() can index exp[la + lb] directly,
+    // and let log(0) land in the zero tail so 0 absorbs.
+    for (unsigned i = groupOrder; i < logZero; ++i)
         exp[i] = exp[i - groupOrder];
-    logTab[0] = 0xFFFF; // poison: log(0) is undefined
+    for (unsigned i = logZero; i < exp.size(); ++i)
+        exp[i] = 0;
+    logTab[0] = logZero;
 }
 
 const Gf256::Tables &
@@ -32,8 +35,6 @@ Gf256::tables()
 GfElem
 Gf256::mul(GfElem a, GfElem b)
 {
-    if (a == 0 || b == 0)
-        return 0;
     const auto &t = tables();
     return t.exp[t.logTab[a] + t.logTab[b]];
 }

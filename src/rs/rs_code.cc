@@ -1,6 +1,8 @@
 #include "rs/rs_code.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <mutex>
 #include <optional>
 
@@ -31,6 +33,34 @@ applyMap(const uint64_t *rows, unsigned topDegree, const GfElem *sym,
         acc ^= row[v & 15] ^ row[16 + (v >> 4)];
     }
     return acc;
+}
+
+/** v's column in the row of degree @p degree: v * column(degree, 1). */
+uint64_t
+column(const uint64_t *rows, unsigned degree, GfElem v)
+{
+    const uint64_t *row = rows + static_cast<size_t>(degree) * rowLen;
+    return row[v & 15] ^ row[16 + (v >> 4)];
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "Chien rows are read as little-endian words");
+
+/** The 8 bytes at @p p as one word, byte 0 least significant. */
+uint64_t
+loadWord(const uint8_t *p)
+{
+    uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+}
+
+/** 0x80 in each zero byte of @p w, 0 elsewhere (exact, no borrows). */
+uint64_t
+zeroBytes(uint64_t w)
+{
+    constexpr uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
+    return ~(((w & low7) + low7) | w | low7);
 }
 
 /** Scatter the low @p count bytes of @p packed to out[0], out[stride].. */
@@ -91,6 +121,43 @@ struct RsCodec::LinearMap
     }
 };
 
+/**
+ * Lambda(X^-1) = sum_j lambda_j alpha^(-j d) at codeword degree d is
+ * linear in each coefficient.  Row (j, e) holds v * alpha^(-j d) for
+ * e's nibble value v (as in LinearMap) at byte 254 - d, so an RS(n, k)
+ * reads its n positions, in order, from bytes [255 - n, 255).  Rows
+ * serve every geometry; lambda_0 needs none.
+ */
+struct RsCodec::ChienMap
+{
+    /** 255 degrees plus padding: a word read from byte 255 - n up to
+     *  position n - 1 stays inside the row for every n. */
+    static constexpr unsigned rowBytes = 264;
+
+    std::array<std::array<uint8_t, rowBytes>, rsMaxRoots * rowLen> rows{};
+
+    ChienMap()
+    {
+        for (unsigned j = 1; j <= rsMaxRoots; ++j) {
+            for (unsigned e = 0; e < rowLen; ++e) {
+                const auto v =
+                    static_cast<GfElem>(e < 16 ? e : (e - 16) << 4);
+                uint8_t *r = rows[(j - 1) * rowLen + e].data();
+                for (unsigned d = 0; d < Gf256::groupOrder; ++d)
+                    r[Gf256::groupOrder - 1 - d] = Gf256::mul(
+                        v, Gf256::alphaPow(-static_cast<int>(j * d)));
+            }
+        }
+    }
+
+    /** Row of coefficient @p j (1..rsMaxRoots), nibble entry @p e. */
+    const uint8_t *
+    row(unsigned j, unsigned e) const
+    {
+        return rows[(j - 1) * rowLen + e].data();
+    }
+};
+
 RsCodec::RsCodec(unsigned n, unsigned k) : nLen(n), kLen(k)
 {
     AIECC_ASSERT(k < n && n <= Gf256::groupOrder,
@@ -106,6 +173,11 @@ RsCodec::RsCodec(unsigned n, unsigned k) : nLen(n), kLen(k)
     const unsigned slot = nroots() - 1;
     std::call_once(built[slot], [slot] { maps[slot].emplace(slot + 1); });
     map = &*maps[slot];
+
+    static std::once_flag chienBuilt;
+    static std::optional<ChienMap> chienMap;
+    std::call_once(chienBuilt, [] { chienMap.emplace(); });
+    chien = &*chienMap;
 }
 
 uint64_t
@@ -146,22 +218,31 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
                     unsigned numErasures) const
 {
     numPositions = 0;
-
-    const unsigned nr = nroots();
     const uint64_t packed = syndromeWord(received, 1);
     if (packed == 0)
         return Status::Ok;
+    return decodeDirty(received, packed, ws, positions, numPositions,
+                       erasures, numErasures);
+}
+
+RsCodec::Status
+RsCodec::decodeDirty(GfElem *received, uint64_t packed, RsWorkspace &ws,
+                     uint8_t *positions, unsigned &numPositions,
+                     const unsigned *erasures,
+                     unsigned numErasures) const
+{
+    const unsigned nr = nroots();
     unpack(packed, ws.synd.data(), nr, 1);
 
     if (numErasures > nr)
         return Status::Uncorrectable;
 
+    // The zero-absorbing tables make exp[lg[a] + lg[b]] exact for
+    // every a and b, and exp[lg[a] + 255 - lg[b]] exact for b != 0.
     const GfElem *exp = Gf256::expTable();
     const uint16_t *lg = Gf256::logTable();
     const auto gmul = [exp, lg](GfElem a, GfElem b) -> GfElem {
-        return (a && b)
-                   ? exp[static_cast<unsigned>(lg[a]) + lg[b]]
-                   : 0;
+        return exp[lg[a] + lg[b]];
     };
 
     GfElem *synd = ws.synd.data();
@@ -193,28 +274,23 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         for (unsigned i = 0; i < r; ++i)
             discr = static_cast<GfElem>(
                 discr ^ gmul(lambda[i], synd[r - i - 1]));
-        if (discr == 0) {
+        // t = lambda - discr * x * b; a zero discrepancy leaves a copy.
+        t[0] = lambda[0];
+        for (unsigned i = 0; i < nr; ++i)
+            t[i + 1] =
+                static_cast<GfElem>(lambda[i + 1] ^ gmul(discr, b[i]));
+        if (discr != 0 && 2 * el <= r + numErasures - 1) {
+            el = r + numErasures - el;
+            const GfElem dinv = exp[Gf256::groupOrder - lg[discr]];
+            for (unsigned i = 0; i <= nr; ++i)
+                b[i] = gmul(lambda[i], dinv);
+        } else {
             // b = x * b
             for (unsigned i = nr; i >= 1; --i)
                 b[i] = b[i - 1];
             b[0] = 0;
-        } else {
-            t[0] = lambda[0];
-            for (unsigned i = 0; i < nr; ++i)
-                t[i + 1] =
-                    static_cast<GfElem>(lambda[i + 1] ^ gmul(discr, b[i]));
-            if (2 * el <= r + numErasures - 1) {
-                el = r + numErasures - el;
-                const GfElem dinv = Gf256::inv(discr);
-                for (unsigned i = 0; i <= nr; ++i)
-                    b[i] = gmul(lambda[i], dinv);
-            } else {
-                for (unsigned i = nr; i >= 1; --i)
-                    b[i] = b[i - 1];
-                b[0] = 0;
-            }
-            std::copy(t, t + nr + 1, lambda);
         }
+        std::swap(lambda, t);
     }
 
     // Degree of Lambda.
@@ -231,21 +307,33 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     }
     const unsigned deg = static_cast<unsigned>(degLambda);
 
-    // Chien search over the n valid positions of the shortened code,
-    // evaluating Lambda on the raw workspace buffer (no per-position
-    // polynomial copies).
+    // Chien search: Lambda at the n positions, eight per word, is
+    // lambda_0 in every byte XOR two Chien rows per nonzero lambda_j.
+    // A degree-deg polynomial has at most deg roots, so the scan stops
+    // at the deg-th; roots come out in ascending position order.
+    const size_t base = Gf256::groupOrder - nLen;
+    const uint8_t *terms[2 * rsMaxRoots];
+    unsigned numTerms = 0;
+    for (unsigned j = 1; j <= deg; ++j) {
+        if (const GfElem l = lambda[j]) {
+            terms[numTerms++] = chien->row(j, l & 15) + base;
+            terms[numTerms++] = chien->row(j, 16 + (l >> 4)) + base;
+        }
+    }
+    const unsigned numWords = (nLen + 7) / 8;
+    const uint64_t tailMask = ~uint64_t{0} >> (8 * (8 * numWords - nLen));
     unsigned found = 0;
-    for (unsigned pos = 0; pos < nLen; ++pos) {
-        // X^-1 = alpha^(255 - (n-1-pos)); exp[] covers 0..511.
-        const GfElem xinv = exp[Gf256::groupOrder + 1 + pos - nLen];
-        GfElem acc = lambda[deg];
-        for (int j = static_cast<int>(deg) - 1; j >= 0; --j)
-            acc = static_cast<GfElem>(
-                gmul(acc, xinv) ^ lambda[static_cast<unsigned>(j)]);
-        if (acc == 0) {
-            ws.chien[found] = static_cast<uint8_t>(pos);
-            ws.roots[found] = xinv;
-            ++found;
+    for (unsigned w = 0; w < numWords && found < deg; ++w) {
+        uint64_t acc = lambda[0] * 0x0101010101010101ULL;
+        for (unsigned i = 0; i < numTerms; ++i)
+            acc ^= loadWord(terms[i] + 8 * w);
+        uint64_t roots = zeroBytes(acc);
+        if (w + 1 == numWords)
+            roots &= tailMask;
+        for (; roots != 0 && found < deg; roots &= roots - 1) {
+            const unsigned pos =
+                8 * w + static_cast<unsigned>(std::countr_zero(roots)) / 8;
+            ws.chien[found++] = static_cast<uint8_t>(pos);
         }
     }
     if (found != deg) {
@@ -267,7 +355,10 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     // Forney (first root alpha^1, so the X^(1-fcr) factor is 1):
     // e = Omega(X^-1) / Lambda'(X^-1), applying
     // corrections in place and saving overwritten symbols so a failed
-    // screen can restore the received word exactly.
+    // screen can restore the received word exactly.  By linearity the
+    // corrected word's syndrome is the received one XOR the columns of
+    // the corrections, so the screen needs no second pass.
+    uint64_t screen = packed;
     unsigned applied = 0;
     const auto rollback = [&]() {
         for (unsigned u = 0; u < applied; ++u)
@@ -275,28 +366,28 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
         numPositions = 0;
     };
     for (unsigned idx = 0; idx < found; ++idx) {
-        const GfElem xinv = ws.roots[idx];
+        const unsigned pos = ws.chien[idx];
+        // c * X^-j at this position is one byte of c's Chien rows.
+        const auto term = [&](unsigned j, GfElem c) -> GfElem {
+            return chien->row(j, c & 15)[base + pos] ^
+                   chien->row(j, 16 + (c >> 4))[base + pos];
+        };
         // Lambda'(X^-1): odd-degree terms only in characteristic 2.
-        const GfElem x2 = gmul(xinv, xinv);
-        GfElem den = 0;
-        GfElem xp = 1;
-        for (unsigned j = 1; j <= deg; j += 2) {
-            den = static_cast<GfElem>(den ^ gmul(lambda[j], xp));
-            xp = gmul(xp, x2);
-        }
+        GfElem den = lambda[1];
+        for (unsigned j = 3; j <= deg; j += 2)
+            den = static_cast<GfElem>(den ^ term(j - 1, lambda[j]));
         if (den == 0) {
             rollback();
             return Status::Uncorrectable;
         }
-        GfElem num = omega[nr - 1];
-        for (int j = static_cast<int>(nr) - 2; j >= 0; --j)
-            num = static_cast<GfElem>(
-                gmul(num, xinv) ^ omega[static_cast<unsigned>(j)]);
-        const GfElem magnitude = Gf256::div(num, den);
-        const unsigned pos = ws.chien[idx];
+        GfElem num = omega[0];
+        for (unsigned j = 1; j < nr; ++j)
+            num = static_cast<GfElem>(num ^ term(j, omega[j]));
+        const GfElem magnitude = exp[lg[num] + Gf256::groupOrder - lg[den]];
         ws.saved[applied] = received[pos];
         ++applied;
         received[pos] = static_cast<GfElem>(received[pos] ^ magnitude);
+        screen ^= column(map->synd.data(), nLen - 1 - pos, magnitude);
         if (magnitude != 0)
             positions[numPositions++] = static_cast<uint8_t>(pos);
     }
@@ -304,7 +395,7 @@ RsCodec::decodeInto(GfElem *received, RsWorkspace &ws,
     // Sanity: the corrected word must be a codeword.  When the error
     // pattern exceeds the design distance the BM/Chien pipeline can
     // produce an inconsistent "correction"; screen it out.
-    if (syndromeWord(received, 1) != 0) {
+    if (screen != 0) {
         rollback();
         return Status::Uncorrectable;
     }
@@ -333,7 +424,8 @@ RsCodec::decodeBatch(GfElem *received, unsigned lanes,
         LaneResult &out = results[c];
         out.status = Status::Ok;
         out.numPositions = 0;
-        if (syndromeWord(received + c, lanes) == 0)
+        const uint64_t packed = syndromeWord(received + c, lanes);
+        if (packed == 0)
             continue;
         // De-interleave the dirty lane, run the scalar decoder, and
         // scatter any corrections back.
@@ -342,7 +434,7 @@ RsCodec::decodeBatch(GfElem *received, unsigned lanes,
             lane[i] = received[static_cast<size_t>(i) * lanes + c];
         unsigned npos = 0;
         out.status =
-            decodeInto(lane, ws, out.positions.data(), npos);
+            decodeDirty(lane, packed, ws, out.positions.data(), npos);
         out.numPositions = static_cast<uint8_t>(npos);
         if (out.status == Status::Corrected) {
             for (unsigned i = 0; i < nLen; ++i)

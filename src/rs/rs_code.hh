@@ -18,6 +18,17 @@
  * buffers plus a reusable RsWorkspace, so nothing touches the heap;
  * the std::vector API remains as a thin wrapper for tests and cold
  * callers.
+ *
+ * A clean word costs one syndrome pass; everything else lives in an
+ * out-of-line dirty path that works a word at a time too.  The Chien
+ * search is a linear map of the same kind: Lambda(X^-1) at degree d is
+ * an XOR of one precomputed row per nonzero locator coefficient, eight
+ * positions per uint64_t, followed by a zero-byte scan that stops at
+ * the deg(Lambda)-th root; Forney reads its evaluations from the same
+ * rows.  Berlekamp-Massey multiplies through zero-absorbing log tables
+ * without branches, and the final codeword screen XORs the applied
+ * corrections' syndrome columns into the received syndrome instead of
+ * recomputing it.
  */
 
 #ifndef AIECC_RS_RS_CODE_HH
@@ -52,7 +63,6 @@ struct RsWorkspace
     std::array<GfElem, polyLen> bpoly;   ///< BM correction poly
     std::array<GfElem, polyLen> tpoly;   ///< BM temporary
     std::array<GfElem, polyLen> omega;   ///< error evaluator, nroots
-    std::array<GfElem, polyLen> roots;   ///< located X^-1 values
     std::array<GfElem, polyLen> saved;   ///< pre-correction symbols
     std::array<uint8_t, polyLen> chien;  ///< located codeword positions
     std::array<GfElem, 256> lane;        ///< batch de-interleave buffer
@@ -179,7 +189,7 @@ class RsCodec
      * Decode @p lanes interleaved received words in place.
      *
      * Clean lanes finish at the syndrome; dirty lanes de-interleave
-     * into the workspace and run decodeInto().  Per-lane
+     * into the workspace and run the dirty decode.  Per-lane
      * status/positions land in @p results.
      */
     void decodeBatch(GfElem *received, unsigned lanes,
@@ -215,11 +225,26 @@ class RsCodec
   private:
     /** Degree-indexed syndrome and parity columns for one nroots. */
     struct LinearMap;
+    /** Degree-indexed Chien rows, one per locator coefficient. */
+    struct ChienMap;
 
     unsigned nLen;
     unsigned kLen;
     /** Shared tables for this nroots; static storage, never freed. */
     const LinearMap *map;
+    /** Shared by every geometry; static storage, never freed. */
+    const ChienMap *chien;
+
+    /**
+     * The body of decodeInto() for a word whose syndrome word
+     * @p packed is nonzero; @p numPositions must be 0 on entry.  Out
+     * of line so the clean path stays one syndrome pass.
+     */
+    [[gnu::noinline]] Status
+    decodeDirty(GfElem *received, uint64_t packed, RsWorkspace &ws,
+                uint8_t *positions, unsigned &numPositions,
+                const unsigned *erasures = nullptr,
+                unsigned numErasures = 0) const;
 
     /** Syndromes of n strided symbols, S_j in byte j; 0 on a codeword. */
     uint64_t syndromeWord(const GfElem *word, size_t stride) const;

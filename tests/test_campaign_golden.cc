@@ -100,6 +100,51 @@ TEST(CampaignGolden, MonteCarloExhaustiveCell)
     EXPECT_EQ(ledger.digest(), 0xdbf2148e20ef9c10ULL);
 }
 
+/** Pin one sampled Table III cell's counts and ledger digest. */
+void
+expectSampledCell(EccScheme scheme, DataErrorModel data,
+                  AddrErrorModel addr, const std::string &counts,
+                  uint64_t digest)
+{
+    SCOPED_TRACE(dataErrorName(data) + " / " + addrErrorName(addr));
+    obs::LineageLedger ledger;
+    obs::Observer observer;
+    observer.setLineage(&ledger);
+    DataMonteCarlo mc(scheme, 0x601D);
+    mc.setObserver(&observer);
+    const MonteCarloCell cell =
+        mc.runCellSharded(data, addr, 3000, plan(256, 2));
+    EXPECT_EQ(cell.serializeState(), counts);
+    EXPECT_EQ(ledger.digest(), digest);
+}
+
+// The two Table III schemes the pins above leave out: plain QPC and
+// the codeword-transform eDECC-t, at a correctable cell and at
+// rank-wide garbage read from a random address.
+TEST(CampaignGolden, QpcSampledCells)
+{
+    expectSampledCell(EccScheme::Qpc, DataErrorModel::Chip1,
+                      AddrErrorModel::Bit1,
+                      "trials 3000 counts 0 3000 0 0 0 0 0 0\n",
+                      0xe8c612e7cc1ce4a4ULL);
+    expectSampledCell(EccScheme::Qpc, DataErrorModel::Rank1,
+                      AddrErrorModel::Bits32,
+                      "trials 3000 counts 0 1 0 0 0 0 0 2999\n",
+                      0xe36766f983fd7ef4ULL);
+}
+
+TEST(CampaignGolden, EDeccTransformSampledCells)
+{
+    expectSampledCell(EccScheme::EDeccTransformQpc, DataErrorModel::Chip1,
+                      AddrErrorModel::Bit1,
+                      "trials 3000 counts 0 2 0 0 0 2998 0 0\n",
+                      0x9645519b3db4b1acULL);
+    expectSampledCell(EccScheme::EDeccTransformQpc, DataErrorModel::Rank1,
+                      AddrErrorModel::Bits32,
+                      "trials 3000 counts 0 0 0 0 0 0 0 3000\n",
+                      0xed31b515f7b60dc5ULL);
+}
+
 TEST(CampaignGolden, AieccOnePinSweepWithCost)
 {
     const Mechanisms mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);

@@ -9,6 +9,7 @@
  */
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -273,6 +274,41 @@ TEST(EDeccTransform, SubBlocksOrthogonalToSymbols)
         }
     }
     EXPECT_EQ(touched, 16u);
+}
+
+/** The mask one bit at a time, straight from the sub-block layout. */
+void
+perBitMask(Burst &burst, uint32_t mtbAddr)
+{
+    for (unsigned i = 0; i < EDeccTransformQpc::numSubBlocks; ++i) {
+        if (!((mtbAddr >> i) & 1))
+            continue;
+        const unsigned beat = i % Burst::numBeats;
+        const unsigned pin0 = (i / Burst::numBeats) *
+                              EDeccTransformQpc::subBlockBits;
+        for (unsigned p = 0; p < EDeccTransformQpc::subBlockBits; ++p)
+            burst.setBit(pin0 + p, beat, !burst.getBit(pin0 + p, beat));
+    }
+}
+
+TEST(EDeccTransform, MaskMatchesPerBitReference)
+{
+    Rng rng(0xD1B0);
+    std::vector<uint32_t> addrs = {0, 0xFFFFFFFFu};
+    for (unsigned bit = 0; bit < 32; ++bit)
+        addrs.push_back(1u << bit);
+    for (int i = 0; i < 64; ++i)
+        addrs.push_back(static_cast<uint32_t>(rng.next()));
+    for (uint32_t addr : addrs) {
+        for (int rep = 0; rep < 4; ++rep) {
+            Burst b;
+            b.randomize(rng);
+            Burst want = b;
+            perBitMask(want, addr);
+            EDeccTransformQpc::applyMask(b, addr);
+            EXPECT_EQ(b, want) << std::hex << "addr 0x" << addr;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -536,6 +536,188 @@ TEST_P(RsGeometry, DifferentialAgainstHornerReference)
     }
 }
 
+// ---------------------------------------------------------------------
+// Reference dirty-path decoder: the codec's decoder as it stood before
+// its word-level rewrite, on plain Gf256 arithmetic.  Horner
+// syndromes, errors-and-erasures Berlekamp-Massey, a per-position
+// Horner Chien search over every position, Forney by Horner, and a
+// full re-syndrome screen.  The codec's Chien rows, table-driven
+// Forney and incremental screen must reproduce it exactly.
+// ---------------------------------------------------------------------
+
+struct ReferenceDecode
+{
+    RsCodec::Status status = RsCodec::Status::Ok;
+    std::vector<unsigned> positions;
+    /** The corrected word, or the received word when uncorrectable. */
+    std::vector<GfElem> word;
+};
+
+ReferenceDecode
+referenceDecode(const std::vector<GfElem> &received, unsigned nr,
+                const std::vector<unsigned> &erasures)
+{
+    const auto n = static_cast<unsigned>(received.size());
+    ReferenceDecode out;
+    out.word = received;
+    const std::vector<GfElem> synd = hornerSyndromes(received, nr);
+    if (std::all_of(synd.begin(), synd.end(),
+                    [](GfElem s) { return s == 0; }))
+        return out;
+    out.status = RsCodec::Status::Uncorrectable;
+    const auto numErasures = static_cast<unsigned>(erasures.size());
+    if (numErasures > nr)
+        return out;
+
+    std::vector<GfElem> lambda(nr + 1, 0);
+    lambda[0] = 1;
+    for (unsigned pos : erasures) {
+        const GfElem xl = Gf256::alphaPow(static_cast<int>(n - 1 - pos));
+        for (unsigned i = nr; i >= 1; --i)
+            lambda[i] ^= Gf256::mul(lambda[i - 1], xl);
+    }
+
+    std::vector<GfElem> b = lambda;
+    std::vector<GfElem> t(nr + 1);
+    unsigned el = numErasures;
+    for (unsigned r = numErasures + 1; r <= nr; ++r) {
+        GfElem discr = 0;
+        for (unsigned i = 0; i < r; ++i)
+            discr ^= Gf256::mul(lambda[i], synd[r - i - 1]);
+        if (discr == 0) {
+            b.insert(b.begin(), 0);
+            b.pop_back();
+            continue;
+        }
+        t[0] = lambda[0];
+        for (unsigned i = 0; i < nr; ++i)
+            t[i + 1] = lambda[i + 1] ^ Gf256::mul(discr, b[i]);
+        if (2 * el <= r + numErasures - 1) {
+            el = r + numErasures - el;
+            for (unsigned i = 0; i <= nr; ++i)
+                b[i] = Gf256::div(lambda[i], discr);
+        } else {
+            b.insert(b.begin(), 0);
+            b.pop_back();
+        }
+        lambda = t;
+    }
+
+    unsigned deg = nr;
+    while (deg > 0 && lambda[deg] == 0)
+        --deg;
+    if (deg == 0)
+        return out;
+
+    std::vector<unsigned> roots;
+    for (unsigned pos = 0; pos < n; ++pos) {
+        const GfElem xinv =
+            Gf256::alphaPow(-static_cast<int>(n - 1 - pos));
+        GfElem acc = lambda[deg];
+        for (unsigned j = deg; j-- > 0;)
+            acc = Gf256::mul(acc, xinv) ^ lambda[j];
+        if (acc == 0)
+            roots.push_back(pos);
+    }
+    if (roots.size() != deg)
+        return out;
+
+    std::vector<GfElem> omega(nr, 0);
+    for (unsigned i = 0; i < nr; ++i)
+        for (unsigned j = 0; j <= std::min(i, deg); ++j)
+            omega[i] ^= Gf256::mul(lambda[j], synd[i - j]);
+
+    std::vector<GfElem> word = received;
+    std::vector<unsigned> positions;
+    for (unsigned pos : roots) {
+        const GfElem xinv =
+            Gf256::alphaPow(-static_cast<int>(n - 1 - pos));
+        const GfElem x2 = Gf256::mul(xinv, xinv);
+        GfElem den = 0;
+        GfElem xp = 1;
+        for (unsigned j = 1; j <= deg; j += 2) {
+            den ^= Gf256::mul(lambda[j], xp);
+            xp = Gf256::mul(xp, x2);
+        }
+        if (den == 0)
+            return out;
+        GfElem num = omega[nr - 1];
+        for (unsigned j = nr - 1; j-- > 0;)
+            num = Gf256::mul(num, xinv) ^ omega[j];
+        const GfElem magnitude = Gf256::div(num, den);
+        word[pos] ^= magnitude;
+        if (magnitude != 0)
+            positions.push_back(pos);
+    }
+    if (!hornerIsCodeword(word, nr))
+        return out;
+    out.status = RsCodec::Status::Corrected;
+    out.positions = positions;
+    out.word = word;
+    return out;
+}
+
+TEST_P(RsGeometry, DirtyDecodeMatchesReference)
+{
+    const auto [n, k] = GetParam();
+    RsCodec rs(n, k);
+    const unsigned nr = rs.nroots();
+    Rng rng(55 + n);
+    RsWorkspace ws;
+    unsigned checked = 0;
+    const auto check = [&](const std::vector<GfElem> &rx,
+                           const std::vector<unsigned> &erasures) {
+        const ReferenceDecode ref = referenceDecode(rx, nr, erasures);
+        std::vector<GfElem> buf = rx;
+        uint8_t positions[rsMaxRoots];
+        unsigned numPositions = 0;
+        const auto status = rs.decodeInto(
+            buf.data(), ws, positions, numPositions, erasures.data(),
+            static_cast<unsigned>(erasures.size()));
+        ASSERT_EQ(status, ref.status)
+            << "n=" << n << " case " << checked << " erasures "
+            << erasures.size();
+        ASSERT_EQ(numPositions, ref.positions.size());
+        EXPECT_TRUE(std::equal(ref.positions.begin(), ref.positions.end(),
+                               positions));
+        EXPECT_EQ(buf, ref.word);
+        ++checked;
+    };
+    // Corrupt @p count positions of a fresh codeword, the first
+    // @p ners of them erased (their deltas may be 0).
+    const auto corrupt = [&](unsigned count, unsigned ners) {
+        auto rx = rs.encode(randomMessage(rng, k));
+        const auto posns = rng.sample(n, count);
+        for (unsigned i = 0; i < count; ++i)
+            rx[posns[i]] ^= i < ners
+                                ? static_cast<GfElem>(rng.below(256))
+                                : static_cast<GfElem>(rng.range(1, 255));
+        check(rx, std::vector<unsigned>(posns.begin(), posns.begin() + ners));
+    };
+
+    // Symbol errors up to two past the parity count.
+    for (unsigned nerr = 1; nerr <= nr + 2; ++nerr)
+        for (int rep = 0; rep < 40; ++rep)
+            corrupt(nerr, 0);
+    // Fully random words.
+    for (int rep = 0; rep < 200; ++rep) {
+        std::vector<GfElem> rx(n);
+        for (GfElem &s : rx)
+            s = static_cast<GfElem>(rng.below(256));
+        check(rx, {});
+    }
+    // Erasures alone, then erasures plus errors up to two past the
+    // correctable split.
+    for (unsigned ners = 1; ners <= nr; ++ners) {
+        for (int rep = 0; rep < 20; ++rep)
+            corrupt(ners, ners);
+        for (unsigned nerr = 1; nerr <= (nr - ners) / 2 + 2; ++nerr)
+            for (int rep = 0; rep < 10; ++rep)
+                corrupt(std::min(ners + nerr, n), ners);
+    }
+    EXPECT_GT(checked, 0u);
+}
+
 TEST(RsCodecThreads, ConcurrentFirstUseMatchesKat)
 {
     // Run as its own process so the shared tables are still unbuilt
@@ -555,10 +737,24 @@ TEST(RsCodecThreads, ConcurrentFirstUseMatchesKat)
                 // geometries first.
                 const KatVector &kat = *kats[(i + t) % 3];
                 const RsCodec rs(kat.n, kat.k);
+                const auto message = katMessage(kat.k);
                 GfElem parity[rsMaxRoots] = {};
-                rs.parityInto(katMessage(kat.k).data(), parity);
-                matched[t][(i + t) % 3] = std::equal(
-                    kat.parity.begin(), kat.parity.end(), parity);
+                rs.parityInto(message.data(), parity);
+                // A dirty decode reads the shared Chien rows too.
+                std::vector<GfElem> word = message;
+                word.insert(word.end(), kat.parity.begin(),
+                            kat.parity.end());
+                std::vector<GfElem> rx = word;
+                rx[(i + t) % kat.n] ^= 0x5A;
+                RsWorkspace ws;
+                uint8_t positions[rsMaxRoots];
+                unsigned numPositions = 0;
+                const auto status = rs.decodeInto(rx.data(), ws, positions,
+                                                  numPositions);
+                matched[t][(i + t) % 3] =
+                    std::equal(kat.parity.begin(), kat.parity.end(),
+                               parity) &&
+                    status == RsCodec::Status::Corrected && rx == word;
             }
         });
     }
