@@ -703,23 +703,6 @@ main(int argc, char **argv)
                              "single-stream run; drop --jobs\n");
         return 2;
     }
-    const std::string campaignId =
-        bench::campaignIdFor(opt, "e2e_throughput");
-
-    obs::HeartbeatEmitter hb;
-    bench::openHeartbeat(hb, opt, campaignId);
-    // Two units (hot pass, instrumented pass) of equal shard count;
-    // single-stream mode reports each whole pass as one "shard".
-    bench::UnitProgress progress(hb);
-    for (unsigned unit = 0; unit < 2; ++unit)
-        progress.addUnit(mix.accesses,
-                         campaignMode ? campaignShardSize : mix.accesses);
-    const auto hbProgressFor = [&](unsigned unit) {
-        if (!hb.enabled())
-            return std::function<void(uint64_t)>();
-        return std::function<void(uint64_t)>(
-            [&, unit](uint64_t done) { progress.tick(unit, done); });
-    };
 
     bench::banner("End-to-end throughput: full AIECC stack, "
                   "high-level access mix");
@@ -774,90 +757,56 @@ main(int argc, char **argv)
     ras::HealthMonitor monitor;
     observer.addSink(&monitor);
     monitor.setObserver(&observer);
-    hb.setPayload(
-        [&monitor](obs::JsonWriter &w) { monitor.writeHeartbeat(w); });
 
     // ---- checkpointed campaign (DESIGN.md §12) --------------------
     // Two units in fixed order: unit 0 = hot pass, unit 1 =
-    // instrumented pass.  Each unit's merged state persists after
-    // every committed batch; unit 0's sections stay in the file while
-    // unit 1 runs, so a resume at any point reloads both.
-    bench::Checkpointer cp(opt, campaignId);
-    const auto [resumeUnit, resumeShard] = cp.cursor();
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("pass:0"))
-            bench::deserializePass(hot, st.get("pass:0"));
-        if (st.has("pass:1"))
-            bench::deserializePass(inst, st.get("pass:1"));
-        if (st.has("stats"))
-            stats.deserializeState(st.get("stats"));
-        if (st.has("profile"))
-            profile.deserializeState(st.get("profile"));
-        if (st.has("cost"))
-            cost.deserializeState(st.get("cost"));
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        if (st.has("ras"))
-            monitor.deserializeState(st.get("ras"));
-    }
-    auto persist = [&](unsigned unit, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        cp.setCursor(unit, nextShard);
-        st.set("pass:" + std::to_string(unit),
-               bench::serializePass(unit == 0 ? hot : inst));
-        if (unit == 1) {
-            st.set("stats", stats.serializeState());
-            st.set("profile", profile.serializeState());
-            st.set("cost", cost.serialize());
-            st.set("lineage", lineage.serializeState());
-            st.set("ras", monitor.serializeState());
-        }
-        cp.save("unit " + std::to_string(unit + 1) + "/2 (" +
-                (unit == 0 ? "hot" : "instrumented") + " pass) shard " +
-                std::to_string(nextShard));
-    };
+    // instrumented pass, of equal shard count; single-stream mode
+    // reports each whole pass as one "shard".  Every section persists
+    // at each committed batch, so a resume at any point reloads both
+    // passes.
+    bench::Campaign campaign(opt, "e2e_throughput");
+    const uint64_t unitShardSize =
+        campaignMode ? campaignShardSize : mix.accesses;
+    campaign.unit("hot pass", mix.accesses, unitShardSize);
+    campaign.unit("instrumented pass", mix.accesses, unitShardSize);
+    campaign.state("pass:0", hot);
+    campaign.state("pass:1", inst);
+    campaign.state("stats", stats);
+    campaign.state("profile", profile);
+    campaign.state("cost", cost);
+    campaign.state("lineage", lineage);
+    campaign.state("ras", monitor);
+    campaign.heartbeat().setPayload(
+        [&monitor](obs::JsonWriter &w) { monitor.writeHeartbeat(w); });
 
     // Campaign mode feeds the trace from shard 0 only — one writer,
     // and a stream a sequential shard-0 run would reproduce exactly.
     // Its parent Observer therefore carries no sinks; the shard
     // monitors merge into `monitor` separately.
-    if (campaignMode) {
-        obs::Observer instParent(&stats);
-        instParent.setProfile(&profile);
-        instParent.setCost(&cost);
-        instParent.setLineage(ledger);
-        const uint64_t batch = checkpointBatchShards(opt.jobs);
-        for (unsigned unit = resumeUnit; unit < 2; ++unit) {
-            uint64_t nextShard = (unit == resumeUnit) ? resumeShard : 0;
-            hb.setNote(unit == 0 ? "hot pass" : "instrumented pass");
-            const obs::ShardCheckpoint checkpoint{
-                batch, &nextShard,
-                [&](uint64_t, uint64_t end) { persist(unit, end); }};
-            const RunStatus status =
-                unit == 0
-                    ? runCampaignPass(mix, opt.jobs, hot, nullptr, nullptr,
-                                      nullptr, hbProgressFor(unit),
-                                      cp.enabled() ? &checkpoint : nullptr)
-                    : runCampaignPass(mix, opt.jobs, inst, &instParent,
-                                      traceSink.get(), &monitor,
-                                      hbProgressFor(unit),
-                                      cp.enabled() ? &checkpoint : nullptr);
-            if (status == RunStatus::Interrupted) {
-                progress.interrupted(unit, nextShard);
-                cp.exitInterrupted();
+    obs::Observer instParent(&stats);
+    instParent.setProfile(&profile);
+    instParent.setCost(&cost);
+    instParent.setLineage(ledger);
+    campaign.run([&](size_t unit, const obs::ShardCheckpoint &checkpoint) {
+        if (!campaignMode) {
+            if (unit == 0) {
+                hot = runPass(mix, nullptr);
+                campaign.tick(0, 1);
+            } else {
+                inst = runPass(mix, &observer, ledger, &monitor);
             }
+            return RunStatus::Completed;
         }
-    } else {
-        hb.setNote("hot pass");
-        hot = runPass(mix, nullptr);
-        progress.tick(0, 1);
-        hb.setNote("instrumented pass");
-        inst = runPass(mix, &observer, ledger, &monitor);
-    }
-    progress.finish();
+        const obs::ShardCheckpoint *durable =
+            campaign.checkpointing() ? &checkpoint : nullptr;
+        return unit == 0
+                   ? runCampaignPass(mix, opt.jobs, hot, nullptr, nullptr,
+                                     nullptr, campaign.shardProgress(0),
+                                     durable)
+                   : runCampaignPass(mix, opt.jobs, inst, &instParent,
+                                     traceSink.get(), &monitor,
+                                     campaign.shardProgress(1), durable);
+    });
 
     std::printf("throughput (hot pass):    %12.0f accesses/sec\n",
                 hot.accessesPerSec());
@@ -1086,6 +1035,6 @@ main(int argc, char **argv)
         }
         w.endObject();
     });
-    cp.finish();
+    campaign.finish();
     return 0;
 }

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <vector>
 
 #include "aiecc/cost_model.hh"
@@ -136,11 +135,21 @@ main(int argc, char **argv)
 
     // Merged campaign state (what the checkpoint persists): one
     // CampaignStats per cell plus one cost accountant per level.
+    bench::Campaign campaign(opt, "fig7_coverage");
     std::vector<CampaignStats> cells(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+        const InjectionCampaign probe(
+            Mechanisms::forLevel(levels[units[u].levelIdx]));
+        campaign.state("cell:" + std::to_string(u), cells[u]);
+        campaign.unit(unitLabel(units[u]), unitErrors(units[u], probe).size(),
+                      InjectionCampaign::trialShardSize);
+    }
     std::vector<obs::CostAccountant> levelCost;
     for (ProtectionLevel level : levels)
         levelCost.emplace_back(
             makeCostModel(Mechanisms::forLevel(level)));
+    for (size_t li = 0; li < 4; ++li)
+        campaign.state("cost:" + std::to_string(li), levelCost[li]);
 
     // ---- RAS health telemetry (--health, DESIGN.md §15) -----------
     // One parent-side monitor rides every unit's campaign: shard
@@ -151,59 +160,13 @@ main(int argc, char **argv)
     // detection-replay path (inject -> observe* -> resolve per
     // trial); it is discarded with the unit.
     ras::HealthMonitor rasMon;
-
-    bench::Checkpointer cp(opt,
-                           bench::campaignIdFor(opt, "fig7_coverage"));
-    const auto [resumeUnit, resumeShard] = cp.cursor();
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        for (size_t u = 0; u < units.size(); ++u) {
-            const std::string name = "cell:" + std::to_string(u);
-            if (st.has(name))
-                cells[u].deserializeState(st.get(name));
-        }
-        for (size_t li = 0; li < 4; ++li) {
-            const std::string name = "cost:" + std::to_string(li);
-            if (st.has(name))
-                levelCost[li].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-    }
-
-    // ---- heartbeat (DESIGN.md §13) --------------------------------
-    obs::HeartbeatEmitter hb;
-    bench::openHeartbeat(hb, opt,
-                         bench::campaignIdFor(opt, "fig7_coverage"));
-    bench::UnitProgress progress(hb);
-    for (const UnitSpec &u : units) {
-        const InjectionCampaign probe(
-            Mechanisms::forLevel(levels[u.levelIdx]));
-        progress.addUnit(unitErrors(u, probe).size(),
-                         InjectionCampaign::trialShardSize);
-    }
-    if (opt.health)
-        hb.setPayload(
+    if (opt.health) {
+        campaign.state("ras", rasMon);
+        campaign.heartbeat().setPayload(
             [&](obs::JsonWriter &w) { rasMon.writeHeartbeat(w); });
+    }
 
-    const uint64_t batch = checkpointBatchShards(jobs);
-    auto persist = [&](size_t u, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        cp.setCursor(u, nextShard);
-        st.set("cell:" + std::to_string(u), cells[u].serializeState());
-        for (size_t li = 0; li < 4; ++li)
-            st.set("cost:" + std::to_string(li),
-                   levelCost[li].serialize());
-        if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(units.size()) + " (" + unitLabel(units[u]) +
-                ") shard " + std::to_string(nextShard));
-    };
-
-    for (size_t u = resumeUnit; u < units.size(); ++u) {
+    campaign.run([&](size_t u, const obs::ShardCheckpoint &checkpoint) {
         const UnitSpec &spec = units[u];
         obs::LineageLedger rasLineage;
         obs::Observer unitObs;
@@ -215,22 +178,11 @@ main(int argc, char **argv)
         InjectionCampaign camp(
             Mechanisms::forLevel(levels[spec.levelIdx]));
         camp.setObserver(&unitObs);
-        const std::vector<PinError> errors = unitErrors(spec, camp);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
-        hb.setNote(unitLabel(spec));
-        const RunStatus status = camp.runTrialsCheckpointed(
-            patterns[spec.patternIdx], errors, jobs, batch, nextShard,
-            [&](uint64_t, const TrialResult &r) { cells[u].add(r); },
-            [&](uint64_t, uint64_t end) {
-                persist(u, end);
-                progress.tick(u, end);
-            });
-        if (status == RunStatus::Interrupted) {
-            progress.interrupted(u, nextShard);
-            cp.exitInterrupted();
-        }
-    }
-    progress.finish();
+        return camp.runTrialsCheckpointed(
+            patterns[spec.patternIdx], unitErrors(spec, camp), jobs,
+            checkpoint,
+            [&](uint64_t, const TrialResult &r) { cells[u].add(r); });
+    });
 
     // ---- report ---------------------------------------------------
     // Cell index = ((modelIdx * patterns + p) * 4 + li).
@@ -316,6 +268,6 @@ main(int argc, char **argv)
         "(DECC/eDECC),\n    which AIECC fills via eWCRC/eDECC/CSTC;\n"
         "  * for all-pin noise CAP recovers ~50%% of latched edges, "
         "and only\n    AIECC avoids all SDC and MDC.\n");
-    cp.finish();
+    campaign.finish();
     return 0;
 }

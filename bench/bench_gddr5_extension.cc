@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "bench_util.hh"
 #include "common/parallel.hh"
@@ -54,13 +53,11 @@ main(int argc, char **argv)
     const std::vector<CommandPattern> patterns = allPatterns();
     const char *models[] = {"1-pin", "all-pin"};
 
-    // ---- checkpointed campaign plan -------------------------------
+    // ---- checkpointed campaign (DESIGN.md §12) --------------------
     // 40 units in fixed order: model-major, config, then pattern.
     // Every trial is pure in (protection, seed, pattern, error), so
     // resume needs only the merged per-unit stats — no counters.
-    bench::Checkpointer cp(
-        opt, bench::campaignIdFor(opt, "gddr5_extension"));
-
+    bench::Campaign campaign(opt, "gddr5_extension");
     const size_t numUnits = 2 * 4 * patterns.size();
     auto unitModel = [&](size_t u) { return u / (4 * patterns.size()); };
     auto unitConfig = [&](size_t u) {
@@ -68,7 +65,18 @@ main(int argc, char **argv)
     };
     auto unitPattern = [&](size_t u) { return u % patterns.size(); };
 
+    // Units alternate between two error lists only (1-pin: all 21
+    // injectable pins; all-pin: the sample count).
+    const uint64_t onePinTrials = gddr5InjectablePins().size();
     std::vector<Gddr5Stats> unitStats(numUnits);
+    for (size_t u = 0; u < numUnits; ++u) {
+        campaign.state("stats:" + std::to_string(u), unitStats[u]);
+        campaign.unit(std::string(models[unitModel(u)]) + "/" +
+                          configs[unitConfig(u)].name + "/" +
+                          patternName(patterns[unitPattern(u)]),
+                      unitModel(u) == 0 ? onePinTrials : allPinSamples,
+                      Gddr5Campaign::trialShardSize);
+    }
 
     // ---- RAS health telemetry (--health, DESIGN.md §15) -----------
     // The GDDR5 campaign keeps trials pure and carries no observer,
@@ -78,54 +86,13 @@ main(int argc, char **argv)
     // Detection events (cycle = global trial number) — deterministic
     // for any --jobs value by construction.
     ras::HealthMonitor rasMon;
-
-    const auto [resumeUnit, resumeShard] = cp.cursor();
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        for (size_t u = 0; u < numUnits; ++u) {
-            const std::string name = "stats:" + std::to_string(u);
-            if (st.has(name))
-                unitStats[u].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
+    if (opt.health) {
+        campaign.state("ras", rasMon);
+        campaign.heartbeat().setPayload(
+            [&](obs::JsonWriter &w) { rasMon.writeHeartbeat(w); });
     }
 
-    // ---- heartbeat (DESIGN.md §13) --------------------------------
-    // Units alternate between two error lists only (1-pin: all 21
-    // injectable pins; all-pin: the sample count), so shard/trial
-    // totals are a closed form.
-    obs::HeartbeatEmitter hb;
-    bench::openHeartbeat(hb, opt,
-                         bench::campaignIdFor(opt, "gddr5_extension"));
-    const uint64_t onePinTrials = gddr5InjectablePins().size();
-    bench::UnitProgress progress(hb);
-    for (size_t u = 0; u < numUnits; ++u)
-        progress.addUnit(unitModel(u) == 0 ? onePinTrials : allPinSamples,
-                         Gddr5Campaign::trialShardSize);
-    if (opt.health)
-        hb.setPayload(
-            [&](obs::JsonWriter &w) { rasMon.writeHeartbeat(w); });
-
-    const uint64_t batch = checkpointBatchShards(opt.jobs);
-    auto persist = [&](size_t u, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        cp.setCursor(u, nextShard);
-        st.set("stats:" + std::to_string(u),
-               unitStats[u].serializeState());
-        if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(numUnits) + " (" +
-                std::string(models[unitModel(u)]) + "/" +
-                configs[unitConfig(u)].name + "/" +
-                patternName(patterns[unitPattern(u)]) +
-                ") shard " + std::to_string(nextShard));
-    };
-
-    for (size_t u = resumeUnit; u < numUnits; ++u) {
+    campaign.run([&](size_t u, const obs::ShardCheckpoint &checkpoint) {
         std::vector<Gddr5Error> errors;
         if (unitModel(u) == 0) {
             for (gddr5::Pin pin : gddr5InjectablePins())
@@ -134,37 +101,23 @@ main(int argc, char **argv)
             for (unsigned s = 0; s < allPinSamples; ++s)
                 errors.push_back(Gddr5Error::allPins(s + 1));
         }
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
-        hb.setNote(std::string(models[unitModel(u)]) + "/" +
-                   configs[unitConfig(u)].name + "/" +
-                   patternName(patterns[unitPattern(u)]));
-        const Gddr5Campaign campaign(configs[unitConfig(u)].prot);
-        const RunStatus status = campaign.runTrialsCheckpointed(
-            patterns[unitPattern(u)], errors, opt.jobs, batch,
-            nextShard,
+        const Gddr5Campaign engine(configs[unitConfig(u)].prot);
+        return engine.runTrialsCheckpointed(
+            patterns[unitPattern(u)], errors, opt.jobs, checkpoint,
             [&](uint64_t trial, const Gddr5Trial &res) {
                 unitStats[u].add(res);
                 if (opt.health) {
                     obs::TraceEvent ev;
                     ev.kind = obs::EventKind::Detection;
-                    ev.cycle = progress.trialsBefore(u) + trial;
+                    ev.cycle = campaign.trialsBefore(u) + trial;
                     ev.symptom = obs::Symptom::Alert;
                     for (Detector d : res.detectors) {
                         ev.label = detectorName(d);
                         rasMon.record(ev);
                     }
                 }
-            },
-            [&](uint64_t, uint64_t end) {
-                persist(u, end);
-                progress.tick(u, end);
             });
-        if (status == RunStatus::Interrupted) {
-            progress.interrupted(u, nextShard);
-            cp.exitInterrupted();
-        }
-    }
-    progress.finish();
+    });
 
     // ---- report ---------------------------------------------------
     struct ProtRow
@@ -250,6 +203,6 @@ main(int argc, char **argv)
         "  * the AIECC adaptation reuses the same EDC pin (no new "
         "signals) and\n    reaches full coverage, mirroring the DDR4 "
         "result of Figure 7.\n");
-    cp.finish();
+    campaign.finish();
     return 0;
 }

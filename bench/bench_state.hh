@@ -67,18 +67,6 @@ struct PassResult
     }
 };
 
-inline std::string
-serializePass(const PassResult &p)
-{
-    return obs::writeState(p);
-}
-
-inline void
-deserializePass(PassResult &p, const std::string &text)
-{
-    obs::restoreState(p, text);
-}
-
 /**
  * The display/artifact slice of one Table II cell — everything the
  * table, the JSON and a resumed process need, nothing more (the full
@@ -94,11 +82,10 @@ struct GridCell
 
 using Grid = std::map<Pin, std::map<CommandPattern, GridCell>>;
 
-/** table2's checkpoint unit: one pattern's column of the grid. */
-template <class G>
+/** table2's checkpoint section: one pattern's column of the grid. */
 struct GridColumn
 {
-    G &grid;
+    Grid &grid;
     CommandPattern pattern;
 
     /** One uncounted "pin outcome detected transition" line per cell. */
@@ -127,20 +114,6 @@ struct GridColumn
         }
     }
 };
-
-inline std::string
-serializeGridColumn(const Grid &grid, CommandPattern pattern)
-{
-    return obs::writeState(GridColumn<const Grid>{grid, pattern});
-}
-
-inline void
-deserializeGridColumn(Grid &grid, CommandPattern pattern,
-                      const std::string &text)
-{
-    GridColumn<Grid> col{grid, pattern};
-    obs::restoreState(col, text);
-}
 
 } // namespace bench
 } // namespace aiecc

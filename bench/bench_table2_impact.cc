@@ -126,15 +126,6 @@ main(int argc, char **argv)
         aieccObs.addSink(&rasMon);
     }
 
-    // ---- checkpointed campaign plan -------------------------------
-    // Units in fixed order: 5 per-pin, 5 recovery, 5 exhaustive
-    // 2-pin, and with --exhaustive 5 more exhaustive 3-pin.  Each
-    // unit is one runTrialsCheckpointed() call; the checkpoint cursor
-    // names (unit, next shard) and every state section is rewritten
-    // at each commit.
-    bench::Checkpointer cp(opt,
-                           bench::campaignIdFor(opt, "table2_impact"));
-
     struct UnitSpec
     {
         UnitKind kind;
@@ -196,26 +187,56 @@ main(int argc, char **argv)
         }
     };
 
+    // ---- checkpointed campaign (DESIGN.md §12) --------------------
+    // Units in fixed order: 5 per-pin, 5 recovery, 5 exhaustive
+    // 2-pin, and with --exhaustive 5 more exhaustive 3-pin.  Each unit
+    // is one runTrialsCheckpointed() call; every state section is
+    // rewritten at each commit.
+    bench::Campaign campaign(opt, "table2_impact");
+    for (const UnitSpec &u : units)
+        campaign.unit(unitLabel(u), unitErrors(u).size(),
+                      InjectionCampaign::trialShardSize);
+
     // Merged campaign state (what the checkpoint persists).
     CampaignStats noneStats;
     Grid grid;
     std::map<CommandPattern, CampaignStats> recStats;
     std::map<CommandPattern, CampaignStats> twoStats;
     std::map<CommandPattern, CampaignStats> threeStats;
+    std::vector<bench::GridColumn> gridColumns;
+    for (CommandPattern pattern : patterns)
+        gridColumns.push_back({grid, pattern});
+    campaign.state("stats:none", noneStats);
+    for (size_t p = 0; p < patterns.size(); ++p) {
+        const std::string idx = std::to_string(p);
+        campaign.state("grid:" + idx, gridColumns[p]);
+        campaign.state("rec:" + idx, recStats[patterns[p]]);
+        campaign.state("two:" + idx, twoStats[patterns[p]]);
+        if (opt.exhaustive)
+            campaign.state("three:" + idx, threeStats[patterns[p]]);
+    }
+    campaign.state("lineage", lineage);
+    campaign.state("cost:none", noneCost);
+    campaign.state("cost:aiecc", aieccCost);
+    if (opt.health)
+        campaign.state("ras", rasMon);
+
+    // Fault-ID positioning: completed units advance their campaign's
+    // trial counter exactly as a live run would; the resumed unit's
+    // counter stays at the unit start (runTrialsCheckpointed
+    // reconstructs indices from the shard).
+    for (size_t u = 0; u < campaign.resumeUnit(); ++u) {
+        const uint64_t n = unitErrors(units[u]).size();
+        if (units[u].kind == UnitKind::PerPin)
+            camp.skipTrials(n);
+        else
+            aiecc.skipTrials(n);
+    }
 
     // ---- heartbeat (DESIGN.md §13) --------------------------------
-    // Commit-driven ticks: shard/trial totals precomputed per unit,
-    // progress reported from the commit callback (main thread, after
-    // the batch merge), so the payload's live coverage counters read
-    // settled state.
-    obs::HeartbeatEmitter hb;
-    bench::openHeartbeat(hb, opt,
-                         bench::campaignIdFor(opt, "table2_impact"));
-    bench::UnitProgress progress(hb);
-    for (const UnitSpec &u : units)
-        progress.addUnit(unitErrors(u).size(),
-                         InjectionCampaign::trialShardSize);
-    hb.setPayload([&](obs::JsonWriter &w) {
+    // Commit-driven ticks (main thread, after the batch merge), so
+    // the payload's live coverage counters read settled state.
+    campaign.heartbeat().setPayload([&](obs::JsonWriter &w) {
         const obs::CoverageMatrix::Audit live =
             obs::CoverageMatrix::fromLedger(lineage).audit();
         w.kv("cov_injected", live.injected);
@@ -230,97 +251,14 @@ main(int argc, char **argv)
             rasMon.writeHeartbeat(w);
     });
 
-    // ---- resume ---------------------------------------------------
-    const auto [resumeUnit, resumeShard] = cp.cursor();
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        if (st.has("stats:none"))
-            noneStats.deserializeState(st.get("stats:none"));
-        for (size_t p = 0; p < patterns.size(); ++p) {
-            const std::string idx = std::to_string(p);
-            if (st.has("grid:" + idx))
-                bench::deserializeGridColumn(grid, patterns[p],
-                                             st.get("grid:" + idx));
-            if (st.has("rec:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("rec:" + idx));
-                recStats[patterns[p]] = s;
-            }
-            if (st.has("two:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("two:" + idx));
-                twoStats[patterns[p]] = s;
-            }
-            if (st.has("three:" + idx)) {
-                CampaignStats s;
-                s.deserializeState(st.get("three:" + idx));
-                threeStats[patterns[p]] = s;
-            }
-        }
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        if (st.has("cost:none"))
-            noneCost.deserializeState(st.get("cost:none"));
-        if (st.has("cost:aiecc"))
-            aieccCost.deserializeState(st.get("cost:aiecc"));
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
-        // Fault-ID positioning: completed units advance their
-        // campaign's trial counter exactly as a live run would; the
-        // in-progress unit's counter stays at the unit start
-        // (runTrialsCheckpointed reconstructs indices from the shard).
-        for (size_t u = 0; u < resumeUnit && u < units.size(); ++u) {
-            const uint64_t n = unitErrors(units[u]).size();
-            if (units[u].kind == UnitKind::PerPin)
-                camp.skipTrials(n);
-            else
-                aiecc.skipTrials(n);
-        }
-    }
-
     // ---- run ------------------------------------------------------
-    const uint64_t batch = checkpointBatchShards(jobs);
-    auto persist = [&](size_t u, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        cp.setCursor(u, nextShard);
-        st.set("stats:none", noneStats.serializeState());
-        for (size_t p = 0; p < patterns.size(); ++p) {
-            const std::string idx = std::to_string(p);
-            st.set("grid:" + idx,
-                   bench::serializeGridColumn(grid, patterns[p]));
-            const auto rit = recStats.find(patterns[p]);
-            if (rit != recStats.end())
-                st.set("rec:" + idx, rit->second.serializeState());
-            const auto tit = twoStats.find(patterns[p]);
-            if (tit != twoStats.end())
-                st.set("two:" + idx, tit->second.serializeState());
-            const auto xit = threeStats.find(patterns[p]);
-            if (xit != threeStats.end())
-                st.set("three:" + idx, xit->second.serializeState());
-        }
-        st.set("lineage", lineage.serializeState());
-        st.set("cost:none", noneCost.serialize());
-        st.set("cost:aiecc", aieccCost.serialize());
-        if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(units.size()) + " (" +
-                unitLabel(units[u]) + ") shard " +
-                std::to_string(nextShard));
-    };
-
-    for (size_t u = resumeUnit; u < units.size(); ++u) {
+    campaign.run([&](size_t u, const obs::ShardCheckpoint &checkpoint) {
         const UnitSpec &spec = units[u];
         const CommandPattern pattern = patterns[spec.patternIdx];
-        const std::vector<PinError> errors = unitErrors(spec);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
-        hb.setNote(unitLabel(spec));
         InjectionCampaign &runner =
             spec.kind == UnitKind::PerPin ? camp : aiecc;
-        const RunStatus status = runner.runTrialsCheckpointed(
-            pattern, errors, jobs, batch, nextShard,
+        return runner.runTrialsCheckpointed(
+            pattern, unitErrors(spec), jobs, checkpoint,
             [&](uint64_t trial, const TrialResult &r) {
                 switch (spec.kind) {
                 case UnitKind::PerPin:
@@ -338,17 +276,8 @@ main(int argc, char **argv)
                     threeStats[pattern].add(r);
                     break;
                 }
-            },
-            [&](uint64_t, uint64_t end) {
-                persist(u, end);
-                progress.tick(u, end);
             });
-        if (status == RunStatus::Interrupted) {
-            progress.interrupted(u, nextShard);
-            cp.exitInterrupted();
-        }
-    }
-    progress.finish();
+    });
 
     // ---- report ---------------------------------------------------
     TextTable t;
@@ -583,6 +512,6 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(audit.injected));
         return 1;
     }
-    cp.finish();
+    campaign.finish();
     return 0;
 }

@@ -146,45 +146,31 @@ main(int argc, char **argv)
             schemeObs[si].addSink(&rasMon);
     }
 
-    // ---- checkpointed campaign plan -------------------------------
+    // ---- checkpointed campaign (DESIGN.md §12) --------------------
     // 44 units in fixed order: cell-major, scheme-minor.  Monte-Carlo
     // fault IDs derive from (scheme, cell, trial-in-cell), so resume
     // needs no counter positioning — only the merged state.
-    bench::Checkpointer cp(opt,
-                           bench::campaignIdFor(opt, "table3_data"));
-
+    bench::Campaign campaign(opt, "table3_data");
     const size_t numUnits = results.size() * 4;
-    const auto [resumeUnit, resumeShard] = cp.cursor();
-    if (cp.resumed()) {
-        CampaignCheckpoint &st = cp.state();
-        for (size_t u = 0; u < numUnits; ++u) {
-            const std::string name = "cell:" + std::to_string(u);
-            if (st.has(name))
-                results[u / 4].bySch[u % 4].deserializeState(
-                    st.get(name));
-        }
-        if (st.has("lineage"))
-            lineage.deserializeState(st.get("lineage"));
-        for (unsigned si = 0; si < 4; ++si) {
-            const std::string name = "cost:" + std::to_string(si);
-            if (st.has(name))
-                schemeCost[si].deserializeState(st.get(name));
-        }
-        if (opt.health && st.has("ras"))
-            rasMon.deserializeState(st.get("ras"));
+    for (size_t u = 0; u < numUnits; ++u) {
+        CellResult &res = results[u / 4];
+        campaign.state("cell:" + std::to_string(u), res.bySch[u % 4]);
+        campaign.unit(std::string(schemeNames[u % 4]) + "/" +
+                          dataErrorName(res.dm) + "/" +
+                          addrErrorName(res.am),
+                      res.cellTrials, plan.shardSize);
     }
+    campaign.state("lineage", lineage);
+    for (unsigned si = 0; si < 4; ++si)
+        campaign.state("cost:" + std::to_string(si), schemeCost[si]);
+    if (opt.health)
+        campaign.state("ras", rasMon);
 
-    // ---- heartbeat (DESIGN.md Â§13) --------------------------------
+    // ---- heartbeat (DESIGN.md §13) --------------------------------
     // Commit-driven ticks with a live coverage/cost payload; commit
     // runs on the main thread after the batch merge, so the payload
     // reads settled state.
-    obs::HeartbeatEmitter hb;
-    bench::openHeartbeat(hb, opt,
-                         bench::campaignIdFor(opt, "table3_data"));
-    bench::UnitProgress progress(hb);
-    for (size_t u = 0; u < numUnits; ++u)
-        progress.addUnit(results[u / 4].cellTrials, plan.shardSize);
-    hb.setPayload([&](obs::JsonWriter &w) {
+    campaign.heartbeat().setPayload([&](obs::JsonWriter &w) {
         const obs::CoverageMatrix::Audit live =
             obs::CoverageMatrix::fromLedger(lineage).audit();
         w.kv("cov_injected", live.injected);
@@ -201,50 +187,16 @@ main(int argc, char **argv)
             rasMon.writeHeartbeat(w);
     });
 
-    const uint64_t batch = checkpointBatchShards(opt.jobs);
-    auto persist = [&](size_t u, uint64_t nextShard) {
-        if (!cp.enabled())
-            return;
-        CampaignCheckpoint &st = cp.state();
-        cp.setCursor(u, nextShard);
-        st.set("cell:" + std::to_string(u),
-               results[u / 4].bySch[u % 4].serializeState());
-        st.set("lineage", lineage.serializeState());
-        for (unsigned si = 0; si < 4; ++si)
-            st.set("cost:" + std::to_string(si),
-                   schemeCost[si].serialize());
-        if (opt.health)
-            st.set("ras", rasMon.serializeState());
-        const CellResult &res = results[u / 4];
-        cp.save("unit " + std::to_string(u + 1) + "/" +
-                std::to_string(numUnits) + " (" +
-                std::string(schemeNames[u % 4]) + "/" +
-                dataErrorName(res.dm) + "/" + addrErrorName(res.am) +
-                ") shard " + std::to_string(nextShard));
-    };
-
     const auto begin = std::chrono::steady_clock::now();
-    for (size_t u = resumeUnit; u < numUnits; ++u) {
+    campaign.run([&](size_t u, const obs::ShardCheckpoint &checkpoint) {
         CellResult &res = results[u / 4];
         const unsigned si = static_cast<unsigned>(u % 4);
-        uint64_t nextShard = (u == resumeUnit) ? resumeShard : 0;
         DataMonteCarlo mc(schemes[si]);
         mc.setObserver(&schemeObs[si]);
-        hb.setNote(std::string(schemeNames[si]) + "/" +
-                   dataErrorName(res.dm) + "/" + addrErrorName(res.am));
-        const RunStatus status = mc.runCellCheckpointed(
-            res.dm, res.am, res.cellTrials, res.exhaustive, plan, batch,
-            nextShard, res.bySch[si],
-            [&](uint64_t, uint64_t end) {
-                persist(u, end);
-                progress.tick(u, end);
-            });
-        if (status == RunStatus::Interrupted) {
-            progress.interrupted(u, nextShard);
-            cp.exitInterrupted();
-        }
-    }
-    progress.finish();
+        return mc.runCellCheckpointed(res.dm, res.am, res.cellTrials,
+                                      res.exhaustive, plan, checkpoint,
+                                      res.bySch[si]);
+    });
     const uint64_t elapsedNs =
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -362,6 +314,6 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(audit.injected));
         return 1;
     }
-    cp.finish();
+    campaign.finish();
     return 0;
 }

@@ -2,7 +2,8 @@
  * @file
  * Tiny shared helpers for the paper-reproduction benches: flag
  * parsing (--trials N, --allpin N, --quick, --json PATH), banner
- * printing, and the shared JSON artifact shape.
+ * printing, the checkpointed campaign loop, and the shared JSON
+ * artifact shape.
  */
 
 #ifndef AIECC_BENCH_BENCH_UTIL_HH
@@ -13,7 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "obs/json.hh"
 #include "obs/memprof.hh"
 #include "obs/profile.hh"
+#include "obs/shard_run.hh"
+#include "obs/state.hh"
 #include "ras/health.hh"
 
 namespace aiecc
@@ -317,117 +321,284 @@ campaignIdFor(const Options &opt, const std::string &benchName)
 }
 
 /**
- * Bench-side driver for durable checkpoint/resume (DESIGN.md §12).
+ * The one checkpointed campaign loop (DESIGN.md §12, §13).
  *
- * Owns the one CampaignCheckpoint a bench persists: open() (the
- * constructor) validates --resume state, save() atomically replaces
- * the file after each committed batch, and finish() removes it once
- * the artifact is complete.  The campaign ID must encode every
- * output-affecting option (trials, allpin, quick, recovery knobs,
- * exhaustive — but never --jobs or paths), so a checkpoint can never
- * be resumed into a differently-configured run.
+ * A bench declares its merged state once — state(name, obj) per
+ * checkpoint section, unit(label, trials, shardSize) per resumable
+ * unit in run order — and supplies only the unit body.  run() walks
+ * the units from the resume cursor and hands each body an
+ * obs::ShardCheckpoint whose commit persists every section plus the
+ * cursor, saves with the note "unit U/N (label) shard S" and ticks the
+ * heartbeat.  Restore and persist read the same section list, so no
+ * section can be saved without being restored, or the reverse.
  *
- * With no --checkpoint the helper is inert: enabled() is false, every
- * state query says "fresh", save() and finish() do nothing — benches
- * write one code path and run unchanged without the flag.
+ * The file is pinned to campaignIdFor(): every output-affecting
+ * option, never --jobs or paths, so a checkpoint cannot resume into a
+ * differently-configured run but resumes at any worker count.  With
+ * no --checkpoint the file side is inert and the loop, heartbeat
+ * included, runs unchanged.
  */
-class Checkpointer
+class Campaign
 {
   public:
-    Checkpointer(const Options &opt, const std::string &campaignId)
-        : path(opt.checkpointPath)
+    /** The checkpoint's "cursor" section: the unit in flight and its
+     *  first uncommitted shard. */
+    struct Cursor
     {
-        ckpt.setCampaignId(campaignId);
-        if (path.empty()) {
-            if (opt.resume) {
+        uint64_t unit = 0;
+        uint64_t shard = 0;
+
+        template <class Self, class Archive>
+        static void
+        layout(Self &c, Archive &ar)
+        {
+            ar.tag("unit")(c.unit).tag("shard")(c.shard);
+        }
+    };
+
+    /**
+     * Open the checkpoint (--resume loads and verifies it; a file
+     * that fails to verify or belongs to other options is fatal) and
+     * the heartbeat (an unwritable path exits 2, like a flag error).
+     */
+    Campaign(const Options &opt, const std::string &benchName)
+        : path(opt.checkpointPath), batch(checkpointBatchShards(opt.jobs))
+    {
+        const std::string id = campaignIdFor(opt, benchName);
+        openCheckpoint(opt.resume, id);
+        if (!opt.heartbeatPath.empty() &&
+            !hb.open(opt.heartbeatPath, id)) {
+            std::fprintf(stderr, "cannot write heartbeat: %s\n",
+                         opt.heartbeatPath.c_str());
+            std::exit(2);
+        }
+    }
+
+    /**
+     * Checkpoint @p obj (any type with a layout(), obs/state.hh) as
+     * section @p name at every commit.  A resumed campaign restores it
+     * here when the file carries it; a section that fails to parse is
+     * fatal.  @p obj must stay alive through run().
+     */
+    template <class T>
+    void
+    state(const std::string &name, T &obj)
+    {
+        AIECC_ASSERT(name != "cursor", "section name 'cursor' is taken");
+        if (resumed && ckpt.has(name))
+            restore(name, obj);
+        sections.push_back({name, [&obj] { return obs::writeState(obj); }});
+    }
+
+    /** Append a unit of @p trials trials in shards of @p shardSize. */
+    void
+    unit(std::string label, uint64_t trials, uint64_t shardSize)
+    {
+        units.push_back(
+            {std::move(label), totalShards, totalTrials, trials, shardSize});
+        totalShards += shardCount(trials, shardSize);
+        totalTrials += trials;
+        hb.setTotals(totalShards, totalTrials);
+    }
+
+    /** True when --checkpoint was given. */
+    bool checkpointing() const { return !path.empty(); }
+
+    /** The heartbeat, for the bench's payload. */
+    obs::HeartbeatEmitter &heartbeat() { return hb; }
+
+    /** Trials of the units before @p u (campaign-global numbering). */
+    uint64_t trialsBefore(size_t u) const { return units[u].trialsBefore; }
+
+    /**
+     * The unit run() starts at: the cursor's on resume, else 0.  The
+     * cursor is checked against the declared units, so call this
+     * after the last unit(); a malformed cursor, or one past the
+     * plan, is fatal.
+     */
+    size_t resumeUnit() { return resumeAt().unit; }
+
+    /** Heartbeat progress: @p shardsDone shards of unit @p u are done. */
+    void
+    tick(size_t u, uint64_t shardsDone)
+    {
+        hb.tick(units[u].shardsBefore + shardsDone, trialsAt(u, shardsDone));
+    }
+
+    /** tick() for unit @p u as a per-shard progress hook (empty when
+     *  there is no heartbeat). */
+    std::function<void(uint64_t)>
+    shardProgress(size_t u)
+    {
+        if (!hb.enabled())
+            return {};
+        return [this, u](uint64_t done) { tick(u, done); };
+    }
+
+    /**
+     * Run every unit from the resume cursor: @p body(u, checkpoint)
+     * runs unit u through an engine's checkpointed entry point and
+     * returns its RunStatus.  An Interrupted unit writes the final
+     * heartbeat record and exits 75 (exitInterrupted).
+     */
+    template <class Body>
+    void
+    run(Body &&body)
+    {
+        const Cursor at = resumeAt();
+        for (size_t u = at.unit; u < units.size(); ++u) {
+            uint64_t next = u == at.unit ? at.shard : 0;
+            hb.setNote(units[u].label);
+            const obs::ShardCheckpoint checkpoint{
+                batch, &next,
+                [this, u](uint64_t, uint64_t end) { commit(u, end); }};
+            if (body(u, checkpoint) == RunStatus::Interrupted) {
+                hb.finalTick(units[u].shardsBefore + next,
+                             trialsAt(u, next));
                 std::fprintf(stderr,
-                             "--resume requires --checkpoint PATH\n");
+                             "interrupted; resumable state saved to %s "
+                             "— rerun with --resume to continue\n",
+                             path.empty() ? "(no checkpoint)"
+                                          : path.c_str());
+                std::exit(exitInterrupted);
+            }
+        }
+        hb.finalTick(totalShards, totalTrials);
+    }
+
+    /** The run completed: the checkpoint has served its purpose. */
+    void
+    finish()
+    {
+        if (!path.empty())
+            std::remove(path.c_str());
+    }
+
+  private:
+    struct Section
+    {
+        std::string name;
+        std::function<std::string()> write;
+    };
+    struct Unit
+    {
+        std::string label;
+        uint64_t shardsBefore, trialsBefore, trials, shardSize;
+    };
+
+    void
+    openCheckpoint(bool resume, const std::string &id)
+    {
+        ckpt.setCampaignId(id);
+        if (path.empty()) {
+            if (resume) {
+                std::fprintf(stderr, "--resume requires --checkpoint PATH\n");
                 std::exit(2);
             }
             return;
         }
         installStopHandlers();
-        if (opt.resume) {
-            std::FILE *probe = std::fopen(path.c_str(), "rb");
-            if (!probe) {
-                std::fprintf(stderr,
-                             "checkpoint %s not found; starting "
-                             "fresh\n",
-                             path.c_str());
-            } else {
+        if (resume) {
+            if (std::FILE *probe = std::fopen(path.c_str(), "rb")) {
                 std::fclose(probe);
                 CampaignCheckpoint loaded;
-                const CampaignCheckpoint::Load res =
-                    loaded.loadFile(path);
-                if (!res.ok) {
-                    // The file exists but does not verify: an atomic
-                    // replace never leaves a torn file, so this is
-                    // external damage — refuse to guess.
+                const CampaignCheckpoint::Load res = loaded.loadFile(path);
+                // An atomic replace never leaves a torn file, so a
+                // file that does not verify is external damage:
+                // refuse to guess.
+                if (!res.ok)
                     AIECC_FATAL("cannot resume: " << res.error);
-                }
-                if (loaded.campaignId() != campaignId) {
-                    AIECC_FATAL(
-                        "checkpoint "
-                        << path << " belongs to campaign '"
-                        << loaded.campaignId()
-                        << "', not this run's '" << campaignId
-                        << "' — options differ; delete it or fix "
-                           "the flags");
+                if (loaded.campaignId() != id) {
+                    AIECC_FATAL("checkpoint "
+                                << path << " belongs to campaign '"
+                                << loaded.campaignId()
+                                << "', not this run's '" << id
+                                << "' — options differ; delete it or "
+                                   "fix the flags");
                 }
                 ckpt = std::move(loaded);
-                wasResumed = true;
+                resumed = true;
                 std::printf("resuming campaign from %s (%s)\n",
                             path.c_str(),
                             ckpt.progressNote().empty()
                                 ? "no progress note"
                                 : ckpt.progressNote().c_str());
+            } else {
+                std::fprintf(stderr,
+                             "checkpoint %s not found; starting fresh\n",
+                             path.c_str());
             }
         }
         // Persist immediately: the file exists (and pins the campaign
         // ID) before the first batch runs, so a kill at any instant
         // leaves a loadable state behind.
-        save(wasResumed ? ckpt.progressNote() : "starting");
+        save(resumed ? ckpt.progressNote() : "starting");
     }
 
-    /** True when --checkpoint was given. */
-    bool enabled() const { return !path.empty(); }
-
-    /** True when --resume found a verified checkpoint to continue. */
-    bool resumed() const { return wasResumed; }
-
-    /** Resume position: the unit in flight, its first open shard. */
-    struct Cursor
+    template <class T>
+    void
+    restore(const std::string &name, T &obj)
     {
-        size_t unit = 0;
-        uint64_t shard = 0;
-    };
+        const std::string why = obs::readState(obj, ckpt.get(name));
+        if (!why.empty())
+            refuse(name, why);
+    }
 
-    /** The saved cursor; {0, 0} unless resumed. */
-    Cursor
-    cursor() const
+    [[noreturn]] void
+    refuse(const std::string &name, const std::string &why) const
     {
-        Cursor c;
-        if (wasResumed && ckpt.has("cursor")) {
-            std::istringstream in(ckpt.get("cursor"));
-            std::string tag;
-            in >> tag >> c.unit >> tag >> c.shard;
+        AIECC_FATAL("cannot resume from " << path << ": section '" << name
+                                          << "': " << why);
+    }
+
+    const Cursor &
+    resumeAt()
+    {
+        if (cursor)
+            return *cursor;
+        cursor.emplace();
+        if (!resumed || !ckpt.has("cursor"))
+            return *cursor;
+        restore("cursor", *cursor);
+        const Cursor &c = *cursor;
+        if (c.unit >= units.size()) {
+            refuse("cursor", "unit " + std::to_string(c.unit) +
+                                 " is past the plan's " +
+                                 std::to_string(units.size()) + " units");
+        }
+        const Unit &u = units[c.unit];
+        const uint64_t shards = shardCount(u.trials, u.shardSize);
+        if (c.shard > shards) {
+            refuse("cursor", "shard " + std::to_string(c.shard) +
+                                 " is past unit " + std::to_string(c.unit) +
+                                 "'s " + std::to_string(shards) +
+                                 " shards");
         }
         return c;
     }
 
-    /** Record the cursor section for the next save(). */
-    void
-    setCursor(size_t unit, uint64_t nextShard)
+    uint64_t
+    trialsAt(size_t u, uint64_t shardsDone) const
     {
-        ckpt.set("cursor", "unit " + std::to_string(unit) + " shard " +
-                               std::to_string(nextShard));
+        const Unit &unit = units[u];
+        return unit.trialsBefore +
+               std::min(shardsDone * unit.shardSize, unit.trials);
     }
 
-    /** The durable section store (inert but usable when disabled). */
-    CampaignCheckpoint &state() { return ckpt; }
-    const CampaignCheckpoint &state() const { return ckpt; }
+    void
+    commit(size_t u, uint64_t next)
+    {
+        if (!path.empty()) {
+            ckpt.set("cursor", obs::writeState(Cursor{u, next}));
+            for (const Section &s : sections)
+                ckpt.set(s.name, s.write());
+            save("unit " + std::to_string(u + 1) + "/" +
+                 std::to_string(units.size()) + " (" + units[u].label +
+                 ") shard " + std::to_string(next));
+        }
+        tick(u, next);
+    }
 
-    /** Atomically persist with @p progressNote; fatal on I/O error. */
     void
     save(const std::string &progressNote)
     {
@@ -439,32 +610,15 @@ class Checkpointer
             AIECC_FATAL("cannot save checkpoint: " << res.error);
     }
 
-    /** The run completed: the checkpoint has served its purpose. */
-    void
-    finish()
-    {
-        if (!path.empty())
-            std::remove(path.c_str());
-    }
-
-    /**
-     * The run was interrupted (stop signal): report the resumable
-     * state and exit with the distinct EX_TEMPFAIL status.
-     */
-    [[noreturn]] void
-    exitInterrupted() const
-    {
-        std::fprintf(stderr,
-                     "interrupted; resumable state saved to %s — "
-                     "rerun with --resume to continue\n",
-                     path.empty() ? "(no checkpoint)" : path.c_str());
-        std::exit(aiecc::exitInterrupted);
-    }
-
-  private:
     std::string path;
+    uint64_t batch;
     CampaignCheckpoint ckpt;
-    bool wasResumed = false;
+    bool resumed = false;
+    obs::HeartbeatEmitter hb;
+    std::vector<Section> sections;
+    std::vector<Unit> units;
+    uint64_t totalShards = 0, totalTrials = 0;
+    std::optional<Cursor> cursor;
 };
 
 /**
@@ -539,87 +693,6 @@ writeAllocSection(obs::JsonWriter &w)
     }
     w.endObject();
 }
-
-/**
- * Wire `--heartbeat PATH` (DESIGN.md §13): open @p hb for appending
- * under the campaign's identity, or exit 2 (flag error) when the path
- * cannot be written — a silently-dead heartbeat would defeat its
- * purpose.  Without the flag this is a no-op and @p hb stays inert.
- */
-inline void
-openHeartbeat(obs::HeartbeatEmitter &hb, const Options &opt,
-              const std::string &campaignId)
-{
-    if (opt.heartbeatPath.empty())
-        return;
-    if (!hb.open(opt.heartbeatPath, campaignId)) {
-        std::fprintf(stderr, "cannot write heartbeat: %s\n",
-                     opt.heartbeatPath.c_str());
-        std::exit(2);
-    }
-}
-
-/**
- * Heartbeat progress of a campaign run as sequential sharded units:
- * maps (unit, shards committed within it) to the campaign-global
- * shards_done / trials_done that @p hb reports.
- */
-class UnitProgress
-{
-  public:
-    explicit UnitProgress(obs::HeartbeatEmitter &hb) : hb(hb) {}
-
-    /** Append a unit of @p trials trials in shards of @p shardSize. */
-    void
-    addUnit(uint64_t trials, uint64_t shardSize)
-    {
-        units.push_back({totalShards, totalTrials, trials, shardSize});
-        totalShards += shardCount(trials, shardSize);
-        totalTrials += trials;
-        hb.setTotals(totalShards, totalTrials);
-    }
-
-    /** Trials of the units before @p unit. */
-    uint64_t trialsBefore(size_t unit) const
-    {
-        return units[unit].trialsBefore;
-    }
-
-    /** Tick once @p shardsDone shards of @p unit have committed. */
-    void tick(size_t unit, uint64_t shardsDone)
-    {
-        hb.tick(units[unit].shardsBefore + shardsDone,
-                trialsAt(unit, shardsDone));
-    }
-
-    /** Final record of a run interrupted inside @p unit. */
-    void interrupted(size_t unit, uint64_t shardsDone)
-    {
-        hb.finalTick(units[unit].shardsBefore + shardsDone,
-                     trialsAt(unit, shardsDone));
-    }
-
-    /** Final record of a completed run. */
-    void finish() { hb.finalTick(totalShards, totalTrials); }
-
-  private:
-    struct Unit
-    {
-        uint64_t shardsBefore, trialsBefore, trials, shardSize;
-    };
-
-    uint64_t
-    trialsAt(size_t unit, uint64_t shardsDone) const
-    {
-        const Unit &u = units[unit];
-        return u.trialsBefore +
-               std::min(shardsDone * u.shardSize, u.trials);
-    }
-
-    obs::HeartbeatEmitter &hb;
-    std::vector<Unit> units;
-    uint64_t totalShards = 0, totalTrials = 0;
-};
 
 /**
  * Enforce the AIECC_BUDGET_* resource budgets (obs/memprof.hh)

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +58,22 @@ hex16(uint64_t value)
 }
 
 constexpr const char *magicLine = "aiecc-checkpoint v1";
+
+/**
+ * Parse the decimal number at @p from in header @p line into @p out:
+ * the offset just past its digits, or 0 (never valid — every number
+ * follows a keyword) when there are none or they overflow.
+ */
+size_t
+parseDecimal(const std::string &line, size_t from, uint64_t &out)
+{
+    const char *begin = line.data() + from;
+    const auto [stop, ec] =
+        std::from_chars(begin, line.data() + line.size(), out);
+    if (ec != std::errc() || stop == begin)
+        return 0;
+    return static_cast<size_t>(stop - line.data());
+}
 
 // ---- AIECC_CRASH_AFTER_SHARD ----
 
@@ -240,24 +257,27 @@ CampaignCheckpoint::deserialize(const std::string &text)
     if (!nextLine(line) || line.rfind("progress ", 0) != 0)
         return fail("missing progress header");
     fresh.progress = seenProgress = line.substr(9);
-    if (!nextLine(line) || line.rfind("sections ", 0) != 0)
+    uint64_t count = 0;
+    if (!nextLine(line) || line.rfind("sections ", 0) != 0 ||
+        parseDecimal(line, 9, count) != line.size())
         return fail("missing section count");
-    const uint64_t count = std::strtoull(line.c_str() + 9, nullptr, 10);
 
     for (uint64_t i = 0; i < count; ++i) {
         if (!nextLine(line) || line.rfind("section ", 0) != 0)
             return fail("truncated checkpoint: expected section " +
                         std::to_string(i + 1) + " of " +
                         std::to_string(count));
-        char *end = nullptr;
-        const uint64_t size = std::strtoull(line.c_str() + 8, &end, 10);
-        if (!end || *end != ' ')
+        uint64_t size = 0;
+        const size_t end = parseDecimal(line, 8, size);
+        if (end + 1 >= line.size() || line[end] != ' ')
             return fail("malformed section framing");
-        const std::string name = end + 1;
-        if (pos + size + 1 > text.size()) {
+        const std::string name = line.substr(end + 1);
+        if (text.size() - pos <= size) {
             return fail("truncated checkpoint: section '" + name +
                         "' payload cut short");
         }
+        if (fresh.sections.count(name))
+            return fail("duplicate section '" + name + "'");
         fresh.sections[name] = text.substr(pos, size);
         pos += size;
         if (text[pos] != '\n')

@@ -62,10 +62,15 @@ AmdChipkillEcc::decode(const Burst &burst, uint32_t mtbAddr) const
         }
     }
 
+    // Every lane clean: the burst's own data is the answer.
+    if (!anyCorrected) {
+        res.data = burst.data();
+        return res;
+    }
     Burst corrected = burst;
     for (unsigned chip = 0; chip < dataChips; ++chip)
         corrected.setAmdChipSymbols(chip, &received[chip * numWords]);
-    res.status = anyCorrected ? EccStatus::Corrected : EccStatus::Clean;
+    res.status = EccStatus::Corrected;
     res.data = corrected.data();
     return res;
 }

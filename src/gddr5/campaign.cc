@@ -332,17 +332,6 @@ Gddr5Campaign::runTrials(CommandPattern pattern,
 }
 
 RunStatus
-Gddr5Campaign::runTrialsCheckpointed(
-    CommandPattern pattern, const std::vector<Gddr5Error> &errors,
-    unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
-    const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
-    const std::function<void(uint64_t, uint64_t)> &commit) const
-{
-    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
-    return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
-}
-
-RunStatus
 Gddr5Campaign::runTrialShards(
     CommandPattern pattern, const std::vector<Gddr5Error> &errors,
     unsigned jobs,

@@ -121,17 +121,20 @@ class Gddr5Campaign
 
     /**
      * Checkpointed runTrials() — same shard body and fold, so every
-     * fault ID matches: shard batches run from @p nextShard; after
-     * each batch folds, @p onResult fires per trial in input order
-     * and @p commit(begin, end) lets the caller persist.  On entry the
-     * trial counter must sit at this unit's start; on Completed it
-     * advances past the unit.
+     * fault ID matches: shard batches run from @p checkpoint's
+     * nextShard; after each batch folds, @p onResult fires per trial
+     * in input order and the checkpoint's commit(begin, end) lets the
+     * caller persist.  On entry the trial counter must sit at this
+     * unit's start; on Completed it advances past the unit.
      */
     RunStatus runTrialsCheckpointed(
         CommandPattern pattern, const std::vector<Gddr5Error> &errors,
-        unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
-        const std::function<void(uint64_t, const Gddr5Trial &)> &onResult,
-        const std::function<void(uint64_t, uint64_t)> &commit) const;
+        unsigned jobs, const obs::ShardCheckpoint &checkpoint,
+        const std::function<void(uint64_t, const Gddr5Trial &)> &onResult)
+        const
+    {
+        return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
+    }
 
     /** Global trial counter (fault-ID numbering state). */
     uint64_t trialCount() const { return trialCounter; }

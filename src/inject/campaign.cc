@@ -690,17 +690,6 @@ InjectionCampaign::runTrials(CommandPattern pattern,
 }
 
 RunStatus
-InjectionCampaign::runTrialsCheckpointed(
-    CommandPattern pattern, const std::vector<PinError> &errors,
-    unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
-    const std::function<void(uint64_t, const TrialResult &)> &onResult,
-    const std::function<void(uint64_t, uint64_t)> &commit)
-{
-    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
-    return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
-}
-
-RunStatus
 InjectionCampaign::runTrialShards(
     CommandPattern pattern, const std::vector<PinError> &errors,
     unsigned jobs,

@@ -301,9 +301,10 @@ class InjectionCampaign
 
     /**
      * Checkpointed runTrials() — same shard body and fold, so every
-     * fault ID matches: shard batches run from @p nextShard; after
-     * each batch folds, @p onResult fires per trial in input order
-     * and @p commit(begin, end) lets the caller persist.
+     * fault ID matches: shard batches run from @p checkpoint's
+     * nextShard; after each batch folds, @p onResult fires per trial
+     * in input order and the checkpoint's commit(begin, end) lets the
+     * caller persist.
      *
      * The caller owns resume positioning: on entry the campaign's
      * trial counter must sit at this unit's *start* (skipTrials() has
@@ -316,9 +317,11 @@ class InjectionCampaign
      */
     RunStatus runTrialsCheckpointed(
         CommandPattern pattern, const std::vector<PinError> &errors,
-        unsigned jobs, uint64_t batchShards, uint64_t &nextShard,
-        const std::function<void(uint64_t, const TrialResult &)> &onResult,
-        const std::function<void(uint64_t, uint64_t)> &commit);
+        unsigned jobs, const obs::ShardCheckpoint &checkpoint,
+        const std::function<void(uint64_t, const TrialResult &)> &onResult)
+    {
+        return runTrialShards(pattern, errors, jobs, onResult, &checkpoint);
+    }
 
     /**
      * Advance the global trial counter by @p n without running trials

@@ -517,18 +517,6 @@ DataMonteCarlo::runCellExhaustive(DataErrorModel dataErr,
 }
 
 RunStatus
-DataMonteCarlo::runCellCheckpointed(
-    DataErrorModel dataErr, AddrErrorModel addrErr, uint64_t trials,
-    bool exhaustive, const ShardPlan &plan, uint64_t batchShards,
-    uint64_t &nextShard, MonteCarloCell &cell,
-    const std::function<void(uint64_t, uint64_t)> &commit)
-{
-    const obs::ShardCheckpoint checkpoint{batchShards, &nextShard, commit};
-    return runShardedCell(dataErr, addrErr, trials, exhaustive, plan, cell,
-                          &checkpoint);
-}
-
-RunStatus
 DataMonteCarlo::runShardedCell(DataErrorModel dataErr,
                                AddrErrorModel addrErr, uint64_t trials,
                                bool exhaustive, const ShardPlan &plan,

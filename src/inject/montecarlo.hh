@@ -253,17 +253,22 @@ class DataMonteCarlo
 
     /**
      * Checkpointed cell run (sampled or exhaustive): the shards run in
-     * batches from @p nextShard, each batch folding into @p cell and
-     * the attached hookups before @p commit(begin, end) persists.
-     * runCellSharded()/runCellExhaustive() are the plain form — same
-     * shard body, same fold — so a run resumed any number of times
-     * merges to the same bits as an uninterrupted one.
+     * batches from @p checkpoint's nextShard, each batch folding into
+     * @p cell and the attached hookups before the checkpoint's
+     * commit(begin, end) persists.  runCellSharded()/
+     * runCellExhaustive() are the plain form — same shard body, same
+     * fold — so a run resumed any number of times merges to the same
+     * bits as an uninterrupted one.
      */
-    RunStatus runCellCheckpointed(
-        DataErrorModel dataErr, AddrErrorModel addrErr, uint64_t trials,
-        bool exhaustive, const ShardPlan &plan, uint64_t batchShards,
-        uint64_t &nextShard, MonteCarloCell &cell,
-        const std::function<void(uint64_t, uint64_t)> &commit);
+    RunStatus runCellCheckpointed(DataErrorModel dataErr,
+                                  AddrErrorModel addrErr, uint64_t trials,
+                                  bool exhaustive, const ShardPlan &plan,
+                                  const obs::ShardCheckpoint &checkpoint,
+                                  MonteCarloCell &cell)
+    {
+        return runShardedCell(dataErr, addrErr, trials, exhaustive, plan,
+                              cell, &checkpoint);
+    }
 
     const DataEcc &codec() const { return *ecc; }
 

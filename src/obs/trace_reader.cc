@@ -188,6 +188,92 @@ parseValue(std::string_view s, size_t &i, FlatValue &out,
 }
 
 /**
+ * The flat-object walk parseTraceLine() and parseHeartbeatLine()
+ * share: one `{"key": value, ...}` line, surrounding whitespace
+ * allowed, nothing after the object.  @p member(key, value) sees each
+ * member in order and returns false, having set @p error, to reject
+ * the line.
+ */
+template <class Member>
+bool
+walkFlatObject(std::string_view line, std::string *error, Member member)
+{
+    size_t i = 0;
+    skipSpace(line, i);
+    if (i >= line.size() || line[i] != '{')
+        return fail(error, "expected '{'");
+    ++i;
+    skipSpace(line, i);
+    if (i < line.size() && line[i] == '}') {
+        ++i;
+    } else {
+        while (true) {
+            skipSpace(line, i);
+            std::string key;
+            if (!parseString(line, i, key, error))
+                return false;
+            skipSpace(line, i);
+            if (i >= line.size() || line[i] != ':')
+                return fail(error, "expected ':' after \"" + key + "\"");
+            ++i;
+            FlatValue value;
+            if (!parseValue(line, i, value, error) || !member(key, value))
+                return false;
+            skipSpace(line, i);
+            if (i < line.size() && line[i] == ',') {
+                ++i;
+                continue;
+            }
+            if (i < line.size() && line[i] == '}') {
+                ++i;
+                break;
+            }
+            return fail(error, "expected ',' or '}'");
+        }
+    }
+    skipSpace(line, i);
+    if (i != line.size())
+        return fail(error, "trailing content after the object");
+    return true;
+}
+
+/**
+ * Feed every non-blank line of @p path to @p parse(line, error) and
+ * count its rejections into @p out.  std::getline cannot tell "last
+ * line ended in '\n'" from "writer was killed mid-record", so the
+ * terminator is tracked explicitly: a rejected unterminated final line
+ * is a torn tail, not corruption.
+ */
+template <class Result, class Parse>
+void
+readLines(const std::string &path, Result &out, Parse parse)
+{
+    std::ifstream in(path);
+    if (!in)
+        return;
+    out.opened = true;
+    std::string line;
+    while (std::getline(in, line)) {
+        // getline only sets eofbit while still succeeding when it ran
+        // into EOF before the delimiter, i.e. the file's last byte
+        // was not '\n'.
+        const bool terminated = !in.eof();
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        std::string error;
+        if (parse(line, error))
+            continue;
+        if (!terminated) {
+            ++out.truncatedTail;
+        } else {
+            ++out.badLines;
+            if (out.firstError.empty())
+                out.firstError = error;
+        }
+    }
+}
+
+/**
  * One Chrome instant event for @p event: name = kind[:label], args =
  * [fault,] value[, detail].
  */
@@ -218,87 +304,36 @@ writeInstant(JsonWriter &w, const TraceEvent &event, std::string_view cat,
 std::optional<TraceEvent>
 parseTraceLine(std::string_view line, std::string *error)
 {
-    size_t i = 0;
-    skipSpace(line, i);
-    if (i >= line.size() || line[i] != '{') {
-        fail(error, "expected '{'");
-        return std::nullopt;
-    }
-    ++i;
-
     TraceEvent event;
     bool sawKind = false;
-    skipSpace(line, i);
-    if (i < line.size() && line[i] == '}') {
-        ++i;
-    } else {
-        while (true) {
-            skipSpace(line, i);
-            std::string key;
-            if (!parseString(line, i, key, error))
-                return std::nullopt;
-            skipSpace(line, i);
-            if (i >= line.size() || line[i] != ':') {
-                fail(error, "expected ':' after \"" + key + "\"");
-                return std::nullopt;
-            }
-            ++i;
-            FlatValue value;
-            if (!parseValue(line, i, value, error))
-                return std::nullopt;
-
-            if (key == "kind") {
-                if (!value.isString) {
-                    fail(error, "\"kind\" must be a string");
-                    return std::nullopt;
-                }
-                const auto kind = eventKindFromName(value.str);
-                if (!kind) {
-                    fail(error, "unknown event kind \"" + value.str +
-                                    "\"");
-                    return std::nullopt;
-                }
-                event.kind = *kind;
-                sawKind = true;
-            } else if (key == "cycle" || key == "value" ||
-                       key == "fault") {
-                if (value.isString || !value.numExact) {
-                    fail(error, "\"" + key +
-                                    "\" must be an unsigned integer");
-                    return std::nullopt;
-                }
-                (key == "cycle"
-                     ? event.cycle
-                     : key == "value" ? event.value : event.faultId) =
-                    value.num;
-            } else if (key == "label" || key == "detail") {
-                if (!value.isString) {
-                    fail(error, "\"" + key + "\" must be a string");
-                    return std::nullopt;
-                }
-                (key == "label" ? event.label : event.detail) =
-                    std::move(value.str);
-            }
-            // Unknown members parsed and dropped (forward compat).
-
-            skipSpace(line, i);
-            if (i < line.size() && line[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (i < line.size() && line[i] == '}') {
-                ++i;
-                break;
-            }
-            fail(error, "expected ',' or '}'");
-            return std::nullopt;
+    const auto member = [&](const std::string &key, FlatValue &value) {
+        if (key == "kind") {
+            if (!value.isString)
+                return fail(error, "\"kind\" must be a string");
+            const auto kind = eventKindFromName(value.str);
+            if (!kind)
+                return fail(error,
+                            "unknown event kind \"" + value.str + "\"");
+            event.kind = *kind;
+            sawKind = true;
+        } else if (key == "cycle" || key == "value" || key == "fault") {
+            if (value.isString || !value.numExact)
+                return fail(error,
+                            "\"" + key + "\" must be an unsigned integer");
+            (key == "cycle"   ? event.cycle
+             : key == "value" ? event.value
+                              : event.faultId) = value.num;
+        } else if (key == "label" || key == "detail") {
+            if (!value.isString)
+                return fail(error, "\"" + key + "\" must be a string");
+            (key == "label" ? event.label : event.detail) =
+                std::move(value.str);
         }
-    }
-    skipSpace(line, i);
-    if (i != line.size()) {
-        fail(error, "trailing content after the object");
+        // Unknown members parsed and dropped (forward compat).
+        return true;
+    };
+    if (!walkFlatObject(line, error, member))
         return std::nullopt;
-    }
     if (!sawKind) {
         fail(error, "missing \"kind\"");
         return std::nullopt;
@@ -309,101 +344,48 @@ parseTraceLine(std::string_view line, std::string *error)
 std::optional<HeartbeatRecord>
 parseHeartbeatLine(std::string_view line, std::string *error)
 {
-    size_t i = 0;
-    skipSpace(line, i);
-    if (i >= line.size() || line[i] != '{') {
-        fail(error, "expected '{'");
-        return std::nullopt;
-    }
-    ++i;
-
     HeartbeatRecord record;
     bool sawType = false;
-    skipSpace(line, i);
-    if (i < line.size() && line[i] == '}') {
-        ++i;
-    } else {
-        while (true) {
-            skipSpace(line, i);
-            std::string key;
-            if (!parseString(line, i, key, error))
-                return std::nullopt;
-            skipSpace(line, i);
-            if (i >= line.size() || line[i] != ':') {
-                fail(error, "expected ':' after \"" + key + "\"");
-                return std::nullopt;
-            }
-            ++i;
-            FlatValue value;
-            if (!parseValue(line, i, value, error))
-                return std::nullopt;
-
-            if (key == "type") {
-                if (!value.isString || value.str != "heartbeat") {
-                    fail(error, "\"type\" must be \"heartbeat\"");
-                    return std::nullopt;
-                }
-                sawType = true;
-            } else if (key == "campaign" || key == "note") {
-                if (!value.isString) {
-                    fail(error, "\"" + key + "\" must be a string");
-                    return std::nullopt;
-                }
-                (key == "campaign" ? record.campaign : record.note) =
-                    std::move(value.str);
-            } else if (key == "seq" || key == "shards_done" ||
-                       key == "shards_total" || key == "trials_done" ||
-                       key == "trials_total") {
-                if (value.isString || !value.numExact) {
-                    fail(error, "\"" + key +
-                                    "\" must be an unsigned integer");
-                    return std::nullopt;
-                }
-                (key == "seq"           ? record.seq
-                 : key == "shards_done" ? record.shardsDone
-                 : key == "shards_total"
-                     ? record.shardsTotal
-                     : key == "trials_done" ? record.trialsDone
-                                            : record.trialsTotal) =
-                    value.num;
-            } else if (key == "elapsed_s" || key == "trials_per_s" ||
-                       key == "eta_s") {
-                if (value.isString || !value.isNumber) {
-                    fail(error,
-                         "\"" + key + "\" must be a number");
-                    return std::nullopt;
-                }
-                (key == "elapsed_s"
-                     ? record.elapsedS
-                     : key == "trials_per_s" ? record.trialsPerS
-                                             : record.etaS) = value.dbl;
-            } else if (key == "forced") {
-                record.forced = value.num != 0;
-            } else if (value.isNumber) {
-                // Payload members (live coverage/cost/alloc counters)
-                // are bench-specific: keep them all, typed as double.
-                record.extras[key] = value.dbl;
-            }
-            // Unknown strings parsed and dropped (forward compat).
-
-            skipSpace(line, i);
-            if (i < line.size() && line[i] == ',') {
-                ++i;
-                continue;
-            }
-            if (i < line.size() && line[i] == '}') {
-                ++i;
-                break;
-            }
-            fail(error, "expected ',' or '}'");
-            return std::nullopt;
+    const auto member = [&](const std::string &key, FlatValue &value) {
+        if (key == "type") {
+            if (!value.isString || value.str != "heartbeat")
+                return fail(error, "\"type\" must be \"heartbeat\"");
+            sawType = true;
+        } else if (key == "campaign" || key == "note") {
+            if (!value.isString)
+                return fail(error, "\"" + key + "\" must be a string");
+            (key == "campaign" ? record.campaign : record.note) =
+                std::move(value.str);
+        } else if (key == "seq" || key == "shards_done" ||
+                   key == "shards_total" || key == "trials_done" ||
+                   key == "trials_total") {
+            if (value.isString || !value.numExact)
+                return fail(error,
+                            "\"" + key + "\" must be an unsigned integer");
+            (key == "seq"            ? record.seq
+             : key == "shards_done"  ? record.shardsDone
+             : key == "shards_total" ? record.shardsTotal
+             : key == "trials_done"  ? record.trialsDone
+                                     : record.trialsTotal) = value.num;
+        } else if (key == "elapsed_s" || key == "trials_per_s" ||
+                   key == "eta_s") {
+            if (value.isString || !value.isNumber)
+                return fail(error, "\"" + key + "\" must be a number");
+            (key == "elapsed_s"      ? record.elapsedS
+             : key == "trials_per_s" ? record.trialsPerS
+                                     : record.etaS) = value.dbl;
+        } else if (key == "forced") {
+            record.forced = value.num != 0;
+        } else if (value.isNumber) {
+            // Payload members (live coverage/cost/alloc counters) are
+            // bench-specific: keep them all, typed as double.
+            record.extras[key] = value.dbl;
         }
-    }
-    skipSpace(line, i);
-    if (i != line.size()) {
-        fail(error, "trailing content after the object");
+        // Unknown strings parsed and dropped (forward compat).
+        return true;
+    };
+    if (!walkFlatObject(line, error, member))
         return std::nullopt;
-    }
     if (!sawType) {
         fail(error, "missing \"type\": \"heartbeat\"");
         return std::nullopt;
@@ -415,28 +397,12 @@ HeartbeatFile
 readHeartbeatFile(const std::string &path)
 {
     HeartbeatFile out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    out.opened = true;
-    std::string line;
-    while (std::getline(in, line)) {
-        const bool terminated = !in.eof();
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        std::string error;
-        if (auto record = parseHeartbeatLine(line, &error)) {
+    readLines(path, out, [&](const std::string &line, std::string &error) {
+        auto record = parseHeartbeatLine(line, &error);
+        if (record)
             out.records.push_back(std::move(*record));
-        } else if (!terminated) {
-            // A run killed mid-write leaves a torn final record — the
-            // expected way a live heartbeat file ends.
-            ++out.truncatedTail;
-        } else {
-            ++out.badLines;
-            if (out.firstError.empty())
-                out.firstError = error;
-        }
-    }
+        return record.has_value();
+    });
     return out;
 }
 
@@ -445,34 +411,14 @@ streamTraceFile(const std::string &path,
                 const std::function<void(TraceEvent &)> &consume)
 {
     StreamResult out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    out.opened = true;
-    // std::getline cannot distinguish "last line ended in '\n'" from
-    // "writer was killed mid-record", so track the terminator
-    // explicitly: a parse failure on an unterminated final line is a
-    // truncated tail, not corruption.
-    std::string line;
-    while (std::getline(in, line)) {
-        // getline only sets eofbit while still succeeding when it ran
-        // into EOF before the delimiter, i.e. the file's last byte
-        // was not '\n'.
-        const bool terminated = !in.eof();
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        std::string error;
-        if (auto event = parseTraceLine(line, &error)) {
+    readLines(path, out, [&](const std::string &line, std::string &error) {
+        auto event = parseTraceLine(line, &error);
+        if (event) {
             ++out.events;
             consume(*event);
-        } else if (!terminated) {
-            ++out.truncatedTail;
-        } else {
-            ++out.badLines;
-            if (out.firstError.empty())
-                out.firstError = error;
         }
-    }
+        return event.has_value();
+    });
     return out;
 }
 

@@ -539,9 +539,9 @@ TEST(CampaignCheckpointed, MatchesPlainRunTrialsAndLedger)
     std::vector<TrialResult> got(errors.size());
     uint64_t nextShard = 0;
     const RunStatus status = ckpt.runTrialsCheckpointed(
-        CommandPattern::ActWr, errors, 2, /*batchShards=*/2, nextShard,
-        [&](uint64_t trial, const TrialResult &r) { got[trial] = r; },
-        [](uint64_t, uint64_t) {});
+        CommandPattern::ActWr, errors, 2,
+        {/*batchShards=*/2, &nextShard, [](uint64_t, uint64_t) {}},
+        [&](uint64_t trial, const TrialResult &r) { got[trial] = r; });
     ASSERT_EQ(status, RunStatus::Completed);
     EXPECT_EQ(ckpt.trialCount(), plain.trialCount());
 
@@ -570,9 +570,9 @@ TEST(CampaignCheckpointed, InterruptAndResumeIsBitIdentical)
     std::vector<TrialResult> want(errors.size());
     uint64_t refShard = 0;
     ASSERT_EQ(ref.runTrialsCheckpointed(
-                  CommandPattern::Rd, errors, 2, 2, refShard,
-                  [&](uint64_t t, const TrialResult &r) { want[t] = r; },
-                  [](uint64_t, uint64_t) {}),
+                  CommandPattern::Rd, errors, 2,
+                  {2, &refShard, [](uint64_t, uint64_t) {}},
+                  [&](uint64_t t, const TrialResult &r) { want[t] = r; }),
               RunStatus::Completed);
 
     // Interrupted run: stop after the first committed batch, then
@@ -588,9 +588,9 @@ TEST(CampaignCheckpointed, InterruptAndResumeIsBitIdentical)
     std::vector<TrialResult> got(errors.size());
     uint64_t nextShard = 0;
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  CommandPattern::Rd, errors, 2, 2, nextShard,
-                  [&](uint64_t t, const TrialResult &r) { got[t] = r; },
-                  [](uint64_t, uint64_t) { requestStop(); }),
+                  CommandPattern::Rd, errors, 2,
+                  {2, &nextShard, [](uint64_t, uint64_t) { requestStop(); }},
+                  [&](uint64_t t, const TrialResult &r) { got[t] = r; }),
               RunStatus::Interrupted);
     clearStopRequest();
     ASSERT_GT(nextShard, 0u);
@@ -598,9 +598,9 @@ TEST(CampaignCheckpointed, InterruptAndResumeIsBitIdentical)
     EXPECT_EQ(camp.trialCount(), 0u); // still at the unit start
 
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  CommandPattern::Rd, errors, 2, 2, nextShard,
-                  [&](uint64_t t, const TrialResult &r) { got[t] = r; },
-                  [](uint64_t, uint64_t) {}),
+                  CommandPattern::Rd, errors, 2,
+                  {2, &nextShard, [](uint64_t, uint64_t) {}},
+                  [&](uint64_t t, const TrialResult &r) { got[t] = r; }),
               RunStatus::Completed);
 
     for (size_t i = 0; i < want.size(); ++i) {

@@ -286,9 +286,10 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
     Gddr5Stats got;
     uint64_t nextShard = 0;
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  CommandPattern::Wr, errors, 2, /*batchShards=*/2, nextShard,
-                  [&](uint64_t, const Gddr5Trial &t) { got.add(t); },
-                  [](uint64_t, uint64_t) { requestStop(); }),
+                  CommandPattern::Wr, errors, 2,
+                  {/*batchShards=*/2, &nextShard,
+                   [](uint64_t, uint64_t) { requestStop(); }},
+                  [&](uint64_t, const Gddr5Trial &t) { got.add(t); }),
               RunStatus::Interrupted);
     clearStopRequest();
     ASSERT_GT(nextShard, 0u);
@@ -296,9 +297,9 @@ TEST(Gddr5Campaign, CheckpointedMatchesSweepAndResumesIdentically)
     EXPECT_EQ(camp.trialCount(), 0u); // left at the unit start
 
     ASSERT_EQ(camp.runTrialsCheckpointed(
-                  CommandPattern::Wr, errors, 2, 2, nextShard,
-                  [&](uint64_t, const Gddr5Trial &t) { got.add(t); },
-                  [](uint64_t, uint64_t) {}),
+                  CommandPattern::Wr, errors, 2,
+                  {2, &nextShard, [](uint64_t, uint64_t) {}},
+                  [&](uint64_t, const Gddr5Trial &t) { got.add(t); }),
               RunStatus::Completed);
     EXPECT_EQ(got.serializeState(), want.serializeState());
     EXPECT_EQ(ledger.digest(), refLedger.digest());

@@ -251,13 +251,13 @@ TEST(Heartbeat, JobsBitIdentityWithHeartbeatTicking)
         uint64_t nextShard = 0;
         EXPECT_EQ(camp.runTrialsCheckpointed(
                       CommandPattern::ActWr, errors, jobs,
-                      /*batchShards=*/2, nextShard,
+                      {/*batchShards=*/2, &nextShard,
+                       [&](uint64_t, uint64_t end) {
+                           hb.tick(end, end * InjectionCampaign::
+                                             trialShardSize);
+                       }},
                       [&](uint64_t, const TrialResult &r) {
                           stats.add(r);
-                      },
-                      [&](uint64_t, uint64_t end) {
-                          hb.tick(end, end * InjectionCampaign::
-                                            trialShardSize);
                       }),
                   RunStatus::Completed);
         hb.finalTick(nextShard, errors.size());

@@ -357,8 +357,10 @@ TEST(MonteCarloCheckpointed, SampledMatchesShardedAndLedger)
     MonteCarloCell got;
     uint64_t nextShard = 0;
     ASSERT_EQ(mc.runCellCheckpointed(dm, am, trials, /*exhaustive=*/false,
-                                     plan, /*batchShards=*/2, nextShard,
-                                     got, [](uint64_t, uint64_t) {}),
+                                     plan,
+                                     {/*batchShards=*/2, &nextShard,
+                                      [](uint64_t, uint64_t) {}},
+                                     got),
               RunStatus::Completed);
     EXPECT_EQ(got.serializeState(), want.serializeState());
     EXPECT_EQ(ledger.digest(), refLedger.digest());
@@ -384,8 +386,9 @@ TEST(MonteCarloCheckpointed, InterruptAndResumeIsBitIdentical)
         DataErrorModel::Bit1, AddrErrorModel::None);
     ASSERT_EQ(mc.runCellCheckpointed(
                   DataErrorModel::Bit1, AddrErrorModel::None, space,
-                  /*exhaustive=*/true, plan, 2, nextShard, got,
-                  [](uint64_t, uint64_t) { requestStop(); }),
+                  /*exhaustive=*/true, plan,
+                  {2, &nextShard, [](uint64_t, uint64_t) { requestStop(); }},
+                  got),
               RunStatus::Interrupted);
     clearStopRequest();
     ASSERT_GT(nextShard, 0u);
@@ -393,8 +396,8 @@ TEST(MonteCarloCheckpointed, InterruptAndResumeIsBitIdentical)
 
     ASSERT_EQ(mc.runCellCheckpointed(
                   DataErrorModel::Bit1, AddrErrorModel::None, space,
-                  /*exhaustive=*/true, plan, 2, nextShard, got,
-                  [](uint64_t, uint64_t) {}),
+                  /*exhaustive=*/true, plan,
+                  {2, &nextShard, [](uint64_t, uint64_t) {}}, got),
               RunStatus::Completed);
     EXPECT_EQ(got.serializeState(), want.serializeState());
 }

@@ -24,11 +24,19 @@
  *
  * Mutations: seeded truncations, dropped, duplicated and replaced
  * tokens of every fixture section must end in a reader error or a
- * successful parse — never an abort.
+ * successful parse — never an abort.  The same holds for the
+ * checkpoint container itself (re-sealed after each mutation, so the
+ * framing parser, not the digest, has to judge it) and its cursor.
+ *
+ * The campaign driver (bench::Campaign) restores every section it
+ * persists and refuses a cursor that is malformed or past its plan.
  */
 
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +44,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_state.hh"
+#include "bench_util.hh"
 #include "common/checkpoint.hh"
 #include "gddr5/campaign.hh"
 #include "inject/campaign.hh"
@@ -95,12 +104,13 @@ gridCodec()
     const CommandPattern pattern = CommandPattern::ActWr;
     return {[=](const std::string &text) {
                 bench::Grid grid;
-                bench::deserializeGridColumn(grid, pattern, text);
-                return bench::serializeGridColumn(grid, pattern);
+                bench::GridColumn col{grid, pattern};
+                obs::restoreState(col, text);
+                return obs::writeState(col);
             },
             [=](const std::string &text) {
                 bench::Grid grid;
-                bench::GridColumn<bench::Grid> col{grid, pattern};
+                bench::GridColumn col{grid, pattern};
                 return obs::readState(col, text);
             }};
 }
@@ -127,9 +137,9 @@ fixtures()
             c.deserializeState(text);
         });
     const Codec pass = codec<bench::PassResult>(
-        [](const bench::PassResult &p) { return bench::serializePass(p); },
+        [](const bench::PassResult &p) { return obs::writeState(p); },
         [](bench::PassResult &p, const std::string &text) {
-            bench::deserializePass(p, text);
+            obs::restoreState(p, text);
         });
     const Codec grid = gridCodec();
     return {
@@ -284,6 +294,250 @@ TEST(StateMutation, DamagedSectionsEndInReaderErrorsNotAborts)
         }
     }
     EXPECT_GT(rejected, accepted);
+}
+
+// ---- the checkpoint container and its cursor -------------------------
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** @p body plus the digest line CampaignCheckpoint::serialize() ends
+ *  with, so a mutated body still passes the digest check. */
+std::string
+reseal(const std::string &body)
+{
+    uint64_t hash = 0xCBF29CE484222325ULL; // FNV-1a, as the container
+    for (const unsigned char c : body) {
+        hash ^= c;
+        hash *= 0x100000001B3ULL;
+    }
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return body + "digest " + digest + "\n";
+}
+
+TEST(CheckpointMutation, ResealedContainersParseOrFailCleanly)
+{
+    std::mt19937_64 rng(0xc0c0a);
+    uint64_t rejected = 0, accepted = 0;
+    for (const char *file :
+         {"checkpoint_table2.ckpt", "checkpoint_table3.ckpt",
+          "checkpoint_gddr5.ckpt", "checkpoint_fig7.ckpt",
+          "checkpoint_e2e.ckpt", "checkpoint_corrupt.ckpt"}) {
+        const std::string text =
+            readFile(std::string(AIECC_TEST_DATA_DIR) + "/" + file);
+        const std::string body = text.substr(0, text.rfind("digest "));
+        ASSERT_FALSE(body.empty()) << file;
+        for (unsigned i = 0; i < 300; ++i) {
+            CampaignCheckpoint ckpt;
+            const auto load = ckpt.deserialize(reseal(mutate(body, rng)));
+            if (!load.ok) {
+                EXPECT_FALSE(load.error.empty());
+                ++rejected;
+                continue;
+            }
+            // What loads re-serializes to a form that loads again.
+            ++accepted;
+            CampaignCheckpoint again;
+            EXPECT_TRUE(again.deserialize(ckpt.serialize()).ok) << file;
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST(CheckpointContainer, RejectsSignedAndOverflowingByteCounts)
+{
+    const std::string head = "aiecc-checkpoint v1\ncampaign c\n"
+                             "progress p\nsections 1\n";
+    for (const char *size :
+         {"-1", "+3", "18446744073709551615", "99999999999999999999",
+          "3x", ""}) {
+        const std::string body =
+            head + "section " + size + " cursor\nabc\n";
+        CampaignCheckpoint ckpt;
+        const auto load = ckpt.deserialize(reseal(body));
+        EXPECT_FALSE(load.ok) << size;
+    }
+    for (const char *count : {"-1", "1x", "", "99999999999999999999"}) {
+        const std::string body =
+            "aiecc-checkpoint v1\ncampaign c\nprogress p\nsections " +
+            std::string(count) + "\n";
+        CampaignCheckpoint ckpt;
+        EXPECT_FALSE(ckpt.deserialize(reseal(body)).ok) << count;
+    }
+    // The same section twice is damage, not a later value.
+    const std::string twice = head + "section 1 a\nx\nsection 1 a\ny\n";
+    CampaignCheckpoint ckpt;
+    const auto load =
+        ckpt.deserialize(reseal(std::string(twice).replace(
+            twice.find("sections 1"), 10, "sections 2")));
+    EXPECT_FALSE(load.ok);
+    EXPECT_NE(load.error.find("duplicate section 'a'"), std::string::npos)
+        << load.error;
+}
+
+TEST(CheckpointMutation, DamagedCursorsEndInReaderErrorsNotAborts)
+{
+    std::mt19937_64 rng(0xc0505);
+    std::vector<std::string> seeds{
+        obs::writeState(bench::Campaign::Cursor{0, 0}),
+        obs::writeState(bench::Campaign::Cursor{19, 18446744073709551615u})};
+    for (const Fixture &fx : fixtures())
+        seeds.push_back(loadFixture(fx.file).get("cursor"));
+    uint64_t rejected = 0, accepted = 0;
+    for (const std::string &seed : seeds) {
+        bench::Campaign::Cursor cursor;
+        ASSERT_EQ(obs::readState(cursor, seed), "") << seed;
+        EXPECT_EQ(obs::writeState(cursor), seed);
+        for (unsigned i = 0; i < 200; ++i) {
+            const std::string damaged = mutate(seed, rng);
+            if (!obs::readState(cursor, damaged).empty()) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            EXPECT_EQ(obs::readState(cursor, obs::writeState(cursor)), "")
+                << damaged;
+        }
+    }
+    EXPECT_GT(rejected, accepted);
+}
+
+// ---- the campaign driver ---------------------------------------------
+
+/** A minimal state section: one counter. */
+struct Tally
+{
+    uint64_t n = 0;
+
+    template <class Self, class Archive>
+    static void
+    layout(Self &t, Archive &ar)
+    {
+        ar(t.n);
+    }
+};
+
+bench::Options
+driverOptions(const std::string &name, bool resume)
+{
+    bench::Options opt;
+    opt.checkpointPath = ::testing::TempDir() + name;
+    opt.resume = resume;
+    opt.jobs = 1; // batches of max(2 * jobs, 8) = 8 shards
+    return opt;
+}
+
+/** Two units, 10 + 20 shards of 4 trials. */
+void
+declareUnits(bench::Campaign &campaign)
+{
+    campaign.unit("a", 40, 4);
+    campaign.unit("b", 80, 4);
+}
+
+/** Where each run() body call started: (unit, first shard). */
+using Starts = std::vector<std::pair<size_t, uint64_t>>;
+
+/** Write a verified checkpoint of the test campaign around @p cursor. */
+void
+sealCursor(const bench::Options &opt, const std::string &cursor)
+{
+    CampaignCheckpoint ckpt;
+    ckpt.setCampaignId(bench::campaignIdFor(opt, "driver_test"));
+    ckpt.set("cursor", cursor);
+    ASSERT_TRUE(ckpt.saveAtomic(opt.checkpointPath).ok);
+}
+
+TEST(CampaignDriverDeathTest, RefusesACursorThatIsMalformedOrPastThePlan)
+{
+    const bench::Options opt = driverOptions("aiecc_bad_cursor.ckpt", true);
+    for (const char *cursor :
+         {"unit X shard 5", "unit 99 shard 0", "unit 0 shard 999",
+          "unit 1 shard 21", "unit 1", "unit 0 shard -1"}) {
+        sealCursor(opt, cursor);
+        EXPECT_EXIT(
+            {
+                bench::Campaign campaign(opt, "driver_test");
+                declareUnits(campaign);
+                campaign.run([](size_t, const obs::ShardCheckpoint &) {
+                    return RunStatus::Completed;
+                });
+            },
+            ::testing::ExitedWithCode(1), "section 'cursor'")
+            << cursor;
+    }
+    // The last shard of the last unit is a cursor the driver writes.
+    sealCursor(opt, "unit 1 shard 20");
+    bench::Campaign campaign(opt, "driver_test");
+    declareUnits(campaign);
+    EXPECT_EQ(campaign.resumeUnit(), 1u);
+    campaign.finish();
+}
+
+TEST(CampaignDriverDeathTest, ResumesAtTheCursorWithEverySectionRestored)
+{
+    const auto runUnits = [](bench::Campaign &campaign, Tally &tally,
+                             bool stopInUnitB, Starts &starts) {
+        campaign.run([&](size_t u, const obs::ShardCheckpoint &ck) {
+            starts.emplace_back(u, *ck.nextShard);
+            return runShardsCheckpointed(
+                u == 0 ? 10 : 20, ck.batchShards, 1, *ck.nextShard,
+                [](uint64_t) {},
+                [&](uint64_t begin, uint64_t end) {
+                    tally.n += end - begin;
+                    ck.commit(begin, end);
+                    if (u == 1 && stopInUnitB)
+                        requestStop();
+                });
+        });
+    };
+
+    // Session 1 commits unit a (two batches of at most 8 shards) and
+    // unit b's first batch, then stops: the driver exits 75.
+    const bench::Options fresh = driverOptions("aiecc_resume.ckpt", false);
+    std::remove(fresh.checkpointPath.c_str());
+    EXPECT_EXIT(
+        {
+            Tally tally;
+            Starts starts;
+            bench::Campaign campaign(fresh, "driver_test");
+            campaign.state("tally", tally);
+            declareUnits(campaign);
+            runUnits(campaign, tally, true, starts);
+        },
+        ::testing::ExitedWithCode(exitInterrupted), "interrupted");
+
+    CampaignCheckpoint saved;
+    ASSERT_TRUE(saved.loadFile(fresh.checkpointPath).ok);
+    EXPECT_EQ(saved.get("cursor"), "unit 1 shard 8");
+    EXPECT_EQ(saved.get("tally"), "18");
+    EXPECT_EQ(saved.progressNote(), "unit 2/2 (b) shard 8");
+
+    // Cut the saved state back to mid-unit a and resume from there.
+    saved.set("cursor", "unit 0 shard 8");
+    saved.set("tally", "8");
+    ASSERT_TRUE(saved.saveAtomic(fresh.checkpointPath).ok);
+    const bench::Options resume = driverOptions("aiecc_resume.ckpt", true);
+    Tally tally;
+    Starts starts;
+    bench::Campaign campaign(resume, "driver_test");
+    campaign.state("tally", tally);
+    EXPECT_EQ(tally.n, 8u);
+    declareUnits(campaign);
+    runUnits(campaign, tally, false, starts);
+    EXPECT_EQ(starts, (Starts{{0, 8}, {1, 0}}));
+    EXPECT_EQ(tally.n, 30u);
+    campaign.finish();
+    EXPECT_EQ(std::fopen(resume.checkpointPath.c_str(), "rb"), nullptr);
 }
 
 // ---- the archive pair ------------------------------------------------

@@ -5,15 +5,20 @@
  * input), whole-file reading against the checked-in miniature fixture,
  * per-kind summaries, filtering, and the structural validity of the
  * Chrome trace-event export (the golden-output contract behind
- * `aiecc-trace export --chrome`).
+ * `aiecc-trace export --chrome`).  A seeded mutation test drives both
+ * flat-line parsers — trace events and heartbeat records — with
+ * damaged lines: each must end in an error or a successful parse.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "obs/heartbeat.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
 #include "obs/trace_reader.hh"
@@ -190,6 +195,142 @@ TEST(ReadTraceFile, MidFileGarbageStillCountsAsBadLine)
     EXPECT_EQ(tf.truncatedTail, 0u);
     EXPECT_EQ(tf.events.size(), 2u);
     std::remove(path.c_str());
+}
+
+// ---- parser mutation ----
+
+std::vector<std::string>
+fileLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** One seeded byte-level mutation of a JSONL line. */
+std::string
+mutateLine(std::string line, std::mt19937_64 &rng)
+{
+    static const char *inserts[] = {
+        "\"", "{", "}", "[", ",", ":", "\\", "\\u", "\\u12", "-",
+        "+", ".", "e", "1e999", "-0", "18446744073709551616", "null",
+        "true", "\"\"", " ", "\x01", "\xff", "0.5", "\"kind\":"};
+    const size_t at = line.empty() ? 0 : rng() % (line.size() + 1);
+    switch (rng() % 6) {
+    case 0:
+        return line.substr(0, at);
+    case 1:
+        if (at < line.size())
+            line.erase(at, 1);
+        return line;
+    case 2: {
+        const size_t len = rng() % 12;
+        return line.insert(at, line.substr(at, len));
+    }
+    case 3:
+        return line.insert(at, inserts[rng() % std::size(inserts)]);
+    case 4:
+        if (at < line.size())
+            line[at] ^= static_cast<char>(1u << (rng() % 8));
+        return line;
+    default:
+        // Replace one digit run: numbers carry the exactness rules.
+        for (size_t i = at; i < line.size(); ++i) {
+            if (line[i] >= '0' && line[i] <= '9') {
+                size_t end = i;
+                while (end < line.size() && line[end] >= '0' &&
+                       line[end] <= '9')
+                    ++end;
+                return line.replace(i, end - i,
+                                    inserts[rng() % std::size(inserts)]);
+            }
+        }
+        return line;
+    }
+}
+
+TEST(ParserMutation, DamagedLinesEndInErrorsNotAborts)
+{
+    // Seeds: the checked-in fixtures (torn tail included), an
+    // escape-heavy event the writer emits, and the records a live
+    // heartbeat writes.
+    std::vector<std::string> traceSeeds = fileLines(fixture);
+    for (const std::string &line : fileLines(
+             std::string(AIECC_TEST_DATA_DIR) + "/truncated_tail.jsonl"))
+        traceSeeds.push_back(line);
+    obs::TraceEvent escaped;
+    escaped.kind = obs::EventKind::FaultResolve;
+    escaped.cycle = 18446744073709551615u;
+    escaped.faultId = 0xfeed;
+    escaped.label = "quote\" back\\slash";
+    escaped.detail = std::string("tab\tnul:") + '\x01';
+    obs::JsonWriter w(0);
+    escaped.writeJson(w);
+    traceSeeds.push_back(w.str());
+
+    const std::string hbPath = testing::TempDir() + "/aiecc_hb_seed.jsonl";
+    std::remove(hbPath.c_str());
+    {
+        obs::HeartbeatEmitter hb;
+        ASSERT_TRUE(hb.open(hbPath, "mutation \"seed\""));
+        hb.setTotals(10, 100);
+        hb.setNote("unit 1/2 (a/b)");
+        hb.setPayload([](obs::JsonWriter &pw) {
+            pw.kv("cov_injected", 7);
+            pw.kv("rate", 0.25);
+        });
+        hb.tick(1, 10);
+        hb.finalTick(10, 100);
+    }
+    const std::vector<std::string> hbSeeds = fileLines(hbPath);
+    std::remove(hbPath.c_str());
+    ASSERT_EQ(hbSeeds.size(), 2u);
+
+    std::mt19937_64 rng(0x7ace);
+    uint64_t rejected = 0, accepted = 0;
+    const auto judge = [&](bool parsed, const std::string &error,
+                           const std::string &line) {
+        EXPECT_EQ(parsed, error.empty()) << line;
+        ++(parsed ? accepted : rejected);
+    };
+    for (const std::string &seed : traceSeeds) {
+        for (unsigned i = 0; i < 300; ++i) {
+            std::string line = seed;
+            for (unsigned n = 1 + rng() % 3; n-- > 0;)
+                line = mutateLine(line, rng);
+            std::string error;
+            const auto event = obs::parseTraceLine(line, &error);
+            judge(event.has_value(), error, line);
+            if (!event)
+                continue;
+            // What the reader accepts, the writer re-emits in a form
+            // the reader parses back to the same event.
+            obs::JsonWriter again(0);
+            event->writeJson(again);
+            const auto back = obs::parseTraceLine(again.str());
+            ASSERT_TRUE(back.has_value()) << again.str();
+            EXPECT_EQ(back->kind, event->kind);
+            EXPECT_EQ(back->cycle, event->cycle);
+            EXPECT_EQ(back->label, event->label);
+            EXPECT_EQ(back->detail, event->detail);
+        }
+    }
+    for (const std::string &seed : hbSeeds) {
+        ASSERT_TRUE(obs::parseHeartbeatLine(seed).has_value()) << seed;
+        for (unsigned i = 0; i < 300; ++i) {
+            std::string line = seed;
+            for (unsigned n = 1 + rng() % 3; n-- > 0;)
+                line = mutateLine(line, rng);
+            std::string error;
+            const bool parsed =
+                obs::parseHeartbeatLine(line, &error).has_value();
+            judge(parsed, error, line);
+        }
+    }
+    EXPECT_GT(rejected, accepted);
+    EXPECT_GT(accepted, 0u);
 }
 
 // ---- summarizeTrace ----
