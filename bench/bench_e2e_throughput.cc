@@ -177,7 +177,7 @@ agingPlan(const MixConfig &mix, const Geometry &geom, bool parPin)
                     break;
             }
             std::snprintf(label, sizeof(label), "pin:%s",
-                          pinName(s.pin).c_str());
+                          pinName(s.pin));
             break;
         }
         s.activateAt = i * mix.accesses / (2 * mix.agingSites);
@@ -282,7 +282,7 @@ runPass(const MixConfig &mix, obs::Observer *observer,
     uint64_t faultOrdinal = 0;
     uint64_t liveFaultId = 0;
     Cycle liveInjectCycle = 0;
-    std::string liveFaultSite;
+    const char *liveFaultSite = nullptr;
     const uint64_t faultSalt =
         mix.seed ^ obs::lineageHash("e2e-live-stream");
     if (mix.faultRate > 0.0 || agingPinSites) {
@@ -313,9 +313,8 @@ runPass(const MixConfig &mix, obs::Observer *observer,
                     faultSalt, mix.lineageStream, faultOrdinal);
                 liveInjectCycle = stack.controller().now();
                 liveFaultSite = pinName(pin);
-                ledger->recordInjection(liveFaultId,
-                                        obs::FaultKind::Ccca,
-                                        liveFaultSite);
+                // The ledger record opens once the access returns
+                // (below), outside the profiled access scopes.
                 stack.setFaultContext(liveFaultId);
             });
     }
@@ -387,13 +386,15 @@ runPass(const MixConfig &mix, obs::Observer *observer,
         // Resolve the live fault window (if one opened during this
         // access) from what the mechanisms observably did with it.
         if (ledger && liveFaultId != 0) {
+            ledger->recordInjection(liveFaultId, obs::FaultKind::Ccca,
+                                    liveFaultSite);
             uint32_t observations = 0;
-            std::string firstMech;
+            const char *firstMech = nullptr;
             for (const DetectionEvent &ev : stack.detections()) {
                 if (ev.faultId != liveFaultId)
                     continue;
                 ++observations;
-                if (firstMech.empty())
+                if (!firstMech)
                     firstMech = mechanismName(ev.mech);
             }
             const uint64_t attempts =
@@ -404,27 +405,27 @@ runPass(const MixConfig &mix, obs::Observer *observer,
             if (observations)
                 terminal = recovered ? obs::FaultTerminal::Recovered
                                      : obs::FaultTerminal::Detected;
-            ledger->resolve(liveFaultId, terminal, firstMech,
+            ledger->resolve(liveFaultId, terminal,
+                            firstMech ? firstMech : "",
                             observations,
                             static_cast<uint32_t>(attempts));
             if (observer && observer->tracing()) {
-                obs::TraceEvent inj;
-                inj.kind = obs::EventKind::FaultInject;
-                inj.cycle = liveInjectCycle;
-                inj.label = liveFaultSite;
-                inj.value = faultOrdinal;
-                inj.detail = obs::faultKindName(obs::FaultKind::Ccca);
-                inj.faultId = liveFaultId;
-                observer->emit(inj);
-                obs::TraceEvent res;
-                res.kind = obs::EventKind::FaultResolve;
-                res.cycle = stack.controller().now();
-                res.label = obs::faultTerminalName(terminal);
-                res.value = attempts;
-                if (!firstMech.empty())
-                    res.detail = "first=" + firstMech;
-                res.faultId = liveFaultId;
-                observer->emit(res);
+                observer->emit(
+                    {.kind = obs::EventKind::FaultInject,
+                     .detail = obs::Detail::Why,
+                     .cycle = liveInjectCycle,
+                     .value = faultOrdinal,
+                     .faultId = liveFaultId,
+                     .label = liveFaultSite,
+                     .why = obs::faultKindName(obs::FaultKind::Ccca)});
+                observer->emit({.kind = obs::EventKind::FaultResolve,
+                                .detail = firstMech ? obs::Detail::First
+                                                    : obs::Detail::None,
+                                .cycle = stack.controller().now(),
+                                .value = attempts,
+                                .faultId = liveFaultId,
+                                .label = obs::faultTerminalName(terminal),
+                                .mech = firstMech});
             }
             liveFaultId = 0;
             stack.setFaultContext(0);
@@ -487,14 +488,13 @@ runPass(const MixConfig &mix, obs::Observer *observer,
             ledger->recordInjection(agingIds[k], fk, s.label);
         }
         if (observer && observer->tracing()) {
-            obs::TraceEvent inj;
-            inj.kind = obs::EventKind::FaultInject;
-            inj.cycle = stack.controller().now();
-            inj.label = s.label;
-            inj.value = k;
-            inj.detail = obs::faultKindName(fk);
-            inj.faultId = agingIds[k];
-            observer->emit(inj);
+            observer->emit({.kind = obs::EventKind::FaultInject,
+                            .detail = obs::Detail::Why,
+                            .cycle = stack.controller().now(),
+                            .value = k,
+                            .faultId = agingIds[k],
+                            .label = obs::internText(s.label),
+                            .why = obs::faultKindName(fk)});
         }
     };
 
@@ -528,14 +528,13 @@ runPass(const MixConfig &mix, obs::Observer *observer,
                                 siteObs[k], 0xFFFFFFFFull)),
                             0);
         if (observer && observer->tracing()) {
-            obs::TraceEvent res;
-            res.kind = obs::EventKind::FaultResolve;
-            res.cycle = stack.controller().now();
-            res.label = obs::faultTerminalName(terminal);
-            res.value = siteObs[k];
-            res.detail = s.label;
-            res.faultId = agingIds[k];
-            observer->emit(res);
+            observer->emit({.kind = obs::EventKind::FaultResolve,
+                            .detail = obs::Detail::Why,
+                            .cycle = stack.controller().now(),
+                            .value = siteObs[k],
+                            .faultId = agingIds[k],
+                            .label = obs::faultTerminalName(terminal),
+                            .why = obs::internText(s.label)});
         }
     }
 
@@ -901,7 +900,7 @@ main(int argc, char **argv)
                 sc.inferred =
                     !sc.matched ? "none"
                     : call.pin >= 0
-                        ? "link pin " + pinName(static_cast<Pin>(call.pin))
+                        ? std::string("link pin ") + pinName(static_cast<Pin>(call.pin))
                         : "link";
                 break;
               }

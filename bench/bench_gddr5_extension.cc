@@ -107,10 +107,10 @@ main(int argc, char **argv)
             [&](uint64_t trial, const Gddr5Trial &res) {
                 unitStats[u].add(res);
                 if (opt.health) {
-                    obs::TraceEvent ev;
-                    ev.kind = obs::EventKind::Detection;
-                    ev.cycle = campaign.trialsBefore(u) + trial;
-                    ev.symptom = obs::Symptom::Alert;
+                    obs::TraceEvent ev{
+                        .kind = obs::EventKind::Detection,
+                        .symptom = obs::Symptom::Alert,
+                        .cycle = campaign.trialsBefore(u) + trial};
                     for (Detector d : res.detectors) {
                         ev.label = detectorName(d);
                         rasMon.record(ev);

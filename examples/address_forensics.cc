@@ -49,7 +49,7 @@ main()
 
     std::printf("simulating crosstalk between %s and %s (%.0f%% of "
                 "edges) under %s\n\n",
-                pinName(victimA).c_str(), pinName(victimB).c_str(),
+                pinName(victimA), pinName(victimB),
                 glitchRate * 100, config.mech.describe().c_str());
 
     Rng glitch(0xBAD50);
@@ -95,7 +95,7 @@ main()
                 "%u\n\npin ballot (votes from eDECC diagnoses):\n",
                 accesses, detections, diagnosed);
     for (const auto &[pin, count] : votes)
-        std::printf("  %-8s %u\n", pinName(pin).c_str(), count);
+        std::printf("  %-8s %u\n", pinName(pin), count);
 
     // Convict the two highest-voted pins.
     Pin top1 = victimA, top2 = victimB;
@@ -116,7 +116,7 @@ main()
         ((top1 == victimA && top2 == victimB) ||
          (top1 == victimB && top2 == victimA));
     std::printf("\nconvicted pair: %s + %s (%s)\n",
-                pinName(top1).c_str(), pinName(top2).c_str(),
+                pinName(top1), pinName(top2),
                 correct ? "correct - retune these traces"
                         : "inconclusive");
     return correct ? 0 : 1;

@@ -69,8 +69,10 @@ main()
     std::printf("  detected: %s\n", faultyRead.detected ? "yes" : "no");
     for (const auto &event : memory.detections()) {
         std::printf("  mechanism: %s (%s)\n",
-                    mechanismName(event.mech).c_str(),
-                    detectionText(event, memory.geometry()).c_str());
+                    mechanismName(event.mech),
+                    detectionTrace(event, memory.geometry())
+                        .detailText()
+                        .c_str());
         if (event.diagnosedAddress) {
             // 4. Precise diagnosis (Section IV-F): eDECC recovers the
             //    address DRAM actually used, pinpointing faulty pins.

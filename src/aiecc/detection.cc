@@ -1,11 +1,9 @@
 #include "aiecc/detection.hh"
 
-#include <cstdio>
-
 namespace aiecc
 {
 
-std::string
+const char *
 mechanismName(Mechanism mech)
 {
     switch (mech) {
@@ -20,54 +18,47 @@ mechanismName(Mechanism mech)
     return "?";
 }
 
-std::string
-detectionText(const DetectionEvent &event, const Geometry &geom)
-{
-    if (const auto &alert = event.alert) {
-        switch (alert->kind) {
-          case AlertKind::CaParity:
-            return "parity mismatch on " + alert->cmd.toString();
-          case AlertKind::Wcrc:
-            return "write CRC mismatch at " +
-                   alert->deviceAddress.toString();
-          case AlertKind::Cstc:
-            return std::string(alert->why) + " (" +
-                   alert->cmd.toString() + ")";
-        }
-    }
-    if (!event.codec || !event.accessAddress)
-        return "";
-    std::string text = event.codec;
-    text += event.corrected ? " corrected read @" : " DUE on read @";
-    text += MtbAddress::unpack(*event.accessAddress, geom).toString();
-    if (event.correctedChips) {
-        char chips[16];
-        std::snprintf(chips, sizeof(chips), " chips=%x",
-                      event.correctedChips);
-        text += chips;
-    }
-    return text;
-}
-
 obs::TraceEvent
 detectionTrace(const DetectionEvent &event, const Geometry &geom)
 {
-    obs::TraceEvent trace;
-    trace.kind = obs::EventKind::Detection;
-    trace.cycle = event.when;
-    trace.label = mechanismName(event.mech);
+    obs::TraceEvent trace{.kind = obs::EventKind::Detection,
+                          .symptom = obs::Symptom::Alert,
+                          .cycle = event.when,
+                          .faultId = event.faultId,
+                          .label = mechanismName(event.mech)};
     if (event.diagnosedAddress)
         trace.value = *event.diagnosedAddress;
     else if (event.accessAddress)
         trace.value = *event.accessAddress;
-    trace.detail = detectionText(event, geom);
-    trace.faultId = event.faultId;
+    if (const auto &alert = event.alert) {
+        // Only the facts the detail renders: what a recorded trace
+        // gives back.
+        switch (alert->kind) {
+          case AlertKind::CaParity:
+            trace.detail = obs::Detail::CaParity;
+            trace.cmd = alert->cmd;
+            break;
+          case AlertKind::Wcrc:
+            trace.detail = obs::Detail::Wcrc;
+            trace.addr = alert->deviceAddress;
+            break;
+          case AlertKind::Cstc:
+            trace.detail = obs::Detail::Cstc;
+            trace.why = alert->why;
+            trace.cmd = alert->cmd;
+            break;
+        }
+    }
     if (event.codec) {
         trace.symptom = event.corrected ? obs::Symptom::DataCe
                                         : obs::Symptom::DataUe;
         trace.chips = event.correctedChips;
-    } else {
-        trace.symptom = obs::Symptom::Alert;
+        if (!event.alert && event.accessAddress) {
+            trace.detail = event.corrected ? obs::Detail::ReadCe
+                                           : obs::Detail::ReadDue;
+            trace.why = event.codec;
+            trace.addr = MtbAddress::unpack(*event.accessAddress, geom);
+        }
     }
     return trace;
 }

@@ -7,7 +7,6 @@
 #define AIECC_AIECC_DETECTION_HH
 
 #include <optional>
-#include <string>
 
 #include "ddr4/address.hh"
 #include "ddr4/command.hh"
@@ -30,7 +29,7 @@ enum class Mechanism
 };
 
 /** Printable mechanism name. */
-std::string mechanismName(Mechanism mech);
+const char *mechanismName(Mechanism mech);
 
 /** One detection raised anywhere in the protection stack. */
 struct DetectionEvent
@@ -66,17 +65,12 @@ struct DetectionEvent
 };
 
 /**
- * The human-readable account of @p event — what a recorded trace
- * carries as the detection's "detail" text.  Rendered on demand, only
- * where text is written or printed.
- */
-std::string detectionText(const DetectionEvent &event, const Geometry &geom);
-
-/**
  * The trace event a detection becomes: label = mechanism name,
  * value = the best address evidence (a precise eDECC diagnosis, else
- * the access address of the flagged read), detail = detectionText(),
- * and the typed symptom fields a RAS monitor reads.
+ * the access address of the flagged read), the facts its detail text
+ * renders from (the alert's command, reason or device address; the
+ * codec and access address of a flagged read), and the typed symptom
+ * fields a RAS monitor reads.
  */
 obs::TraceEvent detectionTrace(const DetectionEvent &event,
                                const Geometry &geom);

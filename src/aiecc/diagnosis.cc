@@ -1,7 +1,5 @@
 #include "aiecc/diagnosis.hh"
 
-#include <algorithm>
-#include <sstream>
 
 namespace aiecc
 {
@@ -32,7 +30,39 @@ colBitPin(unsigned i)
     return pins[i];
 }
 
+/** The CCCA pin that carries MTB-address bit @p bit. */
+Pin
+addressBitPin(unsigned bit, const Geometry &geom)
+{
+    // Map address fields back to the pins that carried them.
+    const unsigned colLo = 0;
+    const unsigned rowLo = colLo + geom.mtbColBits();
+    const unsigned baLo = rowLo + geom.rowBits;
+    const unsigned bgLo = baLo + geom.baBits;
+    if (bit < rowLo)
+        return colBitPin(bit - colLo);
+    if (bit < baLo)
+        return rowBitPin(bit - rowLo);
+    if (bit < bgLo)
+        return (bit - baLo) == 0 ? Pin::BA0 : Pin::BA1;
+    if (bit < bgLo + geom.bgBits)
+        return (bit - bgLo) == 0 ? Pin::BG0 : Pin::BG1;
+    // Rank bits map to per-rank chip selects; report CS.
+    return Pin::CS;
+}
+
 } // namespace
+
+obs::PinList
+suspectPins(uint32_t intended, uint32_t observed, const Geometry &geom)
+{
+    obs::PinList pins;
+    for (unsigned bit = 0; bit < 32; ++bit) {
+        if ((intended ^ observed) >> bit & 1)
+            pins.add(addressBitPin(bit, geom));
+    }
+    return pins;
+}
 
 AddressDiagnosis
 diagnoseAddress(uint32_t intended, uint32_t observed, const Geometry &geom)
@@ -40,58 +70,40 @@ diagnoseAddress(uint32_t intended, uint32_t observed, const Geometry &geom)
     AddressDiagnosis diag;
     diag.intended = intended;
     diag.observed = observed;
-
-    const uint32_t delta = intended ^ observed;
     for (unsigned bit = 0; bit < 32; ++bit) {
-        if ((delta >> bit) & 1)
+        if ((intended ^ observed) >> bit & 1)
             diag.faultyBits.push_back(bit);
     }
-
-    // Map address fields back to the pins that carried them.
-    const unsigned colLo = 0;
-    const unsigned rowLo = colLo + geom.mtbColBits();
-    const unsigned baLo = rowLo + geom.rowBits;
-    const unsigned bgLo = baLo + geom.baBits;
-
-    for (unsigned bit : diag.faultyBits) {
-        Pin pin;
-        if (bit < rowLo) {
-            pin = colBitPin(bit - colLo);
-        } else if (bit < baLo) {
-            pin = rowBitPin(bit - rowLo);
-        } else if (bit < bgLo) {
-            pin = (bit - baLo) == 0 ? Pin::BA0 : Pin::BA1;
-        } else if (bit < bgLo + geom.bgBits) {
-            pin = (bit - bgLo) == 0 ? Pin::BG0 : Pin::BG1;
-        } else {
-            // Rank bits map to per-rank chip selects; report CS.
-            pin = Pin::CS;
-        }
-        if (std::find(diag.suspectPins.begin(), diag.suspectPins.end(),
-                      pin) == diag.suspectPins.end()) {
-            diag.suspectPins.push_back(pin);
-        }
-    }
+    const obs::PinList pins = suspectPins(intended, observed, geom);
+    diag.suspectPins.assign(pins.pins, pins.pins + pins.size);
     return diag;
+}
+
+obs::TraceEvent
+diagnosisTrace(uint32_t intended, uint32_t observed, const Geometry &geom)
+{
+    obs::TraceEvent trace{.kind = obs::EventKind::Diagnosis,
+                          .detail = obs::Detail::Diagnosis,
+                          .value = static_cast<uint64_t>(intended) << 32 |
+                                   observed,
+                          .label = "?",
+                          .pins = suspectPins(intended, observed, geom)};
+    if (trace.pins.size) {
+        trace.label = pinName(trace.pins.pins[0]);
+        trace.pin = static_cast<int>(trace.pins.pins[0]);
+    }
+    return trace;
 }
 
 std::string
 AddressDiagnosis::toString() const
 {
-    std::ostringstream out;
-    if (!faulty()) {
-        out << "addresses agree";
-        return out.str();
-    }
-    out << "intended 0x" << std::hex << intended << " observed 0x"
-        << observed << std::dec << "; faulty MTB bits {";
-    for (size_t i = 0; i < faultyBits.size(); ++i)
-        out << (i ? "," : "") << faultyBits[i];
-    out << "}; suspect pins {";
-    for (size_t i = 0; i < suspectPins.size(); ++i)
-        out << (i ? "," : "") << pinName(suspectPins[i]);
-    out << "}";
-    return out.str();
+    obs::TraceEvent trace{.detail = obs::Detail::Diagnosis,
+                          .value = static_cast<uint64_t>(intended) << 32 |
+                                   observed};
+    for (Pin pin : suspectPins)
+        trace.pins.push(pin);
+    return trace.detailText();
 }
 
 } // namespace aiecc

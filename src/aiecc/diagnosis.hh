@@ -17,6 +17,7 @@
 
 #include "ddr4/address.hh"
 #include "ddr4/pins.hh"
+#include "obs/trace.hh"
 
 namespace aiecc
 {
@@ -49,6 +50,21 @@ struct AddressDiagnosis
  */
 AddressDiagnosis diagnoseAddress(uint32_t intended, uint32_t observed,
                                  const Geometry &geom = Geometry{});
+
+/**
+ * diagnoseAddress()'s suspect pins, in the same order, without the
+ * heap: the form a trace event carries.
+ */
+obs::PinList suspectPins(uint32_t intended, uint32_t observed,
+                         const Geometry &geom = Geometry{});
+
+/**
+ * The Diagnosis trace event for one mismatch: label = first suspect
+ * pin ("?" when none), value = intended << 32 | observed, the suspect
+ * list its detail renders from, and the typed pin a RAS monitor reads.
+ */
+obs::TraceEvent diagnosisTrace(uint32_t intended, uint32_t observed,
+                               const Geometry &geom);
 
 } // namespace aiecc
 

@@ -42,6 +42,10 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
         cfg.recovery, cfg.geom.numBanks(), cfg.observer);
     rankModel->setObserver(cfg.observer);
     ctrl->setObserver(cfg.observer);
+    // An observed stack sizes the log up front, so the few detections
+    // one faulty access raises do not grow it inside a profiled scope.
+    if (cfg.observer)
+        events.reserve(8);
     if (cfg.observer && cfg.observer->stats()) {
         obs::StatsRegistry &reg = *cfg.observer->stats();
         oc.reads = &reg.counter("stack.reads", "RD commands issued");
@@ -60,7 +64,7 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
             "stack.recoveries", "full error-recovery resets");
         for (unsigned m = 0; m < 7; ++m) {
             oc.byMech[m] = &reg.counter(
-                "stack.detect." +
+                std::string("stack.detect.") +
                     mechanismName(static_cast<Mechanism>(m)),
                 "detections first flagged by this mechanism");
         }
@@ -103,10 +107,8 @@ ProtectionStack::noteDetection(DetectionEvent event)
         // The trace value carries the best address evidence available
         // (detectionTrace): the corrected-error address stream RAS
         // topology inference consumes.
-        if (cfg.observer->tracing()) {
-            obs::TraceEvent trace = detectionTrace(event, cfg.geom);
-            cfg.observer->emit(trace);
-        }
+        if (cfg.observer->tracing())
+            cfg.observer->emit(detectionTrace(event, cfg.geom));
     }
     events.push_back(std::move(event));
 }
@@ -403,19 +405,9 @@ ProtectionStack::issueRd(const MtbAddress &addr)
                 // Cross-check the eDECC diagnosis against the CA-pin
                 // model: which command pins must have flipped for the
                 // intended address to land where it did (§IV-F).
-                const uint32_t intended = addr.pack(cfg.geom);
-                const AddressDiagnosis diag = diagnoseAddress(
-                    intended, *ecc.recoveredAddress, cfg.geom);
-                const bool named = !diag.suspectPins.empty();
-                obs::TraceEvent trace{
-                    .kind = obs::EventKind::Diagnosis,
-                    .cycle = ctrl->now(),
-                    .label = named ? pinName(diag.suspectPins[0]) : "?",
-                    .value = static_cast<uint64_t>(intended) << 32 |
-                             *ecc.recoveredAddress,
-                    .detail = diag.toString(),
-                    .pin = named ? static_cast<int>(diag.suspectPins[0])
-                                 : -1};
+                obs::TraceEvent trace = diagnosisTrace(
+                    addr.pack(cfg.geom), *ecc.recoveredAddress, cfg.geom);
+                trace.cycle = ctrl->now();
                 cfg.observer->emit(trace);
             }
 
@@ -432,10 +424,12 @@ ProtectionStack::issueRd(const MtbAddress &addr)
                 if (oc.scrubs)
                     ++*oc.scrubs;
                 if (cfg.observer && cfg.observer->tracing()) {
-                    cfg.observer->emit(
-                        obs::EventKind::Scrub, ctrl->now(),
-                        codec->name(), addr.pack(cfg.geom),
-                        "scrub write-back @" + addr.toString());
+                    cfg.observer->emit({.kind = obs::EventKind::Scrub,
+                                        .detail = obs::Detail::ScrubBack,
+                                        .cycle = ctrl->now(),
+                                        .value = addr.pack(cfg.geom),
+                                        .label = codec->name(),
+                                        .addr = addr});
                 }
             }
         }
@@ -491,8 +485,10 @@ ProtectionStack::recover()
     if (oc.recoveries)
         ++*oc.recoveries;
     if (cfg.observer && cfg.observer->tracing())
-        cfg.observer->emit(obs::EventKind::Recovery, ctrl->now(), "", 0,
-                           "resync WRT, drain read FIFO, PREA");
+        cfg.observer->emit({.kind = obs::EventKind::Recovery,
+                            .detail = obs::Detail::Why,
+                            .cycle = ctrl->now(),
+                            .why = "resync WRT, drain read FIFO, PREA"});
     ctrl->resyncWrt();
     ctrl->resetReadFifo();
     issuePreAll();

@@ -75,15 +75,22 @@ parseDecimal(const std::string &line, size_t from, uint64_t &out)
     return static_cast<size_t>(stop - line.data());
 }
 
-// ---- AIECC_CRASH_AFTER_SHARD ----
+// ---- AIECC_CRASH_AFTER_SHARD / AIECC_SIGNAL_AFTER_SHARD ----
+
+/** A shard-count threshold from @p var (0 = unset). */
+uint64_t
+parseShardThreshold(const char *var)
+{
+    const char *env = std::getenv(var);
+    if (!env || !*env)
+        return 0;
+    return std::strtoull(env, nullptr, 10);
+}
 
 uint64_t
 parseCrashThreshold()
 {
-    const char *env = std::getenv("AIECC_CRASH_AFTER_SHARD");
-    if (!env || !*env)
-        return 0;
-    return std::strtoull(env, nullptr, 10);
+    return parseShardThreshold("AIECC_CRASH_AFTER_SHARD");
 }
 
 std::atomic<uint64_t> gShardsCompleted{0};
@@ -104,6 +111,33 @@ maybeCrashAfterShards(uint64_t justCompleted)
                      static_cast<unsigned long long>(done));
         std::fflush(stderr);
         std::_Exit(137); // as if SIGKILLed: no atexit, no flush
+    }
+}
+
+std::atomic<uint64_t> gShardsCommitted{0};
+
+/**
+ * Raise one real SIGTERM once the process-wide committed-shard count
+ * crosses N: the stop handler, the drain, the final save and the
+ * resumable exit then all run as they would for an operator's kill,
+ * at a point fixed by progress rather than by wall time.
+ */
+void
+maybeSignalAfterShards(uint64_t justCommitted)
+{
+    static const uint64_t threshold =
+        parseShardThreshold("AIECC_SIGNAL_AFTER_SHARD");
+    if (!threshold)
+        return;
+    const uint64_t before = gShardsCommitted.fetch_add(justCommitted);
+    if (before < threshold && before + justCommitted >= threshold) {
+        std::fprintf(stderr,
+                     "AIECC_SIGNAL_AFTER_SHARD: raising SIGTERM after "
+                     "%llu committed shard(s)\n",
+                     static_cast<unsigned long long>(before +
+                                                     justCommitted));
+        std::fflush(stderr);
+        std::raise(SIGTERM);
     }
 }
 
@@ -403,6 +437,7 @@ runShardsCheckpointed(uint64_t totalShards, uint64_t batchShards,
         maybeCrashAfterShards(end - begin);
         commit(begin, end);
         nextShard = end;
+        maybeSignalAfterShards(end - begin);
     }
     return RunStatus::Completed;
 }

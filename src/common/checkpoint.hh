@@ -31,6 +31,13 @@
  *    work done.  Tests and CI use it to prove kill → resume → final
  *    JSON is byte-identical to an uninterrupted run.
  *
+ *  - Self-signal injection: AIECC_SIGNAL_AFTER_SHARD=N raises one real
+ *    SIGTERM right after the batch that takes the committed-shard
+ *    count to N or past it commits.  The stop handler, the drain, the
+ *    final checkpoint and exit 75 then run exactly as for an external
+ *    SIGTERM, but at a point fixed by progress, not by wall time, so
+ *    the graceful-shutdown gate interrupts a campaign on any host.
+ *
  * Determinism contract: the batch size is never output-affecting.
  * Batches are contiguous shard ranges executed with the same
  * runShards() claim loop and merged strictly in shard order, so any
@@ -167,7 +174,9 @@ class CampaignCheckpoint
  * Interrupted with nextShard at the first uncommitted shard.  The
  * AIECC_CRASH_AFTER_SHARD hook fires after a batch joins but before
  * its commit — the simulated kill always loses in-flight work, which
- * resume must redo identically.
+ * resume must redo identically.  The AIECC_SIGNAL_AFTER_SHARD hook
+ * fires after the commit, and the stop check before the next batch
+ * sees it.
  *
  * @p progress(done), when set, fires after each shard completes, with
  * @p done the *global* count of shards finished (committed prefix +

@@ -179,13 +179,16 @@ MemController::issue(const Command &cmd, const std::optional<Burst> &data)
         if (corrupted && oc.pinCorruptions)
             ++*oc.pinCorruptions;
         if (obsHook->tracing()) {
-            obsHook->emit(obs::EventKind::CommandIssued, cycle,
-                          cmdName(cmd.type), cmdIndex);
+            obsHook->emit({.kind = obs::EventKind::CommandIssued,
+                           .cycle = cycle,
+                           .value = cmdIndex,
+                           .label = cmdName(cmd.type)});
             if (corrupted)
-                obsHook->emit(obs::EventKind::PinCorruption, cycle,
-                              cmdName(cmd.type),
-                              static_cast<uint64_t>(std::popcount(
-                                  pins.levels ^ intended.levels)));
+                obsHook->emit({.kind = obs::EventKind::PinCorruption,
+                               .cycle = cycle,
+                               .value = static_cast<uint64_t>(std::popcount(
+                                   pins.levels ^ intended.levels)),
+                               .label = cmdName(cmd.type)});
         }
     }
 

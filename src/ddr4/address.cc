@@ -1,7 +1,5 @@
 #include "ddr4/address.hh"
 
-#include <sstream>
-
 #include "common/bits.hh"
 #include "common/logging.hh"
 
@@ -44,12 +42,18 @@ MtbAddress::unpack(uint32_t packed, const Geometry &geom)
     return a;
 }
 
+void
+MtbAddress::render(TextBuf &out) const
+{
+    out.add("rank").dec(rank).add(".bg").dec(bg).add(".ba").dec(ba);
+    out.add(".row0x").hex(row).add(".col0x").hex(col);
+}
+
 std::string
 MtbAddress::toString() const
 {
-    std::ostringstream out;
-    out << "rank" << rank << ".bg" << bg << ".ba" << ba << ".row0x"
-        << std::hex << row << ".col0x" << col << std::dec;
+    TextBuf out;
+    render(out);
     return out.str();
 }
 

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/text_buf.hh"
+
 namespace aiecc
 {
 
@@ -72,6 +74,8 @@ struct MtbAddress
         return bg * geom.banksPerGroup() + ba;
     }
 
+    /** "rank0.bg1.ba2.row0x1f.col0x3" (the form toString() returns). */
+    void render(TextBuf &out) const;
     std::string toString() const;
 };
 

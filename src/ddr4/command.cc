@@ -89,7 +89,7 @@ readBankBits(uint32_t levels, unsigned &bg, unsigned &ba)
 
 } // namespace
 
-std::string
+const char *
 cmdName(CmdType type)
 {
     switch (type) {
@@ -108,28 +108,35 @@ cmdName(CmdType type)
     return "?";
 }
 
-std::string
-Command::toString() const
+void
+Command::render(TextBuf &out) const
 {
-    std::ostringstream out;
-    out << cmdName(type);
+    out.add(cmdName(type));
     switch (type) {
       case CmdType::Act:
-        out << " bg" << bg << ".ba" << ba << " row0x" << std::hex << row
-            << std::dec;
+        out.add(" bg").dec(bg).add(".ba").dec(ba).add(" row0x").hex(row);
         break;
       case CmdType::Rd:
       case CmdType::Wr:
-        out << " bg" << bg << ".ba" << ba << " col0x" << std::hex << col
-            << std::dec << (autoPrecharge ? " AP" : "")
-            << (burstChop ? " BC" : "");
+        out.add(" bg").dec(bg).add(".ba").dec(ba).add(" col0x").hex(col);
+        if (autoPrecharge)
+            out.add(" AP");
+        if (burstChop)
+            out.add(" BC");
         break;
       case CmdType::Pre:
-        out << " bg" << bg << ".ba" << ba;
+        out.add(" bg").dec(bg).add(".ba").dec(ba);
         break;
       default:
         break;
     }
+}
+
+std::string
+Command::toString() const
+{
+    TextBuf out;
+    render(out);
     return out.str();
 }
 

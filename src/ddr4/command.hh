@@ -41,7 +41,7 @@ enum class CmdType
 };
 
 /** Printable command mnemonic. */
-std::string cmdName(CmdType type);
+const char *cmdName(CmdType type);
 
 /** A logical DRAM command as the memory controller intends it. */
 struct Command
@@ -56,6 +56,8 @@ struct Command
 
     bool operator==(const Command &other) const = default;
 
+    /** The mnemonic and its operands, e.g. "RD bg1.ba2 col0x18 AP". */
+    void render(TextBuf &out) const;
     std::string toString() const;
 
     static Command act(unsigned bg, unsigned ba, unsigned row);

@@ -20,7 +20,7 @@ pinGroup(Pin pin)
     return PinGroup::Clock;
 }
 
-std::string
+const char *
 pinName(Pin pin)
 {
     switch (pin) {

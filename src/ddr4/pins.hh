@@ -62,7 +62,7 @@ enum class PinGroup
 PinGroup pinGroup(Pin pin);
 
 /** Human-readable pin name ("RAS/A16", "CKE", ...). */
-std::string pinName(Pin pin);
+const char *pinName(Pin pin);
 
 /**
  * The set of pins eligible for error injection.

@@ -76,7 +76,7 @@ Address::toString() const
     return out.str();
 }
 
-std::string
+const char *
 detectorName(Detector detector)
 {
     switch (detector) {

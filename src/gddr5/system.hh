@@ -69,7 +69,7 @@ enum class Detector
     Cstc,     ///< protocol/timing violation
 };
 
-std::string detectorName(Detector detector);
+const char *detectorName(Detector detector);
 
 /** One detection raised in the channel. */
 struct Detection

@@ -55,7 +55,7 @@ allPatterns()
             CommandPattern::Wr, CommandPattern::Rd, CommandPattern::Pre};
 }
 
-std::string
+const char *
 patternName(CommandPattern pattern)
 {
     switch (pattern) {
@@ -83,7 +83,7 @@ PinError::toString() const
     return out.str();
 }
 
-std::string
+const char *
 outcomeName(Outcome outcome)
 {
     switch (outcome) {
@@ -97,7 +97,7 @@ outcomeName(Outcome outcome)
     return "?";
 }
 
-std::string
+const char *
 recoveryClassName(RecoveryClass cls)
 {
     switch (cls) {
@@ -242,7 +242,7 @@ InjectionCampaign::setObserver(obs::Observer *observer)
     }
     for (unsigned m = 0; m < 7; ++m) {
         oc.byFirstDetector[m] = &reg.counter(
-            "campaign.first_detector." +
+            std::string("campaign.first_detector.") +
                 mechanismName(static_cast<Mechanism>(m)),
             "trials whose first detection came from this mechanism");
     }
@@ -462,7 +462,7 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
     uint64_t faultId = 0;
     std::string site;
     if (ledger) {
-        site = patternName(pattern) + "/" + error.toString();
+        site = std::string(patternName(pattern)) + "/" + error.toString();
         faultId = obs::deriveFaultId(
             seed ^ obs::lineageHash("ddr4:" + mech.describe()),
             static_cast<uint64_t>(pattern), trialIndex);
@@ -595,22 +595,19 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
     // per-fault timeline reads inject -> observe* -> classify ->
     // resolve in emission order.
     if (ledger && tracing) {
-        obs::TraceEvent inj;
-        inj.kind = obs::EventKind::FaultInject;
-        inj.cycle = injectCycle;
-        inj.label = site;
-        inj.value = trialIndex - 1; // the trial this fault rode
-        inj.detail = obs::faultKindName(obs::FaultKind::Ccca);
-        inj.faultId = faultId;
-        obsHook->emit(inj);
+        obsHook->emit({.kind = obs::EventKind::FaultInject,
+                       .detail = obs::Detail::Why,
+                       .cycle = injectCycle,
+                       .value = trialIndex - 1, // the trial this fault rode
+                       .faultId = faultId,
+                       .label = obs::internText(site),
+                       .why = obs::faultKindName(obs::FaultKind::Ccca)});
 
         // The ephemeral faulty stack runs unobserved, so its
         // detection log is replayed here to complete the
         // inject -> observe* -> resolve timeline.
-        for (const DetectionEvent &det : faulty.detections()) {
-            obs::TraceEvent d = detectionTrace(det, faulty.geometry());
-            obsHook->emit(d);
-        }
+        for (const DetectionEvent &det : faulty.detections())
+            obsHook->emit(detectionTrace(det, faulty.geometry()));
     }
 
     if (oc.trials) {
@@ -634,43 +631,44 @@ InjectionCampaign::runTrial(CommandPattern pattern, const PinError &error)
         }
     }
     if (tracing) {
-        std::string detail = patternName(pattern) + " / " +
-                             error.toString();
-        if (auto first = tr.firstDetector())
-            detail += " first=" + mechanismName(*first);
-        if (tr.recovery != RecoveryClass::None) {
-            detail += " recovery=" + recoveryClassName(tr.recovery) +
-                      "(" + std::to_string(tr.recoveryAttempts) + ")";
-        }
-        obs::TraceEvent cls;
-        cls.kind = obs::EventKind::Classification;
-        cls.cycle = faulty.controller().now();
-        cls.label = outcomeName(tr.outcome);
-        cls.value = trialIndex;
-        cls.detail = std::move(detail);
-        cls.faultId = faultId;
+        const auto first = tr.firstDetector();
+        obs::TraceEvent cls{
+            .kind = obs::EventKind::Classification,
+            .detail = obs::Detail::Trial,
+            .cycle = faulty.controller().now(),
+            .value = trialIndex,
+            .faultId = faultId,
+            .label = outcomeName(tr.outcome),
+            .why = patternName(pattern),
+            .mech = first ? mechanismName(*first) : nullptr,
+            .recovery = tr.recovery != RecoveryClass::None
+                            ? recoveryClassName(tr.recovery)
+                            : nullptr,
+            .attempts = tr.recoveryAttempts,
+            .edges = error.persistence};
+        cls.pins.all = error.allPin;
+        for (Pin pin : error.flips)
+            cls.pins.push(pin);
         obsHook->emit(cls);
     }
 
     if (ledger) {
         const obs::FaultTerminal terminal = trialTerminal(tr);
-        std::string firstMech;
-        if (auto first = tr.firstDetector())
-            firstMech = mechanismName(*first);
-        ledger->resolve(faultId, terminal, firstMech,
+        const auto first = tr.firstDetector();
+        const char *firstMech = first ? mechanismName(*first) : nullptr;
+        ledger->resolve(faultId, terminal, firstMech ? firstMech : "",
                         static_cast<uint32_t>(tr.detectors.size()),
                         static_cast<uint32_t>(tr.recoveryAttempts));
 
         if (tracing) {
-            obs::TraceEvent res;
-            res.kind = obs::EventKind::FaultResolve;
-            res.cycle = faulty.controller().now();
-            res.label = obs::faultTerminalName(terminal);
-            res.value = tr.recoveryAttempts;
-            if (!firstMech.empty())
-                res.detail = "first=" + firstMech;
-            res.faultId = faultId;
-            obsHook->emit(res);
+            obsHook->emit({.kind = obs::EventKind::FaultResolve,
+                           .detail = firstMech ? obs::Detail::First
+                                               : obs::Detail::None,
+                           .cycle = faulty.controller().now(),
+                           .value = tr.recoveryAttempts,
+                           .faultId = faultId,
+                           .label = obs::faultTerminalName(terminal),
+                           .mech = firstMech});
         }
     }
     return tr;

@@ -45,7 +45,7 @@ enum class CommandPattern
 std::vector<CommandPattern> allPatterns();
 
 /** Printable pattern name ("ACT+WR", ...). */
-std::string patternName(CommandPattern pattern);
+const char *patternName(CommandPattern pattern);
 
 /** The transmission-error models of Section V-A. */
 struct PinError
@@ -88,7 +88,7 @@ enum class Outcome
 };
 
 /** Printable outcome name. */
-std::string outcomeName(Outcome outcome);
+const char *outcomeName(Outcome outcome);
 
 /** How the in-band recovery engine fared during a trial. */
 enum class RecoveryClass
@@ -100,7 +100,7 @@ enum class RecoveryClass
 };
 
 /** Printable recovery-class name ("after_retries", ...). */
-std::string recoveryClassName(RecoveryClass cls);
+const char *recoveryClassName(RecoveryClass cls);
 
 /** Everything a single injection trial produced. */
 struct TrialResult

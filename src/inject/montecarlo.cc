@@ -450,13 +450,26 @@ DataMonteCarlo::emitTrialEvents(obs::Observer &to, uint64_t trial,
         symptom = obs::Symptom::DataUe;
         break;
     }
-    to.emit(obs::EventKind::Detection, trial, ecc->name(), detail.addr,
-            tag, symptom);
+    to.emit({.kind = obs::EventKind::Detection,
+             .symptom = symptom,
+             .detail = obs::Detail::Why,
+             .cycle = trial,
+             .value = detail.addr,
+             .label = ecc->name(),
+             .why = tag});
     for (unsigned a = 1; a <= detail.attempts; ++a)
-        to.emit(obs::EventKind::Retry, trial, "re-read", a, "");
+        to.emit({.kind = obs::EventKind::Retry,
+                 .cycle = trial,
+                 .value = a,
+                 .label = "re-read"});
     if (detail.outcome == DataOutcome::Due && detail.attempts)
-        to.emit(obs::EventKind::Recovery, trial, "retry",
-                detail.attempts, "exhausted", obs::Symptom::Exhausted);
+        to.emit({.kind = obs::EventKind::Recovery,
+                 .symptom = obs::Symptom::Exhausted,
+                 .detail = obs::Detail::Why,
+                 .cycle = trial,
+                 .value = detail.attempts,
+                 .label = "retry",
+                 .why = "exhausted"});
 }
 
 MonteCarloCell

@@ -1,5 +1,6 @@
 #include "obs/heartbeat.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -141,6 +142,10 @@ void
 HeartbeatEmitter::emit(uint64_t shardsDone, uint64_t trialsDone,
                        bool forced)
 {
+    // Pool workers tick with the count they computed, and two of them
+    // can reach the lock out of order: report the furthest seen.
+    shardsDone = maxShards = std::max(maxShards, shardsDone);
+    trialsDone = maxTrials = std::max(maxTrials, trialsDone);
     const auto now = std::chrono::steady_clock::now();
     const double elapsedS =
         std::chrono::duration_cast<std::chrono::duration<double>>(

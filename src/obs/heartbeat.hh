@@ -18,7 +18,9 @@
  *    schema), so one parser serves traces and heartbeats;
  *  - tick() is thread-safe (progress callbacks may fire from shard
  *    workers) and rate-limited by AIECC_HEARTBEAT_INTERVAL_MS
- *    (default 1000; 0 = every tick);
+ *    (default 1000; 0 = every tick), and its records never step back:
+ *    shards_done and trials_done are the furthest any tick reported,
+ *    whichever worker reaches the lock first;
  *  - SIGUSR1 forces the next tick to emit immediately, so a stuck
  *    run can be interrogated without waiting for the interval;
  *  - rate and ETA are session-relative (measured from the first tick
@@ -103,6 +105,8 @@ class HeartbeatEmitter
     uint64_t totalShards = 0;
     uint64_t totalTrials = 0;
     uint64_t seq = 0;
+    uint64_t maxShards = 0; ///< records never report less than this
+    uint64_t maxTrials = 0;
     uint64_t intervalMs = 1000;
     bool ticked = false; ///< first tick (rate baseline) taken
     uint64_t baseTrials = 0; ///< trialsDone at the first tick

@@ -24,7 +24,7 @@ mix64(uint64_t x)
 
 } // namespace
 
-std::string
+const char *
 faultKindName(FaultKind kind)
 {
     switch (kind) {
@@ -36,7 +36,7 @@ faultKindName(FaultKind kind)
     AIECC_PANIC("unknown FaultKind " << static_cast<int>(kind));
 }
 
-std::string
+const char *
 faultTerminalName(FaultTerminal terminal)
 {
     switch (terminal) {
@@ -73,60 +73,62 @@ deriveFaultId(uint64_t salt, uint64_t stream, uint64_t trial)
 }
 
 uint32_t
-LineageLedger::internSite(const std::string &name)
+LineageLedger::intern(std::vector<std::string> &table, NameIndex &index,
+                      std::string_view name)
 {
-    const auto it = siteIndex.find(name);
-    if (it != siteIndex.end())
+    const auto it = index.find(name);
+    if (it != index.end())
         return it->second;
-    const auto index = static_cast<uint32_t>(sites.size());
-    sites.push_back(name);
-    siteIndex.emplace(name, index);
-    return index;
+    const auto id = static_cast<uint32_t>(table.size());
+    table.emplace_back(name);
+    index.emplace(name, id);
+    return id;
 }
 
-uint32_t
-LineageLedger::internMech(const std::string &name)
+std::vector<std::pair<uint64_t, size_t>>::iterator
+LineageLedger::findOpen(uint64_t faultId)
 {
-    const auto it = mechIndex.find(name);
-    if (it != mechIndex.end())
-        return it->second;
-    const auto index = static_cast<uint32_t>(mechs.size());
-    mechs.push_back(name);
-    mechIndex.emplace(name, index);
-    return index;
+    // Newest first: the fault being resolved is almost always the one
+    // just injected.
+    for (auto it = open.end(); it != open.begin();) {
+        --it;
+        if (it->first == faultId)
+            return it;
+    }
+    return open.end();
 }
 
 void
 LineageLedger::recordInjection(uint64_t faultId, FaultKind kind,
-                               const std::string &site)
+                               std::string_view site)
 {
     AIECC_ASSERT(faultId != 0, "fault ID 0 is reserved for no-context");
-    if (open.count(faultId))
+    if (findOpen(faultId) != open.end())
         AIECC_PANIC("lineage: duplicate injection of fault "
                     << faultId << " at site '" << site << "'");
     LineageRecord rec;
     rec.faultId = faultId;
     rec.kind = kind;
-    rec.site = internSite(site);
-    open.emplace(faultId, recs.size());
+    rec.site = intern(sites, siteIndex, site);
+    open.emplace_back(faultId, recs.size());
     recs.push_back(rec);
     ++unresolved;
 }
 
 void
 LineageLedger::resolve(uint64_t faultId, FaultTerminal terminal,
-                       const std::string &mechanism, uint32_t observations,
+                       std::string_view mechanism, uint32_t observations,
                        uint32_t attempts)
 {
     AIECC_ASSERT(terminal != FaultTerminal::Unaccounted,
                  "Unaccounted is not a terminal state; fault " << faultId);
-    const auto it = open.find(faultId);
+    const auto it = findOpen(faultId);
     if (it == open.end())
         AIECC_PANIC("lineage: resolve of fault " << faultId
                     << " which was never injected (or already resolved)");
     LineageRecord &rec = recs[it->second];
     rec.terminal = terminal;
-    rec.mech = internMech(mechanism);
+    rec.mech = intern(mechs, mechIndex, mechanism);
     rec.observations = observations;
     rec.attempts = attempts;
     open.erase(it);
@@ -157,14 +159,14 @@ void
 LineageLedger::merge(const LineageLedger &other)
 {
     for (const LineageRecord &src : other.recs) {
-        if (open.count(src.faultId))
+        if (findOpen(src.faultId) != open.end())
             AIECC_PANIC("lineage: merge would duplicate open fault "
                         << src.faultId);
         LineageRecord rec = src;
-        rec.site = internSite(other.sites[src.site]);
-        rec.mech = internMech(other.mechs[src.mech]);
+        rec.site = intern(sites, siteIndex, other.sites[src.site]);
+        rec.mech = intern(mechs, mechIndex, other.mechs[src.mech]);
         if (rec.terminal == FaultTerminal::Unaccounted) {
-            open.emplace(rec.faultId, recs.size());
+            open.emplace_back(rec.faultId, recs.size());
             ++unresolved;
         }
         recs.push_back(rec);
@@ -203,7 +205,7 @@ LineageLedger::reindex()
         mechIndex.emplace(mechs[i], i);
     for (size_t i = 0; i < recs.size(); ++i) {
         if (recs[i].terminal == FaultTerminal::Unaccounted) {
-            open.emplace(recs[i].faultId, i);
+            open.emplace_back(recs[i].faultId, i);
             ++unresolved;
         }
     }

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -50,7 +52,7 @@ enum class FaultKind
 constexpr unsigned numFaultKinds = 4;
 
 /** Printable fault-kind name ("ccca", "data", ...). */
-std::string faultKindName(FaultKind kind);
+const char *faultKindName(FaultKind kind);
 
 /**
  * The single terminal state every injected fault must reach
@@ -71,7 +73,7 @@ enum class FaultTerminal
 constexpr unsigned numFaultTerminals = 6;
 
 /** Printable terminal-state name ("masked", "recovered", ...). */
-std::string faultTerminalName(FaultTerminal terminal);
+const char *faultTerminalName(FaultTerminal terminal);
 
 /** FNV-1a of @p text — site/config salting for fault-ID streams. */
 uint64_t lineageHash(const std::string &text);
@@ -120,9 +122,13 @@ struct LineageRecord
 class LineageLedger
 {
   public:
-    /** Open a record for @p faultId; panics on a duplicate ID. */
+    /**
+     * Open a record for @p faultId; panics on a duplicate ID.  Only a
+     * site or mechanism name the ledger has not seen, and growth of
+     * the record table, allocate.
+     */
     void recordInjection(uint64_t faultId, FaultKind kind,
-                         const std::string &site);
+                         std::string_view site);
 
     /**
      * Move @p faultId to @p terminal, attributing the first detection
@@ -130,7 +136,7 @@ class LineageLedger
      * never injected or was already resolved.
      */
     void resolve(uint64_t faultId, FaultTerminal terminal,
-                 const std::string &mechanism = "",
+                 std::string_view mechanism = "",
                  uint32_t observations = 0, uint32_t attempts = 0);
 
     const std::vector<LineageRecord> &records() const { return recs; }
@@ -205,15 +211,24 @@ class LineageLedger
 
   private:
     std::vector<LineageRecord> recs;
+    using NameIndex = std::map<std::string, uint32_t, std::less<>>;
     std::vector<std::string> sites;
-    std::map<std::string, uint32_t> siteIndex;
+    NameIndex siteIndex;
     std::vector<std::string> mechs{""}; ///< index 0 = no mechanism
-    std::map<std::string, uint32_t> mechIndex{{"", 0}};
-    std::map<uint64_t, size_t> open; ///< faultId -> unresolved record
+    NameIndex mechIndex{{"", 0}};
+    /**
+     * (faultId, record index) of every unresolved record.  Campaigns
+     * resolve each fault before injecting the next, so this stays a
+     * handful long and, once grown, is reused without allocating.
+     */
+    std::vector<std::pair<uint64_t, size_t>> open;
     uint64_t unresolved = 0;
 
-    uint32_t internSite(const std::string &name);
-    uint32_t internMech(const std::string &name);
+    uint32_t intern(std::vector<std::string> &table, NameIndex &index,
+                    std::string_view name);
+    /** The open-set slot of @p faultId, or open.end(). */
+    std::vector<std::pair<uint64_t, size_t>>::iterator
+    findOpen(uint64_t faultId);
     /** Rebuild the name indexes and the open set from the tables. */
     void reindex();
 };

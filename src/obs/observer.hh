@@ -80,37 +80,17 @@ class Observer
 
     /**
      * Hand @p event to every sink, stamping the lineage context into
-     * it first when it carries no fault ID of its own.
+     * it first when it carries no fault ID of its own.  Events are
+     * plain values (obs/trace.hh): building one costs no allocation,
+     * and no text exists until a JSONL sink writes the line.
      */
     void
-    emit(TraceEvent &event) const
+    emit(TraceEvent event) const
     {
         if (faultCtx && !event.faultId)
             event.faultId = faultCtx;
         for (TraceSink *sink : sinkList)
             sink->record(event);
-    }
-
-    /**
-     * Build-and-emit convenience for producers without a ready event.
-     * Producers that compute label or detail text test tracing()
-     * first, so an observer without sinks never pays for the text.
-     */
-    void
-    emit(EventKind kind, uint64_t cycle, std::string label = "",
-         uint64_t value = 0, std::string detail = "",
-         Symptom symptom = Symptom::None) const
-    {
-        if (sinkList.empty())
-            return;
-        TraceEvent event;
-        event.kind = kind;
-        event.cycle = cycle;
-        event.label = std::move(label);
-        event.value = value;
-        event.detail = std::move(detail);
-        event.symptom = symptom;
-        emit(event);
     }
 
     void

@@ -260,7 +260,14 @@ class StateReader
         if (!err.empty())
             return {};
         const std::string_view t = in.substr(pos, end - pos);
-        pos = end + (end < in.size() && in[end] == ' ');
+        pos = end;
+        if (end < in.size() && in[end] == ' ') {
+            // A separator always leads to another field: the writer
+            // never ends a line, or the input, with one.
+            check(end + 1 < in.size() && in[end + 1] != '\n',
+                  "trailing separator");
+            pos += err.empty();
+        }
         return t;
     }
     /** Parse all of the next token as a number in @p base. */

@@ -2,11 +2,13 @@
  * @file
  * Structured event tracing for the protection stack.
  *
- * Producers emit flat TraceEvents (kind + cycle timestamp + a small,
- * schema-stable payload) through the TraceSink interface.  Two sinks
- * are provided: an unbounded in-memory vector for tests and sharded
- * capture, and a JSONL file sink that streams one JSON object per
- * line for offline analysis and trend tracking.
+ * Producers emit flat TraceEvents (kind + cycle timestamp + the typed
+ * facts of a small, schema-stable payload) through the TraceSink
+ * interface.  An event is a plain value; its label and detail text
+ * are rendered from those facts only when a line is written.  Two
+ * sinks are provided: an unbounded in-memory vector for tests and
+ * sharded capture, and a JSONL file sink that streams one JSON object
+ * per line for offline analysis and trend tracking.
  */
 
 #ifndef AIECC_OBS_TRACE_HH
@@ -17,9 +19,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/text_buf.hh"
+#include "ddr4/command.hh"
+#include "ddr4/pins.hh"
 #include "obs/json.hh"
 
 namespace aiecc
@@ -94,8 +100,8 @@ std::optional<EventKind> eventKindFromName(std::string_view name);
 /**
  * What an event tells a RAS monitor, typed.  Producers set it from
  * facts they hold; it says no more than the event's label and detail
- * text do, and it is not written to JSONL (a recorded trace recovers
- * it from that text: ras::symptomsFromText).
+ * text do, and it is not written to JSONL (parseTraceLine() recovers
+ * it from that text).
  */
 enum class Symptom : uint8_t
 {
@@ -107,33 +113,153 @@ enum class Symptom : uint8_t
     Quarantine, ///< Escalation: bank quarantined (value = bank)
 };
 
-/** One structured observation, timestamped in controller cycles. */
+/**
+ * The sentence an event's JSONL "detail" member is rendered from, and
+ * which of the event's fields fill it.  `<why>`, `<mech>` and
+ * `<recovery>` are the static strings of those fields; `<cmd>` and
+ * `<addr>` print as Command::render() and MtbAddress::render().
+ */
+enum class Detail : uint8_t
+{
+    None,      ///< no "detail" member
+    Why,       ///< <why>, verbatim
+    CaParity,  ///< "parity mismatch on <cmd>"
+    Wcrc,      ///< "write CRC mismatch at <addr>"
+    Cstc,      ///< "<why> (<cmd>)"
+    ReadCe,    ///< "<why> corrected read @<addr>[ chips=<hex chips>]"
+    ReadDue,   ///< "<why> DUE on read @<addr>[ chips=<hex chips>]"
+    Replay,    ///< "replay <cmd>"
+    ReissueRd, ///< "reissue RD @<addr>"
+    ScrubBack, ///< "scrub write-back @<addr>"
+    Patrol,    ///< "patrol scrub @<addr>"
+    Window,    ///< "window replay @<addr>"
+    /**
+     * "intended 0x<hi> observed 0x<lo>; faulty MTB bits {..}; suspect
+     * pins {<pins, comma-separated>}" from value = intended << 32 |
+     * observed, or "addresses agree".
+     */
+    Diagnosis,
+    First,     ///< "first=<mech>"
+    /**
+     * "<why> / <pins>[x<edges>][ first=<mech>][ recovery=<recovery>
+     * (<attempts>)]": the trial's command pattern, its injected pins
+     * joined by '+' (or "all-pin"), the edges the fault persisted for
+     * when more than one, and how the trial ended.
+     */
+    Trial,
+    /** "recommend <label> bank=<value >> 32> row=<low 32 bits>" */
+    Recommend,
+};
+
+/**
+ * An ordered list of CCCA pins: a diagnosis's suspects, or the pins a
+ * trial's fault flipped.
+ */
+struct PinList
+{
+    uint8_t size = 0;
+    /** Every pin at once (a trial's all-pin noise); lists none. */
+    bool all = false;
+    Pin pins[numCccaPins];
+
+    void
+    push(Pin pin)
+    {
+        if (size < numCccaPins)
+            pins[size++] = pin;
+    }
+
+    /** push() unless @p pin is already listed. */
+    void
+    add(Pin pin)
+    {
+        for (uint8_t i = 0; i < size; ++i)
+            if (pins[i] == pin)
+                return;
+        push(pin);
+    }
+};
+
+/**
+ * One structured observation, timestamped in controller cycles.
+ *
+ * A plain value: producers fill in the facts they hold, and the text a
+ * recorded trace carries is rendered from them only by writeJson().
+ * Every string member points at static storage (a name table) or at
+ * internText()'s process-wide table, so copying, storing and
+ * re-emitting an event never allocates.
+ */
 struct TraceEvent
 {
     EventKind kind = EventKind::CommandIssued;
+    /** Typed RAS symptom (not serialized). */
+    Symptom symptom = Symptom::None;
+    /** Which sentence the "detail" member renders (Detail). */
+    Detail detail = Detail::None;
     uint64_t cycle = 0;
-    /** Kind-specific tag: mechanism, command mnemonic, outcome class. */
-    std::string label;
     /** Kind-specific number: packed address, pin count, retry depth. */
     uint64_t value = 0;
-    /** Free-form human-readable context. */
-    std::string detail;
     /**
      * Lineage fault ID this event is attributed to (obs/lineage.hh
      * derivation rule); 0 = no fault context, and the "fault" JSON
      * member is omitted so pre-lineage consumers see the old schema.
      */
     uint64_t faultId = 0;
-    /** Typed RAS symptom (not serialized). */
-    Symptom symptom = Symptom::None;
+    /**
+     * The "label" member: mechanism, command mnemonic, recovery
+     * cause, outcome class, injection site... (nullptr = none).
+     */
+    const char *label = nullptr;
+    /**
+     * Detail operand: CSTC or escalation reason, codec, a trial's
+     * command pattern, a note.
+     */
+    const char *why = nullptr;
+    /** Detail operand: the first mechanism that fired. */
+    const char *mech = nullptr;
+    /** Detail operand: a trial's recovery class. */
+    const char *recovery = nullptr;
+    /** Detail operand: a trial's recovery attempts. */
+    uint64_t attempts = 0;
+    /** Detail operand: command edges a trial's fault persisted for. */
+    uint32_t edges = 0;
     /** DataCe/DataUe: chips whose symbols were corrected (bit = chip). */
     uint32_t chips = 0;
     /** Diagnosis: the suspect CCCA pin index, -1 when none is named. */
     int pin = -1;
+    /** Detail operand: the decoded or replayed command. */
+    Command cmd{};
+    /** Detail operand: the access, device or scrubbed address. */
+    MtbAddress addr{};
+    /**
+     * Detail operand: a Diagnosis's suspect pins in diagnosis order, or
+     * a trial's injected pins.
+     */
+    PinList pins{};
+
+    /** The label text ("" when there is none). */
+    std::string_view labelText() const { return label ? label : ""; }
+
+    /** Render the detail sentence ("" for Detail::None). */
+    void renderDetail(TextBuf &out) const;
+    /** The detail sentence as a string (readers and printers). */
+    std::string detailText() const;
 
     /** Serialize as one self-contained JSON object value. */
     void writeJson(JsonWriter &w) const;
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                  std::is_trivially_destructible_v<TraceEvent>,
+              "trace events are plain values: no member may own memory");
+
+/**
+ * A process-wide copy of @p text that lives until exit: the storage
+ * for names that are not in a static table — injection sites, and
+ * the labels and free text a trace reader finds.  Equal texts share
+ * one copy, so only a new text allocates.  Thread-safe.
+ */
+const char *internText(std::string_view text);
 
 /** Consumer interface; implementations must tolerate bursts. */
 class TraceSink
@@ -161,6 +287,8 @@ class VectorTraceSink : public TraceSink
 
     size_t size() const { return log.size(); }
     void clear() { log.clear(); }
+    /** Room for @p n events, so recording that many allocates nothing. */
+    void reserve(size_t n) { log.reserve(n); }
 
     /** Move the recorded events out, leaving the sink empty. */
     std::vector<TraceEvent> take() { return std::exchange(log, {}); }

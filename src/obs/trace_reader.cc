@@ -281,9 +281,11 @@ void
 writeInstant(JsonWriter &w, const TraceEvent &event, std::string_view cat,
              uint64_t pid, uint64_t tid, const char *faultHex)
 {
-    const std::string kind(eventKindNameView(event.kind));
+    std::string name(eventKindNameView(event.kind));
+    if (!event.labelText().empty())
+        name.append(":").append(event.labelText());
     w.beginObject()
-        .kv("name", event.label.empty() ? kind : kind + ":" + event.label)
+        .kv("name", name)
         .kv("cat", cat)
         .kv("ph", "i")
         .kv("ts", event.cycle)
@@ -294,9 +296,328 @@ writeInstant(JsonWriter &w, const TraceEvent &event, std::string_view cat,
     if (faultHex)
         w.kv("fault", std::string_view(faultHex));
     w.kv("value", event.value);
-    if (!event.detail.empty())
-        w.kv("detail", event.detail);
+    if (const std::string detail = event.detailText(); !detail.empty())
+        w.kv("detail", detail);
     w.endObject().endObject();
+}
+
+/** A forward reader over one detail sentence. */
+struct Scan
+{
+    std::string_view s;
+    size_t i = 0;
+
+    bool
+    lit(std::string_view text)
+    {
+        if (s.substr(i, text.size()) != text)
+            return false;
+        i += text.size();
+        return true;
+    }
+
+    /** At most 16 digits: never overflows, in base 10 or 16. */
+    bool
+    num(uint64_t &out, unsigned base)
+    {
+        const size_t start = i;
+        out = 0;
+        while (i < s.size() && i - start < 16) {
+            const char c = s[i];
+            unsigned d;
+            if (c >= '0' && c <= '9')
+                d = static_cast<unsigned>(c - '0');
+            else if (base == 16 && c >= 'a' && c <= 'f')
+                d = static_cast<unsigned>(c - 'a') + 10;
+            else
+                break;
+            out = out * base + d;
+            ++i;
+        }
+        return i > start;
+    }
+
+    bool
+    num(unsigned &out, unsigned base)
+    {
+        uint64_t v;
+        if (!num(v, base) || v > UINT32_MAX)
+            return false;
+        out = static_cast<unsigned>(v);
+        return true;
+    }
+
+    std::string_view rest() const { return s.substr(i); }
+    bool done() const { return i == s.size(); }
+};
+
+bool
+scanCommand(Scan &sc, Command &cmd)
+{
+    // The longest mnemonic that matches, so "PREA" is not read as
+    // "PRE" (Rfu is the last CmdType).
+    bool named = false;
+    size_t best = 0;
+    for (unsigned t = 0; t <= static_cast<unsigned>(CmdType::Rfu); ++t) {
+        const std::string_view name = cmdName(static_cast<CmdType>(t));
+        if (name.size() > best && sc.rest().substr(0, name.size()) == name) {
+            cmd.type = static_cast<CmdType>(t);
+            best = name.size();
+            named = true;
+        }
+    }
+    if (!named)
+        return false;
+    sc.i += best;
+    const auto bank = [&] {
+        return sc.lit(" bg") && sc.num(cmd.bg, 10) && sc.lit(".ba") &&
+               sc.num(cmd.ba, 10);
+    };
+    switch (cmd.type) {
+      case CmdType::Act:
+        return bank() && sc.lit(" row0x") && sc.num(cmd.row, 16);
+      case CmdType::Rd:
+      case CmdType::Wr:
+        if (!bank() || !sc.lit(" col0x") || !sc.num(cmd.col, 16))
+            return false;
+        cmd.autoPrecharge = sc.lit(" AP");
+        cmd.burstChop = sc.lit(" BC");
+        return true;
+      case CmdType::Pre:
+        return bank();
+      default:
+        return true;
+    }
+}
+
+bool
+scanAddress(Scan &sc, MtbAddress &addr)
+{
+    return sc.lit("rank") && sc.num(addr.rank, 10) && sc.lit(".bg") &&
+           sc.num(addr.bg, 10) && sc.lit(".ba") && sc.num(addr.ba, 10) &&
+           sc.lit(".row0x") && sc.num(addr.row, 16) && sc.lit(".col0x") &&
+           sc.num(addr.col, 16);
+}
+
+/** The pin whose name is @p name, if any. */
+std::optional<Pin>
+pinNamed(std::string_view name)
+{
+    for (unsigned p = 0; p < numCccaPins; ++p) {
+        if (name == pinName(static_cast<Pin>(p)))
+            return static_cast<Pin>(p);
+    }
+    return std::nullopt;
+}
+
+/**
+ * Read @p text into @p event's Detail form and operands.  False when
+ * no form's grammar matches; a match is only kept by the caller if it
+ * renders back to @p text.
+ */
+bool
+scanDetail(std::string_view text, TraceEvent &event)
+{
+    Scan sc{text};
+    const auto addrForm = [&](Detail form) {
+        event.detail = form;
+        return scanAddress(sc, event.addr) && sc.done();
+    };
+    if (event.kind == EventKind::Classification) {
+        // "<why> / <pins>[x<edges>][ first=<mech>][ recovery=
+        // <recovery>(<attempts>)]", the suffixes read from the end.
+        event.detail = Detail::Trial;
+        std::string_view head = text;
+        if (head.ends_with(')')) {
+            const size_t at = head.rfind(" recovery=");
+            const size_t open = head.rfind('(');
+            Scan n{head.substr(0, head.size() - 1)};
+            n.i = open == std::string_view::npos ? n.s.size() : open + 1;
+            if (at != std::string_view::npos && open > at &&
+                n.num(event.attempts, 10) && n.done()) {
+                event.recovery = internText(
+                    head.substr(at + 10, open - (at + 10)));
+                head = head.substr(0, at);
+            }
+        }
+        if (const size_t at = head.rfind(" first=");
+            at != std::string_view::npos) {
+            event.mech = internText(head.substr(at + 7));
+            head = head.substr(0, at);
+        }
+        const size_t slash = head.find(" / ");
+        if (slash == std::string_view::npos)
+            return false;
+        event.why = internText(head.substr(0, slash));
+        std::string_view error = head.substr(slash + 3);
+        event.edges = 1; // a transient fault unless "x<edges>" says so
+        if (const size_t x = error.rfind('x'); x != std::string_view::npos) {
+            Scan e{error, x + 1};
+            if (e.num(event.edges, 10) && e.done())
+                error = error.substr(0, x);
+        }
+        if (error == "all-pin") {
+            event.pins.all = true;
+            return true;
+        }
+        while (!error.empty()) {
+            const size_t plus = error.find('+');
+            const auto pin = pinNamed(error.substr(0, plus));
+            if (!pin)
+                return false;
+            event.pins.push(*pin);
+            error = plus == std::string_view::npos ? std::string_view{}
+                                                   : error.substr(plus + 1);
+        }
+        return true;
+    }
+    if (sc.lit("parity mismatch on ")) {
+        event.detail = Detail::CaParity;
+        return scanCommand(sc, event.cmd) && sc.done();
+    }
+    if (sc.lit("replay ")) {
+        event.detail = Detail::Replay;
+        return scanCommand(sc, event.cmd) && sc.done();
+    }
+    if (sc.lit("write CRC mismatch at "))
+        return addrForm(Detail::Wcrc);
+    if (sc.lit("reissue RD @"))
+        return addrForm(Detail::ReissueRd);
+    if (sc.lit("scrub write-back @"))
+        return addrForm(Detail::ScrubBack);
+    if (sc.lit("patrol scrub @"))
+        return addrForm(Detail::Patrol);
+    if (sc.lit("window replay @"))
+        return addrForm(Detail::Window);
+    if (sc.lit("first=")) {
+        event.detail = Detail::First;
+        event.mech = internText(sc.rest());
+        return true;
+    }
+    if (sc.lit("recommend ")) {
+        event.detail = Detail::Recommend;
+        return true; // label and value carry it all
+    }
+    if (text == "addresses agree" || sc.lit("intended 0x")) {
+        // The addresses live in value; the suspects are read here.
+        event.detail = Detail::Diagnosis;
+        const size_t at = text.find("suspect pins {");
+        if (at == std::string_view::npos)
+            return text == "addresses agree";
+        std::string_view list = text.substr(at + 14);
+        if (!list.ends_with('}'))
+            return false;
+        list.remove_suffix(1);
+        while (!list.empty()) {
+            const size_t comma = list.find(',');
+            const auto pin = pinNamed(list.substr(0, comma));
+            if (!pin)
+                return false;
+            event.pins.push(*pin);
+            list = comma == std::string_view::npos
+                       ? std::string_view{}
+                       : list.substr(comma + 1);
+        }
+        return true;
+    }
+    for (const Detail form : {Detail::ReadCe, Detail::ReadDue}) {
+        const std::string_view mid = form == Detail::ReadCe
+                                         ? " corrected read @"
+                                         : " DUE on read @";
+        const size_t at = text.find(mid);
+        if (at == std::string_view::npos)
+            continue;
+        event.detail = form;
+        event.why = internText(text.substr(0, at));
+        Scan a{text, at + mid.size()};
+        if (!scanAddress(a, event.addr))
+            return false;
+        if (a.lit(" chips=") && !a.num(event.chips, 16))
+            return false;
+        return a.done();
+    }
+    if (text.ends_with(')')) {
+        const size_t at = text.rfind(" (");
+        if (at == std::string_view::npos)
+            return false;
+        event.detail = Detail::Cstc;
+        event.why = internText(text.substr(0, at));
+        Scan c{text.substr(0, text.size() - 1), at + 2};
+        return scanCommand(c, event.cmd) && c.done();
+    }
+    return false;
+}
+
+/** Set event's label and detail from the recorded text (see header). */
+void
+readText(TraceEvent &event, std::string_view label, std::string_view detail)
+{
+    if (!label.empty())
+        event.label = internText(label);
+    if (detail.empty())
+        return;
+    TraceEvent typed = event;
+    if (scanDetail(detail, typed)) {
+        TextBuf back;
+        typed.renderDetail(back);
+        if (!back.truncated() && back.view() == detail) {
+            event = typed;
+            return;
+        }
+    }
+    event.detail = Detail::Why;
+    event.why = internText(detail);
+}
+
+/**
+ * Recover the typed RAS symptom fields from the recorded label and
+ * detail text — the fields a live producer sets from its own facts.
+ */
+void
+readSymptoms(TraceEvent &event, std::string_view label,
+             std::string_view detail)
+{
+    const auto says = [&](std::string_view text) {
+        return detail.find(text) != std::string_view::npos;
+    };
+    switch (event.kind) {
+      case EventKind::Detection:
+        // label = mechanism name.  DECC/eDECC are data-path symptoms
+        // with address evidence; standalone data-codec engines (the
+        // Table III Monte-Carlo) tag theirs "data-ecc" in the detail;
+        // the rest are alert families.
+        if (label != "DECC" && label != "eDECC" && !says("data-ecc")) {
+            event.symptom = Symptom::Alert;
+            break;
+        }
+        event.symptom = says(" DUE") ? Symptom::DataUe : Symptom::DataCe;
+        // The corrected chips, as the " chips=<hex>" suffix.
+        if (const size_t at = detail.find(" chips=");
+            at != std::string_view::npos) {
+            Scan sc{detail, at + 7};
+            sc.num(event.chips, 16);
+        }
+        break;
+
+      case EventKind::Diagnosis:
+        // label = the suspect CA pin's name.
+        if (const auto pin = pinNamed(label))
+            event.pin = static_cast<int>(*pin);
+        break;
+
+      case EventKind::Recovery:
+        if (says("exhausted"))
+            event.symptom = Symptom::Exhausted;
+        break;
+
+      case EventKind::Escalation:
+        if (label == "quarantine")
+            event.symptom = Symptom::Quarantine;
+        break;
+
+      default:
+        break;
+    }
 }
 
 } // namespace
@@ -306,6 +627,7 @@ parseTraceLine(std::string_view line, std::string *error)
 {
     TraceEvent event;
     bool sawKind = false;
+    std::string label, detail;
     const auto member = [&](const std::string &key, FlatValue &value) {
         if (key == "kind") {
             if (!value.isString)
@@ -326,8 +648,7 @@ parseTraceLine(std::string_view line, std::string *error)
         } else if (key == "label" || key == "detail") {
             if (!value.isString)
                 return fail(error, "\"" + key + "\" must be a string");
-            (key == "label" ? event.label : event.detail) =
-                std::move(value.str);
+            (key == "label" ? label : detail) = std::move(value.str);
         }
         // Unknown members parsed and dropped (forward compat).
         return true;
@@ -338,6 +659,8 @@ parseTraceLine(std::string_view line, std::string *error)
         fail(error, "missing \"kind\"");
         return std::nullopt;
     }
+    readText(event, label, detail);
+    readSymptoms(event, label, detail);
     return event;
 }
 
@@ -470,8 +793,8 @@ summarizeTrace(std::vector<TraceEvent> events)
             k.gaps.sample(event.cycle - prevCycle[event.kind]);
         k.lastCycle = event.cycle;
         ++k.count;
-        if (!event.label.empty())
-            ++k.byLabel[event.label];
+        if (!event.labelText().empty())
+            ++k.byLabel[std::string(event.labelText())];
         prevCycle[event.kind] = event.cycle;
     }
     return sum;
@@ -482,7 +805,7 @@ TraceFilter::matches(const TraceEvent &event) const
 {
     if (kind && event.kind != *kind)
         return false;
-    if (label && event.label != *label)
+    if (label && event.labelText() != *label)
         return false;
     return event.cycle >= cycleMin && event.cycle <= cycleMax;
 }
@@ -526,20 +849,20 @@ writeChromeTrace(const std::vector<TraceEvent> &events, JsonWriter &w)
         uint64_t startCycle = 0;
         bool open = false;
     };
-    std::map<std::string, Pending> pending;
+    std::map<std::string, Pending, std::less<>> pending;
     for (const TraceEvent &event : sorted) {
         if (event.kind == EventKind::Retry && event.value == 1) {
-            pending[event.label] = {event.cycle, true};
+            pending[std::string(event.labelText())] = {event.cycle, true};
         } else if (event.kind == EventKind::Recovery &&
-                   !event.label.empty()) {
-            auto it = pending.find(event.label);
+                   !event.labelText().empty()) {
+            auto it = pending.find(event.labelText());
             if (it == pending.end() || !it->second.open)
                 continue;
             const uint64_t start = it->second.startCycle;
             const uint64_t dur =
                 event.cycle > start ? event.cycle - start : 1;
             w.beginObject()
-                .kv("name", "episode:" + event.label)
+                .kv("name", "episode:" + std::string(event.labelText()))
                 .kv("cat", "recovery")
                 .kv("ph", "X")
                 .kv("ts", start)
@@ -549,7 +872,7 @@ writeChromeTrace(const std::vector<TraceEvent> &events, JsonWriter &w)
             w.key("args")
                 .beginObject()
                 .kv("attempts", event.value)
-                .kv("outcome", event.detail)
+                .kv("outcome", event.detailText())
                 .endObject();
             w.endObject();
             it->second.open = false;
@@ -627,7 +950,9 @@ faultSite(const FaultTimeline &fault)
 {
     for (const TraceEvent &event : fault.events) {
         if (event.kind == EventKind::FaultInject)
-            return event.label.empty() ? "(unlabeled)" : event.label;
+            return event.labelText().empty()
+                       ? "(unlabeled)"
+                       : std::string(event.labelText());
     }
     return "(orphan)";
 }
@@ -685,7 +1010,7 @@ writeLineageChromeTrace(const LineageView &view, JsonWriter &w)
             for (const TraceEvent &event : fault.events) {
                 if (event.kind == EventKind::FaultResolve) {
                     end = event.cycle;
-                    terminal = event.label;
+                    terminal = event.labelText();
                 }
             }
             w.beginObject()

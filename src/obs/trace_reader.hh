@@ -42,6 +42,16 @@ namespace obs
  * members are ignored for forward compatibility.  Returns nullopt on
  * malformed JSON, nested values, or an unknown kind string, with a
  * diagnostic in @p error when given.
+ *
+ * The text comes back as the typed facts producers emit: the detail
+ * sentence is matched against the Detail forms, and one that renders
+ * back to the same bytes is kept with its command, address, chips,
+ * suspects and names; any other text is kept verbatim as Detail::Why.
+ * Either way writeJson() reproduces the line's label and detail
+ * exactly.  The RAS symptom fields (symptom, chips, pin) are recovered
+ * from the text here too — the only place text maps back to them — so
+ * a replayed trace drives a HealthMonitor to the live monitor's state.
+ * Names and kept text are interned (internText()).
  */
 std::optional<TraceEvent> parseTraceLine(std::string_view line,
                                          std::string *error = nullptr);
@@ -131,7 +141,7 @@ struct StreamResult
 /**
  * Stream a JSONL trace file one event at a time: @p consume is called
  * for every parsed line in file order (the event is the consumer's to
- * modify, e.g. with ras::symptomsFromText) and nothing is retained, so
+ * modify) and nothing is retained, so
  * arbitrarily large traces process in constant memory.  Line handling
  * (blank lines, truncated tails) matches readTraceFile, which is a
  * collect-into-a-vector wrapper around this.

@@ -1,6 +1,7 @@
 #include "ras/health.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -39,6 +40,48 @@ severityFor(uint64_t ces, uint64_t ues, uint64_t degradeCes,
     if (ues >= degradeUes || ces >= degradeCes)
         return HealthState::Degraded;
     return HealthState::Healthy;
+}
+
+} // namespace
+
+namespace
+{
+
+/** "bank<N>": a RasHealth event's component label, from static storage. */
+const char *
+bankLabel(unsigned bank)
+{
+    static constexpr unsigned tableSize = 256;
+    static const auto table = [] {
+        std::array<std::array<char, 8>, tableSize> names{};
+        for (unsigned b = 0; b < tableSize; ++b)
+            std::snprintf(names[b].data(), names[b].size(), "bank%u", b);
+        return names;
+    }();
+    if (bank < tableSize)
+        return table[bank].data();
+    char name[16];
+    std::snprintf(name, sizeof(name), "bank%u", bank);
+    return obs::internText(name);
+}
+
+/** "<from> -> <to>": a RasHealth event's detail, from static storage. */
+const char *
+transitionText(HealthState from, HealthState to)
+{
+    static const auto table = [] {
+        std::array<std::array<char, 24>, 9> text{};
+        for (unsigned f = 0; f < 3; ++f)
+            for (unsigned t = 0; t < 3; ++t)
+                std::snprintf(text[f * 3 + t].data(), text[0].size(),
+                              "%s -> %s",
+                              healthStateName(static_cast<HealthState>(f)),
+                              healthStateName(static_cast<HealthState>(t)));
+        return text;
+    }();
+    return table[static_cast<unsigned>(from) * 3 +
+                 static_cast<unsigned>(to)]
+        .data();
 }
 
 } // namespace
@@ -109,8 +152,9 @@ HealthMonitor::HealthMonitor(const HealthConfig &config)
     }
     // Reserve the fault-path containers up front so symptom bursts
     // inside profiled access scopes do not show up as per-access
-    // allocations.
-    pending.reserve(64);
+    // allocations.  An undrained queue holds one entry per state
+    // change that recommends something, as many as the log keeps.
+    pending.reserve(maxLog);
     log.reserve(maxLog);
     retiredKeys.reserve(64);
 }
@@ -349,16 +393,12 @@ HealthMonitor::transition(HealthState &state, uint64_t &since,
     ++transitions;
 
     if (obsHook && obsHook->tracing()) {
-        char component[16];
-        if (isRank)
-            std::snprintf(component, sizeof(component), "rank");
-        else
-            std::snprintf(component, sizeof(component), "bank%u", bank);
-        char detail[48];
-        std::snprintf(detail, sizeof(detail), "%s -> %s",
-                      healthStateName(prev), healthStateName(next));
-        obsHook->emit(obs::EventKind::RasHealth, cycle, component,
-                      static_cast<uint64_t>(next), detail);
+        obsHook->emit({.kind = obs::EventKind::RasHealth,
+                       .detail = obs::Detail::Why,
+                       .cycle = cycle,
+                       .value = static_cast<uint64_t>(next),
+                       .label = isRank ? "rank" : bankLabel(bank),
+                       .why = transitionText(prev, next)});
     }
 
     if (!worse(next, prev))
@@ -397,12 +437,11 @@ HealthMonitor::recommend(ActionKind kind, unsigned bank, unsigned row,
     else
         ++droppedLog;
     if (obsHook && obsHook->tracing()) {
-        char detail[64];
-        std::snprintf(detail, sizeof(detail),
-                      "recommend %s bank=%u row=%u", actionName(kind),
-                      bank, row);
-        obsHook->emit(obs::EventKind::RasAction, cycle, actionName(kind),
-                      static_cast<uint64_t>(bank) << 32 | row, detail);
+        obsHook->emit({.kind = obs::EventKind::RasAction,
+                       .detail = obs::Detail::Recommend,
+                       .cycle = cycle,
+                       .value = static_cast<uint64_t>(bank) << 32 | row,
+                       .label = actionName(kind)});
     }
 }
 

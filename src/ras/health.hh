@@ -133,15 +133,6 @@ struct HealthConfig
 };
 
 /**
- * Recover the typed symptom fields (obs::Symptom, chip mask, suspect
- * pin) of a recorded @p event from its label and detail text — the
- * only place text maps back to those fields.  Replaying a JSONL trace
- * through this and HealthMonitor::record reaches the state the live
- * monitor reached.
- */
-void symptomsFromText(obs::TraceEvent &event);
-
-/**
  * The monitor.  Attach with observer.addSink(&monitor) — after any
  * JSONL sink, so emitted RasHealth/RasAction events trail the
  * triggering symptom in the file — or replay a recorded trace through

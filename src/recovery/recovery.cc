@@ -5,7 +5,7 @@
 namespace aiecc
 {
 
-std::string
+const char *
 recoveryCauseName(RecoveryCause cause)
 {
     switch (cause) {
@@ -108,15 +108,23 @@ RecoveryEngine::enterQuarantine(unsigned flatBank, Cycle now,
     b.quarantined = true;
     bump(st.quarantines, oc.quarantines);
     if (tracing())
-        obsHook->emit(obs::EventKind::Escalation, now, "quarantine",
-                      flatBank, why, obs::Symptom::Quarantine);
+        obsHook->emit({.kind = obs::EventKind::Escalation,
+                       .symptom = obs::Symptom::Quarantine,
+                       .detail = obs::Detail::Why,
+                       .cycle = now,
+                       .value = flatBank,
+                       .label = "quarantine",
+                       .why = why});
     if (!degraded && quarantinedBanks() >= cfg.rankDegradeBanks) {
         degraded = true;
         bump(st.rankDegrades, oc.rankDegrades);
         if (tracing())
-            obsHook->emit(obs::EventKind::Escalation, now,
-                          "rank_degraded", quarantinedBanks(),
-                          "quarantined-bank threshold crossed");
+            obsHook->emit({.kind = obs::EventKind::Escalation,
+                           .detail = obs::Detail::Why,
+                           .cycle = now,
+                           .value = quarantinedBanks(),
+                           .label = "rank_degraded",
+                           .why = "quarantined-bank threshold crossed"});
     }
 }
 
@@ -247,12 +255,15 @@ RecoveryEngine::runEpisode(RecoveryCause cause, unsigned flatBank,
     if (oc.retryDepth)
         oc.retryDepth->sample(out.attempts);
     if (tracing())
-        obsHook->emit(obs::EventKind::Recovery, port.portNow(),
-                      recoveryCauseName(cause), out.attempts,
-                      out.recovered ? "in-band recovery succeeded"
-                                    : "retry budget exhausted",
-                      out.exhausted ? obs::Symptom::Exhausted
-                                    : obs::Symptom::None);
+        obsHook->emit({.kind = obs::EventKind::Recovery,
+                       .symptom = out.exhausted ? obs::Symptom::Exhausted
+                                                : obs::Symptom::None,
+                       .detail = obs::Detail::Why,
+                       .cycle = port.portNow(),
+                       .value = out.attempts,
+                       .label = recoveryCauseName(cause),
+                       .why = out.recovered ? "in-band recovery succeeded"
+                                            : "retry budget exhausted"});
     return out;
 }
 
@@ -265,9 +276,12 @@ RecoveryEngine::onAlert(RecoveryCause cause, const Command &intended,
     return runEpisode(cause, flatBank, port,
                       [&](unsigned attempt, RecoveryOutcome &) {
         if (tracing())
-            obsHook->emit(obs::EventKind::Retry, port.portNow(),
-                          recoveryCauseName(cause), attempt,
-                          "replay " + intended.toString());
+            obsHook->emit({.kind = obs::EventKind::Retry,
+                           .detail = obs::Detail::Replay,
+                           .cycle = port.portNow(),
+                           .value = attempt,
+                           .label = recoveryCauseName(cause),
+                           .cmd = intended});
         return tryOnce(cause, intended, wrEntry, attempt, port);
     });
 }
@@ -280,9 +294,12 @@ RecoveryEngine::onReadDetection(const MtbAddress &addr, unsigned flatBank,
     return runEpisode(cause, flatBank, port,
                       [&](unsigned attempt, RecoveryOutcome &out) {
         if (tracing())
-            obsHook->emit(obs::EventKind::Retry, port.portNow(),
-                          recoveryCauseName(cause), attempt,
-                          "reissue RD @" + addr.toString());
+            obsHook->emit({.kind = obs::EventKind::Retry,
+                           .detail = obs::Detail::ReissueRd,
+                           .cycle = port.portNow(),
+                           .value = attempt,
+                           .label = recoveryCauseName(cause),
+                           .addr = addr});
         if (!resyncIfNeeded(port))
             return false;
         // A skewed FIFO pointer would hand the reissued RD stale data:
@@ -305,8 +322,12 @@ RecoveryEngine::notePatrol(const MtbAddress &addr, bool scrubbed,
         return;
     bump(st.patrolScrubs, oc.patrolScrubs);
     if (tracing())
-        obsHook->emit(obs::EventKind::PatrolScrub, now, "patrol",
-                      addr.pack(), "patrol scrub @" + addr.toString());
+        obsHook->emit({.kind = obs::EventKind::PatrolScrub,
+                       .detail = obs::Detail::Patrol,
+                       .cycle = now,
+                       .value = addr.pack(),
+                       .label = "patrol",
+                       .addr = addr});
 }
 
 } // namespace aiecc

@@ -87,7 +87,7 @@ enum class RecoveryCause
 };
 
 /** Printable cause name (also the Retry trace-event label). */
-std::string recoveryCauseName(RecoveryCause cause);
+const char *recoveryCauseName(RecoveryCause cause);
 
 /** One write held in the controller's replay buffer. */
 struct ReplayEntry

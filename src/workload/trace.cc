@@ -175,12 +175,12 @@ replayTrace(ProtectionStack &stack,
                 if (retryCtr)
                     ++*retryCtr;
                 if (obsHook && obsHook->tracing())
-                    obsHook->emit(obs::EventKind::Retry,
-                                  stack.controller().now(),
-                                  pending.write ? "wr" : "rd",
-                                  pending.addr.pack(geom),
-                                  "window replay @" +
-                                      pending.addr.toString());
+                    obsHook->emit({.kind = obs::EventKind::Retry,
+                                   .detail = obs::Detail::Window,
+                                   .cycle = stack.controller().now(),
+                                   .value = pending.addr.pack(geom),
+                                   .label = pending.write ? "wr" : "rd",
+                                   .addr = pending.addr});
                 doAccess(pending);
             }
         }

@@ -389,9 +389,10 @@ TEST(CampaignSharded, StatsAndTraceIdenticalAcrossJobs)
     for (size_t e = 0; e < events[0].size(); ++e) {
         EXPECT_EQ(events[0][e].kind, events[1][e].kind) << e;
         EXPECT_EQ(events[0][e].cycle, events[1][e].cycle) << e;
-        EXPECT_EQ(events[0][e].label, events[1][e].label) << e;
+        EXPECT_EQ(events[0][e].labelText(), events[1][e].labelText()) << e;
         EXPECT_EQ(events[0][e].value, events[1][e].value) << e;
-        EXPECT_EQ(events[0][e].detail, events[1][e].detail) << e;
+        EXPECT_EQ(events[0][e].detailText(), events[1][e].detailText())
+            << e;
     }
 }
 

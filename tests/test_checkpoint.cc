@@ -4,7 +4,8 @@
  * (atomic save, digest-verified load, rejection of truncated and
  * corrupt files with a last-good-state diagnostic), the batched
  * checkpointed shard runner (complete / resume-midway / graceful
- * stop), and the AIECC_CRASH_AFTER_SHARD self-kill hook.
+ * stop), the AIECC_CRASH_AFTER_SHARD self-kill hook and the
+ * AIECC_SIGNAL_AFTER_SHARD self-signal hook.
  */
 
 #include <cstdio>
@@ -52,6 +53,33 @@ TEST(CheckpointCrashDeathTest, KillsAfterThresholdBeforeCommit)
         },
         ::testing::ExitedWithCode(137), "simulating hard kill");
     ::unsetenv("AIECC_CRASH_AFTER_SHARD");
+}
+
+TEST(CheckpointCrashDeathTest, SignalAfterThresholdInterruptsAfterCommit)
+{
+    ::setenv("AIECC_SIGNAL_AFTER_SHARD", "3", 1);
+    EXPECT_EXIT(
+        {
+            installStopHandlers();
+            uint64_t next = 0;
+            uint64_t committed = 0;
+            const RunStatus status = runShardsCheckpointed(
+                10, 2, 1, next, [](uint64_t) {},
+                [&](uint64_t, uint64_t end) { committed = end; });
+            // The real SIGTERM lands after the batch that crossed 3
+            // shards (0-1, 2-3) commits; the handler turns it into a
+            // stop before the next batch.
+            std::fprintf(stderr, "status %d committed %llu next %llu\n",
+                         static_cast<int>(status),
+                         static_cast<unsigned long long>(committed),
+                         static_cast<unsigned long long>(next));
+            std::_Exit(status == RunStatus::Interrupted &&
+                               committed == 4 && next == 4
+                           ? 75
+                           : 1);
+        },
+        ::testing::ExitedWithCode(75), "raising SIGTERM after 4");
+    ::unsetenv("AIECC_SIGNAL_AFTER_SHARD");
 }
 
 TEST(CheckpointCrashDeathTest, ThresholdParsesFromEnvironment)

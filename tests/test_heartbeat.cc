@@ -117,6 +117,57 @@ TEST(Heartbeat, IntervalZeroRecordsRoundTrip)
     EXPECT_EQ(hf.records[2].note, "unit 2/2");
 }
 
+TEST(Heartbeat, LateTickNeverStepsBack)
+{
+    // A pool worker that computed an older count can reach the lock
+    // after one that computed a newer count.
+    const IntervalGuard guard("0");
+    const std::string path = freshPath("aiecc_hb_late.jsonl");
+    obs::HeartbeatEmitter hb;
+    ASSERT_TRUE(hb.open(path, "late"));
+    hb.setTotals(10, 100);
+    hb.tick(8, 80);
+    hb.tick(7, 70);
+    hb.finalTick(10, 100);
+    hb.close();
+    const obs::HeartbeatFile hf = obs::readHeartbeatFile(path);
+    ASSERT_EQ(hf.records.size(), 3u);
+    EXPECT_EQ(hf.records[1].shardsDone, 8u);
+    EXPECT_EQ(hf.records[1].trialsDone, 80u);
+    EXPECT_EQ(hf.records[2].shardsDone, 10u);
+}
+
+TEST(Heartbeat, PoolTicksAreMonotonicAtFourJobs)
+{
+    // Every shard's progress hook ticks from its worker thread, as a
+    // campaign's per-shard heartbeat does at --jobs 4.
+    const IntervalGuard guard("0");
+    const std::string path = freshPath("aiecc_hb_pool.jsonl");
+    constexpr uint64_t shards = 256;
+    obs::HeartbeatEmitter hb;
+    ASSERT_TRUE(hb.open(path, "pool"));
+    hb.setTotals(shards, shards * 10);
+    runShards(
+        shards, 4,
+        [](uint64_t shard) {
+            volatile uint64_t sink = 0;
+            for (uint64_t i = 0; i < 2000 + (shard % 7) * 500; ++i)
+                sink = sink + i;
+        },
+        [&](uint64_t done) { hb.tick(done, done * 10); });
+    hb.finalTick(shards, shards * 10);
+    hb.close();
+    const obs::HeartbeatFile hf = obs::readHeartbeatFile(path);
+    ASSERT_EQ(hf.records.size(), shards + 1);
+    for (size_t i = 1; i < hf.records.size(); ++i) {
+        EXPECT_GE(hf.records[i].shardsDone, hf.records[i - 1].shardsDone)
+            << "record " << i;
+        EXPECT_GE(hf.records[i].trialsDone, hf.records[i - 1].trialsDone)
+            << "record " << i;
+    }
+    EXPECT_EQ(hf.records.back().shardsDone, shards);
+}
+
 TEST(Heartbeat, LongIntervalRateLimitsAndSigusr1Forces)
 {
     // One hour between records: only the first tick emits... until a

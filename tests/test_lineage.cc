@@ -218,7 +218,7 @@ TEST(CampaignLineage, TraceCarriesInjectObserveResolve)
         EXPECT_EQ(ft.faultId, ledger.records()[i].faultId);
         EXPECT_EQ(ft.events.front().kind, obs::EventKind::FaultInject);
         EXPECT_EQ(ft.events.back().kind, obs::EventKind::FaultResolve);
-        EXPECT_EQ(ft.events.back().label,
+        EXPECT_EQ(ft.events.back().labelText(),
                   obs::faultTerminalName(ledger.records()[i].terminal));
     }
 }
@@ -305,7 +305,8 @@ TEST(TraceRoundTrip, FaultMemberSurvivesJsonl)
     event.kind = obs::EventKind::FaultInject;
     event.cycle = 123;
     event.label = "CS";
-    event.detail = "ccca";
+    event.detail = obs::Detail::Why;
+    event.why = "ccca";
     event.faultId = 0xDEADBEEFull;
     obs::JsonWriter w(0);
     event.writeJson(w);
@@ -313,7 +314,7 @@ TEST(TraceRoundTrip, FaultMemberSurvivesJsonl)
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->kind, obs::EventKind::FaultInject);
     EXPECT_EQ(parsed->cycle, 123u);
-    EXPECT_EQ(parsed->label, "CS");
+    EXPECT_EQ(parsed->labelText(), "CS");
     EXPECT_EQ(parsed->faultId, 0xDEADBEEFull);
 
     // Events without a fault context keep the pre-lineage schema.

@@ -321,7 +321,8 @@ TEST(JsonlTraceSink, WritesOneEscapedObjectPerLine)
         ev.cycle = 42;
         ev.label = "eCAP";
         ev.value = 7;
-        ev.detail = "quote \" backslash \\ newline \n end";
+        ev.detail = obs::Detail::Why;
+        ev.why = "quote \" backslash \\ newline \n end";
         sink.record(ev);
         sink.record(mkEvent(obs::EventKind::Retry, 43));
         sink.flush();
@@ -381,8 +382,9 @@ TEST(JsonlTraceSink, RecordAllocatesNothingOnceWarm)
         ev.cycle = 123456789;
         ev.label = "corrected";
         ev.value = 42;
-        ev.detail = "a detail longer than any small-string buffer, "
-                    "with \"quotes\", a \\ and a \n to escape";
+        ev.detail = obs::Detail::Why;
+        ev.why = "a detail longer than any small-string buffer, "
+                 "with \"quotes\", a \\ and a \n to escape";
         ev.faultId = 0xF00DF00DF00DULL;
         sink.record(ev); // warm-up sizes the reused line buffer
         const uint64_t before = obs::memprof::processTotals().allocs;
@@ -502,10 +504,15 @@ TEST(Observer, EmitFansOutToAllSinks)
     observer.addSink(&a);
     observer.addSink(&b);
     EXPECT_TRUE(observer.tracing());
-    observer.emit(obs::EventKind::Scrub, 9, "QPC", 1, "ctx");
+    observer.emit({.kind = obs::EventKind::Scrub,
+                   .detail = obs::Detail::Why,
+                   .cycle = 9,
+                   .value = 1,
+                   .label = "QPC",
+                   .why = "ctx"});
     EXPECT_EQ(a.size(), 1u);
     EXPECT_EQ(b.size(), 1u);
-    EXPECT_EQ(a.events()[0].label, "QPC");
+    EXPECT_EQ(a.events()[0].labelText(), "QPC");
 }
 
 // ---------------------------------------------- end-to-end cross-check
@@ -551,7 +558,7 @@ TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
         const auto it = report.byMechanism.find(mech);
         const uint64_t expect =
             it == report.byMechanism.end() ? 0 : it->second;
-        EXPECT_EQ(reg.counterValue("stack.detect." +
+        EXPECT_EQ(reg.counterValue(std::string("stack.detect.") +
                                    mechanismName(mech)),
                   expect)
             << mechanismName(mech);
@@ -560,7 +567,7 @@ TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
     // Traced Detection events agree with the per-mechanism counters.
     std::map<std::string, uint64_t> byLabel;
     for (const auto &ev : eventsOfKind(sink, obs::EventKind::Detection))
-        ++byLabel[ev.label];
+        ++byLabel[std::string(ev.labelText())];
     for (unsigned m = 0; m < 7; ++m) {
         const std::string name =
             mechanismName(static_cast<Mechanism>(m));
@@ -576,7 +583,7 @@ TEST(ObservedReplay, CountersMatchReplayReportAndRingEvents)
     // not count.
     uint64_t harnessRetries = 0;
     for (const auto &ev : eventsOfKind(sink, obs::EventKind::Retry)) {
-        if (ev.label == "wr" || ev.label == "rd")
+        if (ev.labelText() == "wr" || ev.labelText() == "rd")
             ++harnessRetries;
     }
     EXPECT_EQ(harnessRetries, report.retries);

@@ -63,17 +63,26 @@ alert(uint64_t cycle)
     return ev;
 }
 
-/** A recorded event: text only, typed fields left at their defaults. */
+/**
+ * A recorded event: a JSONL line of text only, read back through the
+ * trace parser, which recovers the typed symptom fields from it.
+ */
 obs::TraceEvent
 recorded(obs::EventKind kind, const std::string &label,
          const std::string &detail = "", uint64_t value = 0)
 {
-    obs::TraceEvent ev;
-    ev.kind = kind;
-    ev.label = label;
-    ev.detail = detail;
-    ev.value = value;
-    return ev;
+    obs::JsonWriter w(0);
+    w.beginObject().kv("kind", obs::eventKindNameView(kind)).kv("cycle", 0);
+    if (!label.empty())
+        w.kv("label", label);
+    if (value)
+        w.kv("value", value);
+    if (!detail.empty())
+        w.kv("detail", detail);
+    w.endObject();
+    const std::optional<obs::TraceEvent> ev = obs::parseTraceLine(w.str());
+    EXPECT_TRUE(ev.has_value()) << w.str();
+    return ev.value_or(obs::TraceEvent{});
 }
 
 TEST(HealthMonitor, StartsHealthy)
@@ -129,7 +138,6 @@ TEST(HealthMonitor, DataEccDetailRoutesToDataPath)
                                       "data-ecc corrected",
                                       dataCe(1, 9, i, 0).value);
         ev.cycle = 100 * i;
-        ras::symptomsFromText(ev);
         mon.record(ev);
     }
     const ras::TopologyCall call = mon.bankTopology(1);
@@ -398,7 +406,7 @@ TEST(HealthMonitor, JsonCarriesSymptomTotals)
     EXPECT_NE(json.find("\"exhausted_total\": 1"), std::string::npos);
 }
 
-// ---- symptomsFromText: the replay adapter's text rules ----
+// ---- Symptoms from text: the trace parser's replay rules ----
 
 TEST(SymptomsFromText, DataDetectionsCarryClassAndChips)
 {
@@ -407,22 +415,18 @@ TEST(SymptomsFromText, DataDetectionsCarryClassAndChips)
     obs::TraceEvent ev = recorded(
         EventKind::Detection, "eDECC",
         "QPC+eDECC-c corrected read @rank0.bg1.ba2.row0x3.col0x4 chips=80");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::DataCe);
     EXPECT_EQ(ev.chips, 0x80u);
 
     ev = recorded(EventKind::Detection, "DECC",
                   "QPC DUE on read @rank0.bg0.ba0.row0x1.col0x2");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::DataUe);
     EXPECT_EQ(ev.chips, 0u);
 
     // Standalone data-codec engines: the "data-ecc" tag, any label.
     ev = recorded(EventKind::Detection, "QPC", "data-ecc DUE");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::DataUe);
     ev = recorded(EventKind::Detection, "QPC", "data-ecc retry-recovered");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::DataCe);
 }
 
@@ -431,7 +435,6 @@ TEST(SymptomsFromText, EveryOtherDetectionIsAnAlert)
     for (const char *label : {"CSTC", "eCAP", "eWCRC", "read-EDC"}) {
         obs::TraceEvent ev = recorded(obs::EventKind::Detection, label,
                                       "RD to idle bank (RD bg0 ba0)");
-        ras::symptomsFromText(ev);
         EXPECT_EQ(ev.symptom, obs::Symptom::Alert) << label;
     }
 }
@@ -442,29 +445,22 @@ TEST(SymptomsFromText, PinsExhaustionAndQuarantine)
     using obs::Symptom;
     obs::TraceEvent ev =
         recorded(EventKind::Diagnosis, pinName(static_cast<Pin>(3)));
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.pin, 3);
     ev = recorded(EventKind::Diagnosis, "?");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.pin, -1);
 
     ev = recorded(EventKind::Recovery, "cstc", "retry budget exhausted");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::Exhausted);
     ev = recorded(EventKind::Recovery, "cstc", "in-band recovery succeeded");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::None);
 
     ev = recorded(EventKind::Escalation, "quarantine", "", 5);
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::Quarantine);
     ev = recorded(EventKind::Escalation, "rank_degraded", "", 4);
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::None);
 
     // Kinds the monitor reads by kind alone gain nothing.
     ev = recorded(EventKind::Retry, "read-decode", "exhausted");
-    ras::symptomsFromText(ev);
     EXPECT_EQ(ev.symptom, Symptom::None);
 }
 
@@ -473,8 +469,8 @@ TEST(SymptomsFromText, PinsExhaustionAndQuarantine)
 TEST(HealthMonitor, ReplayedTraceReachesTheLiveState)
 {
     // A traced faulty AIECC stack plus a traced Monte-Carlo cell feed
-    // a live monitor; the recorded JSONL, replayed through
-    // symptomsFromText into a fresh monitor, must reach the same state.
+    // a live monitor; the recorded JSONL, read back by the trace
+    // parser into a fresh monitor, must reach the same state.
     const std::string path =
         ::testing::TempDir() + "/aiecc_test_ras_replay.jsonl";
     ras::HealthMonitor live;
@@ -554,12 +550,11 @@ TEST(HealthMonitor, ReplayedTraceReachesTheLiveState)
     ras::HealthMonitor replayed;
     unsigned seen[6] = {}, chipMasks = 0, pins = 0, dataEcc = 0;
     for (obs::TraceEvent event : trace.events) {
-        ras::symptomsFromText(event);
         replayed.record(event);
         ++seen[static_cast<unsigned>(event.symptom)];
         chipMasks += event.chips != 0;
         pins += event.pin >= 0;
-        dataEcc += event.detail.rfind("data-ecc", 0) == 0;
+        dataEcc += event.detailText().rfind("data-ecc", 0) == 0;
     }
     EXPECT_EQ(replayed.serializeState(), live.serializeState());
 

@@ -418,7 +418,7 @@ TEST(Recovery, SoakIntermittentFaultsNeverSilent)
                 tr.outcome == Outcome::Mdc ||
                 tr.outcome == Outcome::SdcMdc) {
                 shardFailures[shard].push_back(
-                    outcomeName(tr.outcome) + " on " +
+                    std::string(outcomeName(tr.outcome)) + " on " +
                     patternName(pattern) + " " + pinName(pin) + " x" +
                     std::to_string(persistence));
             }

@@ -393,10 +393,16 @@ TEST(CheckpointMutation, DamagedCursorsEndInReaderErrorsNotAborts)
     for (const Fixture &fx : fixtures())
         seeds.push_back(loadFixture(fx.file).get("cursor"));
     uint64_t rejected = 0, accepted = 0;
+    bench::Campaign::Cursor trailing;
+    EXPECT_NE(obs::readState(trailing, "unit 0 shard 1 "), "");
     for (const std::string &seed : seeds) {
         bench::Campaign::Cursor cursor;
         ASSERT_EQ(obs::readState(cursor, seed), "") << seed;
         EXPECT_EQ(obs::writeState(cursor), seed);
+        // A separator with no field after it, at the end of the input
+        // or of a line, is damage too.
+        EXPECT_NE(obs::readState(cursor, seed + " "), "") << seed;
+        EXPECT_NE(obs::readState(cursor, seed + " \n"), "") << seed;
         for (unsigned i = 0; i < 200; ++i) {
             const std::string damaged = mutate(seed, rng);
             if (!obs::readState(cursor, damaged).empty()) {
@@ -462,7 +468,8 @@ TEST(CampaignDriverDeathTest, RefusesACursorThatIsMalformedOrPastThePlan)
     const bench::Options opt = driverOptions("aiecc_bad_cursor.ckpt", true);
     for (const char *cursor :
          {"unit X shard 5", "unit 99 shard 0", "unit 0 shard 999",
-          "unit 1 shard 21", "unit 1", "unit 0 shard -1"}) {
+          "unit 1 shard 21", "unit 1", "unit 0 shard -1",
+          "unit 0 shard 1 "}) {
         sealCursor(opt, cursor);
         EXPECT_EXIT(
             {

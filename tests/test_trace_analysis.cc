@@ -65,9 +65,9 @@ TEST(ParseTraceLine, FullObjectInAnyMemberOrder)
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->kind, obs::EventKind::Retry);
     EXPECT_EQ(event->cycle, 42u);
-    EXPECT_EQ(event->label, "read-decode");
+    EXPECT_EQ(event->labelText(), "read-decode");
     EXPECT_EQ(event->value, 3u);
-    EXPECT_EQ(event->detail, "ctx");
+    EXPECT_EQ(event->detailText(), "ctx");
 }
 
 TEST(ParseTraceLine, OmittedMembersDefault)
@@ -76,7 +76,7 @@ TEST(ParseTraceLine, OmittedMembersDefault)
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->kind, obs::EventKind::Scrub);
     EXPECT_EQ(event->cycle, 0u);
-    EXPECT_EQ(event->label, "");
+    EXPECT_EQ(event->labelText(), "");
     EXPECT_EQ(event->value, 0u);
 }
 
@@ -89,16 +89,18 @@ TEST(ParseTraceLine, EscapesRoundTripThroughTheWriter)
     original.cycle = 7;
     original.label = "quote\" back\\slash";
     original.value = 9;
-    original.detail = std::string("tab\tnewline\nnul:") + '\x01';
+    const std::string detail = std::string("tab\tnewline\nnul:") + '\x01';
+    original.detail = obs::Detail::Why;
+    original.why = detail.c_str();
     obs::JsonWriter w(0);
     original.writeJson(w);
     const auto parsed = obs::parseTraceLine(w.str());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->kind, original.kind);
     EXPECT_EQ(parsed->cycle, original.cycle);
-    EXPECT_EQ(parsed->label, original.label);
+    EXPECT_EQ(parsed->labelText(), original.labelText());
     EXPECT_EQ(parsed->value, original.value);
-    EXPECT_EQ(parsed->detail, original.detail);
+    EXPECT_EQ(parsed->detailText(), original.detailText());
 }
 
 TEST(ParseTraceLine, MalformedInputIsRejectedWithDiagnostics)
@@ -154,7 +156,7 @@ TEST(ReadTraceFile, FixtureParsesCompletely)
     EXPECT_EQ(tf.events.front().kind, obs::EventKind::CommandIssued);
     EXPECT_EQ(tf.events.front().cycle, 10u);
     EXPECT_EQ(tf.events.back().kind, obs::EventKind::Classification);
-    EXPECT_EQ(tf.events.back().label, "CE");
+    EXPECT_EQ(tf.events.back().labelText(), "CE");
 }
 
 // A writer killed mid-record leaves a final line with no terminating
@@ -265,7 +267,8 @@ TEST(ParserMutation, DamagedLinesEndInErrorsNotAborts)
     escaped.cycle = 18446744073709551615u;
     escaped.faultId = 0xfeed;
     escaped.label = "quote\" back\\slash";
-    escaped.detail = std::string("tab\tnul:") + '\x01';
+    escaped.detail = obs::Detail::Why;
+    escaped.why = "tab\tnul:\x01";
     obs::JsonWriter w(0);
     escaped.writeJson(w);
     traceSeeds.push_back(w.str());
@@ -313,8 +316,8 @@ TEST(ParserMutation, DamagedLinesEndInErrorsNotAborts)
             ASSERT_TRUE(back.has_value()) << again.str();
             EXPECT_EQ(back->kind, event->kind);
             EXPECT_EQ(back->cycle, event->cycle);
-            EXPECT_EQ(back->label, event->label);
-            EXPECT_EQ(back->detail, event->detail);
+            EXPECT_EQ(back->labelText(), event->labelText());
+            EXPECT_EQ(back->detailText(), event->detailText());
         }
     }
     for (const std::string &seed : hbSeeds) {

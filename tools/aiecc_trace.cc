@@ -309,13 +309,14 @@ printTimeline(const obs::FaultTimeline &ft)
                 ft.resolved ? "" : "  [UNRESOLVED]");
     for (const obs::TraceEvent &event : ft.events) {
         const std::string_view kind = obs::eventKindNameView(event.kind);
+        const std::string label(event.labelText());
+        const std::string detail = event.detailText();
         std::printf("  cycle %8llu  %-14.*s %-20s value=%llu%s%s\n",
                     static_cast<unsigned long long>(event.cycle),
                     static_cast<int>(kind.size()), kind.data(),
-                    event.label.empty() ? "-" : event.label.c_str(),
+                    label.empty() ? "-" : label.c_str(),
                     static_cast<unsigned long long>(event.value),
-                    event.detail.empty() ? "" : "  ",
-                    event.detail.c_str());
+                    detail.empty() ? "" : "  ", detail.c_str());
     }
 }
 
@@ -410,15 +411,15 @@ cmdCost(ProtectionLevel level, const std::string &outPath,
             switch (event.kind) {
               case obs::EventKind::CommandIssued:
                 ++nEdges;
-                if (event.label == "WR")
+                if (event.labelText() == "WR")
                     ++nWr;
-                else if (event.label == "RD")
+                else if (event.labelText() == "RD")
                     ++nRd;
                 break;
               case obs::EventKind::Retry:
                 // The replay harness labels write re-executions "wr";
                 // recovery-engine retries re-read the failing block.
-                if (event.label == "wr")
+                if (event.labelText() == "wr")
                     ++retryWr;
                 else
                     ++retryRd;
@@ -658,7 +659,7 @@ describeTopology(const ras::TopologyCall &call)
         break;
       case ras::Topology::Link:
         if (call.pin >= 0)
-            return "link pin " + pinName(static_cast<Pin>(call.pin));
+            return std::string("link pin ") + pinName(static_cast<Pin>(call.pin));
         return "link";
       case ras::Topology::None:
       default:
@@ -687,14 +688,12 @@ cmdHealth(const std::string &outPath,
     std::vector<std::string> sites;
     const uint64_t totalEvents = streamAll(
         paths, strict, [&](obs::TraceEvent &event) {
+            const std::string_view label = event.labelText();
             if (event.kind == obs::EventKind::FaultInject &&
-                (event.label.rfind("row:b", 0) == 0 ||
-                 event.label.rfind("chip:", 0) == 0 ||
-                 event.label.rfind("pin:", 0) == 0) &&
-                std::find(sites.begin(), sites.end(), event.label) ==
-                    sites.end())
-                sites.push_back(event.label);
-            ras::symptomsFromText(event);
+                (label.starts_with("row:b") || label.starts_with("chip:") ||
+                 label.starts_with("pin:")) &&
+                std::find(sites.begin(), sites.end(), label) == sites.end())
+                sites.emplace_back(label);
             monitor.record(event);
         });
 
