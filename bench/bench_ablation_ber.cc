@@ -68,8 +68,8 @@ main(int argc, char **argv)
                 sdcFit = fitResolutionFloor(ber, high.rates,
                                             probs[i].allPinSamples);
                 point.lowerBound[i] = true;
-                row.push_back(
-                    ">" + formatDuration(mttfHours(sdcFit, fleet)));
+                row.push_back(std::string(">").append(
+                    formatDuration(mttfHours(sdcFit, fleet))));
             } else {
                 row.push_back(
                     formatDuration(mttfHours(sdcFit, fleet)));
@@ -110,9 +110,11 @@ main(int argc, char **argv)
             baseline = maxBer;
         budgets.push_back({maxBer, maxBer / baseline, bound});
         m.row({protectionLevelName(levels[i]),
-               (bound ? ">" : "") + TextTable::num(maxBer, 2),
-               (bound ? ">" : "") +
-                   TextTable::num(maxBer / baseline, 3) + "x"});
+               std::string(bound ? ">" : "")
+                   .append(TextTable::num(maxBer, 2)),
+               std::string(bound ? ">" : "")
+                   .append(TextTable::num(maxBer / baseline, 3))
+                   .append("x")});
     }
     std::printf("%s\n", m.str().c_str());
 

@@ -267,8 +267,6 @@ main(int argc, char **argv)
         [&](obs::JsonWriter &w) {
             w.beginObject();
             w.kv("trials_per_cell", trials);
-            w.kv("jobs_resolved", jobs);
-            w.kv("elapsed_ns", elapsedNs);
             w.key("cells");
             w.beginArray();
             for (const auto &res : results) {
@@ -288,6 +286,10 @@ main(int argc, char **argv)
             w.key("lineage");
             lineage.writeJson(w);
             w.endObject();
+        },
+        [&](obs::JsonWriter &w) {
+            w.kv("jobs_resolved", jobs);
+            w.kv("elapsed_ns", elapsedNs);
         });
 
     std::printf(

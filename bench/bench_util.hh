@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,8 +63,15 @@ namespace bench
  *     section (sliding-window error rates, per-component health
  *     states, inferred fault topologies and the recommended-action
  *     log) whenever a health monitor observed the run
+ * v8: splits the artifact into a deterministic body and one top-level
+ *     "host" object holding every host-dependent value: the jobs,
+ *     checkpoint, resume and heartbeat options, wall clock, resolved
+ *     worker count, throughput and latency, timing histograms and the
+ *     "alloc" section.  The body ("options" now lists only
+ *     output-affecting options) is a pure function of the code and the
+ *     options, so `compare_bench.py --same` gates identity on it
  */
-constexpr int artifactSchemaVersion = 7;
+constexpr int artifactSchemaVersion = 8;
 
 /** Common bench options. */
 struct Options
@@ -250,73 +258,69 @@ banner(const std::string &title)
                 title.c_str());
 }
 
-/**
- * Emit the shared artifact envelope into @p w: schema version, bench
- * name, and the parsed options.  Leaves the writer positioned at the
- * "results" member; the caller emits exactly one value and closes the
- * envelope with endObject().  Shared by writeJsonArtifact() and any
- * bench that needs to interleave its own members.
- */
-inline obs::JsonWriter &
-beginJsonArtifact(obs::JsonWriter &w, const Options &opt,
-                  const std::string &benchName)
+/** When an option appears in campaignIdFor()'s string. */
+enum class InId
 {
-    w.beginObject();
-    w.kv("schema_version", artifactSchemaVersion);
-    w.kv("bench", benchName);
-    w.key("options");
-    w.beginObject();
-    w.kv("trials", opt.trials);
-    w.kv("allpin", opt.allPin);
-    w.kv("quick", opt.quick);
-    w.kv("jobs", opt.jobs);
-    w.kv("recovery_attempts", opt.recoveryAttempts);
-    w.kv("recovery_persist", opt.recoveryPersist);
-    w.kv("recovery_patrol", opt.recoveryPatrol);
-    w.kv("read_frac", opt.readFrac);
-    w.kv("fault_rate", opt.faultRate);
-    w.kv("no_recovery", opt.noRecovery);
-    w.kv("checkpoint", opt.checkpointPath);
-    w.kv("resume", opt.resume);
-    w.kv("exhaustive", opt.exhaustive);
-    w.kv("heartbeat", opt.heartbeatPath);
-    w.kv("health", opt.health);
-    w.kv("aging", opt.aging);
-    w.kv("mitigate", opt.mitigate);
-    w.endObject();
-    w.key("results");
-    return w;
+    Always, ///< always, as " tag=value"
+    IfSet   ///< only when nonzero/true: " tag" (flag) or " tag=value"
+};
+
+/**
+ * The one list of output-affecting options: @p visit(key, tag, value,
+ * inId) sees each one's artifact "options" member name, its campaign-id
+ * tag, its value (uint64_t, double or bool) and its id form.  The
+ * artifact body and campaignIdFor() both read this list, so an option
+ * cannot be identity in one and ignored by the other.  Not listed:
+ * --jobs (bit-identical by contract), --checkpoint, --resume and
+ * --heartbeat (the artifact's "host" object records them) and the
+ * --json/--trace output paths.  Order and forms are frozen: existing
+ * checkpoint files carry the id this list renders.
+ */
+template <class Visit>
+inline void
+forEachOutputOption(const Options &opt, Visit &&visit)
+{
+    visit("trials", "trials", opt.trials, InId::Always);
+    visit("allpin", "allpin", uint64_t{opt.allPin}, InId::Always);
+    visit("quick", "quick", opt.quick, InId::IfSet);
+    visit("recovery_attempts", "rattempts", uint64_t{opt.recoveryAttempts},
+          InId::Always);
+    visit("recovery_persist", "rpersist", uint64_t{opt.recoveryPersist},
+          InId::Always);
+    visit("recovery_patrol", "rpatrol", opt.recoveryPatrol, InId::Always);
+    // Access-mix knobs: output-affecting for the e2e bench, constant
+    // defaults everywhere else.
+    visit("read_frac", "readfrac", opt.readFrac, InId::Always);
+    visit("fault_rate", "faultrate", opt.faultRate, InId::Always);
+    visit("no_recovery", "norecovery", opt.noRecovery, InId::IfSet);
+    visit("exhaustive", "exhaustive", opt.exhaustive, InId::IfSet);
+    // RAS knobs: --health changes the event-materialization path (and
+    // the artifact), --aging/--mitigate change the modeled run.
+    visit("health", "health", opt.health, InId::IfSet);
+    visit("aging", "aging", opt.aging, InId::IfSet);
+    visit("mitigate", "mitigate", opt.mitigate, InId::IfSet);
 }
 
 /**
  * Canonical campaign identity for checkpoint files: the bench name
- * plus every output-affecting option.  Deliberately excludes --jobs
- * (bit-identical by contract), --checkpoint/--json/--trace (paths)
- * and --resume — a checkpoint taken at --jobs 8 must resume cleanly
- * at --jobs 1.
+ * plus every output-affecting option (forEachOutputOption()), so a
+ * checkpoint taken at --jobs 8 resumes cleanly at --jobs 1.
  */
 inline std::string
 campaignIdFor(const Options &opt, const std::string &benchName)
 {
     std::string id = benchName;
-    id += " trials=" + std::to_string(opt.trials);
-    id += " allpin=" + std::to_string(opt.allPin);
-    id += opt.quick ? " quick" : "";
-    id += " rattempts=" + std::to_string(opt.recoveryAttempts);
-    id += " rpersist=" + std::to_string(opt.recoveryPersist);
-    id += " rpatrol=" + std::to_string(opt.recoveryPatrol);
-    // Access-mix knobs: output-affecting for the e2e bench, constant
-    // defaults everywhere else (so campaign IDs stay stable).
-    id += " readfrac=" + std::to_string(opt.readFrac);
-    id += " faultrate=" + std::to_string(opt.faultRate);
-    id += opt.noRecovery ? " norecovery" : "";
-    id += opt.exhaustive ? " exhaustive" : "";
-    // RAS knobs: --health changes the event-materialization path (and
-    // the artifact), --aging/--mitigate change the modeled run.
-    id += opt.health ? " health" : "";
-    if (opt.aging)
-        id += " aging=" + std::to_string(opt.aging);
-    id += opt.mitigate ? " mitigate" : "";
+    forEachOutputOption(opt, [&id](const char *, const char *tag,
+                                   auto value, InId inId) {
+        if (inId == InId::IfSet && !value)
+            return;
+        id += ' ';
+        id += tag;
+        if constexpr (!std::is_same_v<decltype(value), bool>) {
+            id += '=';
+            id += std::to_string(value);
+        }
+    });
     return id;
 }
 
@@ -662,10 +666,9 @@ allocsPerAccess()
 /**
  * Emit the artifact's "alloc" member: process-wide totals (always)
  * plus per-scope attribution and the allocs_per_access top line when
- * the bench registered an AllocReport.  Observability only — process
- * totals vary with --jobs (thread stacks, pool bookkeeping), so
- * byte-identity gates exclude this section, exactly as they exclude
- * wall-clock fields.
+ * the bench registered an AllocReport.  Written inside the artifact's
+ * "host" object: process totals vary with --jobs (thread stacks, pool
+ * bookkeeping), so the section is no part of the deterministic body.
  */
 inline void
 writeAllocSection(obs::JsonWriter &w)
@@ -897,43 +900,72 @@ writeParetoSection(obs::JsonWriter &w,
     w.endArray();
 }
 
+/** Writes a bench's own members into the artifact's "host" object. */
+using HostFn = std::function<void(obs::JsonWriter &)>;
+
 /**
  * Write the bench's JSON artifact if --json was given.
  *
  * The artifact shape is shared by every bench:
  * @code
  *   { "schema_version": N, "bench": "...", "options": {...},
- *     "results": <fill's output>, "cost": {...}[, "pareto": [...]],
- *     "alloc": {...} }
+ *     "results": <fill's output>, "cost": {...}[, "pareto": [...]]
+ *     [, "ras": {...}], "host": {...} }
  * @endcode
- * @p fill receives the writer positioned at the "results" member and
- * must emit exactly one value (object/array/scalar).  @p costs is
+ * Everything but "host" is the deterministic body: "options" holds
+ * forEachOutputOption()'s list, and @p fill receives the writer
+ * positioned at the "results" member and must emit exactly one value
+ * (object/array/scalar) that depends on the options alone.  @p costs is
  * audited first (exit 1 on a conservation violation) and becomes the
  * "cost" section; @p pareto, when nonempty, the "pareto" table;
- * @p rasReport, when it carries a monitor, the "ras" section (schema
- * v7); the "alloc" section and the AIECC_BUDGET_* gate come from the
- * registered AllocReport (the gate fires even without --json).
+ * @p rasReport, when it carries a monitor, the "ras" section.  "host"
+ * holds every value that varies from run to run or host to host: the
+ * jobs/checkpoint/resume/heartbeat options, then @p host's members
+ * (wall clock, resolved workers, rates), then the "alloc" section.  The
+ * AIECC_BUDGET_* gate comes from the registered AllocReport and fires
+ * even without --json.
  */
 template <typename FillFn>
 inline void
 writeJsonArtifact(const Options &opt, const std::string &benchName,
                   const CostEntries &costs,
                   const std::vector<ParetoPoint> &pareto,
-                  const RasReport &rasReport, FillFn &&fill)
+                  const RasReport &rasReport, FillFn &&fill,
+                  const HostFn &host = {})
 {
     auditCostsOrDie(costs);
     enforceAllocBudgetOrDie();
     if (opt.jsonPath.empty())
         return;
     obs::JsonWriter w;
-    beginJsonArtifact(w, opt, benchName);
+    w.beginObject();
+    w.kv("schema_version", artifactSchemaVersion);
+    w.kv("bench", benchName);
+    w.key("options");
+    w.beginObject();
+    forEachOutputOption(opt, [&w](const char *key, const char *,
+                                  auto value, InId) { w.kv(key, value); });
+    w.endObject();
+    w.key("results");
     fill(w);
     writeCostSection(w, costs);
     if (!pareto.empty())
         writeParetoSection(w, pareto);
     if (rasReport.monitor)
         writeRasSection(w, rasReport);
+    w.key("host");
+    w.beginObject();
+    w.key("options");
+    w.beginObject();
+    w.kv("jobs", opt.jobs);
+    w.kv("checkpoint", opt.checkpointPath);
+    w.kv("resume", opt.resume);
+    w.kv("heartbeat", opt.heartbeatPath);
+    w.endObject();
+    if (host)
+        host(w);
     writeAllocSection(w);
+    w.endObject();
     w.endObject();
     if (!w.writeFile(opt.jsonPath)) {
         std::fprintf(stderr, "cannot write JSON artifact: %s\n",

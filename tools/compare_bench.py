@@ -1,73 +1,58 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench_e2e_throughput artifact against a baseline.
+"""Compare two bench artifacts written by bench_util's writeJsonArtifact.
 
-Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold PCT]
+Usage:
+  compare_bench.py --same A.json B.json
+  compare_bench.py BASELINE.json CURRENT.json [--threshold PCT]
+                   [--cost-threshold PCT] [--alloc-threshold PCT]
 
-Both files must be schema-versioned artifacts written by bench_util's
-writeJsonArtifact (the ``{"schema_version", "bench", "options",
-"results"}`` envelope).  The script compares ``results.accesses_per_sec``
-and prints a GitHub Actions ``::warning::`` annotation when the current
-run is more than ``--threshold`` percent (default 20) slower than the
-baseline — a soft gate: CI machines are noisy, so a regression warns
-but never fails the job.
+A schema v8 artifact is a deterministic *body* (``schema_version``,
+``bench``, the output-affecting ``options``, ``results``, ``cost`` and,
+where the bench writes them, ``pareto`` and ``ras``) plus one ``host``
+object holding every value that varies from run to run or host to
+host: the ``jobs``/``checkpoint``/``resume``/``heartbeat`` options, wall
+clock, resolved worker count, throughput, latency quantiles, timing
+histograms and the ``alloc`` section.
 
-When the two artifacts were produced with different ``--jobs``
-settings (``options.jobs``, schema v3), throughput is expected to
-differ by roughly the parallelism ratio; the threshold is widened and
-the mismatch is called out so cross-mode comparisons don't fire
-spurious regression warnings.
+``--same`` is the identity gate.  It exits 0 exactly when the two
+bodies are equal; otherwise it exits 1 and names the first differing
+JSON paths.  Either way it prints the sha256 of the canonical body
+(sorted-key compact JSON), so a determinism claim can quote one
+number.  It takes no field lists: a value that legitimately differs
+between two runs of the same options belongs in ``host``.
 
-Schema v4 adds a top-level ``cost`` section (per-configuration
-protection cost attribution).  When both artifacts carry cost entries
-for the same configuration, the derived Pareto metrics (storage and
-bus overhead percent, modeled latency per access) are compared too:
-the cost model is deterministic, so any growth beyond
-``--cost-threshold`` percent (default 2) is a modeled cost regression
-and warns — again a soft gate, never a failure.
+The default mode diffs a fresh run against a committed baseline:
 
-Schema v5 adds checkpoint/resume bookkeeping to ``options``
-(``checkpoint``, ``resume``, ``exhaustive``) and, on benches with an
-enumerable error space, exhaustive-enumeration result sections (e.g.
-``results.two_pin`` and ``results.three_pin`` with
-``"exhaustive": true``).  None of these change the throughput
-comparison; when exactly one of the two artifacts carries an
-exhaustive section the comparison of that section is skipped with a
-note instead of failing — an older baseline simply predates
-exhaustive mode.
+- ``host.accesses_per_sec``: a ``::warning::`` annotation when the
+  current run is more than ``--threshold`` percent (default 20)
+  slower.  CI machines are noisy, so this never fails the job.
+- The derived metrics of every shared ``cost`` configuration: a
+  warning on growth beyond ``--cost-threshold`` percent (default 2).
+- Exhaustive result sections: a warning on any difference, since full
+  enumeration is exact.  A sampled run has none; it skips with a note.
+- The ``ras`` section's rank state, topology calls and prediction
+  accuracy: warnings.  A run without ``--health`` skips with a note.
+- ``host.alloc.allocs_per_access``: the one HARD gate.  Allocation
+  counts move only when code changes what the hot path allocates, so
+  growth beyond ``--alloc-threshold`` percent (default 0) prints an
+  ``::error::`` annotation and exits 1.
 
-Schema v6 adds ``options.heartbeat`` and a top-level ``alloc``
-section (per-scope hot-path allocation accounting plus the
-``allocs_per_access`` top line).  Allocation counts are deterministic
-— they move only when code changes what the hot path allocates — so
-unlike every other comparison this one is a HARD gate: when both
-artifacts carry ``alloc.allocs_per_access`` and the current value
-exceeds the baseline by more than ``--alloc-threshold`` percent
-(default 0, i.e. any regression), the script emits a GitHub
-``::error::`` annotation and exits 1.
-
-Schema v7 adds ``options.health``/``aging``/``mitigate`` and a
-top-level ``ras`` section (the RAS health monitor's rank/bank states,
-inferred fault topologies, recommended actions and, in aging mode, the
-topology-inference accuracy).  The monitor's view of a deterministic
-campaign is itself deterministic, so differences are behavioral — but
-the section only exists when the producing run enabled health
-telemetry, so a missing side (a pre-v7 baseline, or a run without
-``--health``) skips the comparison with a note instead of failing.
-The comparison is a soft gate: a changed rank state, changed topology
-calls, or a topology-inference accuracy drop each print a
-``::warning::`` annotation, never an error.
-
-Exit status: 0 on a successful comparison (regression or not), 1 when
-either artifact is missing, unparsable, or structurally incompatible
-(wrong schema version, different bench, missing fields) — or when the
-hard allocs-per-access gate trips.
+Exit status: 0 on success; 1 when an artifact is unreadable,
+malformed or not schema v8, when the benches differ, when ``--same``
+finds a difference, or when the allocation gate trips.  Every error
+prints one ``compare_bench: error:`` line.
 
 Standard library only; runs on any CI python3.
 """
 
 import argparse
+import hashlib
+import itertools
 import json
 import sys
+
+SCHEMA_VERSION = 8  # bench_util.hh artifactSchemaVersion
+MAX_DIFFS = 10
 
 
 def die(msg):
@@ -75,30 +60,130 @@ def die(msg):
     sys.exit(1)
 
 
-def load_artifact(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        die(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        die(f"{path} is not valid JSON: {e}")
-    for field in ("schema_version", "bench", "results"):
-        if field not in doc:
-            # Name the version we *did* find so a stale or hand-rolled
-            # artifact is diagnosable from the CI log alone.
-            version = doc.get("schema_version", "unversioned")
-            die(f"{path} (schema {version}) is missing the "
-                f"'{field}' envelope field; found: "
-                f"{sorted(doc.keys())}")
-    return doc
+def kind_of(value):
+    """JSON type name of a parsed value."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, list):
+        return "array"
+    if isinstance(value, dict):
+        return "object"
+    return "null"
+
+
+def dotted(path):
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return out.lstrip(".") or "the document"
+
+
+class Artifact:
+    """A loaded artifact whose every read is type-checked."""
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            with open(path, encoding="utf-8") as f:
+                self.doc = json.load(f)
+        except OSError as e:
+            die(f"cannot read {path}: {e}")
+        except (ValueError, RecursionError) as e:
+            die(f"{path} is not valid JSON: {e}")
+        self.get((), "object")
+        version = self.get(("schema_version",), "number")
+        if version != SCHEMA_VERSION:
+            die(f"{path} is schema v{version}; this tool reads "
+                f"v{SCHEMA_VERSION} only")
+        self.bench = self.get(("bench",), "string")
+        self.get(("options",), "object")
+        self.get(("results",), ("object", "array"))
+        self.get(("host", "options"), "object")
+
+    def get(self, path, kinds, required=True):
+        """The value at @p path, which must be one of @p kinds.
+
+        Keys are object members, ints array indices.  A missing member
+        returns None unless @p required; any other mismatch is fatal.
+        """
+        node = self.doc
+        for depth, key in enumerate(path):
+            want = "array" if isinstance(key, int) else "object"
+            if kind_of(node) != want:
+                die(f"{self.path}: {dotted(path[:depth])} is "
+                    f"{kind_of(node)}, not {want}")
+            if key not in (range(len(node)) if want == "array" else node):
+                if required:
+                    die(f"{self.path}: missing {dotted(path[:depth + 1])}")
+                return None
+            node = node[key]
+        kinds = (kinds,) if isinstance(kinds, str) else kinds
+        if kind_of(node) not in kinds:
+            die(f"{self.path}: {dotted(path)} is {kind_of(node)}, "
+                f"expected {' or '.join(kinds)}")
+        return node
+
+    def body(self):
+        return {k: v for k, v in self.doc.items() if k != "host"}
+
+
+def canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def digest(artifact):
+    return hashlib.sha256(canonical(artifact.body()).encode()).hexdigest()
+
+
+def differences(a, b, path=()):
+    """Yield one line per JSON path where @p a and @p b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            if key not in b:
+                yield f"{dotted(path + (key,))}: only in the first"
+            elif key not in a:
+                yield f"{dotted(path + (key,))}: only in the second"
+            else:
+                yield from differences(a[key], b[key], path + (key,))
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, path + (i,))
+        if len(a) != len(b):
+            yield f"{dotted(path)}: {len(a)} vs {len(b)} elements"
+    elif canonical(a) != canonical(b):
+        yield f"{dotted(path)}: {canonical(a)} vs {canonical(b)}"
+
+
+def same(path_a, path_b):
+    a, b = Artifact(path_a), Artifact(path_b)
+    da, db = digest(a), digest(b)
+    if da == db:
+        print(f"bodies identical: sha256 {da} ({a.path}, {b.path})")
+        return 0
+    diffs = list(itertools.islice(
+        differences(a.body(), b.body()), MAX_DIFFS))
+    print(f"bodies differ: {a.path} sha256 {da}, {b.path} sha256 {db}; "
+          f"first {len(diffs)} differing path(s):")
+    for line in diffs:
+        print(f"  {line}")
+    return 1
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Diff bench_e2e_throughput artifacts for regressions")
-    ap.add_argument("baseline", help="committed baseline artifact")
-    ap.add_argument("current", help="freshly produced artifact")
+        description="Diff bench artifacts: identity (--same) or "
+                    "regressions against a baseline")
+    ap.add_argument("baseline", help="committed baseline artifact "
+                                     "(--same: the first artifact)")
+    ap.add_argument("current", help="freshly produced artifact "
+                                    "(--same: the second artifact)")
+    ap.add_argument("--same", action="store_true",
+                    help="exit 0 exactly when the two bodies (all but "
+                         "'host') are equal")
     ap.add_argument("--threshold", type=float, default=20.0,
                     help="regression warning threshold in percent "
                          "(default: %(default)s)")
@@ -110,107 +195,66 @@ def main():
                          "percent; exceeding it exits 1 "
                          "(default: %(default)s)")
     args = ap.parse_args()
+    if args.same:
+        sys.exit(same(args.baseline, args.current))
 
-    base = load_artifact(args.baseline)
-    cur = load_artifact(args.current)
-
-    # v3 only added 'jobs' to 'options', v4 only added the top-level
-    # 'cost' section, v5 only added checkpoint/exhaustive bookkeeping,
-    # v6 only added heartbeat/alloc observability, and v7 only added
-    # health-telemetry options and the 'ras' section, so any v2..v7
-    # pairing stays comparable; anything else is a structural mismatch
-    # and both versions are spelled out for the CI log.
-    versions = (2, 3, 4, 5, 6, 7)
-    compatible = {(a, b) for a in versions for b in versions if a != b}
-    if base["schema_version"] != cur["schema_version"]:
-        pair = (base["schema_version"], cur["schema_version"])
-        if pair not in compatible:
-            die(f"schema version mismatch: baseline "
-                f"v{base['schema_version']} vs current "
-                f"v{cur['schema_version']}")
-        print(f"note: schema versions differ but are compatible "
-              f"(baseline v{base['schema_version']}, current "
-              f"v{cur['schema_version']})")
-    if base["bench"] != cur["bench"]:
-        die(f"bench mismatch: baseline '{base['bench']}' "
-            f"vs current '{cur['bench']}'")
-
-    metric = "accesses_per_sec"
-    has_base = metric in base.get("results", {})
-    has_cur = metric in cur.get("results", {})
-    if not has_base and not has_cur:
-        # Not a throughput bench (table2/table3/... artifacts share
-        # the envelope but carry no rate): the deterministic sections
-        # below are still comparable.
-        print(f"note: neither artifact carries results.{metric}; "
-              f"skipping the throughput comparison")
-        compare_costs(base, cur, args.cost_threshold)
-        compare_exhaustive(base, cur)
-        compare_ras(base, cur)
-        sys.exit(0 if compare_alloc(base, cur, args.alloc_threshold)
-                 else 1)
-    try:
-        base_v = float(base["results"][metric])
-        cur_v = float(cur["results"][metric])
-    except (KeyError, TypeError, ValueError):
-        die(f"both artifacts must carry numeric results.{metric}")
-    if base_v <= 0:
-        die(f"baseline {metric} is not positive ({base_v})")
-
-    delta_pct = (cur_v - base_v) / base_v * 100.0
-    print(f"{metric}: baseline {base_v:,.0f}  current {cur_v:,.0f}  "
-          f"({delta_pct:+.1f}%)")
-
-    # A --jobs mismatch (schema v3 'options.jobs'; absent in older
-    # artifacts) changes the expected throughput by design, not by
-    # regression: widen the tolerance instead of warning on the
-    # parallelism ratio itself.
-    threshold = args.threshold
-    base_jobs = base.get("options", {}).get("jobs")
-    cur_jobs = cur.get("options", {}).get("jobs")
-    if base_jobs is None or cur_jobs is None:
-        # Pre-v3 artifacts don't record --jobs at all; that's not a
-        # mismatch, just less information — say so and move on.
-        which = "baseline" if base_jobs is None else "current"
-        if base_jobs is None and cur_jobs is None:
-            which = "both artifacts"
-        print(f"note: {which} predate(s) schema v3 and carry no "
-              f"options.jobs; comparing at the normal threshold")
-    elif base_jobs != cur_jobs:
-        threshold = max(threshold, 60.0)
-        print(f"note: --jobs differs (baseline {base_jobs}, current "
-              f"{cur_jobs}); threshold widened to {threshold:.0f}%")
-
-    # Surface trial-size differences: a --quick CI run against a full
-    # baseline measures the same code but with different noise floors.
-    base_n = base.get("results", {}).get("accesses")
-    cur_n = cur.get("results", {}).get("accesses")
-    if base_n != cur_n:
-        print(f"note: access counts differ (baseline {base_n}, "
-              f"current {cur_n}); treat small deltas as noise")
-
-    if delta_pct < -threshold:
-        print(f"::warning title=e2e throughput regression::"
-              f"{metric} dropped {-delta_pct:.1f}% vs baseline "
-              f"(threshold {threshold:.0f}%)")
-
+    base = Artifact(args.baseline)
+    cur = Artifact(args.current)
+    if base.bench != cur.bench:
+        die(f"bench mismatch: baseline '{base.bench}' "
+            f"vs current '{cur.bench}'")
+    compare_throughput(base, cur, args.threshold)
     compare_costs(base, cur, args.cost_threshold)
     compare_exhaustive(base, cur)
     compare_ras(base, cur)
-    sys.exit(0 if compare_alloc(base, cur, args.alloc_threshold)
-             else 1)
+    sys.exit(0 if compare_alloc(base, cur, args.alloc_threshold) else 1)
+
+
+def compare_throughput(base, cur, threshold):
+    """Soft-gate ``host.accesses_per_sec``."""
+    metric = ("host", "accesses_per_sec")
+    base_v = base.get(metric, "number", required=False)
+    cur_v = cur.get(metric, "number", required=False)
+    if base_v is None and cur_v is None:
+        # Not a throughput bench (table2/table3/... artifacts share
+        # the envelope but carry no rate): the deterministic sections
+        # are still comparable.
+        print(f"note: neither artifact carries {dotted(metric)}; "
+              f"skipping the throughput comparison")
+        return
+    if base_v is None or cur_v is None:
+        die(f"both artifacts must carry numeric {dotted(metric)}")
+    if base_v <= 0:
+        die(f"baseline {dotted(metric)} is not positive ({base_v})")
+    delta_pct = (cur_v - base_v) / base_v * 100.0
+    print(f"{dotted(metric)}: baseline {base_v:,.0f}  current "
+          f"{cur_v:,.0f}  ({delta_pct:+.1f}%)")
+
+    # Surface trial-size differences: a --quick CI run against a full
+    # baseline measures the same code but with different noise floors.
+    counts = [a.get(("results", "accesses"), "number", required=False)
+              if isinstance(a.doc["results"], dict) else None
+              for a in (base, cur)]
+    if counts[0] != counts[1]:
+        print(f"note: access counts differ (baseline {counts[0]}, "
+              f"current {counts[1]}); treat small deltas as noise")
+
+    if delta_pct < -threshold:
+        print(f"::warning title=e2e throughput regression::"
+              f"accesses_per_sec dropped {-delta_pct:.1f}% vs baseline "
+              f"(threshold {threshold:.0f}%)")
 
 
 def compare_costs(base, cur, threshold):
-    """Soft-gate the schema v4 cost sections.
+    """Soft-gate the derived metrics of the ``cost`` sections.
 
     Unlike wall-clock throughput, the cost model is deterministic:
     the derived metrics only move when the model parameters or the
     attribution points change.  Growth beyond the (small) threshold
     on any shared configuration is called out per metric.
     """
-    base_cost = base.get("cost") or {}
-    cur_cost = cur.get("cost") or {}
+    base_cost = base.get(("cost",), "object", required=False) or {}
+    cur_cost = cur.get(("cost",), "object", required=False) or {}
     shared = sorted(set(base_cost) & set(cur_cost))
     if not shared:
         if base_cost or cur_cost:
@@ -220,14 +264,11 @@ def compare_costs(base, cur, threshold):
     metrics = ("storage_overhead_pct", "bus_overhead_pct",
                "latency_ns_per_access")
     for config in shared:
-        base_d = base_cost[config].get("derived", {})
-        cur_d = cur_cost[config].get("derived", {})
         for m in metrics:
-            try:
-                b, c = float(base_d[m]), float(cur_d[m])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if b <= 0:
+            path = ("cost", config, "derived", m)
+            b = base.get(path, "number", required=False)
+            c = cur.get(path, "number", required=False)
+            if b is None or c is None or b <= 0:
                 continue
             growth = (c - b) / b * 100.0
             print(f"cost[{config}].{m}: baseline {b:.4f}  "
@@ -239,7 +280,7 @@ def compare_costs(base, cur, threshold):
 
 
 def compare_alloc(base, cur, threshold):
-    """HARD-gate the schema v6 ``alloc.allocs_per_access`` top line.
+    """HARD-gate ``host.alloc.allocs_per_access``.
 
     Allocation counts are a property of the code, not the machine:
     the same binary on the same inputs allocates the same number of
@@ -248,19 +289,15 @@ def compare_alloc(base, cur, threshold):
     the one comparison allowed to fail the job.  Returns True when
     the gate passes (or does not apply).
     """
-    base_a = (base.get("alloc") or {}).get("allocs_per_access")
-    cur_a = (cur.get("alloc") or {}).get("allocs_per_access")
-    if base_a is None or cur_a is None:
-        if base_a is not None or cur_a is not None:
-            which = "baseline" if base_a is None else "current"
-            print(f"note: {which} artifact carries no "
-                  f"alloc.allocs_per_access (predates schema v6?); "
+    path = ("host", "alloc", "allocs_per_access")
+    b = base.get(path, "number", required=False)
+    c = cur.get(path, "number", required=False)
+    if b is None or c is None:
+        if b is not None or c is not None:
+            which = "baseline" if b is None else "current"
+            print(f"note: {which} artifact carries no {dotted(path)}; "
                   f"skipping the allocation gate")
         return True
-    try:
-        b, c = float(base_a), float(cur_a)
-    except (TypeError, ValueError):
-        die("alloc.allocs_per_access must be numeric in both artifacts")
     if b <= 0:
         # A zero-allocation hot path can only stay at zero or regress;
         # treat any growth at all as a trip.
@@ -280,37 +317,38 @@ def compare_alloc(base, cur, threshold):
     return True
 
 
-def topology_key(call):
-    """Order-independent identity of one topology call."""
-    return tuple(call.get(k) for k in
+def topology_key(artifact, i):
+    """Order-independent identity of topology call @p i."""
+    artifact.get(("ras", "topologies", i), "object")
+    call = artifact.doc["ras"]["topologies"][i]
+    return tuple(canonical(call.get(k)) for k in
                  ("component", "kind", "bank", "row", "col", "chip",
                   "pin"))
 
 
 def compare_ras(base, cur):
-    """Soft-diff the schema v7 ``ras`` health-telemetry sections.
+    """Soft-diff the ``ras`` health-telemetry sections.
 
     The monitor replays the same deterministic event stream the
     campaign produced, so between two artifacts of the same bench and
-    options its conclusions — rank state, topology calls, inference
-    accuracy — only move when behavior moved.  The section is opt-in
+    options its conclusions (rank state, topology calls, inference
+    accuracy) only move when behavior moved.  The section is opt-in
     (``--health``, or always-on for the e2e bench), so a side without
-    one (a pre-v7 baseline included) skips with a note rather than
-    failing.
+    one skips with a note rather than failing.
     """
-    base_ras = base.get("ras")
-    cur_ras = cur.get("ras")
+    base_ras = base.get(("ras",), "object", required=False)
+    cur_ras = cur.get(("ras",), "object", required=False)
     if base_ras is None and cur_ras is None:
         return
     if base_ras is None or cur_ras is None:
         which = "baseline" if base_ras is None else "current"
         print(f"note: {which} artifact carries no 'ras' section "
-              f"(predates schema v7 or ran without --health); "
-              f"skipping the RAS comparison")
+              f"(ran without --health); skipping the RAS comparison")
         return
 
-    base_rank = (base_ras.get("rank") or {}).get("state")
-    cur_rank = (cur_ras.get("rank") or {}).get("state")
+    rank = ("ras", "rank", "state")
+    base_rank = base.get(rank, "string", required=False)
+    cur_rank = cur.get(rank, "string", required=False)
     print(f"ras.rank.state: baseline {base_rank}  current {cur_rank}")
     if base_rank != cur_rank:
         print(f"::warning title=RAS rank state change::rank health "
@@ -318,22 +356,22 @@ def compare_ras(base, cur):
               f"monitor is deterministic, so the symptom stream "
               f"changed")
 
-    base_top = {topology_key(c): c
-                for c in (base_ras.get("topologies") or [])}
-    cur_top = {topology_key(c): c
-               for c in (cur_ras.get("topologies") or [])}
+    tops = ("ras", "topologies")
+    base_top = {topology_key(base, i) for i in
+                range(len(base.get(tops, "array", required=False) or []))}
+    cur_top = {topology_key(cur, i) for i in
+               range(len(cur.get(tops, "array", required=False) or []))}
     print(f"ras.topologies: baseline {len(base_top)} call(s)  "
           f"current {len(cur_top)} call(s)")
-    if set(base_top) != set(cur_top):
-        gone = len(set(base_top) - set(cur_top))
-        new = len(set(cur_top) - set(base_top))
+    if base_top != cur_top:
         print(f"::warning title=RAS topology change::topology calls "
-              f"differ from the baseline ({gone} disappeared, {new} "
-              f"new); fault-topology inference reached different "
-              f"conclusions")
+              f"differ from the baseline ({len(base_top - cur_top)} "
+              f"disappeared, {len(cur_top - base_top)} new); "
+              f"fault-topology inference reached different conclusions")
 
-    base_pred = base_ras.get("prediction")
-    cur_pred = cur_ras.get("prediction")
+    pred = ("ras", "prediction")
+    base_pred = base.get(pred, "object", required=False)
+    cur_pred = cur.get(pred, "object", required=False)
     if base_pred is None or cur_pred is None:
         if base_pred is not None or cur_pred is not None:
             which = "baseline" if base_pred is None else "current"
@@ -341,9 +379,9 @@ def compare_ras(base, cur):
                   f"(ran without aging sites); skipping the accuracy "
                   f"comparison")
         return
-    try:
-        b, c = float(base_pred["accuracy"]), float(cur_pred["accuracy"])
-    except (KeyError, TypeError, ValueError):
+    b = base.get(pred + ("accuracy",), "number", required=False)
+    c = cur.get(pred + ("accuracy",), "number", required=False)
+    if b is None or c is None:
         return
     print(f"ras.prediction.accuracy: baseline {b:.2f}  current {c:.2f}")
     if c < b:
@@ -352,52 +390,49 @@ def compare_ras(base, cur):
               f"{c:.2f} on the same aging plan")
 
 
-def exhaustive_sections(doc):
+def exhaustive_sections(artifact):
     """Map of exhaustive result sections present in an artifact.
 
-    Schema v5 benches mark full-enumeration results with an
-    ``"exhaustive": true`` flag — either on a dedicated section
-    (table2's ``results.two_pin`` and, at v6, ``results.three_pin``)
-    or per entry (table3's cells, gddr5's models).  Returns
-    ``{label: section}`` for each found.
+    Benches mark full-enumeration results with an ``"exhaustive":
+    true`` flag, either on a dedicated section (table2's
+    ``results.two_pin`` and ``results.three_pin``) or per entry
+    (table3's cells, gddr5's models).  Returns ``{label: section}``
+    for each found.
     """
-    results = doc.get("results") or {}
+    if not isinstance(artifact.doc["results"], dict):
+        return {}
     found = {}
     for name in ("two_pin", "three_pin"):
-        section = results.get(name)
-        if isinstance(section, dict) and section.get("exhaustive"):
-            found[name] = section
+        if artifact.get(("results", name, "exhaustive"), "boolean",
+                        required=False):
+            found[name] = artifact.doc["results"][name]
     for key in ("cells", "models"):
-        entries = results.get(key)
-        if isinstance(entries, list):
-            exh = [e for e in entries
-                   if isinstance(e, dict) and e.get("exhaustive")]
-            if exh:
-                found[key] = exh
+        entries = artifact.get(("results", key), "array", required=False)
+        exh = [artifact.get(("results", key, i), "object")
+               for i in range(len(entries or []))
+               if artifact.get(("results", key, i, "exhaustive"),
+                               "boolean", required=False)]
+        if exh:
+            found[key] = exh
     return found
 
 
 def compare_exhaustive(base, cur):
     """Diff exhaustive sections when both sides carry them.
 
-    Exhaustive results are exact — the whole error space, visited
-    once — so any difference between two artifacts of the same bench
-    is a behavioral change, not noise.  A baseline that predates
-    exhaustive mode (or a sampled-only current run) has nothing to
-    diff: skip with a note rather than failing, so old baselines stay
-    usable unchanged.
+    Exhaustive results are exact (the whole error space, visited
+    once), so any difference between two artifacts of the same bench
+    is a behavioral change, not noise.  A sampled run has nothing to
+    diff: skip with a note rather than failing.
     """
     base_exh = exhaustive_sections(base)
     cur_exh = exhaustive_sections(cur)
-    shared = sorted(set(base_exh) & set(cur_exh))
-    only_one = sorted(set(base_exh) ^ set(cur_exh))
-    for label in only_one:
+    for label in sorted(set(base_exh) ^ set(cur_exh)):
         which = "baseline" if label in cur_exh else "current"
         print(f"note: {which} artifact lacks exhaustive section "
-              f"'{label}' (predates exhaustive mode or ran sampled); "
-              f"skipping that comparison")
-    for label in shared:
-        if base_exh[label] == cur_exh[label]:
+              f"'{label}' (ran sampled); skipping that comparison")
+    for label in sorted(set(base_exh) & set(cur_exh)):
+        if canonical(base_exh[label]) == canonical(cur_exh[label]):
             print(f"exhaustive[{label}]: identical to baseline")
         else:
             print(f"::warning title=exhaustive result change::"
