@@ -7,15 +7,17 @@
  * CCCA-fault rate, recovery on/off, optional patrol scrubbing)
  * through the full ProtectionStack via the high-level read()/write()
  * interface and reports host-side performance: accesses per second,
- * the ns/access distribution (p50/p90/p99), and a per-mechanism
- * wall-clock breakdown.
+ * the ns/access distribution (p50/p90/p99), and the heap allocations
+ * per access.
  *
  * Two passes over the identical access stream (same seeds):
  *  1. a *hot* pass with no Observer attached — the canonical
  *     throughput and latency numbers, free of instrumentation cost;
- *  2. an *instrumented* pass with stats + profiling (and, with
- *     --trace PATH, a JSONL event trace) — the per-mechanism time
- *     breakdown and event counts.
+ *  2. an *instrumented* pass with stats, cost attribution, lineage and
+ *     a RAS health monitor (and, with --trace PATH, a JSONL event
+ *     trace) — the event counts and the allocs_per_access gate, which
+ *     counts the heap allocations inside every stack.read/write call
+ *     of this pass, warmup included.
  *
  * `--json BENCH_e2e.json` writes the schema-versioned artifact that
  * tools/compare_bench.py diffs against the committed baseline in CI.
@@ -41,8 +43,8 @@
 #include "obs/coverage.hh"
 #include "obs/heartbeat.hh"
 #include "obs/lineage.hh"
+#include "obs/memprof.hh"
 #include "obs/observer.hh"
-#include "obs/profile.hh"
 #include "obs/shard_run.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -52,16 +54,6 @@ namespace aiecc
 {
 namespace
 {
-
-/**
- * Every scope the stack, controller and recovery engine time, by name
- * (obs::ProfileRegistry looks timers up but does not list them).  The
- * artifact write fails if the registry holds a scope this list misses.
- */
-constexpr const char *profiledScopes[] = {
-    "controller.issue", "controller.wcrc",  "recovery.episode",
-    "stack.ecc_decode", "stack.ecc_encode", "stack.read",
-    "stack.write"};
 
 struct MixConfig
 {
@@ -324,7 +316,7 @@ runPass(const MixConfig &mix, obs::Observer *observer,
                 liveInjectCycle = stack.controller().now();
                 liveFaultSite = pinName(pin);
                 // The ledger record opens once the access returns
-                // (below), outside the profiled access scopes.
+                // (below), outside the counted stack.read/write call.
                 stack.setFaultContext(liveFaultId);
             });
     }
@@ -360,7 +352,9 @@ runPass(const MixConfig &mix, obs::Observer *observer,
         const uint64_t recoveredBefore = stack.recoveryStats().recovered;
         const auto begin = std::chrono::steady_clock::now();
         if (isRead) {
+            const uint64_t allocs0 = obs::memprof::threadAllocs();
             const ReadOutcome got = stack.read(addr);
+            out.allocs += obs::memprof::threadAllocs() - allocs0;
             if (measured) {
                 out.detections += got.detected ? 1 : 0;
                 out.corrected += got.corrected ? 1 : 0;
@@ -383,7 +377,9 @@ runPass(const MixConfig &mix, obs::Observer *observer,
         } else {
             // Vary the payload cheaply so writes are not all equal.
             payload.setField(0, 64, rng.next());
+            const uint64_t allocs0 = obs::memprof::threadAllocs();
             stack.write(addr, payload);
+            out.allocs += obs::memprof::threadAllocs() - allocs0;
         }
         const auto ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -563,6 +559,7 @@ mergePass(PassResult &into, const PassResult &shard)
     into.detections += shard.detections;
     into.dues += shard.dues;
     into.corrected += shard.corrected;
+    into.allocs += shard.allocs;
     into.elapsedNs += shard.elapsedNs;
     into.latency.merge(shard.latency);
     into.recovery.episodes += shard.recovery.episodes;
@@ -733,20 +730,18 @@ main(int argc, char **argv)
 
     // Pass state.  Pass 1 — hot — is the canonical numbers with no
     // instrumentation at all; pass 2 — instrumented — replays the
-    // same seeds and stream plus stats, profiling, cost attribution,
+    // same seeds and stream plus stats, cost attribution,
     // per-fault lineage for the live fault stream, and the optional
     // JSONL trace.
     PassResult hot;
     PassResult inst;
     obs::StatsRegistry stats;
-    obs::ProfileRegistry profile;
     obs::CostAccountant cost(
         makeCostModel(Mechanisms::forLevel(ProtectionLevel::Aiecc)));
     obs::LineageLedger lineage;
     obs::LineageLedger *ledger =
         (mix.faultRate > 0.0 || mix.agingSites) ? &lineage : nullptr;
     obs::Observer observer(&stats);
-    observer.setProfile(&profile);
     observer.setCost(&cost);
     std::unique_ptr<obs::JsonlTraceSink> traceSink;
     if (!opt.tracePath.empty()) {
@@ -781,7 +776,6 @@ main(int argc, char **argv)
     campaign.state("pass:0", hot);
     campaign.state("pass:1", inst);
     campaign.state("stats", stats);
-    campaign.state("profile", profile);
     campaign.state("cost", cost);
     campaign.state("lineage", lineage);
     campaign.state("ras", monitor);
@@ -793,7 +787,6 @@ main(int argc, char **argv)
     // Its parent Observer therefore carries no sinks; the shard
     // monitors merge into `monitor` separately.
     obs::Observer instParent(&stats);
-    instParent.setProfile(&profile);
     instParent.setCost(&cost);
     instParent.setLineage(ledger);
     campaign.run([&](size_t unit, const obs::ShardCheckpoint &checkpoint) {
@@ -837,9 +830,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(hot.recovery.recovered),
                 static_cast<unsigned long long>(hot.recovery.exhausted));
 
-    std::printf("\nper-mechanism wall-clock breakdown "
-                "(instrumented pass):\n");
-    std::printf("%s", profile.str().c_str());
     if (traceSink) {
         std::printf("\ntrace: %llu events -> %s (%llu dropped, "
                     "%llu IO errors)\n",
@@ -960,33 +950,22 @@ main(int argc, char **argv)
     }
 
     // Per-access allocation report (DESIGN.md §13): the instrumented
-    // pass is the one whose scopes attribute allocations, so the
-    // allocs_per_access denominator is every access it drove —
-    // including warmup, which the scope timers sample too.
-    uint64_t profiledAccesses = 0;
+    // pass's allocations inside stack.read/write over every access it
+    // drove, warmup included.
+    uint64_t instAccesses = 0;
     if (campaignMode) {
         for (uint64_t shard = 0; shard < shards; ++shard) {
             const uint64_t len =
                 shardLength(mix.accesses, campaignShardSize, shard);
-            profiledAccesses += len + len / 20 + 500;
+            instAccesses += len + len / 20 + 500;
         }
     } else {
-        profiledAccesses = mix.accesses + mix.warmup;
+        instAccesses = mix.accesses + mix.warmup;
     }
-    bench::allocReport().profile = &profile;
-    bench::allocReport().accesses = profiledAccesses;
+    bench::allocReport() = {inst.allocs, instAccesses};
 
     bench::CostEntries costs;
     costs.emplace_back("aiecc", cost);
-
-    // The breakdown splits in two: per-scope call counts are a
-    // function of the access stream (body), timings of the host (host).
-    std::vector<std::pair<const char *, const obs::Histogram *>> scopes;
-    for (const char *name : profiledScopes)
-        if (const obs::Histogram *t = profile.find(name))
-            scopes.emplace_back(name, t);
-    if (scopes.size() != profile.size())
-        AIECC_FATAL("the profile holds a scope missing from profiledScopes");
 
     bench::writeJsonArtifact(opt, "bench_e2e_throughput", costs, {},
                              rasReport, [&](obs::JsonWriter &w) {
@@ -1024,10 +1003,6 @@ main(int argc, char **argv)
             w.kv("patrol_reads", inst.recovery.patrolReads);
             w.endObject();
         }
-        w.key("breakdown").beginObject();
-        for (const auto &[name, t] : scopes)
-            w.kv(name, t->count());
-        w.endObject();
         w.key("counters").beginObject();
         w.kv("stack_reads", stats.counterValue("stack.reads"));
         w.kv("stack_writes", stats.counterValue("stack.writes"));
@@ -1055,19 +1030,6 @@ main(int argc, char **argv)
         w.kv("p50", hot.latency.quantile(0.50));
         w.kv("p90", hot.latency.quantile(0.90));
         w.kv("p99", hot.latency.quantile(0.99));
-        w.endObject();
-        w.key("breakdown").beginObject();
-        for (const auto &[name, t] : scopes) {
-            w.key(name).beginObject();
-            w.kv("total_ns", t->sum());
-            w.kv("mean_ns", t->mean());
-            w.kv("min_ns", t->min());
-            w.kv("max_ns", t->max());
-            w.kv("p50_ns", t->quantile(0.50));
-            w.kv("p90_ns", t->quantile(0.90));
-            w.kv("p99_ns", t->quantile(0.99));
-            w.endObject();
-        }
         w.endObject();
     });
     campaign.finish();

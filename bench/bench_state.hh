@@ -30,6 +30,8 @@ struct PassResult
     uint64_t detections = 0;
     uint64_t dues = 0;
     uint64_t corrected = 0;
+    /** Heap allocations inside stack.read/write, warmup included. */
+    uint64_t allocs = 0;
     double elapsedNs = 0.0;
     obs::Histogram latency{"ns_per_access"};
     RecoveryStats recovery;
@@ -54,8 +56,8 @@ struct PassResult
     {
         auto &r = p.recovery;
         uint64_t ns = static_cast<uint64_t>(p.elapsedNs);
-        ar(p.reads, p.writes, p.detections, p.dues, p.corrected, ns,
-           r.episodes, r.attempts, r.recovered, r.recoveredFirstTry,
+        ar(p.reads, p.writes, p.detections, p.dues, p.corrected, p.allocs,
+           ns, r.episodes, r.attempts, r.recovered, r.recoveredFirstTry,
            r.recoveredAfterRetries, r.exhausted, r.wrReplays, r.rdReissues,
            r.wrtResyncs, r.quarantines, r.rankDegrades, r.patrolReads,
            r.patrolScrubs)

@@ -28,7 +28,6 @@
 #include "obs/heartbeat.hh"
 #include "obs/json.hh"
 #include "obs/memprof.hh"
-#include "obs/profile.hh"
 #include "obs/shard_run.hh"
 #include "obs/state.hh"
 #include "ras/health.hh"
@@ -626,22 +625,19 @@ class Campaign
 };
 
 /**
- * The bench's hot-path allocation report: which ProfileRegistry holds
- * the per-scope allocation attribution, and the access count the
- * allocs_per_access top line divides by.  Benches that profile a hot
- * path set this (a process-wide slot, like the options they parsed
- * from one argv) before writeJsonArtifact(); benches without one
- * leave it empty and the artifact's "alloc" section carries process
- * totals only.
+ * The bench's access-path allocation report: the heap allocations
+ * its measured calls made (memprof::threadAllocs() deltas, summed on
+ * the threads that made the calls) and the access count the
+ * allocs_per_access top line divides by.  Benches that measure an
+ * access path set this (a process-wide slot, like the options they
+ * parsed from one argv) before writeJsonArtifact(); benches without
+ * one leave it empty and the artifact's "alloc" section carries
+ * process totals only.
  */
 struct AllocReport
 {
-    const obs::ProfileRegistry *profile = nullptr;
-    /**
-     * Denominator for allocs_per_access: every access the profiled
-     * scopes observed, *including* warmup — the scope timers sample
-     * warmup traffic too, so excluding it would overstate the rate.
-     */
+    uint64_t allocs = 0;
+    /** Denominator for allocs_per_access (0 = no report). */
     uint64_t accesses = 0;
 };
 
@@ -652,21 +648,10 @@ allocReport()
     return report;
 }
 
-/** The report's allocs-per-access top line (< 0 when unavailable). */
-inline double
-allocsPerAccess()
-{
-    const AllocReport &report = allocReport();
-    if (!report.profile || !report.accesses)
-        return -1.0;
-    return static_cast<double>(report.profile->totalScopedAllocs()) /
-           static_cast<double>(report.accesses);
-}
-
 /**
  * Emit the artifact's "alloc" member: process-wide totals (always)
- * plus per-scope attribution and the allocs_per_access top line when
- * the bench registered an AllocReport.  Written inside the artifact's
+ * plus the access count and the allocs_per_access top line when the
+ * bench registered an AllocReport.  Written inside the artifact's
  * "host" object: process totals vary with --jobs (thread stacks, pool
  * bookkeeping), so the section is no part of the deterministic body.
  */
@@ -686,46 +671,12 @@ writeAllocSection(obs::JsonWriter &w)
     w.kv("peak_live_bytes", t.peakLiveBytes);
     w.endObject();
     const AllocReport &report = allocReport();
-    if (report.profile) {
-        w.key("scopes");
-        report.profile->writeAllocJson(w);
+    if (report.accesses) {
         w.kv("accesses", report.accesses);
-        const double perAccess = allocsPerAccess();
-        if (perAccess >= 0.0)
-            w.kv("allocs_per_access", perAccess);
+        w.kv("allocs_per_access", static_cast<double>(report.allocs) /
+                                      static_cast<double>(report.accesses));
     }
     w.endObject();
-}
-
-/**
- * Enforce the AIECC_BUDGET_* resource budgets (obs/memprof.hh)
- * against the registered AllocReport: print each violation and exit 1
- * so a bench run can hard-fail on an allocation regression.  Inert
- * when no budget is set.  Called by writeJsonArtifact(), so every
- * bench gets the gate for free.
- */
-inline void
-enforceAllocBudgetOrDie()
-{
-    const obs::memprof::ResourceBudget budget =
-        obs::memprof::ResourceBudget::fromEnv();
-    if (!budget.enabled())
-        return;
-    const AllocReport &report = allocReport();
-    if (!report.profile) {
-        std::fprintf(stderr,
-                     "alloc budget set (AIECC_BUDGET_*) but this bench "
-                     "registered no allocation report\n");
-        std::exit(1);
-    }
-    const std::vector<std::string> violations =
-        budget.check(*report.profile, allocsPerAccess());
-    if (violations.empty())
-        return;
-    for (const std::string &violation : violations)
-        std::fprintf(stderr, "alloc budget violated: %s\n",
-                     violation.c_str());
-    std::exit(1);
 }
 
 /**
@@ -921,9 +872,7 @@ using HostFn = std::function<void(obs::JsonWriter &)>;
  * @p rasReport, when it carries a monitor, the "ras" section.  "host"
  * holds every value that varies from run to run or host to host: the
  * jobs/checkpoint/resume/heartbeat options, then @p host's members
- * (wall clock, resolved workers, rates), then the "alloc" section.  The
- * AIECC_BUDGET_* gate comes from the registered AllocReport and fires
- * even without --json.
+ * (wall clock, resolved workers, rates), then the "alloc" section.
  */
 template <typename FillFn>
 inline void
@@ -934,7 +883,6 @@ writeJsonArtifact(const Options &opt, const std::string &benchName,
                   const HostFn &host = {})
 {
     auditCostsOrDie(costs);
-    enforceAllocBudgetOrDie();
     if (opt.jsonPath.empty())
         return;
     obs::JsonWriter w;

@@ -43,7 +43,7 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
     rankModel->setObserver(cfg.observer);
     ctrl->setObserver(cfg.observer);
     // An observed stack sizes the log up front, so the few detections
-    // one faulty access raises do not grow it inside a profiled scope.
+    // one faulty access raises do not allocate on the access path.
     if (cfg.observer)
         events.reserve(8);
     if (cfg.observer && cfg.observer->stats()) {
@@ -68,17 +68,6 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
                     mechanismName(static_cast<Mechanism>(m)),
                 "detections first flagged by this mechanism");
         }
-    }
-    if (cfg.observer && cfg.observer->profile()) {
-        obs::ProfileRegistry &prof = *cfg.observer->profile();
-        oc.tRead = &prof.timer("stack.read",
-                               "high-level protected read, end to end");
-        oc.tWrite = &prof.timer(
-            "stack.write", "high-level protected write, end to end");
-        oc.tEccEncode =
-            &prof.timer("stack.ecc_encode", "data-ECC burst encode");
-        oc.tEccDecode =
-            &prof.timer("stack.ecc_decode", "data-ECC burst decode");
     }
 }
 
@@ -241,7 +230,6 @@ ProtectionStack::reissueRead(const MtbAddress &addr)
     // Decode quietly: the episode's original detection is already
     // logged, and a still-broken reissue is an attempt failure, not a
     // fresh event.
-    obs::ScopedTimer timeDecode(oc.tEccDecode);
     if (obs::CostAccountant *cost = costAcct())
         cost->onEccDecode();
     const EccResult ecc =
@@ -328,7 +316,6 @@ ProtectionStack::encodeWrite(const MtbAddress &addr,
     AIECC_ASSERT(data.size() == Burst::dataBits,
                  "write payload must be " << Burst::dataBits << " bits");
     if (codec) {
-        obs::ScopedTimer timeEncode(oc.tEccEncode);
         if (obs::CostAccountant *cost = costAcct())
             cost->onEccEncode();
         return codec->encode(data, addr.pack(cfg.geom));
@@ -374,13 +361,10 @@ ProtectionStack::issueRd(const MtbAddress &addr)
     } else if (!codec) {
         out.data = res.readBurst->data();
     } else {
-        EccResult ecc;
-        {
-            obs::ScopedTimer timeDecode(oc.tEccDecode);
-            if (obs::CostAccountant *cost = costAcct())
-                cost->onEccDecode();
-            ecc = codec->decode(*res.readBurst, addr.pack(cfg.geom));
-        }
+        if (obs::CostAccountant *cost = costAcct())
+            cost->onEccDecode();
+        const EccResult ecc =
+            codec->decode(*res.readBurst, addr.pack(cfg.geom));
         out.data = ecc.data;
         if (ecc.detected()) {
             out.detected = true;
@@ -533,7 +517,6 @@ ProtectionStack::openForAccess(const MtbAddress &requested)
 void
 ProtectionStack::write(const MtbAddress &addr, const BitVec &data)
 {
-    obs::ScopedTimer timeWrite(oc.tWrite);
     issueWr(openForAccess(addr), data);
     tickPatrol();
 }
@@ -541,7 +524,6 @@ ProtectionStack::write(const MtbAddress &addr, const BitVec &data)
 ReadOutcome
 ProtectionStack::read(const MtbAddress &addr)
 {
-    obs::ScopedTimer timeRead(oc.tRead);
     const ReadOutcome out = issueRd(openForAccess(addr));
     tickPatrol();
     return out;

@@ -210,11 +210,6 @@ class ProtectionStack : private RecoveryPort
         obs::Counter *scrubs = nullptr;
         obs::Counter *recoveries = nullptr;
         obs::Counter *byMech[7] = {};
-        /** Wall-clock scopes (observer + profile registry only). */
-        obs::Histogram *tRead = nullptr;
-        obs::Histogram *tWrite = nullptr;
-        obs::Histogram *tEccEncode = nullptr;
-        obs::Histogram *tEccDecode = nullptr;
     };
     StackCounters oc;
 

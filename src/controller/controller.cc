@@ -27,14 +27,6 @@ MemController::setObserver(obs::Observer *observer)
 {
     obsHook = observer;
     oc = {};
-    if (obsHook && obsHook->profile()) {
-        obs::ProfileRegistry &prof = *obsHook->profile();
-        oc.tIssue = &prof.timer(
-            "controller.issue",
-            "one command edge: timing, pins, device step, FIFO");
-        oc.tWcrc = &prof.timer("controller.wcrc",
-                               "per-chip write-CRC generation");
-    }
     if (!obsHook || !obsHook->stats())
         return;
     obs::StatsRegistry &reg = *obsHook->stats();
@@ -106,7 +98,6 @@ MemController::makeWriteData(const Command &cmd, const Burst &burst) const
     wd.crcValid = cfg.wcrcMode != WcrcMode::Off;
     if (!wd.crcValid)
         return wd;
-    obs::ScopedTimer timeWcrc(oc.tWcrc);
 
     // The controller computes CRC from the data it intends to send
     // and, for eWCRC, from the *intended* MTB address: the row it
@@ -128,7 +119,6 @@ MemController::issue(const Command &cmd, const std::optional<Burst> &data)
     AIECC_ASSERT((cmd.type == CmdType::Wr) == data.has_value(),
                  "write data must accompany exactly the WR commands");
 
-    obs::ScopedTimer timeIssue(oc.tIssue);
     advanceToLegalSlot(cmd);
 
     // Track the controller's view of the open row per bank so eWCRC

@@ -175,9 +175,6 @@ class MemController
         obs::Counter *alerts = nullptr;
         obs::Counter *fifoUnderflows = nullptr;
         obs::Counter *fifoSkewEvents = nullptr;
-        /** Wall-clock scopes (profile registry only). */
-        obs::Histogram *tIssue = nullptr;
-        obs::Histogram *tWcrc = nullptr;
     };
     CtrlCounters oc;
     Cycle cycle = 0;

@@ -2,16 +2,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <new>
-#include <sstream>
 
 #if defined(__GLIBC__) || defined(__linux__)
 #include <malloc.h>
 #define AIECC_HAVE_MALLOC_USABLE_SIZE 1
 #endif
-
-#include "obs/profile.hh"
 
 namespace aiecc
 {
@@ -23,12 +19,11 @@ namespace memprof
 namespace
 {
 
-// The thread-local attribution stack.  POD with static zero
+// The calling thread's allocation count.  POD with static zero
 // initialization only: a thread's very first allocation may happen
 // before any dynamic TLS constructor would have run, and the
 // interposed operators must never trigger one.
-thread_local AllocStats *tScopeStack[maxScopeDepth];
-thread_local int tScopeDepth = 0;
+thread_local uint64_t tAllocs = 0;
 
 // Process-wide totals.  Relaxed ordering throughout: these are
 // advisory observability counters, never synchronization.
@@ -57,6 +52,7 @@ usableBytes(void *p, std::size_t requested) noexcept
 void
 accountAlloc(uint64_t bytes) noexcept
 {
+    ++tAllocs;
     gAllocs.fetch_add(1, std::memory_order_relaxed);
     gAllocBytes.fetch_add(bytes, std::memory_order_relaxed);
     const int64_t live = gLiveBytes.fetch_add(
@@ -68,14 +64,6 @@ accountAlloc(uint64_t bytes) noexcept
            !gPeakLiveBytes.compare_exchange_weak(
                peak, live, std::memory_order_relaxed))
         ;
-
-    if (AllocStats *scope = currentScope()) {
-        ++scope->allocs;
-        scope->allocBytes += bytes;
-        scope->liveBytes += static_cast<int64_t>(bytes);
-        if (scope->liveBytes > scope->peakLiveBytes)
-            scope->peakLiveBytes = scope->liveBytes;
-    }
 }
 
 void
@@ -85,12 +73,6 @@ accountFree(uint64_t bytes) noexcept
     gFreeBytes.fetch_add(bytes, std::memory_order_relaxed);
     gLiveBytes.fetch_sub(static_cast<int64_t>(bytes),
                          std::memory_order_relaxed);
-
-    if (AllocStats *scope = currentScope()) {
-        ++scope->frees;
-        scope->freeBytes += bytes;
-        scope->liveBytes -= static_cast<int64_t>(bytes);
-    }
 }
 
 void *
@@ -148,29 +130,10 @@ deallocate(void *p) noexcept
 
 } // namespace
 
-void
-pushScope(AllocStats *scope) noexcept
+uint64_t
+threadAllocs() noexcept
 {
-    if (tScopeDepth < maxScopeDepth)
-        tScopeStack[tScopeDepth] = scope;
-    ++tScopeDepth;
-}
-
-void
-popScope() noexcept
-{
-    if (tScopeDepth > 0)
-        --tScopeDepth;
-}
-
-AllocStats *
-currentScope() noexcept
-{
-    if (tScopeDepth <= 0)
-        return nullptr;
-    const int top =
-        tScopeDepth < maxScopeDepth ? tScopeDepth : maxScopeDepth;
-    return tScopeStack[top - 1];
+    return tAllocs;
 }
 
 ProcessTotals
@@ -197,67 +160,6 @@ resetProcessTotals() noexcept
     gPeakLiveBytes.store(0, std::memory_order_relaxed);
 }
 
-ResourceBudget
-ResourceBudget::fromEnv()
-{
-    ResourceBudget budget;
-    if (const char *top = std::getenv("AIECC_BUDGET_ALLOCS_PER_ACCESS"))
-        budget.allocsPerAccess = std::strtod(top, nullptr);
-    if (const char *scopes = std::getenv("AIECC_BUDGET_SCOPE_ALLOCS")) {
-        std::istringstream in(scopes);
-        std::string entry;
-        while (std::getline(in, entry, ',')) {
-            const size_t eq = entry.find('=');
-            if (eq == std::string::npos || eq == 0)
-                continue;
-            budget.scopeAllocsPerCall[entry.substr(0, eq)] =
-                std::strtod(entry.c_str() + eq + 1, nullptr);
-        }
-    }
-    return budget;
-}
-
-std::vector<std::string>
-ResourceBudget::check(const ProfileRegistry &profile,
-                      double allocsPerAccess) const
-{
-    std::vector<std::string> violations;
-    std::ostringstream msg;
-    if (this->allocsPerAccess >= 0.0) {
-        if (allocsPerAccess < 0.0) {
-            violations.push_back(
-                "AIECC_BUDGET_ALLOCS_PER_ACCESS is set but this bench "
-                "reports no allocs-per-access top line");
-        } else if (allocsPerAccess > this->allocsPerAccess) {
-            msg.str("");
-            msg << "allocs_per_access " << allocsPerAccess
-                << " exceeds budget " << this->allocsPerAccess;
-            violations.push_back(msg.str());
-        }
-    }
-    for (const auto &[name, limit] : scopeAllocsPerCall) {
-        const AllocStats *scope = profile.findAlloc(name);
-        const Histogram *hist = profile.find(name);
-        if (!scope || !hist) {
-            violations.push_back("budgeted scope '" + name +
-                                 "' was never profiled");
-            continue;
-        }
-        const double perCall =
-            hist->count()
-                ? static_cast<double>(scope->allocs) /
-                      static_cast<double>(hist->count())
-                : 0.0;
-        if (perCall > limit) {
-            msg.str("");
-            msg << "scope '" << name << "' allocs per call " << perCall
-                << " exceeds budget " << limit;
-            violations.push_back(msg.str());
-        }
-    }
-    return violations;
-}
-
 } // namespace memprof
 } // namespace obs
 } // namespace aiecc
@@ -266,7 +168,8 @@ ResourceBudget::check(const ProfileRegistry &profile,
 //
 // Strong definitions that replace the standard library's allocation
 // functions for the whole process (linked in whenever anything in
-// this translation unit is referenced — the profiler always is).
+// this translation unit is referenced — every bench's artifact and
+// heartbeat read the process totals).
 // Every variant funnels into the two accounting helpers above so the
 // byte totals stay symmetric no matter which form the compiler picks.
 

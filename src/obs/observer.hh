@@ -3,13 +3,12 @@
  * The Observer handle the simulation models carry.
  *
  * An Observer bundles an optional StatsRegistry, an optional
- * wall-clock ProfileRegistry, an optional CostAccountant, an optional
- * fault-lineage LineageLedger, and any number of TraceSinks.  It is
- * the one measurement hookup: models, campaign engines and the
- * sharded-campaign driver (obs/shard_run.hh) all take an
- * `Observer *` (nullptr = fully disabled).  The null check is the
- * only cost on the hot path, and producers pre-resolve their Counters
- * at construction so enabled operation stays allocation- and
+ * CostAccountant, an optional fault-lineage LineageLedger, and any
+ * number of TraceSinks.  It is the one measurement hookup: models,
+ * campaign engines and the sharded-campaign driver (obs/shard_run.hh)
+ * all take an `Observer *` (nullptr = fully disabled).  The null check
+ * is the only cost on the hot path, and producers pre-resolve their
+ * Counters at construction so enabled operation stays allocation- and
  * lookup-free per event.
  */
 
@@ -20,7 +19,6 @@
 
 #include "obs/cost.hh"
 #include "obs/lineage.hh"
-#include "obs/profile.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 
@@ -38,10 +36,6 @@ class Observer
 
     void setStats(StatsRegistry *registry) { reg = registry; }
     StatsRegistry *stats() const { return reg; }
-
-    /** Attach wall-clock profiling (nullptr = profiling off). */
-    void setProfile(ProfileRegistry *registry) { prof = registry; }
-    ProfileRegistry *profile() const { return prof; }
 
     /**
      * Attach per-access cost attribution (nullptr = accounting off).
@@ -102,7 +96,6 @@ class Observer
 
   private:
     StatsRegistry *reg = nullptr;
-    ProfileRegistry *prof = nullptr;
     CostAccountant *costAcct = nullptr;
     LineageLedger *ledgerPtr = nullptr;
     std::vector<TraceSink *> sinkList;

@@ -18,10 +18,6 @@ ShardObservers::ShardObservers(const Observer *parent)
         stats = std::make_unique<StatsRegistry>();
         obs.setStats(stats.get());
     }
-    if (parent->profile()) {
-        profile = std::make_unique<ProfileRegistry>();
-        obs.setProfile(profile.get());
-    }
     if (parent->cost()) {
         // Same model, private integer tallies: the shard-order merge
         // is bit-identical for any jobs value.
@@ -43,7 +39,7 @@ ShardObservers::ShardObservers(const Observer *parent)
 bool
 ShardObservers::observed() const
 {
-    return obs.stats() || obs.profile() || obs.cost() || obs.tracing();
+    return obs.stats() || obs.cost() || obs.tracing();
 }
 
 void
@@ -51,8 +47,6 @@ ShardObservers::foldInto(const Observer &parent)
 {
     if (stats)
         parent.stats()->merge(*stats);
-    if (profile)
-        parent.profile()->merge(*profile);
     if (costAcct)
         parent.cost()->merge(*costAcct);
     if (ledger)

@@ -33,8 +33,8 @@ namespace obs
 
 /**
  * One shard's private twins of what the parent Observer carries,
- * allocating only what it attached: stats, profile, cost (same
- * model) and lineage ledger wired into observer(), plus an unbounded
+ * allocating only what it attached: stats, cost (same model) and
+ * lineage ledger wired into observer(), plus an unbounded
  * event buffer as its first sink when the parent traces.
  */
 class ShardObservers
@@ -46,7 +46,7 @@ class ShardObservers
     /** Shard-local observer; engines may add sinks of their own. */
     Observer &observer() { return obs; }
     /**
-     * True when observer() carries stats, profile, cost or sinks —
+     * True when observer() carries stats, cost or sinks —
      * what a stack or engine would act on.  A ledger alone does not
      * count: engines record lineage themselves.
      */
@@ -58,7 +58,6 @@ class ShardObservers
   private:
     Observer obs;
     std::unique_ptr<StatsRegistry> stats;
-    std::unique_ptr<ProfileRegistry> profile;
     std::unique_ptr<CostAccountant> costAcct;
     std::unique_ptr<VectorTraceSink> events;
     std::unique_ptr<LineageLedger> ledger;

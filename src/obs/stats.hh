@@ -29,11 +29,6 @@ namespace aiecc
 namespace obs
 {
 
-namespace memprof
-{
-struct AllocStats;
-}
-
 /** A monotonically increasing event count. */
 class Counter
 {
@@ -97,8 +92,8 @@ class Histogram
     /**
      * Standalone construction is allowed for transient analysis
      * (trace post-processing, bench-local latency capture); stats
-     * that live for a run belong in a StatsRegistry or
-     * ProfileRegistry, which guarantee stable addresses.
+     * that live for a run belong in a StatsRegistry, which
+     * guarantees stable addresses.
      */
     explicit Histogram(std::string name = "", std::string description = "")
         : nm(std::move(name)), desc(std::move(description))
@@ -139,20 +134,10 @@ class Histogram
     void reset();
 
     /**
-     * The allocation-attribution scope paired with this histogram, or
-     * nullptr.  Set by ProfileRegistry::timer() so a ScopedTimer can
-     * route the scope's heap activity (obs/memprof.hh) through the
-     * same resolved pointer it already holds for timing; plain
-     * StatsRegistry histograms never carry one.
-     */
-    memprof::AllocStats *allocScope() const { return alloc; }
-    void setAllocScope(memprof::AllocStats *scope) { alloc = scope; }
-
-    /**
      * Checkpoint layout (obs/state.hh), one space-separated line
      * without its newline: count, sum as raw IEEE-754 bits, min, max,
-     * buckets.  Distribution state only: the name, description and
-     * paired alloc scope belong to the owning registry.
+     * buckets.  Distribution state only: the name and description
+     * belong to the owning registry.
      */
     template <class Self, class Archive>
     static void
@@ -169,8 +154,6 @@ class Histogram
 
   private:
     friend class StatsRegistry;
-    friend class ProfileRegistry;
-    memprof::AllocStats *alloc = nullptr;
     std::string nm, desc;
     uint64_t cnt = 0;
     double total = 0.0;

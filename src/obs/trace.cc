@@ -178,9 +178,9 @@ internText(std::string_view text)
 JsonlTraceSink::JsonlTraceSink(const std::string &path)
     : file(std::fopen(path.c_str(), "w"))
 {
-    // Sized up front so that lines recorded later, inside profiling
-    // scopes, never grow it: an event is one flat object, and few
-    // lines come near 1 KiB.
+    // Sized up front so that lines recorded later, inside an access,
+    // never grow it: an event is one flat object, and few lines come
+    // near 1 KiB.
     line.reserve(1024, 1);
 }
 

@@ -151,7 +151,7 @@ HealthMonitor::HealthMonitor(const HealthConfig &config)
         banks.push_back(std::move(bh));
     }
     // Reserve the fault-path containers up front so symptom bursts
-    // inside profiled access scopes do not show up as per-access
+    // inside a stack.read/write call do not show up as per-access
     // allocations.  An undrained queue holds one entry per state
     // change that recommends something, as many as the log keeps.
     pending.reserve(maxLog);

@@ -21,11 +21,6 @@ RecoveryEngine::RecoveryEngine(const RecoveryConfig &config,
                                unsigned numBanks, obs::Observer *observer)
     : cfg(config), obsHook(observer), buckets(numBanks)
 {
-    if (obsHook && obsHook->profile()) {
-        oc.tEpisode = &obsHook->profile()->timer(
-            "recovery.episode",
-            "one in-band recovery episode, all attempts");
-    }
     if (!obsHook || !obsHook->stats())
         return;
     obs::StatsRegistry &reg = *obsHook->stats();
@@ -218,7 +213,6 @@ RecoveryEngine::runEpisode(RecoveryCause cause, unsigned flatBank,
     RecoveryOutcome out;
     if (!cfg.enabled || cfg.maxAttempts == 0)
         return out;
-    obs::ScopedTimer timeEpisode(oc.tEpisode);
     // Every command the episode drives through the port is extra
     // traffic the fault caused: bill the whole episode to the
     // recovery cost level (obs/cost.hh).

@@ -268,8 +268,6 @@ class RecoveryEngine
         obs::Counter *rankDegrades = nullptr;
         obs::Counter *patrolScrubs = nullptr;
         obs::Histogram *retryDepth = nullptr;
-        /** Wall-clock per-episode scope (profile registry only). */
-        obs::Histogram *tEpisode = nullptr;
     };
     RecCounters oc;
 

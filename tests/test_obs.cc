@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability-layer tests: JsonWriter structure and escaping, the
- * stats registry's naming/idempotence/reset contract, the JSONL
- * trace sink, and the end-to-end cross-check that a stack replay's
+ * stats registry's naming/idempotence/reset contract, the Histogram's
+ * bucket-interpolated quantiles, the JSONL trace sink, and the
+ * end-to-end cross-check that a stack replay's
  * registry counters and traced events agree with the ReplayReport it
  * returns.
  */
@@ -387,10 +388,10 @@ TEST(JsonlTraceSink, RecordAllocatesNothingOnceWarm)
                  "with \"quotes\", a \\ and a \n to escape";
         ev.faultId = 0xF00DF00DF00DULL;
         sink.record(ev); // warm-up sizes the reused line buffer
-        const uint64_t before = obs::memprof::processTotals().allocs;
+        const uint64_t before = obs::memprof::threadAllocs();
         for (int i = 0; i < 1000; ++i)
             sink.record(ev);
-        const uint64_t after = obs::memprof::processTotals().allocs;
+        const uint64_t after = obs::memprof::threadAllocs();
         EXPECT_EQ(after - before, 0u);
         EXPECT_EQ(sink.recorded(), 1001u);
     }
@@ -494,6 +495,69 @@ TEST(Histogram, QuantileMatchesSortedReferenceWithinOneBucket)
             EXPECT_LE(est, static_cast<double>(h.max())) << c.name;
         }
     }
+}
+
+TEST(HistogramQuantile, EmptyHistogramIsZero)
+{
+    obs::Histogram h("empty");
+    EXPECT_EQ(h.quantile(0.5), 0.0);
+    EXPECT_EQ(h.quantile(0.99), 0.0);
+}
+
+TEST(HistogramQuantile, SingleValueCollapsesToThatValue)
+{
+    // Interpolation inside the [4,8) bucket is clamped to the observed
+    // min==max, so every quantile is exact.
+    obs::Histogram h("seven");
+    for (int i = 0; i < 100; ++i)
+        h.sample(7);
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
+        EXPECT_DOUBLE_EQ(h.quantile(q), 7.0) << "q=" << q;
+}
+
+TEST(HistogramQuantile, UniformOneToHundredMedian)
+{
+    // 1..100 once each: rank(0.5) = 49.5 lands in the [32,64) bucket
+    // after 31 smaller samples; 32 + (49.5-31)/32 * 32 = 50.5, the
+    // exact midpoint of the distribution.
+    obs::Histogram h("uniform");
+    for (uint64_t v = 1; v <= 100; ++v)
+        h.sample(v);
+    EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.5);
+
+    // Tails interpolate within the right buckets and clamp to the
+    // observed extremes.
+    EXPECT_GE(h.quantile(0.9), 64.0);
+    EXPECT_LE(h.quantile(0.9), 100.0);
+    EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+}
+
+TEST(HistogramQuantile, QuantilesAreMonotone)
+{
+    obs::Histogram h("mono");
+    uint64_t x = 88172645463325252ull;
+    for (int i = 0; i < 10000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        h.sample(x % 100000);
+    }
+    double prev = 0.0;
+    for (double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+        const double v = h.quantile(q);
+        EXPECT_GE(v, prev) << "q=" << q;
+        prev = v;
+    }
+}
+
+TEST(HistogramQuantile, OutOfRangeArgumentsClamp)
+{
+    obs::Histogram h("clamp");
+    h.sample(10);
+    h.sample(20);
+    EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
+    EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
 }
 
 TEST(Observer, EmitFansOutToAllSinks)

@@ -5,11 +5,17 @@
  * under each protection level, checking which mechanism detects what.
  */
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "aiecc/cost_model.hh"
 #include "aiecc/stack.hh"
 #include "common/rng.hh"
 #include "obs/memprof.hh"
+#include "obs/observer.hh"
+#include "ras/health.hh"
 
 namespace aiecc
 {
@@ -404,6 +410,79 @@ TEST(Stack, AlertsLeaveNoLiveHeapBehind)
     EXPECT_LT(liveBytes() - warm, slack)
         << "live heap grew by " << liveBytes() - warm << " bytes";
     EXPECT_GT(stack.recoveryStats().episodes, 100u);
+}
+
+TEST(Stack, ObservedAccessPathAllocatesNothingOnceWarm)
+{
+    // A fully observed AIECC stack — stats, cost, lineage, a JSONL
+    // trace and a RAS health monitor — with recovery on under steady
+    // CCCA pin flips: once warm, no stack.read/write call may touch
+    // the heap, recovery episodes included.
+    const std::string path =
+        ::testing::TempDir() + "/aiecc_test_stack_allocs.jsonl";
+    {
+        obs::StatsRegistry stats;
+        obs::CostAccountant cost(
+            makeCostModel(Mechanisms::forLevel(ProtectionLevel::Aiecc)));
+        obs::LineageLedger lineage;
+        obs::Observer observer(&stats);
+        observer.setCost(&cost);
+        observer.setLineage(&lineage);
+        obs::JsonlTraceSink trace(path);
+        ASSERT_TRUE(trace.ok());
+        observer.addSink(&trace);
+        ras::HealthMonitor monitor;
+        observer.addSink(&monitor);
+        monitor.setObserver(&observer);
+
+        StackConfig cfg = configFor(ProtectionLevel::Aiecc);
+        cfg.recovery.enabled = true;
+        cfg.observer = &observer;
+        ProtectionStack stack(cfg);
+        Rng noise(0xA110C);
+        stack.setPinCorruptor([&noise](uint64_t, PinWord &pins) {
+            if (noise.chance(0.05))
+                pins.flip(static_cast<Pin>(noise.below(numCccaPins)));
+        });
+
+        // The bench's bounded working set: every bank, 64 rows, 128
+        // columns, two thirds reads.
+        Rng rng(0x2E2A);
+        const Geometry &geom = stack.geometry();
+        BitVec payload = randomData(rng);
+        uint64_t allocs = 0;
+        const auto pass = [&](unsigned accesses) {
+            for (unsigned i = 0; i < accesses; ++i) {
+                MtbAddress addr;
+                addr.bg = static_cast<unsigned>(
+                    rng.below(geom.numBankGroups()));
+                addr.ba = static_cast<unsigned>(
+                    rng.below(geom.banksPerGroup()));
+                addr.row = static_cast<unsigned>(rng.below(64));
+                addr.col = static_cast<unsigned>(rng.below(128));
+                if (rng.chance(0.67)) {
+                    const uint64_t before = obs::memprof::threadAllocs();
+                    stack.read(addr);
+                    allocs += obs::memprof::threadAllocs() - before;
+                } else {
+                    payload.setField(0, 64, rng.next());
+                    const uint64_t before = obs::memprof::threadAllocs();
+                    stack.write(addr, payload);
+                    allocs += obs::memprof::threadAllocs() - before;
+                }
+                stack.clearDetections();
+            }
+        };
+        pass(2000);
+        allocs = 0;
+        const uint64_t warmEpisodes = stack.recoveryStats().episodes;
+        pass(20000);
+        EXPECT_EQ(allocs, 0u);
+        EXPECT_GT(stack.recoveryStats().episodes - warmEpisodes, 100u);
+        EXPECT_GT(trace.recorded(), 0u);
+        EXPECT_EQ(trace.dropped(), 0u);
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -2,11 +2,12 @@
  * @file
  * Tests for the checkpoint state layouts (obs/state.hh).
  *
- * Golden fixtures: five crash checkpoints written by the benches
- * before the state types shared one layout each.  Every section must
- * parse into its type and serialize back to the same bytes, so any
- * change to a layout's byte form fails here.  The fixtures were cut
- * with AIECC_CHECKPOINT_BATCH_SHARDS=1 and AIECC_CRASH_AFTER_SHARD=N:
+ * Golden fixtures: five crash checkpoints written by the benches.
+ * Every section must parse into its type and serialize back to the
+ * same bytes, so any change to a layout's byte form fails here; a
+ * deliberate layout change re-cuts the fixtures it touches with the
+ * command listed for them.  The fixtures were cut with
+ * AIECC_CHECKPOINT_BATCH_SHARDS=1 and AIECC_CRASH_AFTER_SHARD=N:
  *
  *   checkpoint_table2.ckpt  N=2  bench_table2_impact --health --jobs 4
  *   checkpoint_table3.ckpt  N=2  bench_table3_data --quick --health
@@ -17,10 +18,10 @@
  *   checkpoint_e2e.ckpt     N=4  bench_e2e_throughput --trials 50000
  *                                --fault-rate 0.0005 --jobs 4
  *
- * Together they carry all twelve state types (Histogram inside the
- * stats, profile and pass sections, SlidingWindow inside ras).  The
- * e2e pass:N and profile sections hold wall-clock figures: a fresh
- * run writes other numbers in the same form.
+ * Together they carry all eleven state types (Histogram inside the
+ * stats and pass sections, SlidingWindow inside ras).  The e2e pass:N
+ * sections hold wall-clock figures: a fresh run writes other numbers
+ * in the same form.
  *
  * Mutations: seeded truncations, dropped, duplicated and replaced
  * tokens of every fixture section must end in a reader error or a
@@ -51,7 +52,6 @@
 #include "inject/montecarlo.hh"
 #include "obs/cost.hh"
 #include "obs/lineage.hh"
-#include "obs/profile.hh"
 #include "obs/state.hh"
 #include "obs/stats.hh"
 #include "obs/timeseries.hh"
@@ -130,7 +130,6 @@ fixtures()
     const Codec lineage = codec<obs::LineageLedger>();
     const Codec health = codec<ras::HealthMonitor>();
     const Codec stats = codec<obs::StatsRegistry>();
-    const Codec profile = codec<obs::ProfileRegistry>();
     const Codec cost = codec<obs::CostAccountant>(
         [](const obs::CostAccountant &c) { return c.serialize(); },
         [](obs::CostAccountant &c, const std::string &text) {
@@ -175,7 +174,6 @@ fixtures()
           {"lineage", lineage},
           {"pass:0", pass},
           {"pass:1", pass},
-          {"profile", profile},
           {"ras", health},
           {"stats", stats}}},
     };

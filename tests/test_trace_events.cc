@@ -428,12 +428,10 @@ TEST(TraceEvents, WarmedObserverEmitsWithoutAllocating)
     vec.reserve(4 * (events.size() + 2));
     emitAll(); // warm-up: sizes the sink's line buffer
 
-    obs::memprof::AllocStats scope;
-    obs::memprof::pushScope(&scope);
+    const uint64_t before = obs::memprof::threadAllocs();
     for (int i = 0; i < 3; ++i)
         emitAll();
-    obs::memprof::popScope();
-    EXPECT_EQ(scope.allocs, 0u);
+    EXPECT_EQ(obs::memprof::threadAllocs() - before, 0u);
     EXPECT_EQ(vec.size(), 4 * (events.size() + 2));
     EXPECT_EQ(jsonl.dropped(), 0u);
     std::remove(path.c_str());
