@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the coding substrates: RS
  * encode/decode at the chipkill geometries, eDECC encode/decode, CRC
- * generation, burst marshaling and the pin-level command codec.
+ * generation, burst marshaling, the pin-level command codec and the
+ * never-written fill.
  * Supports the §V-D claim that eDECC adds no meaningful latency to the
  * decode path.
  */
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "aiecc/edecc.hh"
+#include "aiecc/stack.hh"
 #include "common/rng.hh"
 #include "ddr4/command.hh"
 #include "dram/rank.hh"
@@ -332,6 +334,24 @@ BM_CommandCodec(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CommandCodec);
+
+void
+BM_NeverWrittenFill(benchmark::State &state)
+{
+    // A never-written read's content on an AIECC stack: the fill's
+    // payload laid straight into the burst, then the eDECC-c encode.
+    StackConfig cfg;
+    cfg.mech = Mechanisms::forLevel(ProtectionLevel::Aiecc);
+    const ProtectionStack stack(cfg);
+    const Geometry &geom = stack.geometry();
+    uint32_t i = 0;
+    for (auto _ : state) {
+        const MtbAddress addr =
+            MtbAddress::unpack(i++ * 0x9E3779B1u, geom);
+        benchmark::DoNotOptimize(stack.rank().peek(addr));
+    }
+}
+BENCHMARK(BM_NeverWrittenFill);
 
 } // namespace
 } // namespace aiecc

@@ -19,12 +19,11 @@ AzulQpc::applyCrc(Burst &burst, uint32_t mtbAddr)
     }
 }
 
-Burst
-AzulQpc::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+AzulQpc::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
-    Burst out = inner.encode(data, 0);
-    applyCrc(out, mtbAddr);
-    return out;
+    inner.encodeBurst(burst, 0);
+    applyCrc(burst, mtbAddr);
 }
 
 EccResult

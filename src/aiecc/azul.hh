@@ -29,7 +29,7 @@ class AzulQpc : public DataEcc
     AzulQpc() = default;
 
     const char *name() const override { return "QPC+Azul"; }
-    Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
+    void encodeBurst(Burst &burst, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }
     bool preciseDiagnosis() const override { return false; }

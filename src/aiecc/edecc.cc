@@ -1,7 +1,5 @@
 #include "aiecc/edecc.hh"
 
-#include "common/logging.hh"
-
 namespace aiecc
 {
 
@@ -26,16 +24,12 @@ EDeccQpc::EDeccQpc()
 {
 }
 
-Burst
-EDeccQpc::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+EDeccQpc::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
-    AIECC_ASSERT(data.size() == Burst::dataBits, "eDECC encode: bad size");
-    Burst out;
-    out.setData(data);
-
     GfElem message[Burst::dataPins + addrSymbols];
     for (unsigned p = 0; p < Burst::dataPins; ++p)
-        message[p] = out.pinSymbol(p);
+        message[p] = burst.pinSymbol(p);
     for (unsigned j = 0; j < addrSymbols; ++j)
         message[Burst::dataPins + j] = addrByte(mtbAddr, j);
 
@@ -43,8 +37,7 @@ EDeccQpc::encode(const BitVec &data, uint32_t mtbAddr) const
     rs.parityInto(message, parity);
     // The address symbols are virtual: only data + parity are stored.
     for (unsigned j = 0; j < Burst::checkPins; ++j)
-        out.setPinSymbol(Burst::dataPins + j, parity[j]);
-    return out;
+        burst.setPinSymbol(Burst::dataPins + j, parity[j]);
 }
 
 EccResult
@@ -123,26 +116,21 @@ EDeccAmd::EDeccAmd()
 {
 }
 
-Burst
-EDeccAmd::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+EDeccAmd::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
-    AIECC_ASSERT(data.size() == Burst::dataBits, "eDECC encode: bad size");
-    Burst out;
-    out.setData(data);
-
     // Lane-minor interleave with the per-word address byte as the
     // seventeenth message symbol of each lane.
     GfElem messages[(dataChips + 1) * numWords];
     for (unsigned chip = 0; chip < dataChips; ++chip)
-        out.amdChipSymbols(chip, &messages[chip * numWords]);
+        burst.amdChipSymbols(chip, &messages[chip * numWords]);
     for (unsigned w = 0; w < numWords; ++w)
         messages[dataChips * numWords + w] = addrByte(mtbAddr, w);
 
     GfElem parities[checkChips * numWords];
     rs.parityBatch(messages, parities, numWords);
     for (unsigned j = 0; j < checkChips; ++j)
-        out.setAmdChipSymbols(dataChips + j, &parities[j * numWords]);
-    return out;
+        burst.setAmdChipSymbols(dataChips + j, &parities[j * numWords]);
 }
 
 EccResult

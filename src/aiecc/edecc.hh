@@ -36,7 +36,7 @@ class EDeccQpc : public DataEcc
     EDeccQpc();
 
     const char *name() const override { return "QPC+eDECC-c"; }
-    Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
+    void encodeBurst(Burst &burst, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }
     bool preciseDiagnosis() const override { return true; }
@@ -57,7 +57,7 @@ class EDeccAmd : public DataEcc
     EDeccAmd();
 
     const char *name() const override { return "AMD+eDECC-c"; }
-    Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
+    void encodeBurst(Burst &burst, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return true; }
     bool preciseDiagnosis() const override { return true; }

@@ -15,15 +15,14 @@ EDeccTransformQpc::applyMask(Burst &burst, uint32_t mtbAddr)
             mtbAddr >> (Burst::numBeats * (p / subBlockBits)));
 }
 
-Burst
-EDeccTransformQpc::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+EDeccTransformQpc::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
     // Check bits over the untransformed payload; the stored data is
     // the transformed payload.  A matching read address restores the
     // payload the parity was computed over.
-    Burst out = inner.encode(data, 0);
-    applyMask(out, mtbAddr);
-    return out;
+    inner.encodeBurst(burst, 0);
+    applyMask(burst, mtbAddr);
 }
 
 EccResult

@@ -22,18 +22,20 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
     rc.garbageSeed = cfg.seed;
     // Never-written locations behave as if the whole array had been
     // initialized with valid (address-bound, for eDECC) codewords.
+    // The payload is eight Rng words laid little-endian into the data
+    // pins, word w on pins 8w..8w+7, and is encoded in place.
     DataEcc *ecc = codec.get();
     rc.fillFn = [ecc](uint32_t packedAddr) {
         Rng fillRng(0xF177ULL ^ (static_cast<uint64_t>(packedAddr) << 13));
-        BitVec data(Burst::dataBits);
-        for (size_t i = 0; i < data.size(); i += 64)
-            data.setField(i, std::min<size_t>(64, data.size() - i),
-                          fillRng.next());
+        Burst out;
+        for (unsigned w = 0; w < Burst::dataPins / 8; ++w) {
+            const uint64_t v = fillRng.next();
+            for (unsigned j = 0; j < 8; ++j)
+                out.pinBits[8 * w + j] = static_cast<uint8_t>(v >> (8 * j));
+        }
         if (ecc)
-            return ecc->encode(data, packedAddr);
-        Burst raw;
-        raw.setData(data);
-        return raw;
+            ecc->encodeBurst(out, packedAddr);
+        return out;
     };
     rankModel = std::make_unique<DramRank>(rc);
     ctrl = std::make_unique<MemController>(rc, rankModel.get());
@@ -42,10 +44,9 @@ ProtectionStack::ProtectionStack(const StackConfig &config)
         cfg.recovery, cfg.geom.numBanks(), cfg.observer);
     rankModel->setObserver(cfg.observer);
     ctrl->setObserver(cfg.observer);
-    // An observed stack sizes the log up front, so the few detections
-    // one faulty access raises do not allocate on the access path.
-    if (cfg.observer)
-        events.reserve(8);
+    // Size the log up front, so the few detections one faulty access
+    // raises do not allocate on the access path.
+    events.reserve(8);
     if (cfg.observer && cfg.observer->stats()) {
         obs::StatsRegistry &reg = *cfg.observer->stats();
         oc.reads = &reg.counter("stack.reads", "RD commands issued");

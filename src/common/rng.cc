@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -45,22 +39,6 @@ Rng::forStream(uint64_t seed, uint64_t stream)
     // keeps stream 0 distinct from the plain Rng(seed) construction.
     uint64_t s = stream + 0x9E3779B97F4A7C15ULL;
     return Rng(seed ^ splitmix64(s));
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
 }
 
 uint64_t

@@ -40,7 +40,21 @@ class Rng
     static Rng forStream(uint64_t seed, uint64_t stream);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(state[1] * 5, 7) * 9;
+        const uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bound > 0, rejection-sampled. */
     uint64_t below(uint64_t bound);
@@ -65,6 +79,12 @@ class Rng
 
   private:
     uint64_t state[4];
+
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
 };
 
 } // namespace aiecc

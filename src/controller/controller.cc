@@ -72,16 +72,14 @@ MemController::setReplayDepth(size_t depth)
 void
 MemController::advanceToLegalSlot(const Command &cmd)
 {
-    if (!sched.checkFast(cycle, cmd))
-        return;
-    // Timing constraints are fixed thresholds, so the scheduler can
-    // name the first legal cycle directly instead of being probed
-    // cycle by cycle; a target at `cycle` means a state violation
-    // that waiting cannot clear.
+    // Timing constraints are fixed thresholds, so the scheduler names
+    // the first legal cycle directly (`cycle` itself when the command
+    // is legal now or stuck on a state violation), and one check
+    // there either confirms the slot or proves the command stuck.
     const unsigned bound =
         cfg.timing.tRFC + cfg.timing.tRC + cfg.timing.tFAW + 64;
     const Cycle target = sched.earliestLegal(cycle, cmd);
-    if (target > cycle && target - cycle <= bound) {
+    if (target - cycle <= bound) {
         cycle = target;
         if (!sched.checkFast(cycle, cmd))
             return;
@@ -189,32 +187,39 @@ MemController::issue(const Command &cmd, const std::optional<Burst> &data)
     if (cmd.type == CmdType::Wr)
         wrData = makeWriteData(cmd, *data);
 
-    result.exec = rank->step(cycle, pins, wrData, odtError);
+    // The controller proved this edge legal on its own state: the
+    // device may skip re-checking it while the two agree.
+    result.exec = rank->step(cycle, pins, wrData, odtError, &intended);
     if (result.exec.alert) {
         ++alertTally.count;
         if (oc.alerts)
             ++*oc.alerts;
     }
 
-    // Whatever burst the device drove lands in the PHY read FIFO.
-    if (result.exec.readData)
-        phyFifo.push_back(*result.exec.readData);
-
-    // The controller pops one FIFO entry per RD *it believes* it
-    // issued.  A missing RD underflows (stale data re-read); an extra
-    // RD leaves a skewed pointer behind.
+    // Whatever burst the device drove lands in the PHY read FIFO, and
+    // the controller pops one entry per RD *it believes* it issued.  A
+    // missing RD underflows (stale data re-read); an extra RD leaves
+    // a skewed pointer behind.
     if (cmd.type == CmdType::Rd) {
-        if (!phyFifo.empty()) {
-            lastPopped = phyFifo.front();
-            phyFifo.pop_front();
-            everPopped = true;
-        } else if (oc.fifoUnderflows) {
-            // A missing RD skewed the pop pointer: this read re-reads
-            // the stale last entry.
-            ++*oc.fifoUnderflows;
-            ++*oc.fifoSkewEvents;
+        if (result.exec.readData && phyFifo.empty()) {
+            // Pushed and popped at once: the burst is the entry.
+            lastPopped = *result.exec.readData;
+        } else {
+            if (result.exec.readData)
+                phyFifo.push_back(*result.exec.readData);
+            if (!phyFifo.empty()) {
+                lastPopped = phyFifo.front();
+                phyFifo.pop_front();
+            } else if (oc.fifoUnderflows) {
+                // A missing RD skewed the pop pointer: this read
+                // re-reads the stale last entry.
+                ++*oc.fifoUnderflows;
+                ++*oc.fifoSkewEvents;
+            }
         }
         result.readBurst = lastPopped;
+    } else if (result.exec.readData) {
+        phyFifo.push_back(*result.exec.readData);
     }
 
     // Book-keeping: the scheduler tracks the *intended* command.

@@ -185,7 +185,6 @@ class MemController
 
     Ring<Burst> phyFifo;
     Burst lastPopped;    ///< stale entry re-read on FIFO underflow
-    bool everPopped = false;
 
     /** Bounded history of intended writes (in-band WR replay). */
     Ring<BufferedWrite> replayBuffer;

@@ -6,23 +6,10 @@
 namespace aiecc
 {
 
-uint32_t
-MtbAddress::pack(const Geometry &geom) const
+void
+MtbAddress::packTooWide(const Geometry &geom)
 {
-    AIECC_ASSERT(geom.mtbAddressBits() <= 32,
-                 "MTB address exceeds 32 bits");
-    uint64_t v = 0;
-    unsigned shift = 0;
-    v = insertBits(v, shift, geom.mtbColBits(), col);
-    shift += geom.mtbColBits();
-    v = insertBits(v, shift, geom.rowBits, row);
-    shift += geom.rowBits;
-    v = insertBits(v, shift, geom.baBits, ba);
-    shift += geom.baBits;
-    v = insertBits(v, shift, geom.bgBits, bg);
-    shift += geom.bgBits;
-    v = insertBits(v, shift, geom.rankBits, rank);
-    return static_cast<uint32_t>(v);
+    AIECC_PANIC("MTB address exceeds 32 bits: " << geom.mtbAddressBits());
 }
 
 MtbAddress

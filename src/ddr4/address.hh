@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bits.hh"
 #include "common/text_buf.hh"
 
 namespace aiecc
@@ -62,7 +63,24 @@ struct MtbAddress
     bool operator==(const MtbAddress &other) const = default;
 
     /** Pack into the canonical 32-bit MTB address. */
-    uint32_t pack(const Geometry &geom = Geometry{}) const;
+    uint32_t
+    pack(const Geometry &geom = Geometry{}) const
+    {
+        if (geom.mtbAddressBits() > 32) [[unlikely]]
+            packTooWide(geom);
+        uint64_t v = 0;
+        unsigned shift = 0;
+        v = insertBits(v, shift, geom.mtbColBits(), col);
+        shift += geom.mtbColBits();
+        v = insertBits(v, shift, geom.rowBits, row);
+        shift += geom.rowBits;
+        v = insertBits(v, shift, geom.baBits, ba);
+        shift += geom.baBits;
+        v = insertBits(v, shift, geom.bgBits, bg);
+        shift += geom.bgBits;
+        v = insertBits(v, shift, geom.rankBits, rank);
+        return static_cast<uint32_t>(v);
+    }
 
     /** Unpack from the canonical 32-bit MTB address. */
     static MtbAddress unpack(uint32_t packed,
@@ -77,6 +95,9 @@ struct MtbAddress
     /** "rank0.bg1.ba2.row0x1f.col0x3" (the form toString() returns). */
     void render(TextBuf &out) const;
     std::string toString() const;
+
+    /** pack()'s failure path, out of line so pack() stays small. */
+    [[noreturn]] static void packTooWide(const Geometry &geom);
 };
 
 } // namespace aiecc

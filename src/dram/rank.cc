@@ -179,8 +179,15 @@ DramRank::cstcAlert(Cycle now, ExecResult &result, const char *why)
 
 ExecResult
 DramRank::step(Cycle now, const PinWord &pins,
-               const std::optional<WriteData> &wrData, bool dataCorrupt)
+               const std::optional<WriteData> &wrData, bool dataCorrupt,
+               const PinWord *sent)
 {
+    // While every edge arrives exactly as sent, the controller's WRT,
+    // timing state and open rows equal the device's, so the parity,
+    // CSTC and write-CRC checks would repeat the controller's own and
+    // pass.  The device still executes, commits and toggles.
+    inSync = inSync && sent && !dataCorrupt && pins == *sent;
+
     ExecResult result;
     result.decoded = decodeCommand(pins);
     const Command &cmd = result.decoded.cmd;
@@ -219,7 +226,7 @@ DramRank::step(Cycle now, const PinWord &pins,
 
     // 1. CA parity gates everything: on a mismatch the device blocks
     //    the command and pulses ALERT_n.
-    if (cfg.parityMode != ParityMode::Off) {
+    if (cfg.parityMode != ParityMode::Off && !inSync) {
         const bool wrtForParity =
             cfg.parityMode == ParityMode::ECap ? wrt : false;
         if (!checkParity(pins, wrtForParity)) {
@@ -237,7 +244,7 @@ DramRank::step(Cycle now, const PinWord &pins,
         wrt = !wrt;
 
     // 2. CSTC: protocol state and timing validation (Section IV-C).
-    if (cfg.cstcEnabled) {
+    if (cfg.cstcEnabled && !inSync) {
         if (const char *why = cstc.checkFast(now, cmd)) {
             cstcAlert(now, result, why);
             return result;
@@ -254,7 +261,7 @@ DramRank::step(Cycle now, const PinWord &pins,
         doRead(now, cmd, dataCorrupt, result);
         break;
       case CmdType::Wr:
-        doWrite(now, cmd, wrData, dataCorrupt, result);
+        doWrite(now, cmd, wrData, dataCorrupt, !inSync, result);
         break;
       case CmdType::Pre:
         bankOf(cmd).open = false;
@@ -368,7 +375,7 @@ DramRank::doRead(Cycle now, const Command &cmd, bool dataCorrupt,
 void
 DramRank::doWrite(Cycle now, const Command &cmd,
                   const std::optional<WriteData> &wrData, bool dataCorrupt,
-                  ExecResult &result)
+                  bool checkCrc, ExecResult &result)
 {
     Bank &bank = bankOf(cmd);
 
@@ -404,8 +411,8 @@ DramRank::doWrite(Cycle now, const Command &cmd,
     // detection, §IV-B).  The device computes the reference CRC from
     // the data it received and, for eWCRC, from *its own* view of the
     // target MTB address.
-    if (cfg.wcrcMode != WcrcMode::Off && received.crcValid && bank.open &&
-        !modeCorrupt) {
+    if (checkCrc && cfg.wcrcMode != WcrcMode::Off && received.crcValid &&
+        bank.open && !modeCorrupt) {
         const MtbAddress devAddr = deviceAddress(cmd, bank);
         const bool mismatch =
             laneCrcs(received.burst, cfg.wcrcMode,

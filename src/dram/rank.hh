@@ -89,11 +89,21 @@ class DramRank
      *               edge is a write (nullopt otherwise).
      * @param dataCorrupt The data bus is disturbed this edge (e.g. an
      *               ODT error degraded signal integrity).
+     * @param sent The pins the controller drove, passed only by a
+     *               controller that proved the edge legal on its own
+     *               timing state, drove its parity with its own WRT
+     *               and computed its write CRC over its own open row.
+     *               While every edge so far arrived as sent, the
+     *               device skips the CA-parity, CSTC and write-CRC
+     *               checks those proofs already imply; the first
+     *               edge without @p sent, with other pins or with a
+     *               disturbed data bus ends that for good.
      * @return Decode outcome, read data, and any alert raised.
      */
     ExecResult step(Cycle now, const PinWord &pins,
                     const std::optional<WriteData> &wrData = std::nullopt,
-                    bool dataCorrupt = false);
+                    bool dataCorrupt = false,
+                    const PinWord *sent = nullptr);
 
     /** Bank open/close state as held by the array itself. */
     bool bankOpen(unsigned bg, unsigned ba) const;
@@ -167,6 +177,12 @@ class DramRank
     ReadDisturb disturb; ///< aging read-path disturbance (may be empty)
     RowStore store; ///< packed MTB address -> content, row-chunked
     bool wrt = false;
+    /**
+     * Every edge so far arrived exactly as the controller sent it, so
+     * the device's WRT, timing state and open rows equal the
+     * controller's (see step()'s `sent`).
+     */
+    bool inSync = true;
     bool modeCorrupt = false;
     bool powerDown = false;  ///< CKE sampled low: fast power-down
     Cycle pdEntry = 0;       ///< cycle the power-down began
@@ -191,7 +207,7 @@ class DramRank
                 ExecResult &result);
     void doWrite(Cycle now, const Command &cmd,
                  const std::optional<WriteData> &wrData, bool dataCorrupt,
-                 ExecResult &result);
+                 bool checkCrc, ExecResult &result);
 };
 
 } // namespace aiecc

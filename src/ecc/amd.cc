@@ -1,7 +1,5 @@
 #include "ecc/amd.hh"
 
-#include "common/logging.hh"
-
 namespace aiecc
 {
 
@@ -10,25 +8,20 @@ AmdChipkillEcc::AmdChipkillEcc()
 {
 }
 
-Burst
-AmdChipkillEcc::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+AmdChipkillEcc::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
     (void)mtbAddr;
-    AIECC_ASSERT(data.size() == Burst::dataBits, "AMD encode: bad size");
-    Burst out;
-    out.setData(data);
-
     // Lane-minor interleave: symbol i of codeword w at [i*numWords+w],
     // which is exactly the four symbols one chip contributes.
     GfElem messages[dataChips * numWords];
     for (unsigned chip = 0; chip < dataChips; ++chip)
-        out.amdChipSymbols(chip, &messages[chip * numWords]);
+        burst.amdChipSymbols(chip, &messages[chip * numWords]);
 
     GfElem parities[checkChips * numWords];
     rs.parityBatch(messages, parities, numWords);
     for (unsigned j = 0; j < checkChips; ++j)
-        out.setAmdChipSymbols(dataChips + j, &parities[j * numWords]);
-    return out;
+        burst.setAmdChipSymbols(dataChips + j, &parities[j * numWords]);
 }
 
 EccResult

@@ -27,7 +27,7 @@ class AmdChipkillEcc : public DataEcc
     AmdChipkillEcc();
 
     const char *name() const override { return "AMD-chipkill"; }
-    Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
+    void encodeBurst(Burst &burst, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return false; }
     bool preciseDiagnosis() const override { return false; }

@@ -75,14 +75,27 @@ class DataEcc
     virtual const char *name() const = 0;
 
     /**
-     * Encode a payload into a full burst.
+     * Encode in place: the data pins (0..63) of @p burst already hold
+     * the 512-bit payload, pin p carrying byte p.  Fills the check
+     * pins (64..71) and, for the address-transform variants, applies
+     * the address mask to the data pins, so afterwards @p burst is the
+     * 576-bit burst to transfer/store.  Whatever the check pins held
+     * on entry is overwritten.
      *
-     * @param data 512-bit MTB payload.
+     * @param burst Payload in, full codeword out.
      * @param mtbAddr Packed 32-bit MTB write address (ignored by
      *                data-only schemes).
+     */
+    virtual void encodeBurst(Burst &burst, uint32_t mtbAddr) const = 0;
+
+    /**
+     * Encode a payload into a full burst: setData() + encodeBurst().
+     *
+     * @param data 512-bit MTB payload.
+     * @param mtbAddr Packed 32-bit MTB write address.
      * @return The 576-bit burst to transfer/store.
      */
-    virtual Burst encode(const BitVec &data, uint32_t mtbAddr) const = 0;
+    Burst encode(const BitVec &data, uint32_t mtbAddr) const;
 
     /**
      * Decode a received burst.

@@ -1,7 +1,5 @@
 #include "ecc/qpc.hh"
 
-#include "common/logging.hh"
-
 namespace aiecc
 {
 
@@ -10,21 +8,16 @@ QpcEcc::QpcEcc()
 {
 }
 
-Burst
-QpcEcc::encode(const BitVec &data, uint32_t mtbAddr) const
+void
+QpcEcc::encodeBurst(Burst &burst, uint32_t mtbAddr) const
 {
     (void)mtbAddr;
-    AIECC_ASSERT(data.size() == Burst::dataBits, "QPC encode: bad size");
-    Burst out;
-    out.setData(data);
-
-    // setData() makes pin symbol p equal byte p of the payload, so the
-    // first 64 pin bytes are the RS message in place.
+    // Pin symbol p is byte p of the payload, so the first 64 pin bytes
+    // are the RS message in place.
     GfElem parity[Burst::checkPins];
-    rs.parityInto(&out.pinBits[0], parity);
+    rs.parityInto(&burst.pinBits[0], parity);
     for (unsigned j = 0; j < Burst::checkPins; ++j)
-        out.setPinSymbol(Burst::dataPins + j, parity[j]);
-    return out;
+        burst.setPinSymbol(Burst::dataPins + j, parity[j]);
 }
 
 EccResult

@@ -26,7 +26,7 @@ class QpcEcc : public DataEcc
     QpcEcc();
 
     const char *name() const override { return "QPC"; }
-    Burst encode(const BitVec &data, uint32_t mtbAddr) const override;
+    void encodeBurst(Burst &burst, uint32_t mtbAddr) const override;
     EccResult decode(const Burst &burst, uint32_t mtbAddr) const override;
     bool protectsAddress() const override { return false; }
     bool preciseDiagnosis() const override { return false; }

@@ -4,10 +4,12 @@
  */
 
 #include <algorithm>
+#include <iterator>
 #include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "dram/cstc.hh"
 
 namespace aiecc
@@ -237,6 +239,64 @@ TEST_F(CstcTest, PreAllClosesEverything)
     run(Command::preAll());
     EXPECT_FALSE(cstc.bankOpen(0));
     EXPECT_FALSE(cstc.bankOpen(1 * 4 + 1));
+}
+
+/** A command of @p type on a random bank (random operands). */
+Command
+randomCommand(CmdType type, Rng &rng)
+{
+    Command cmd;
+    cmd.type = type;
+    cmd.bg = static_cast<unsigned>(rng.below(4));
+    cmd.ba = static_cast<unsigned>(rng.below(4));
+    cmd.row = static_cast<unsigned>(rng.below(16));
+    cmd.col = static_cast<unsigned>(rng.below(16)) << Geometry::burstBits;
+    cmd.autoPrecharge = rng.chance(0.2);
+    return cmd;
+}
+
+TEST(Cstc, EarliestLegalMatchesCycleScan)
+{
+    // earliestLegal() must name exactly the cycle a cycle-by-cycle
+    // scan of checkFast() stops at, and `now` for a state violation
+    // no wait can clear; the controller schedules every command with
+    // one earliestLegal() and a single confirming checkFast().
+    const Geometry geom;
+    const TimingParams tp = TimingParams::ddr4_2400();
+    const unsigned bound = tp.tRFC + tp.tRC + tp.tFAW + 64;
+    const CmdType types[] = {
+        CmdType::Des, CmdType::Nop, CmdType::Act, CmdType::Rd,
+        CmdType::Wr,  CmdType::Pre, CmdType::PreAll, CmdType::Ref,
+        CmdType::Mrs, CmdType::Zqc, CmdType::Rfu};
+    unsigned waits = 0, stuck = 0;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Cstc cstc(geom, tp);
+        Rng rng(0xEA51 + seed);
+        Cycle now = 1000;
+        for (unsigned step = 0; step < 1500; ++step) {
+            for (CmdType type : types) {
+                const Command cmd = randomCommand(type, rng);
+                Cycle scan = now;
+                while (scan <= now + bound && cstc.checkFast(scan, cmd))
+                    ++scan;
+                const Cycle expected = scan <= now + bound ? scan : now;
+                ASSERT_EQ(cstc.earliestLegal(now, cmd), expected)
+                    << cmd.toString() << " at " << now;
+                waits += expected > now;
+                stuck += scan > now + bound;
+            }
+            // Grow a legal history: a random command at a random gap,
+            // committed only if it is legal there.
+            now += rng.below(24);
+            const Command next = randomCommand(
+                types[rng.below(std::size(types))], rng);
+            if (!cstc.checkFast(now, next))
+                cstc.commit(now, next);
+        }
+    }
+    // Both branches of the contract must have been exercised.
+    EXPECT_GT(waits, 1000u);
+    EXPECT_GT(stuck, 1000u);
 }
 
 } // namespace

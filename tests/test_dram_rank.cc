@@ -6,10 +6,13 @@
  * checkers (CA parity, WCRC/eWCRC, CSTC gating).
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "crc/crc.hh"
+#include "dram/cstc.hh"
 #include "dram/rank.hh"
 
 namespace aiecc
@@ -410,6 +413,139 @@ TEST_F(RankTest, DefaultFillIsDeterministicAndAddressDependent)
     const MtbAddress b{0, 0, 0, 1, 2};
     EXPECT_EQ(rank1.peek(a), rank2.peek(a));
     EXPECT_NE(rank1.peek(a), rank1.peek(b));
+}
+
+/**
+ * Drive two ranks with the same stream of controller-legal ACT, RD,
+ * WR, PRE, PREA and REF edges, corrupting each edge's pins with
+ * probability @p flipRate.  One rank is told what was sent, the other
+ * is not; on every edge both must do exactly the same.  The stream is
+ * built the way MemController builds it: legality from a
+ * controller-side Cstc, parity from a controller-side WRT, eWCRC over
+ * the controller's own open row.
+ */
+void
+expectTrustedMatchesFullCheck(const RankConfig &cfg, double flipRate,
+                              uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "flip rate " << flipRate);
+    DramRank trusting(cfg), checking(cfg);
+    Cstc sched(cfg.geom, cfg.timing);
+    std::vector<unsigned> openRows(cfg.geom.numBanks(), 0);
+    bool wrt = false;
+    Rng rng(seed);
+    Cycle now = 0;
+    std::vector<MtbAddress> touched;
+    unsigned alerts = 0;
+
+    for (unsigned i = 0; i < 6000; ++i) {
+        const unsigned bg =
+            static_cast<unsigned>(rng.below(cfg.geom.numBankGroups()));
+        const unsigned ba =
+            static_cast<unsigned>(rng.below(cfg.geom.banksPerGroup()));
+        const unsigned bank = bg * cfg.geom.banksPerGroup() + ba;
+        bool anyOpen = false;
+        for (unsigned b = 0; b < cfg.geom.numBanks(); ++b)
+            anyOpen = anyOpen || sched.bankOpen(b);
+        const uint64_t pick = rng.below(100);
+        Command cmd;
+        if (pick < 3)
+            cmd = Command::preAll();
+        else if (pick < 5 && !anyOpen)
+            cmd = Command::ref();
+        else if (!sched.bankOpen(bank))
+            cmd = Command::act(bg, ba, static_cast<unsigned>(rng.below(8)));
+        else if (pick < 20)
+            cmd = Command::pre(bg, ba);
+        else {
+            const unsigned col =
+                static_cast<unsigned>(rng.below(16)) << Geometry::burstBits;
+            const bool ap = rng.chance(0.1);
+            cmd = rng.chance(0.6) ? Command::rd(bg, ba, col, ap)
+                                  : Command::wr(bg, ba, col, ap);
+        }
+        now = sched.earliestLegal(now, cmd);
+        ASSERT_EQ(sched.checkFast(now, cmd), nullptr) << cmd.toString();
+        if (cmd.type == CmdType::Act)
+            openRows[bank] = cmd.row;
+
+        PinWord sent = encodeCommand(cmd);
+        if (cfg.parityMode != ParityMode::Off)
+            driveParity(sent, cfg.parityMode == ParityMode::ECap && wrt);
+        if (cfg.parityMode == ParityMode::ECap && cmd.type == CmdType::Wr)
+            wrt = !wrt;
+        std::optional<WriteData> wd;
+        MtbAddress target{0, bg, ba, openRows[bank],
+                          cmd.col >> Geometry::burstBits};
+        if (cmd.type == CmdType::Wr) {
+            WriteData w;
+            w.burst = patternBurst(seed + i);
+            w.crcValid = cfg.wcrcMode != WcrcMode::Off;
+            if (w.crcValid)
+                w.crc = laneCrcs(w.burst, cfg.wcrcMode,
+                                 target.pack(cfg.geom));
+            wd = w;
+        }
+        PinWord pins = sent;
+        if (rng.chance(flipRate))
+            pins.flip(static_cast<Pin>(rng.below(numCccaPins)));
+        const bool odt = pins.get(Pin::ODT) != sent.get(Pin::ODT);
+
+        const ExecResult a = trusting.step(now, pins, wd, odt, &sent);
+        const ExecResult b = checking.step(now, pins, wd, odt);
+        SCOPED_TRACE(testing::Message() << "edge " << i << " "
+                                        << cmd.toString());
+        ASSERT_EQ(a.decoded.cmd, b.decoded.cmd);
+        ASSERT_EQ(a.decoded.executed, b.decoded.executed);
+        ASSERT_EQ(a.alert.has_value(), b.alert.has_value());
+        if (a.alert) {
+            ++alerts;
+            ASSERT_EQ(a.alert->kind, b.alert->kind);
+            ASSERT_EQ(a.alert->why, b.alert->why);
+            ASSERT_EQ(a.alert->flatBank, b.alert->flatBank);
+        }
+        ASSERT_EQ(a.executed, b.executed);
+        ASSERT_EQ(a.arrayMutated, b.arrayMutated);
+        ASSERT_EQ(a.readData, b.readData);
+
+        ASSERT_EQ(trusting.wrtBit(), checking.wrtBit());
+        for (unsigned g = 0; g < cfg.geom.numBankGroups(); ++g) {
+            for (unsigned k = 0; k < cfg.geom.banksPerGroup(); ++k) {
+                ASSERT_EQ(trusting.bankOpen(g, k), checking.bankOpen(g, k));
+                ASSERT_EQ(trusting.openRow(g, k), checking.openRow(g, k));
+            }
+        }
+        if (cmd.type == CmdType::Rd || cmd.type == CmdType::Wr) {
+            touched.push_back(target);
+            ASSERT_EQ(trusting.peek(target), checking.peek(target));
+        }
+        sched.commit(now, cmd);
+        ++now;
+    }
+    for (const MtbAddress &addr : touched)
+        ASSERT_EQ(trusting.peek(addr), checking.peek(addr));
+    ASSERT_EQ(trusting.storedAddresses(), checking.storedAddresses());
+    // A clean stream raises nothing; a corrupted one must exercise
+    // the device checks.
+    if (flipRate == 0.0)
+        EXPECT_EQ(alerts, 0u);
+    else
+        EXPECT_GT(alerts, 50u);
+}
+
+TEST_F(RankTest, TrustedEdgeMatchesFullCheck)
+{
+    // AIECC's device checks, then plain DDR4's (CAP + WCRC, no CSTC).
+    cfg.parityMode = ParityMode::ECap;
+    cfg.wcrcMode = WcrcMode::DataAddress;
+    cfg.cstcEnabled = true;
+    expectTrustedMatchesFullCheck(cfg, 0.0, 0x7E57);
+    expectTrustedMatchesFullCheck(cfg, 0.05, 0x7E58);
+    cfg.parityMode = ParityMode::Cap;
+    cfg.wcrcMode = WcrcMode::Data;
+    cfg.cstcEnabled = false;
+    expectTrustedMatchesFullCheck(cfg, 0.0, 0x7E59);
+    expectTrustedMatchesFullCheck(cfg, 0.05, 0x7E5A);
 }
 
 } // namespace

@@ -5,6 +5,7 @@
  * under each protection level, checking which mechanism detects what.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -66,6 +67,61 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ProtectionLevel::None, ProtectionLevel::Ddr4Decc,
                       ProtectionLevel::Ddr4EDecc, ProtectionLevel::Aiecc),
     [](const auto &info) { return protectionLevelName(info.param); });
+
+/**
+ * Reference never-written fill: eight Rng words set field by field
+ * into a 512-bit payload, then encode().  The stack's fill must give
+ * the same bytes by laying the words into the data pins directly.
+ */
+Burst
+referenceFill(const DataEcc *ecc, uint32_t packedAddr)
+{
+    Rng fillRng(0xF177ULL ^ (static_cast<uint64_t>(packedAddr) << 13));
+    BitVec data(Burst::dataBits);
+    for (size_t i = 0; i < data.size(); i += 64)
+        data.setField(i, std::min<size_t>(64, data.size() - i),
+                      fillRng.next());
+    if (ecc)
+        return ecc->encode(data, packedAddr);
+    Burst raw;
+    raw.setData(data);
+    return raw;
+}
+
+void
+expectFillMatchesReference(const StackConfig &cfg)
+{
+    ProtectionStack stack(cfg);
+    const Geometry &geom = stack.geometry();
+    Rng rng(0xF111 + static_cast<uint64_t>(cfg.mech.ecc));
+    for (unsigned i = 0; i < 4096; ++i) {
+        const MtbAddress addr{
+            0, static_cast<unsigned>(rng.below(geom.numBankGroups())),
+            static_cast<unsigned>(rng.below(geom.banksPerGroup())),
+            static_cast<unsigned>(rng.below(geom.numRows())),
+            static_cast<unsigned>(rng.below(1u << geom.mtbColBits()))};
+        ASSERT_EQ(stack.rank().peek(addr),
+                  referenceFill(stack.ecc(), addr.pack(geom)))
+            << eccSchemeName(cfg.mech.ecc) << " " << addr.toString();
+    }
+}
+
+TEST(Stack, NeverWrittenFillMatchesReference)
+{
+    // Every protection level, then the codecs no level uses (AMD,
+    // eDECC-AMD, eDECC-t, Azul).
+    for (ProtectionLevel level :
+         {ProtectionLevel::None, ProtectionLevel::Ddr4Decc,
+          ProtectionLevel::Ddr4EDecc, ProtectionLevel::Aiecc})
+        expectFillMatchesReference(configFor(level));
+    for (EccScheme scheme :
+         {EccScheme::Amd, EccScheme::EDeccAmd,
+          EccScheme::EDeccTransformQpc, EccScheme::AzulQpc}) {
+        StackConfig cfg = configFor(ProtectionLevel::Aiecc);
+        cfg.mech.ecc = scheme;
+        expectFillMatchesReference(cfg);
+    }
+}
 
 /** Flip one pin on one command edge. */
 PinCorruptor
@@ -410,6 +466,37 @@ TEST(Stack, AlertsLeaveNoLiveHeapBehind)
     EXPECT_LT(liveBytes() - warm, slack)
         << "live heap grew by " << liveBytes() - warm << " bytes";
     EXPECT_GT(stack.recoveryStats().episodes, 100u);
+}
+
+TEST(Stack, UnobservedAccessPathAllocatesNothing)
+{
+    // A fresh unobserved AIECC stack under steady CCCA pin flips: the
+    // detection log is sized at construction, so no stack.read/write
+    // call may touch the heap, not even the first ones to detect.
+    ProtectionStack stack(configFor(ProtectionLevel::Aiecc));
+    Rng noise(0x0B5E4);
+    stack.setPinCorruptor([&noise](uint64_t, PinWord &pins) {
+        if (noise.chance(0.05))
+            pins.flip(static_cast<Pin>(noise.below(numCccaPins)));
+    });
+    Rng rng(0x4EA9);
+    const BitVec payload = randomData(rng);
+    uint64_t allocs = 0;
+    size_t detections = 0;
+    for (unsigned i = 0; i < 2000; ++i) {
+        const MtbAddress addr{0, i % 2, (i / 2) % 2, (i / 4) % 2,
+                              (i / 8) % 4};
+        const uint64_t before = obs::memprof::threadAllocs();
+        if (i % 3 == 0)
+            stack.write(addr, payload);
+        else
+            stack.read(addr);
+        allocs += obs::memprof::threadAllocs() - before;
+        detections += stack.detections().size();
+        stack.clearDetections();
+    }
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_GT(detections, 100u);
 }
 
 TEST(Stack, ObservedAccessPathAllocatesNothingOnceWarm)

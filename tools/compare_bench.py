@@ -35,7 +35,9 @@ The default mode diffs a fresh run against a committed baseline:
 - ``host.alloc.allocs_per_access``: the one HARD gate.  Allocation
   counts move only when code changes what the hot path allocates, so
   growth beyond ``--alloc-threshold`` percent (default 0) prints an
-  ``::error::`` annotation and exits 1.
+  ``::error::`` annotation and exits 1.  Growth from a zero baseline
+  is infinite, so against a zero baseline any allocation at all
+  fails, whatever the threshold.
 
 Exit status: 0 on success; 1 when an artifact is unreadable,
 malformed or not schema v8, when the benches differ, when ``--same``
@@ -192,8 +194,9 @@ def main():
                          "in percent (default: %(default)s)")
     ap.add_argument("--alloc-threshold", type=float, default=0.0,
                     help="allocs-per-access HARD regression gate in "
-                         "percent; exceeding it exits 1 "
-                         "(default: %(default)s)")
+                         "percent; exceeding it exits 1.  A zero "
+                         "baseline fails on any growth, whatever the "
+                         "threshold (default: %(default)s)")
     args = ap.parse_args()
     if args.same:
         sys.exit(same(args.baseline, args.current))
