@@ -1,5 +1,7 @@
 #include "common/combinadic.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace aiecc
@@ -32,6 +34,26 @@ binomialImpl(unsigned n, unsigned k, uint64_t &out)
     return true;
 }
 
+/**
+ * Pascal's triangle up to CombinationSpace::maxN, saturating at
+ * 2^64 - 1 where C(m, j) overflows and 0 for j > m.  Every C(m, j)
+ * that rank() and unrank() read for a constructible space is at most
+ * C(n, k), so they never see a saturated entry.
+ */
+constexpr auto pascal = [] {
+    constexpr unsigned rows = CombinationSpace::maxN + 1;
+    std::array<std::array<uint64_t, rows>, rows> c{};
+    for (unsigned m = 0; m < rows; ++m) {
+        c[m][0] = 1;
+        for (unsigned j = 1; j <= m; ++j) {
+            const uint64_t a = c[m - 1][j - 1];
+            const uint64_t b = c[m - 1][j];
+            c[m][j] = a > ~uint64_t{0} - b ? ~uint64_t{0} : a + b;
+        }
+    }
+    return c;
+}();
+
 } // namespace
 
 bool
@@ -59,6 +81,11 @@ CombinationSpace::CombinationSpace(unsigned n, unsigned k)
         AIECC_PANIC("combination space needs k <= n, got C("
                     << n << ", " << k << ")");
     }
+    if (n > maxN) {
+        AIECC_PANIC("combination space needs n <= " << maxN << ", got C("
+                                                    << n << ", " << k
+                                                    << ")");
+    }
 }
 
 void
@@ -75,7 +102,7 @@ CombinationSpace::unrank(uint64_t rank, unsigned *out) const
     for (unsigned i = 0; i < comboSize; ++i) {
         for (;;) {
             const uint64_t block =
-                binomial(setSize - 1 - v, comboSize - 1 - i);
+                pascal[setSize - 1 - v][comboSize - 1 - i];
             if (rank < block)
                 break;
             rank -= block;
@@ -107,7 +134,7 @@ CombinationSpace::rank(const unsigned *combo) const
         // Every combination whose i'th element is some v < combo[i]
         // (and whose prefix matches) ranks earlier.
         for (unsigned v = prev; v < combo[i]; ++v)
-            r += binomial(setSize - 1 - v, comboSize - 1 - i);
+            r += pascal[setSize - 1 - v][comboSize - 1 - i];
         prev = combo[i] + 1;
     }
     return r;

@@ -44,11 +44,15 @@ uint64_t binomial(unsigned n, unsigned k);
  * The space of all k-element subsets of {0, .., n-1}, addressed by
  * lexicographic rank.  Construction panics when C(n, k) overflows
  * uint64_t — such a space cannot be indexed by a trial counter and
- * the campaign must be decomposed first.
+ * the campaign must be decomposed first — and when n exceeds maxN,
+ * the reach of the Pascal table rank() and unrank() read.
  */
 class CombinationSpace
 {
   public:
+    /** Largest set size: a 65 x 65 table serves every space. */
+    static constexpr unsigned maxN = 64;
+
     CombinationSpace(unsigned n, unsigned k);
 
     unsigned n() const { return setSize; }

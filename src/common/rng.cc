@@ -41,17 +41,10 @@ Rng::forStream(uint64_t seed, uint64_t stream)
     return Rng(seed ^ splitmix64(s));
 }
 
-uint64_t
-Rng::below(uint64_t bound)
+void
+Rng::belowZero()
 {
-    AIECC_ASSERT(bound > 0, "Rng::below with zero bound");
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t limit = ~0ULL - (~0ULL % bound + 1) % bound;
-    uint64_t v;
-    do {
-        v = next();
-    } while (v > limit);
-    return v % bound;
+    AIECC_PANIC("Rng::below with zero bound");
 }
 
 uint64_t
@@ -59,19 +52,6 @@ Rng::range(uint64_t lo, uint64_t hi)
 {
     AIECC_ASSERT(lo <= hi, "Rng::range with lo > hi");
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 std::vector<unsigned>

@@ -56,17 +56,38 @@ class Rng
         return result;
     }
 
-    /** Uniform integer in [0, bound), bound > 0, rejection-sampled. */
-    uint64_t below(uint64_t bound);
+    /**
+     * Uniform integer in [0, bound), bound > 0, rejection-sampled.
+     * Inline so a constant bound folds: below(256) is next() & 0xFF,
+     * and only a runtime bound pays the two divisions.
+     */
+    uint64_t
+    below(uint64_t bound)
+    {
+        if (bound == 0) [[unlikely]]
+            belowZero();
+        // Rejection sampling to avoid modulo bias.
+        const uint64_t limit = ~0ULL - (~0ULL % bound + 1) % bound;
+        uint64_t v;
+        do {
+            v = next();
+        } while (v > limit);
+        return v % bound;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     uint64_t range(uint64_t lo, uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability @p p of returning true. */
-    bool chance(double p);
+    bool chance(double p) { return uniform() < p; }
 
     /**
      * Choose @p k distinct values from [0, n) (Floyd's algorithm).
@@ -79,6 +100,9 @@ class Rng
 
   private:
     uint64_t state[4];
+
+    /** below()'s failure path, out of line so below() stays small. */
+    [[noreturn]] static void belowZero();
 
     static uint64_t
     rotl(uint64_t x, int k)

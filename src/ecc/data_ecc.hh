@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "common/bitvec.hh"
 #include "ddr4/burst.hh"
@@ -56,13 +55,6 @@ struct EccResult
 
     /** Detected anything at all (corrected or not)? */
     bool detected() const { return status != EccStatus::Clean; }
-
-    /**
-     * One-line decode summary for lineage/trace details, e.g.
-     * "corrected 2 symbols (address)" — what the RS decoder actually
-     * did, so per-fault records carry the correction evidence.
-     */
-    std::string describe() const;
 };
 
 /** Abstract chipkill data-ECC organization. */

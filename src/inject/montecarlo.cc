@@ -202,16 +202,30 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
 {
     obs::CostAccountant *cost = obsHandle ? obsHandle->cost() : nullptr;
 
-    // Encode a random payload under a random write address.
+    // Encode a random payload under a random write address.  Its
+    // eight words go straight into the data pins, byte j of word w on
+    // pin 8w + j (the bytes setData() would write).
     const uint32_t addrW = static_cast<uint32_t>(rng.next());
-    BitVec data(Burst::dataBits);
-    for (size_t i = 0; i < data.size(); i += 64)
-        data.setField(i, 64, rng.next());
+    constexpr unsigned payloadWords = Burst::dataBits / 64;
+    uint64_t data[payloadWords];
+    Burst burst;
+    for (unsigned w = 0; w < payloadWords; ++w) {
+        data[w] = rng.next();
+        for (unsigned j = 0; j < 8; ++j)
+            burst.pinBits[8 * w + j] =
+                static_cast<uint8_t>(data[w] >> (8 * j));
+    }
     if (cost) {
         cost->onCommand(/*isWrite=*/true, /*isRead=*/false);
         cost->onEccEncode();
     }
-    Burst burst = ecc->encode(data, addrW);
+    ecc->encodeBurst(burst, addrW);
+    const auto isPayload = [&data](const BitVec &decoded) {
+        for (unsigned w = 0; w < payloadWords; ++w)
+            if (decoded.getField(64 * w, 64) != data[w])
+                return false;
+        return true;
+    };
 
     // Inject the data-error pattern.
     switch (dataErr) {
@@ -232,10 +246,10 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
       case DataErrorModel::Chip1: {
         const unsigned chip =
             static_cast<unsigned>(rng.below(Burst::numChips));
-        BitVec junk(32);
-        for (size_t i = 0; i < 32; ++i)
-            junk.set(i, rng.chance(0.5));
-        burst.setChipBits(chip, junk);
+        uint32_t junk = 0;
+        for (unsigned i = 0; i < 32; ++i)
+            junk |= static_cast<uint32_t>(rng.chance(0.5)) << i;
+        burst.setChipWord(chip, junk);
         break;
       }
       case DataErrorModel::Rank1:
@@ -303,7 +317,7 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
             const EccResult again = ecc->decode(burst, addrAttempt);
             switch (again.status) {
               case EccStatus::Clean:
-                if (addrAttempt == addrW && again.data == data) {
+                if (addrAttempt == addrW && isPayload(again.data)) {
                     return plus ? DataOutcome::CeRPlus
                                 : DataOutcome::CeR;
                 }
@@ -312,7 +326,7 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
               case EccStatus::Corrected:
                 if (again.addressError)
                     break; // still flagged; next attempt
-                if (addrAttempt == addrW && again.data == data) {
+                if (addrAttempt == addrW && isPayload(again.data)) {
                     return plus ? DataOutcome::CeRDPlus
                                 : DataOutcome::CeRD;
                 }
@@ -328,7 +342,7 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
 
     switch (res.status) {
       case EccStatus::Clean:
-        if (!addrMismatch && res.data == data)
+        if (!addrMismatch && isPayload(res.data))
             return classified(DataOutcome::NoError);
         // A wrong location (or aliased corruption) sailed through.
         return classified(DataOutcome::Sdc);
@@ -345,8 +359,8 @@ DataMonteCarlo::runTrialImpl(DataErrorModel dataErr,
             // location was wrong: the consumer uses wrong data.
             return classified(DataOutcome::Sdc);
         }
-        return classified(res.data == data ? DataOutcome::CeD
-                                           : DataOutcome::Sdc);
+        return classified(isPayload(res.data) ? DataOutcome::CeD
+                                              : DataOutcome::Sdc);
 
       case EccStatus::Uncorrectable:
         // Detected.  Re-reading resolves transmission-induced address

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
@@ -357,36 +356,6 @@ StatsRegistry::writeJson(JsonWriter &w) const
         path.pop_back();
     }
     w.endObject();
-}
-
-std::string
-StatsRegistry::str() const
-{
-    // Flat, gem5-stats.txt-style: "name  value  # description".
-    std::map<std::string, std::string> lines;
-    for (const auto &[name, stat] : counters)
-        lines[name] = std::to_string(stat->value());
-    for (const auto &[name, stat] : scalars) {
-        std::ostringstream v;
-        v << stat->value();
-        lines[name] = v.str();
-    }
-    for (const auto &[name, stat] : histograms) {
-        std::ostringstream v;
-        v << "count=" << stat->count() << " mean=" << stat->mean()
-          << " min=" << stat->min() << " max=" << stat->max();
-        lines[name] = v.str();
-    }
-    std::ostringstream out;
-    for (const auto &[name, value] : lines) {
-        out << name << " " << value;
-        if (const auto it = counters.find(name);
-            it != counters.end() && !it->second->description().empty()) {
-            out << " # " << it->second->description();
-        }
-        out << "\n";
-    }
-    return out.str();
 }
 
 } // namespace obs

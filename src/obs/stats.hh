@@ -228,9 +228,6 @@ class StatsRegistry
      */
     void writeJson(JsonWriter &w) const;
 
-    /** Flat gem5-stats.txt-style text dump (sorted by name). */
-    std::string str() const;
-
     /**
      * Checkpoint layout (obs/state.hh): counter values, scalar values
      * (raw bits, so the round trip is exact) and full histogram

@@ -255,57 +255,75 @@ RsCodec::decodeDirty(GfElem *received, uint64_t packed, RsWorkspace &ws,
         const unsigned pos = erasures[e];
         AIECC_ASSERT(pos < nLen, "RS decode: erasure out of range");
         const GfElem xl = exp[nLen - 1 - pos];
-        for (unsigned i = nr; i >= 1; --i)
+        for (unsigned i = e + 1; i >= 1; --i)
             lambda[i] =
                 static_cast<GfElem>(lambda[i] ^ gmul(lambda[i - 1], xl));
     }
 
-    // Errors-and-erasures Berlekamp-Massey (libfec-style formulation).
-    GfElem *b = ws.bpoly.data();
+    // Errors-and-erasures Berlekamp-Massey (libfec-style formulation),
+    // every loop bounded by the degree of what it reads: lambda[i] is
+    // 0 past degL, and the correction polynomial is kept as
+    // b(x) = x^shift * bq(x) with bq[i] 0 past degB, so a
+    // zero-discrepancy round is just ++shift.  Lambda stays truncated
+    // mod x^(nr + 1), as the full-width loops left it: a term that
+    // would land past degree nr is dropped.  The syndromes are kept as
+    // logs, so a discrepancy term costs one log read, not two.
+    uint16_t slog[rsMaxRoots];
+    for (unsigned j = 0; j < nr; ++j)
+        slog[j] = lg[synd[j]];
+    GfElem *bq = ws.bpoly.data();
     GfElem *t = ws.tpoly.data();
-    std::copy(lambda, lambda + nr + 1, b);
+    std::copy(lambda, lambda + numErasures + 1, bq);
+    unsigned degL = numErasures;
+    unsigned degB = numErasures;
+    unsigned shift = 0;
     unsigned el = numErasures;
     for (unsigned r = numErasures + 1; r <= nr; ++r) {
-        // Invariant: i < r <= nr inside the discrepancy sum, so both
-        // lambda[i] and synd[r - i - 1] stay in bounds — the window
-        // never needs narrowing.
-        AIECC_ASSERT(r <= nr, "BM round " << r << " exceeds nroots");
         GfElem discr = 0;
-        for (unsigned i = 0; i < r; ++i)
+        const unsigned top = std::min(degL, r - 1);
+        for (unsigned i = 0; i <= top; ++i)
             discr = static_cast<GfElem>(
-                discr ^ gmul(lambda[i], synd[r - i - 1]));
-        // t = lambda - discr * x * b; a zero discrepancy leaves a copy.
-        t[0] = lambda[0];
-        for (unsigned i = 0; i < nr; ++i)
-            t[i + 1] =
-                static_cast<GfElem>(lambda[i + 1] ^ gmul(discr, b[i]));
-        if (discr != 0 && 2 * el <= r + numErasures - 1) {
-            el = r + numErasures - el;
-            const GfElem dinv = exp[Gf256::groupOrder - lg[discr]];
-            for (unsigned i = 0; i <= nr; ++i)
-                b[i] = gmul(lambda[i], dinv);
-        } else {
-            // b = x * b
-            for (unsigned i = nr; i >= 1; --i)
-                b[i] = b[i - 1];
-            b[0] = 0;
+                discr ^ exp[lg[lambda[i]] + slog[r - 1 - i]]);
+        if (discr == 0) {
+            ++shift;
+            continue;
         }
-        std::swap(lambda, t);
+        const unsigned ld = lg[discr];
+        const bool lengthen = 2 * el <= r + numErasures - 1;
+        const unsigned oldDegL = degL;
+        if (lengthen) {
+            // The next b is this round's lambda / discr: save it first.
+            const unsigned linv = Gf256::groupOrder - ld;
+            for (unsigned i = 0; i <= oldDegL; ++i)
+                t[i] = exp[lg[lambda[i]] + linv];
+        }
+        // lambda -= discr * x * b: bq[i] lands at degree shift + 1 + i.
+        const unsigned lo = shift + 1;
+        if (lo <= nr) {
+            const unsigned hi = std::min(lo + degB, nr);
+            for (unsigned i = lo; i <= hi; ++i)
+                lambda[i] =
+                    static_cast<GfElem>(lambda[i] ^ exp[ld + lg[bq[i - lo]]]);
+            degL = std::max(degL, hi);
+        }
+        if (lengthen) {
+            el = r + numErasures - el;
+            std::swap(bq, t);
+            degB = oldDegL;
+            shift = 0;
+        } else {
+            ++shift;
+        }
     }
 
     // Degree of Lambda.
-    int degLambda = -1;
-    for (int i = static_cast<int>(nr); i >= 0; --i) {
-        if (lambda[static_cast<unsigned>(i)] != 0) {
-            degLambda = i;
-            break;
-        }
-    }
-    if (degLambda <= 0) {
+    unsigned deg = degL;
+    while (deg > 0 && lambda[deg] == 0)
+        --deg;
+    if (deg == 0) {
         // Nonzero syndromes but no locatable error.
         return Status::Uncorrectable;
     }
-    const unsigned deg = static_cast<unsigned>(degLambda);
 
     // Chien search: Lambda at the n positions, eight per word, is
     // lambda_0 in every byte XOR two Chien rows per nonzero lambda_j.

@@ -55,25 +55,6 @@ versionedPayload(uint32_t packedAddr, uint64_t version)
 
 } // namespace
 
-void
-ReplayReport::writeJson(obs::JsonWriter &w) const
-{
-    w.beginObject();
-    w.kv("accesses", accesses);
-    w.kv("command_edges", commandEdges);
-    w.kv("injected_errors", injectedErrors);
-    w.kv("detections", detections);
-    w.kv("retries", retries);
-    w.kv("flagged_reads", flaggedReads);
-    w.kv("corrupt_reads", corruptReads);
-    w.key("by_mechanism");
-    w.beginObject();
-    for (const auto &[mech, count] : byMechanism)
-        w.kv(mechanismName(mech), count);
-    w.endObject();
-    w.endObject();
-}
-
 ReplayReport
 replayTrace(ProtectionStack &stack,
             const std::vector<TraceRecord> &trace,

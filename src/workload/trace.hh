@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "aiecc/stack.hh"
-#include "obs/json.hh"
 #include "workload/workload.hh"
 
 namespace aiecc
@@ -60,9 +59,6 @@ struct ReplayReport
     uint64_t flaggedReads = 0;  ///< DUEs delivered instead of bad data
     uint64_t corruptReads = 0;  ///< wrong data silently consumed (SDC)
     std::map<Mechanism, uint64_t> byMechanism;
-
-    /** Serialize all fields as one JSON object. */
-    void writeJson(obs::JsonWriter &w) const;
 };
 
 /**

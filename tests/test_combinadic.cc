@@ -49,6 +49,9 @@ TEST(BinomialDeath, OverflowPanics)
 {
     EXPECT_DEATH(binomial(68, 34), "overflow");
     EXPECT_DEATH(CombinationSpace(128, 64), "overflow");
+    // C(65, 1) fits, but past maxN the Pascal table has no row.
+    EXPECT_DEATH(CombinationSpace(CombinationSpace::maxN + 1, 1),
+                 "n <= 64");
 }
 
 // ---- order contract ----

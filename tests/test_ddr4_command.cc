@@ -506,8 +506,8 @@ TEST(CommandCodecDiff, OneAndTwoPinFlipsMatchReference)
 TEST(Command, NamesArePrintable)
 {
     for (unsigned i = 0; i < numCccaPins; ++i)
-        EXPECT_NE(pinName(static_cast<Pin>(i)), "?");
-    EXPECT_EQ(cmdName(CmdType::Act), "ACT");
+        EXPECT_STRNE(pinName(static_cast<Pin>(i)), "?");
+    EXPECT_STREQ(cmdName(CmdType::Act), "ACT");
     EXPECT_NE(Command::act(1, 2, 3).toString().find("ACT"),
               std::string::npos);
 }

@@ -715,6 +715,59 @@ TEST_P(RsGeometry, DirtyDecodeMatchesReference)
             for (int rep = 0; rep < 10; ++rep)
                 corrupt(std::min(ners + nerr, n), ners);
     }
+    // Table III's error shapes (DataMonteCarlo), each alone and with
+    // one more symbol error outside it:
+    //  0. Chip1: one x4 chip's four adjacent pin symbols overwritten
+    //     with random values (an aligned 4-symbol block);
+    //  1. the eDECC-t address-bit mask: 16 consecutive symbols XORed
+    //     by one byte;
+    //  2. an address error: random deltas on the four symbols just
+    //     below k, which in RS(76, 68) are the address symbols 64..67.
+    const auto shaped = [&](unsigned shape, bool plusOne) {
+        auto rx = rs.encode(randomMessage(rng, k));
+        std::vector<bool> hit(n, false);
+        const auto touch = [&](unsigned first, unsigned count) {
+            for (unsigned i = first; i < first + count; ++i)
+                hit[i] = true;
+        };
+        switch (shape) {
+          case 0: {
+            const auto first = static_cast<unsigned>(4 * rng.below(n / 4));
+            for (unsigned i = first; i < first + 4; ++i)
+                rx[i] = static_cast<GfElem>(rng.below(256));
+            touch(first, 4);
+            break;
+          }
+          case 1: {
+            const auto first = static_cast<unsigned>(rng.below(n - 15));
+            const auto mask = static_cast<GfElem>(rng.range(1, 255));
+            for (unsigned i = first; i < first + 16; ++i)
+                rx[i] ^= mask;
+            touch(first, 16);
+            break;
+          }
+          default: {
+            const auto delta =
+                static_cast<uint32_t>(rng.range(1, 0xFFFFFFFFULL));
+            for (unsigned i = 0; i < 4; ++i)
+                rx[k - 4 + i] ^= static_cast<GfElem>(delta >> (8 * i));
+            touch(k - 4, 4);
+            break;
+          }
+        }
+        if (plusOne) {
+            unsigned pos;
+            do {
+                pos = static_cast<unsigned>(rng.below(n));
+            } while (hit[pos]);
+            rx[pos] ^= static_cast<GfElem>(rng.range(1, 255));
+        }
+        check(rx, {});
+    };
+    for (unsigned shape = 0; shape < 3; ++shape)
+        for (const bool plusOne : {false, true})
+            for (int rep = 0; rep < 100; ++rep)
+                shaped(shape, plusOne);
     EXPECT_GT(checked, 0u);
 }
 
