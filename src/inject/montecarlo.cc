@@ -441,8 +441,9 @@ DataMonteCarlo::emitTrialEvents(obs::Observer &to, uint64_t trial,
     // trial: the flagged detection with its address evidence, the
     // retry episode's re-reads, and an exhaustion when the budget ran
     // dry.  NoError and SDC trials emit nothing — nothing fired.  The
-    // detection is a data-path (not alert-family) symptom; its
-    // "data-ecc" detail tag says so in a recorded trace.
+    // detection is a data-path (not alert-family) symptom: its symptom
+    // member says so in a recorded trace, and the "data-ecc" tag only
+    // names the engine to a reader.
     const char *tag;
     obs::Symptom symptom = obs::Symptom::DataCe;
     switch (detail.outcome) {

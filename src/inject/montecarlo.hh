@@ -166,9 +166,10 @@ class DataMonteCarlo
      * reads four things from it:
      *  - stats: per-outcome trial counters under "montecarlo.";
      *  - sinks: every *flagged* trial emits its symptom stream — a
-     *    Detection tagged "data-ecc" (so RAS health monitors classify
-     *    it as a data-path symptom), one Retry per re-read attempt,
-     *    and a Recovery exhaustion when the retry budget runs dry —
+     *    Detection tagged "data-ecc" whose data CE/UE symptom makes
+     *    RAS health monitors classify it as a data-path symptom, one
+     *    Retry per re-read attempt, and a Recovery exhaustion when the
+     *    retry budget runs dry —
      *    with the cell-global trial index standing in for the cycle
      *    (the only timeline a Monte-Carlo has);
      *  - cost: each trial bills its write, read, codec work and

@@ -8,29 +8,6 @@ namespace aiecc
 namespace obs
 {
 
-std::string_view
-eventKindNameView(EventKind kind)
-{
-    switch (kind) {
-#define AIECC_EVENT_KIND_NAME(k, n)                                       \
-      case EventKind::k: return n;
-      AIECC_EVENT_KINDS(AIECC_EVENT_KIND_NAME)
-#undef AIECC_EVENT_KIND_NAME
-    }
-    return "?";
-}
-
-std::optional<EventKind>
-eventKindFromName(std::string_view name)
-{
-    for (unsigned k = 0; k < numEventKinds; ++k) {
-        const EventKind kind = static_cast<EventKind>(k);
-        if (eventKindNameView(kind) == name)
-            return kind;
-    }
-    return std::nullopt;
-}
-
 void
 TraceEvent::renderDetail(TextBuf &out) const
 {
@@ -145,16 +122,53 @@ TraceEvent::writeJson(JsonWriter &w) const
         w.kv("label", label);
     if (value)
         w.kv("value", value);
-    if (detail == Detail::Why) {
-        // Kept text may outgrow the render buffer: write it as is.
-        if (why && *why)
-            w.kv("detail", why);
-    } else if (detail != Detail::None) {
-        TextBuf text;
-        renderDetail(text);
-        if (!text.empty())
-            w.kv("detail", text.view());
+    // The form and the operands it renders, no more.
+    const unsigned ops = detailOperands[static_cast<unsigned>(detail)];
+    if (detail != Detail::None)
+        w.kv("form", detailFormNames[static_cast<unsigned>(detail)]);
+    if (ops & opWhy && why && *why)
+        w.kv("why", why);
+    if (ops & opCmd) {
+        // The fields Command::render() prints for this type.
+        const CmdType t = cmd.type;
+        const bool rw = t == CmdType::Rd || t == CmdType::Wr;
+        w.kv("cmd", cmdName(t));
+        if (rw || t == CmdType::Act || t == CmdType::Pre)
+            w.kv("bg", cmd.bg).kv("ba", cmd.ba);
+        if (t == CmdType::Act)
+            w.kv("row", cmd.row);
+        if (rw)
+            w.kv("col", cmd.col);
+        if (rw && cmd.autoPrecharge)
+            w.kv("ap", true);
+        if (rw && cmd.burstChop)
+            w.kv("bc", true);
     }
+    if (ops & opAddr) {
+        w.kv("rank", addr.rank).kv("bg", addr.bg).kv("ba", addr.ba);
+        w.kv("row", addr.row).kv("col", addr.col);
+    }
+    if (ops & opPins && pins.all) {
+        w.kv("pins", "all");
+    } else if (ops & opPins && pins.size) {
+        TextBuf list;
+        for (uint8_t i = 0; i < pins.size; ++i)
+            list.add(i ? "+" : "").add(pinName(pins.pins[i]));
+        w.kv("pins", list.view());
+    }
+    if (ops & opFirst && mech)
+        w.kv("first", mech);
+    if (ops & opTrial && edges)
+        w.kv("edges", edges);
+    if (ops & opTrial && recovery)
+        w.kv("recovery", recovery).kv("attempts", attempts);
+    // The RAS fields.
+    if (symptom != Symptom::None)
+        w.kv("symptom", symptomNames[static_cast<unsigned>(symptom)]);
+    if (chips)
+        w.kv("chips", chips);
+    if (pin >= 0)
+        w.kv("pin", pin);
     if (faultId)
         w.kv("fault", faultId);
     w.endObject();

@@ -4,11 +4,11 @@
  *
  * Producers emit flat TraceEvents (kind + cycle timestamp + the typed
  * facts of a small, schema-stable payload) through the TraceSink
- * interface.  An event is a plain value; its label and detail text
- * are rendered from those facts only when a line is written.  Two
- * sinks are provided: an unbounded in-memory vector for tests and
- * sharded capture, and a JSONL file sink that streams one JSON object
- * per line for offline analysis and trend tracking.
+ * interface.  An event is a plain value; its detail text is rendered
+ * from those facts only for people (renderDetail()).  Two sinks are
+ * provided: an unbounded in-memory vector for tests and sharded
+ * capture, and a JSONL file sink that streams one flat JSON object per
+ * line, each fact its own member, for offline analysis.
  */
 
 #ifndef AIECC_OBS_TRACE_HH
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,12 +35,27 @@ namespace obs
 {
 
 /**
- * The event-kind schema: one X-macro entry per kind, pairing the
- * enumerator with its JSONL "kind" string.  The enum, the count, and
- * both name mappings are generated from this single list, so adding a
- * kind here is the *only* edit needed — parsers that iterate
- * numEventKinds and the name round-trip can no longer drift.
+ * The JSONL trace format writeJson() emits and parseTraceLine()
+ * reads.  Format 2 writes each detail operand and RAS field as its
+ * own member ("form", "why", "cmd", "chips", "symptom", ...; DESIGN.md
+ * §6).  Format 1 rendered the operands into one "detail" sentence; a
+ * line carrying "detail" is refused.  A format-1 line without
+ * "detail" happens to be a valid format-2 line, and only the symptom
+ * a format-1 reader inferred from its label is lost.  Lines carry no
+ * version member.
  */
+constexpr unsigned traceFormat = 2;
+
+/**
+ * The schema tables below are X-macros: each entry pairs an
+ * enumerator with its JSONL name, and the enum and its name table are
+ * generated from that single list, so adding an entry is the *only*
+ * edit needed — writers, parsers and name round-trips cannot drift.
+ */
+#define AIECC_ENUMERATOR(enumerator, ...) enumerator,
+#define AIECC_NAME_OF(enumerator, name, ...) name,
+
+/** The event kinds (the JSONL "kind" member). */
 #define AIECC_EVENT_KINDS(X)                                              \
     /* a command edge left the controller */                              \
     X(CommandIssued, "command")                                           \
@@ -73,83 +89,149 @@ namespace obs
 /** What happened (the JSONL "kind" field). */
 enum class EventKind
 {
-#define AIECC_EVENT_KIND_ENUM(kind, name) kind,
-    AIECC_EVENT_KINDS(AIECC_EVENT_KIND_ENUM)
-#undef AIECC_EVENT_KIND_ENUM
+    AIECC_EVENT_KINDS(AIECC_ENUMERATOR)
 };
 
+/** JSONL "kind" names, indexed by EventKind. */
+inline constexpr std::string_view eventKindNames[] = {
+    AIECC_EVENT_KINDS(AIECC_NAME_OF)};
+
 /** Number of EventKind enumerators (parsers iterate the schema). */
-constexpr unsigned numEventKinds = []() consteval {
-    unsigned n = 0;
-#define AIECC_EVENT_KIND_COUNT(kind, name) ++n;
-    AIECC_EVENT_KINDS(AIECC_EVENT_KIND_COUNT)
-#undef AIECC_EVENT_KIND_COUNT
-    return n;
-}();
+constexpr unsigned numEventKinds = std::size(eventKindNames);
+
+/**
+ * What an event tells a RAS monitor, typed (the JSONL "symptom"
+ * member).  Producers set it from facts they hold, and writeJson()
+ * records it, so a replayed trace reads it back instead of guessing it
+ * from text.
+ */
+#define AIECC_SYMPTOMS(X)                                                 \
+    X(None, "none")                                                       \
+    /* Detection: corrected data-ECC error (value = address) */          \
+    X(DataCe, "data_ce")                                                  \
+    /* Detection: uncorrectable data-ECC error (ditto) */                 \
+    X(DataUe, "data_ue")                                                  \
+    /* Detection: device alert family (CAP/WCRC/CSTC) */                  \
+    X(Alert, "alert")                                                     \
+    /* Recovery: the retry budget ran out */                              \
+    X(Exhausted, "exhausted")                                             \
+    /* Escalation: bank quarantined (value = bank) */                     \
+    X(Quarantine, "quarantine")
+
+enum class Symptom : uint8_t
+{
+    AIECC_SYMPTOMS(AIECC_ENUMERATOR)
+};
+
+/** JSONL "symptom" names, indexed by Symptom. */
+inline constexpr std::string_view symptomNames[] = {
+    AIECC_SYMPTOMS(AIECC_NAME_OF)};
+
+/** The operands a detail form renders (bits of detailOperands). */
+enum DetailOperand : uint8_t
+{
+    opWhy = 1,    ///< why
+    opCmd = 2,    ///< cmd
+    opAddr = 4,   ///< addr
+    opPins = 8,   ///< pins
+    opFirst = 16, ///< mech
+    opTrial = 32, ///< edges, recovery and attempts
+};
+
+/**
+ * The detail forms (the JSONL "form" member): the sentence an event's
+ * detail text takes, as renderDetail() prints it, and the operands
+ * that fill it.  `<why>`, `<mech>` and `<recovery>` are the static
+ * strings of those fields; `<cmd>` and `<addr>` print as
+ * Command::render() and MtbAddress::render().
+ */
+#define AIECC_DETAIL_FORMS(X)                                             \
+    /* no detail text */                                                  \
+    X(None, "none", 0)                                                    \
+    /* <why>, verbatim */                                                 \
+    X(Why, "why", opWhy)                                                  \
+    /* "parity mismatch on <cmd>" */                                      \
+    X(CaParity, "ca_parity", opCmd)                                       \
+    /* "write CRC mismatch at <addr>" */                                  \
+    X(Wcrc, "wcrc", opAddr)                                               \
+    /* "<why> (<cmd>)" */                                                 \
+    X(Cstc, "cstc", opWhy | opCmd)                                        \
+    /* "<why> corrected read @<addr>[ chips=<hex chips>]" */              \
+    X(ReadCe, "read_ce", opWhy | opAddr)                                  \
+    /* "<why> DUE on read @<addr>[ chips=<hex chips>]" */                 \
+    X(ReadDue, "read_due", opWhy | opAddr)                                \
+    /* "replay <cmd>" */                                                  \
+    X(Replay, "replay", opCmd)                                            \
+    /* "reissue RD @<addr>" */                                            \
+    X(ReissueRd, "reissue_rd", opAddr)                                    \
+    /* "scrub write-back @<addr>" */                                      \
+    X(ScrubBack, "scrub_back", opAddr)                                    \
+    /* "patrol scrub @<addr>" */                                          \
+    X(Patrol, "patrol", opAddr)                                           \
+    /* "window replay @<addr>" */                                         \
+    X(Window, "window", opAddr)                                           \
+    /* "intended 0x<hi> observed 0x<lo>; faulty MTB bits {..}; suspect    \
+       pins {<pins, comma-separated>}" from value = intended << 32 |      \
+       observed, or "addresses agree" */                                  \
+    X(Diagnosis, "diagnosis", opPins)                                     \
+    /* "first=<mech>" */                                                  \
+    X(First, "first", opFirst)                                            \
+    /* "<why> / <pins>[x<edges>][ first=<mech>][ recovery=<recovery>      \
+       (<attempts>)]": the trial's command pattern, its injected pins     \
+       joined by '+' (or "all-pin"), the edges the fault persisted for    \
+       when more than one, and how the trial ended */                     \
+    X(Trial, "trial", opWhy | opPins | opFirst | opTrial)                 \
+    /* "recommend <label> bank=<value >> 32> row=<low 32 bits>" */        \
+    X(Recommend, "recommend", 0)
+
+enum class Detail : uint8_t
+{
+    AIECC_DETAIL_FORMS(AIECC_ENUMERATOR)
+};
+
+/** JSONL "form" names, indexed by Detail. */
+inline constexpr std::string_view detailFormNames[] = {
+    AIECC_DETAIL_FORMS(AIECC_NAME_OF)};
+
+/** Each form's DetailOperand bits, indexed by Detail. */
+inline constexpr uint8_t detailOperands[] = {
+#define AIECC_OPERANDS_OF(form, name, operands) operands,
+    AIECC_DETAIL_FORMS(AIECC_OPERANDS_OF)
+#undef AIECC_OPERANDS_OF
+};
+
+#undef AIECC_ENUMERATOR
+#undef AIECC_NAME_OF
+
+/** The enumerator named @p name in @p names; nullopt when unknown. */
+template <class Enum, size_t N>
+constexpr std::optional<Enum>
+namedIn(const std::string_view (&names)[N], std::string_view name)
+{
+    for (size_t i = 0; i < N; ++i) {
+        if (names[i] == name)
+            return static_cast<Enum>(i);
+    }
+    return std::nullopt;
+}
 
 /** Printable event-kind name: a view of the static JSONL schema string. */
-std::string_view eventKindNameView(EventKind kind);
+inline std::string_view
+eventKindNameView(EventKind kind)
+{
+    return eventKindNames[static_cast<unsigned>(kind)];
+}
 
 /**
  * Inverse of eventKindNameView(): the kind whose schema string is
  * @p name, or nullopt for an unknown string.  Used by trace-file
  * parsers (tools/aiecc-trace) to round-trip recorded events.
  */
-std::optional<EventKind> eventKindFromName(std::string_view name);
-
-/**
- * What an event tells a RAS monitor, typed.  Producers set it from
- * facts they hold; it says no more than the event's label and detail
- * text do, and it is not written to JSONL (parseTraceLine() recovers
- * it from that text).
- */
-enum class Symptom : uint8_t
+inline std::optional<EventKind>
+eventKindFromName(std::string_view name)
 {
-    None,
-    DataCe,     ///< Detection: corrected data-ECC error (value = address)
-    DataUe,     ///< Detection: uncorrectable data-ECC error (ditto)
-    Alert,      ///< Detection: device alert family (CAP/WCRC/CSTC)
-    Exhausted,  ///< Recovery: the retry budget ran out
-    Quarantine, ///< Escalation: bank quarantined (value = bank)
-};
-
-/**
- * The sentence an event's JSONL "detail" member is rendered from, and
- * which of the event's fields fill it.  `<why>`, `<mech>` and
- * `<recovery>` are the static strings of those fields; `<cmd>` and
- * `<addr>` print as Command::render() and MtbAddress::render().
- */
-enum class Detail : uint8_t
-{
-    None,      ///< no "detail" member
-    Why,       ///< <why>, verbatim
-    CaParity,  ///< "parity mismatch on <cmd>"
-    Wcrc,      ///< "write CRC mismatch at <addr>"
-    Cstc,      ///< "<why> (<cmd>)"
-    ReadCe,    ///< "<why> corrected read @<addr>[ chips=<hex chips>]"
-    ReadDue,   ///< "<why> DUE on read @<addr>[ chips=<hex chips>]"
-    Replay,    ///< "replay <cmd>"
-    ReissueRd, ///< "reissue RD @<addr>"
-    ScrubBack, ///< "scrub write-back @<addr>"
-    Patrol,    ///< "patrol scrub @<addr>"
-    Window,    ///< "window replay @<addr>"
-    /**
-     * "intended 0x<hi> observed 0x<lo>; faulty MTB bits {..}; suspect
-     * pins {<pins, comma-separated>}" from value = intended << 32 |
-     * observed, or "addresses agree".
-     */
-    Diagnosis,
-    First,     ///< "first=<mech>"
-    /**
-     * "<why> / <pins>[x<edges>][ first=<mech>][ recovery=<recovery>
-     * (<attempts>)]": the trial's command pattern, its injected pins
-     * joined by '+' (or "all-pin"), the edges the fault persisted for
-     * when more than one, and how the trial ended.
-     */
-    Trial,
-    /** "recommend <label> bank=<value >> 32> row=<low 32 bits>" */
-    Recommend,
-};
+    return namedIn<EventKind>(eventKindNames, name);
+}
 
 /**
  * An ordered list of CCCA pins: a diagnosis's suspects, or the pins a
@@ -183,8 +265,9 @@ struct PinList
 /**
  * One structured observation, timestamped in controller cycles.
  *
- * A plain value: producers fill in the facts they hold, and the text a
- * recorded trace carries is rendered from them only by writeJson().
+ * A plain value: producers fill in the facts they hold; writeJson()
+ * records each as its own member, and the detail text is rendered
+ * from them only for people.
  * Every string member points at static storage (a name table) or at
  * internText()'s process-wide table, so copying, storing and
  * re-emitting an event never allocates.
@@ -192,9 +275,9 @@ struct PinList
 struct TraceEvent
 {
     EventKind kind = EventKind::CommandIssued;
-    /** Typed RAS symptom (not serialized). */
+    /** Typed RAS symptom (the "symptom" member). */
     Symptom symptom = Symptom::None;
-    /** Which sentence the "detail" member renders (Detail). */
+    /** Which sentence the detail text renders, and so its operands. */
     Detail detail = Detail::None;
     uint64_t cycle = 0;
     /** Kind-specific number: packed address, pin count, retry depth. */
@@ -245,7 +328,11 @@ struct TraceEvent
     /** The detail sentence as a string (readers and printers). */
     std::string detailText() const;
 
-    /** Serialize as one self-contained JSON object value. */
+    /**
+     * Serialize as one flat JSON object: kind, cycle, label, value,
+     * the form and each operand it renders, the RAS fields (symptom,
+     * chips, pin) and the fault ID, every one omitted when unset.
+     */
     void writeJson(JsonWriter &w) const;
 };
 

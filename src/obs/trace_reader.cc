@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <type_traits>
 
 namespace aiecc
 {
@@ -38,6 +40,8 @@ struct FlatValue
     bool numExact = false; ///< num holds the full value (plain digits)
     double dbl = 0.0;      ///< numeric payload as a double
     bool isNumber = false; ///< a number token was parsed
+    bool isBool = false;   ///< true or false was parsed
+    bool flag = false;     ///< the boolean's value
 };
 
 bool
@@ -131,11 +135,12 @@ parseValue(std::string_view s, size_t &i, FlatValue &out,
         return fail(error, "nested values are not part of the schema");
     if (s.compare(i, 4, "true") == 0) {
         i += 4;
-        out.num = 1;
+        out.isBool = out.flag = true;
         return true;
     }
     if (s.compare(i, 5, "false") == 0) {
         i += 5;
+        out.isBool = true;
         return true;
     }
     if (s.compare(i, 4, "null") == 0) {
@@ -301,104 +306,6 @@ writeInstant(JsonWriter &w, const TraceEvent &event, std::string_view cat,
     w.endObject().endObject();
 }
 
-/** A forward reader over one detail sentence. */
-struct Scan
-{
-    std::string_view s;
-    size_t i = 0;
-
-    bool
-    lit(std::string_view text)
-    {
-        if (s.substr(i, text.size()) != text)
-            return false;
-        i += text.size();
-        return true;
-    }
-
-    /** At most 16 digits: never overflows, in base 10 or 16. */
-    bool
-    num(uint64_t &out, unsigned base)
-    {
-        const size_t start = i;
-        out = 0;
-        while (i < s.size() && i - start < 16) {
-            const char c = s[i];
-            unsigned d;
-            if (c >= '0' && c <= '9')
-                d = static_cast<unsigned>(c - '0');
-            else if (base == 16 && c >= 'a' && c <= 'f')
-                d = static_cast<unsigned>(c - 'a') + 10;
-            else
-                break;
-            out = out * base + d;
-            ++i;
-        }
-        return i > start;
-    }
-
-    bool
-    num(unsigned &out, unsigned base)
-    {
-        uint64_t v;
-        if (!num(v, base) || v > UINT32_MAX)
-            return false;
-        out = static_cast<unsigned>(v);
-        return true;
-    }
-
-    std::string_view rest() const { return s.substr(i); }
-    bool done() const { return i == s.size(); }
-};
-
-bool
-scanCommand(Scan &sc, Command &cmd)
-{
-    // The longest mnemonic that matches, so "PREA" is not read as
-    // "PRE" (Rfu is the last CmdType).
-    bool named = false;
-    size_t best = 0;
-    for (unsigned t = 0; t <= static_cast<unsigned>(CmdType::Rfu); ++t) {
-        const std::string_view name = cmdName(static_cast<CmdType>(t));
-        if (name.size() > best && sc.rest().substr(0, name.size()) == name) {
-            cmd.type = static_cast<CmdType>(t);
-            best = name.size();
-            named = true;
-        }
-    }
-    if (!named)
-        return false;
-    sc.i += best;
-    const auto bank = [&] {
-        return sc.lit(" bg") && sc.num(cmd.bg, 10) && sc.lit(".ba") &&
-               sc.num(cmd.ba, 10);
-    };
-    switch (cmd.type) {
-      case CmdType::Act:
-        return bank() && sc.lit(" row0x") && sc.num(cmd.row, 16);
-      case CmdType::Rd:
-      case CmdType::Wr:
-        if (!bank() || !sc.lit(" col0x") || !sc.num(cmd.col, 16))
-            return false;
-        cmd.autoPrecharge = sc.lit(" AP");
-        cmd.burstChop = sc.lit(" BC");
-        return true;
-      case CmdType::Pre:
-        return bank();
-      default:
-        return true;
-    }
-}
-
-bool
-scanAddress(Scan &sc, MtbAddress &addr)
-{
-    return sc.lit("rank") && sc.num(addr.rank, 10) && sc.lit(".bg") &&
-           sc.num(addr.bg, 10) && sc.lit(".ba") && sc.num(addr.ba, 10) &&
-           sc.lit(".row0x") && sc.num(addr.row, 16) && sc.lit(".col0x") &&
-           sc.num(addr.col, 16);
-}
-
 /** The pin whose name is @p name, if any. */
 std::optional<Pin>
 pinNamed(std::string_view name)
@@ -410,213 +317,34 @@ pinNamed(std::string_view name)
     return std::nullopt;
 }
 
-/**
- * Read @p text into @p event's Detail form and operands.  False when
- * no form's grammar matches; a match is only kept by the caller if it
- * renders back to @p text.
- */
+/** The command type whose mnemonic is @p name, if any. */
+std::optional<CmdType>
+cmdNamed(std::string_view name)
+{
+    for (unsigned t = 0; t <= static_cast<unsigned>(CmdType::Rfu); ++t) {
+        if (name == cmdName(static_cast<CmdType>(t)))
+            return static_cast<CmdType>(t);
+    }
+    return std::nullopt;
+}
+
+/** Read a "pins" member: "all", or pin names joined by '+'. */
 bool
-scanDetail(std::string_view text, TraceEvent &event)
+readPins(std::string_view list, PinList &pins)
 {
-    Scan sc{text};
-    const auto addrForm = [&](Detail form) {
-        event.detail = form;
-        return scanAddress(sc, event.addr) && sc.done();
-    };
-    if (event.kind == EventKind::Classification) {
-        // "<why> / <pins>[x<edges>][ first=<mech>][ recovery=
-        // <recovery>(<attempts>)]", the suffixes read from the end.
-        event.detail = Detail::Trial;
-        std::string_view head = text;
-        if (head.ends_with(')')) {
-            const size_t at = head.rfind(" recovery=");
-            const size_t open = head.rfind('(');
-            Scan n{head.substr(0, head.size() - 1)};
-            n.i = open == std::string_view::npos ? n.s.size() : open + 1;
-            if (at != std::string_view::npos && open > at &&
-                n.num(event.attempts, 10) && n.done()) {
-                event.recovery = internText(
-                    head.substr(at + 10, open - (at + 10)));
-                head = head.substr(0, at);
-            }
-        }
-        if (const size_t at = head.rfind(" first=");
-            at != std::string_view::npos) {
-            event.mech = internText(head.substr(at + 7));
-            head = head.substr(0, at);
-        }
-        const size_t slash = head.find(" / ");
-        if (slash == std::string_view::npos)
+    if (list == "all") {
+        pins.all = true;
+        return true;
+    }
+    while (true) {
+        const size_t plus = list.find('+');
+        const auto pin = pinNamed(list.substr(0, plus));
+        if (!pin || pins.size == numCccaPins)
             return false;
-        event.why = internText(head.substr(0, slash));
-        std::string_view error = head.substr(slash + 3);
-        event.edges = 1; // a transient fault unless "x<edges>" says so
-        if (const size_t x = error.rfind('x'); x != std::string_view::npos) {
-            Scan e{error, x + 1};
-            if (e.num(event.edges, 10) && e.done())
-                error = error.substr(0, x);
-        }
-        if (error == "all-pin") {
-            event.pins.all = true;
+        pins.push(*pin);
+        if (plus == std::string_view::npos)
             return true;
-        }
-        while (!error.empty()) {
-            const size_t plus = error.find('+');
-            const auto pin = pinNamed(error.substr(0, plus));
-            if (!pin)
-                return false;
-            event.pins.push(*pin);
-            error = plus == std::string_view::npos ? std::string_view{}
-                                                   : error.substr(plus + 1);
-        }
-        return true;
-    }
-    if (sc.lit("parity mismatch on ")) {
-        event.detail = Detail::CaParity;
-        return scanCommand(sc, event.cmd) && sc.done();
-    }
-    if (sc.lit("replay ")) {
-        event.detail = Detail::Replay;
-        return scanCommand(sc, event.cmd) && sc.done();
-    }
-    if (sc.lit("write CRC mismatch at "))
-        return addrForm(Detail::Wcrc);
-    if (sc.lit("reissue RD @"))
-        return addrForm(Detail::ReissueRd);
-    if (sc.lit("scrub write-back @"))
-        return addrForm(Detail::ScrubBack);
-    if (sc.lit("patrol scrub @"))
-        return addrForm(Detail::Patrol);
-    if (sc.lit("window replay @"))
-        return addrForm(Detail::Window);
-    if (sc.lit("first=")) {
-        event.detail = Detail::First;
-        event.mech = internText(sc.rest());
-        return true;
-    }
-    if (sc.lit("recommend ")) {
-        event.detail = Detail::Recommend;
-        return true; // label and value carry it all
-    }
-    if (text == "addresses agree" || sc.lit("intended 0x")) {
-        // The addresses live in value; the suspects are read here.
-        event.detail = Detail::Diagnosis;
-        const size_t at = text.find("suspect pins {");
-        if (at == std::string_view::npos)
-            return text == "addresses agree";
-        std::string_view list = text.substr(at + 14);
-        if (!list.ends_with('}'))
-            return false;
-        list.remove_suffix(1);
-        while (!list.empty()) {
-            const size_t comma = list.find(',');
-            const auto pin = pinNamed(list.substr(0, comma));
-            if (!pin)
-                return false;
-            event.pins.push(*pin);
-            list = comma == std::string_view::npos
-                       ? std::string_view{}
-                       : list.substr(comma + 1);
-        }
-        return true;
-    }
-    for (const Detail form : {Detail::ReadCe, Detail::ReadDue}) {
-        const std::string_view mid = form == Detail::ReadCe
-                                         ? " corrected read @"
-                                         : " DUE on read @";
-        const size_t at = text.find(mid);
-        if (at == std::string_view::npos)
-            continue;
-        event.detail = form;
-        event.why = internText(text.substr(0, at));
-        Scan a{text, at + mid.size()};
-        if (!scanAddress(a, event.addr))
-            return false;
-        if (a.lit(" chips=") && !a.num(event.chips, 16))
-            return false;
-        return a.done();
-    }
-    if (text.ends_with(')')) {
-        const size_t at = text.rfind(" (");
-        if (at == std::string_view::npos)
-            return false;
-        event.detail = Detail::Cstc;
-        event.why = internText(text.substr(0, at));
-        Scan c{text.substr(0, text.size() - 1), at + 2};
-        return scanCommand(c, event.cmd) && c.done();
-    }
-    return false;
-}
-
-/** Set event's label and detail from the recorded text (see header). */
-void
-readText(TraceEvent &event, std::string_view label, std::string_view detail)
-{
-    if (!label.empty())
-        event.label = internText(label);
-    if (detail.empty())
-        return;
-    TraceEvent typed = event;
-    if (scanDetail(detail, typed)) {
-        TextBuf back;
-        typed.renderDetail(back);
-        if (!back.truncated() && back.view() == detail) {
-            event = typed;
-            return;
-        }
-    }
-    event.detail = Detail::Why;
-    event.why = internText(detail);
-}
-
-/**
- * Recover the typed RAS symptom fields from the recorded label and
- * detail text — the fields a live producer sets from its own facts.
- */
-void
-readSymptoms(TraceEvent &event, std::string_view label,
-             std::string_view detail)
-{
-    const auto says = [&](std::string_view text) {
-        return detail.find(text) != std::string_view::npos;
-    };
-    switch (event.kind) {
-      case EventKind::Detection:
-        // label = mechanism name.  DECC/eDECC are data-path symptoms
-        // with address evidence; standalone data-codec engines (the
-        // Table III Monte-Carlo) tag theirs "data-ecc" in the detail;
-        // the rest are alert families.
-        if (label != "DECC" && label != "eDECC" && !says("data-ecc")) {
-            event.symptom = Symptom::Alert;
-            break;
-        }
-        event.symptom = says(" DUE") ? Symptom::DataUe : Symptom::DataCe;
-        // The corrected chips, as the " chips=<hex>" suffix.
-        if (const size_t at = detail.find(" chips=");
-            at != std::string_view::npos) {
-            Scan sc{detail, at + 7};
-            sc.num(event.chips, 16);
-        }
-        break;
-
-      case EventKind::Diagnosis:
-        // label = the suspect CA pin's name.
-        if (const auto pin = pinNamed(label))
-            event.pin = static_cast<int>(*pin);
-        break;
-
-      case EventKind::Recovery:
-        if (says("exhausted"))
-            event.symptom = Symptom::Exhausted;
-        break;
-
-      case EventKind::Escalation:
-        if (label == "quarantine")
-            event.symptom = Symptom::Quarantine;
-        break;
-
-      default:
-        break;
+        list.remove_prefix(plus + 1);
     }
 }
 
@@ -627,28 +355,82 @@ parseTraceLine(std::string_view line, std::string *error)
 {
     TraceEvent event;
     bool sawKind = false;
-    std::string label, detail;
+    // The bank, row and column members are the command's when the
+    // line names one, else the address's.
+    MtbAddress at;
+    bool cmd = false, ap = false, bc = false;
     const auto member = [&](const std::string &key, FlatValue &value) {
-        if (key == "kind") {
+        const auto bad = [&](const char *what) {
+            return fail(error, "\"" + key + "\" must be " + what);
+        };
+        const auto number = [&](auto &field) {
+            using Field = std::remove_reference_t<decltype(field)>;
+            if (!value.isNumber || !value.numExact ||
+                value.num > std::numeric_limits<Field>::max())
+                return bad("an unsigned integer in range");
+            field = static_cast<Field>(value.num);
+            return true;
+        };
+        // No name is empty, so a non-string (str "") is never found.
+        const auto name = [&](auto &field, auto found) {
+            if (!found)
+                return bad("a known name");
+            field = *found;
+            return true;
+        };
+        uint64_t *const wide = key == "cycle"      ? &event.cycle
+                               : key == "value"    ? &event.value
+                               : key == "fault"    ? &event.faultId
+                               : key == "attempts" ? &event.attempts
+                                                   : nullptr;
+        unsigned *const narrow = key == "edges"   ? &event.edges
+                                 : key == "chips" ? &event.chips
+                                 : key == "rank"  ? &at.rank
+                                 : key == "bg"    ? &at.bg
+                                 : key == "ba"    ? &at.ba
+                                 : key == "row"   ? &at.row
+                                 : key == "col"   ? &at.col
+                                                  : nullptr;
+        const char **const text = key == "label"      ? &event.label
+                                  : key == "why"      ? &event.why
+                                  : key == "first"    ? &event.mech
+                                  : key == "recovery" ? &event.recovery
+                                                      : nullptr;
+        bool *const flag = key == "ap" ? &ap : key == "bc" ? &bc : nullptr;
+        if (wide)
+            return number(*wide);
+        if (narrow)
+            return number(*narrow);
+        if (text) {
             if (!value.isString)
-                return fail(error, "\"kind\" must be a string");
-            const auto kind = eventKindFromName(value.str);
-            if (!kind)
-                return fail(error,
-                            "unknown event kind \"" + value.str + "\"");
-            event.kind = *kind;
-            sawKind = true;
-        } else if (key == "cycle" || key == "value" || key == "fault") {
-            if (value.isString || !value.numExact)
-                return fail(error,
-                            "\"" + key + "\" must be an unsigned integer");
-            (key == "cycle"   ? event.cycle
-             : key == "value" ? event.value
-                              : event.faultId) = value.num;
-        } else if (key == "label" || key == "detail") {
-            if (!value.isString)
-                return fail(error, "\"" + key + "\" must be a string");
-            (key == "label" ? label : detail) = std::move(value.str);
+                return bad("a string");
+            *text = internText(value.str);
+        } else if (flag) {
+            if (!value.isBool)
+                return bad("true or false");
+            *flag = value.flag;
+        } else if (key == "kind") {
+            return sawKind = name(event.kind, eventKindFromName(value.str));
+        } else if (key == "form") {
+            return name(event.detail,
+                        namedIn<Detail>(detailFormNames, value.str));
+        } else if (key == "symptom") {
+            return name(event.symptom,
+                        namedIn<Symptom>(symptomNames, value.str));
+        } else if (key == "cmd") {
+            return cmd = name(event.cmd.type, cmdNamed(value.str));
+        } else if (key == "pin") {
+            unsigned pin = numCccaPins;
+            if (!number(pin) || pin >= numCccaPins)
+                return bad("a CCCA pin index");
+            event.pin = static_cast<int>(pin);
+        } else if (key == "pins") {
+            if (!readPins(value.str, event.pins))
+                return bad("\"all\" or pin names joined by '+'");
+        } else if (key == "detail") {
+            return fail(error, "\"detail\" is a trace format 1 member; "
+                               "this reader reads format " +
+                                   std::to_string(traceFormat));
         }
         // Unknown members parsed and dropped (forward compat).
         return true;
@@ -659,8 +441,15 @@ parseTraceLine(std::string_view line, std::string *error)
         fail(error, "missing \"kind\"");
         return std::nullopt;
     }
-    readText(event, label, detail);
-    readSymptoms(event, label, detail);
+    if (cmd ? at.rank != 0 : ap || bc) {
+        fail(error, "\"rank\" belongs to an address, \"ap\" and \"bc\" "
+                    "to a \"cmd\"");
+        return std::nullopt;
+    }
+    if (cmd)
+        event.cmd = {event.cmd.type, at.bg, at.ba, at.row, at.col, ap, bc};
+    else
+        event.addr = at;
     return event;
 }
 
@@ -698,7 +487,9 @@ parseHeartbeatLine(std::string_view line, std::string *error)
              : key == "trials_per_s" ? record.trialsPerS
                                      : record.etaS) = value.dbl;
         } else if (key == "forced") {
-            record.forced = value.num != 0;
+            if (!value.isBool)
+                return fail(error, "\"forced\" must be true or false");
+            record.forced = value.flag;
         } else if (value.isNumber) {
             // Payload members (live coverage/cost/alloc counters) are
             // bench-specific: keep them all, typed as double.

@@ -36,22 +36,20 @@ namespace obs
 /**
  * Parse one JSONL trace line back into a TraceEvent.
  *
- * Accepts exactly the flat schema JsonlTraceSink writes: an object of
- * "kind" (string), "cycle"/"value"/"fault" (unsigned numbers) and
- * "label"/"detail" (strings), in any order; unknown string/number
- * members are ignored for forward compatibility.  Returns nullopt on
- * malformed JSON, nested values, or an unknown kind string, with a
- * diagnostic in @p error when given.
- *
- * The text comes back as the typed facts producers emit: the detail
- * sentence is matched against the Detail forms, and one that renders
- * back to the same bytes is kept with its command, address, chips,
- * suspects and names; any other text is kept verbatim as Detail::Why.
- * Either way writeJson() reproduces the line's label and detail
- * exactly.  The RAS symptom fields (symptom, chips, pin) are recovered
- * from the text here too — the only place text maps back to them — so
- * a replayed trace drives a HealthMonitor to the live monitor's state.
- * Names and kept text are interned (internText()).
+ * Accepts exactly the flat schema JsonlTraceSink writes (trace format
+ * traceFormat), members in any order: "kind", "form", "symptom" and
+ * "cmd" are names from their static tables; "pins" is "all" or pin
+ * names joined by '+'; "label", "why", "first" and "recovery" are
+ * strings; "ap"/"bc" are booleans; every other known member is an
+ * unsigned integer that fits its field, "pin" a CCCA pin index.  The
+ * "bg"/"ba"/"row"/"col" members fill the command when the line names
+ * a "cmd", else the address (with "rank").  Unknown members are
+ * ignored for forward compatibility.  Returns nullopt, with a
+ * diagnostic in @p error when given, on malformed JSON, nested
+ * values, a wrongly typed member, an unknown name, or the format-1
+ * "detail" member.  Every fact — the RAS symptom fields included — is
+ * read from its own member, never from text, and writeJson() of the
+ * result gives the line back.  Strings are interned (internText()).
  */
 std::optional<TraceEvent> parseTraceLine(std::string_view line,
                                          std::string *error = nullptr);

@@ -42,8 +42,8 @@ plan(uint64_t shardSize, unsigned jobs)
 
 /**
  * Hash of every event's full JSONL text (kind, cycle, label, value,
- * detail, fault ID) in emission order: pins what a trace file holds,
- * not only the numeric fields.
+ * detail form and operands, RAS fields, fault ID) in emission order:
+ * pins what a trace file holds, not only the numeric fields.
  */
 uint64_t
 traceTextHash(const obs::VectorTraceSink &sink)
@@ -83,7 +83,7 @@ TEST(CampaignGolden, MonteCarloSampledCell)
         stream += std::to_string(e.cycle) + ':' + std::to_string(e.value) +
                   ' ';
     EXPECT_EQ(obs::lineageHash(stream), 0x1a406be6c864e174ULL);
-    EXPECT_EQ(traceTextHash(sink), 0x9fedcd69dbecccecULL);
+    EXPECT_EQ(traceTextHash(sink), 0x633c09737f572806ULL);
 }
 
 TEST(CampaignGolden, MonteCarloExhaustiveCell)
@@ -182,7 +182,7 @@ TEST(CampaignGolden, AieccOnePinSweepTraceText)
     EXPECT_EQ(ledger.digest(), 0x7cb7c0284ba3f435ULL);
     EXPECT_EQ(cost.digest(), 0x9012375e6dde2638ULL);
     EXPECT_EQ(sink.size(), 108u);
-    EXPECT_EQ(traceTextHash(sink), 0x09f0f413979b191eULL);
+    EXPECT_EQ(traceTextHash(sink), 0xec63bfd666d8e0d6ULL);
 }
 
 TEST(CampaignGolden, Gddr5OnePinSweep)

@@ -8,6 +8,10 @@
  * tile the space with no seam.
  */
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,18 +88,74 @@ TEST(CombinationSpace, MatchesNestedLoopOrder)
     EXPECT_EQ(rank, space.size());
 }
 
+/**
+ * Step @p combo (k ascending elements below n) to its lexicographic
+ * successor; false when it is the last combination.
+ */
+bool
+nextCombination(unsigned *combo, unsigned n, unsigned k)
+{
+    unsigned i = k;
+    while (i > 0 && combo[i - 1] == n - k + i - 1)
+        --i;
+    if (i == 0)
+        return false;
+    ++combo[i - 1];
+    for (; i < k; ++i)
+        combo[i] = combo[i - 1] + 1;
+    return true;
+}
+
+/**
+ * Walk every rank of C(n, k) through the pointer forms and one reused
+ * buffer, so the walk allocates nothing: each rank must unrank to the
+ * lexicographic successor of the combination before it, rank back to
+ * itself, and the last must have no successor.  Returns the first
+ * failure, or "" when there is none.
+ */
+std::string
+walkSpace(unsigned n, unsigned k)
+{
+    const CombinationSpace space(n, k);
+    unsigned combo[CombinationSpace::maxN], expect[CombinationSpace::maxN];
+    for (unsigned i = 0; i < k; ++i)
+        expect[i] = i;
+    const auto at = [&](uint64_t r) {
+        return "n=" + std::to_string(n) + " k=" + std::to_string(k) +
+               " rank " + std::to_string(r);
+    };
+    bool more = true;
+    for (uint64_t r = 0; r < space.size(); ++r) {
+        if (!more)
+            return at(r) + ": past the last combination";
+        space.unrank(r, combo);
+        if (!std::equal(combo, combo + k, expect))
+            return at(r) + ": not the successor";
+        if (space.rank(combo) != r)
+            return at(r) + ": rank() disagrees";
+        more = nextCombination(expect, n, k);
+    }
+    return more ? at(space.size()) + ": combinations left over" : "";
+}
+
 TEST(CombinationSpace, RankUnrankRoundTrip)
 {
+    // All 2^26 ranks of n = 26 (and of the smaller spaces): the k
+    // values are independent, so four threads share them.
     for (unsigned n : {1u, 5u, 12u, 26u}) {
-        for (unsigned k = 0; k <= n; ++k) {
-            const CombinationSpace space(n, k);
-            for (uint64_t r = 0; r < space.size(); ++r) {
-                const auto combo = space.unrank(r);
-                ASSERT_EQ(combo.size(), k);
-                ASSERT_EQ(space.rank(combo), r)
-                    << "n=" << n << " k=" << k;
-            }
+        std::vector<std::string> failures(n + 1);
+        std::atomic<unsigned> next{0};
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < 4; ++t) {
+            workers.emplace_back([&] {
+                for (unsigned k; (k = next++) <= n;)
+                    failures[k] = walkSpace(n, k);
+            });
         }
+        for (std::thread &worker : workers)
+            worker.join();
+        for (const std::string &failure : failures)
+            EXPECT_EQ(failure, "");
     }
 }
 

@@ -336,7 +336,7 @@ TEST(JsonlTraceSink, WritesOneEscapedObjectPerLine)
     EXPECT_FALSE(std::getline(in, extra));
     EXPECT_EQ(line1,
               "{\"kind\":\"detection\",\"cycle\":42,\"label\":\"eCAP\","
-              "\"value\":7,\"detail\":"
+              "\"value\":7,\"form\":\"why\",\"why\":"
               "\"quote \\\" backslash \\\\ newline \\n end\"}");
     EXPECT_EQ(line2, "{\"kind\":\"retry\",\"cycle\":43}");
     std::remove(path.c_str());

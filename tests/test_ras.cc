@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "aiecc/detection.hh"
+#include "aiecc/diagnosis.hh"
 #include "aiecc/stack.hh"
 #include "ddr4/address.hh"
 #include "inject/montecarlo.hh"
@@ -63,26 +65,27 @@ alert(uint64_t cycle)
     return ev;
 }
 
-/**
- * A recorded event: a JSONL line of text only, read back through the
- * trace parser, which recovers the typed symptom fields from it.
- */
+/** @p live as a recorded trace gives it back: written, then parsed. */
 obs::TraceEvent
-recorded(obs::EventKind kind, const std::string &label,
-         const std::string &detail = "", uint64_t value = 0)
+recorded(const obs::TraceEvent &live)
 {
     obs::JsonWriter w(0);
-    w.beginObject().kv("kind", obs::eventKindNameView(kind)).kv("cycle", 0);
-    if (!label.empty())
-        w.kv("label", label);
-    if (value)
-        w.kv("value", value);
-    if (!detail.empty())
-        w.kv("detail", detail);
-    w.endObject();
+    live.writeJson(w);
     const std::optional<obs::TraceEvent> ev = obs::parseTraceLine(w.str());
     EXPECT_TRUE(ev.has_value()) << w.str();
     return ev.value_or(obs::TraceEvent{});
+}
+
+/** What a Monte-Carlo detection tagged @p tag looks like. */
+obs::TraceEvent
+dataEcc(const char *tag, obs::Symptom symptom, uint64_t value = 0)
+{
+    return {.kind = obs::EventKind::Detection,
+            .symptom = symptom,
+            .detail = obs::Detail::Why,
+            .value = value,
+            .label = "QPC",
+            .why = tag};
 }
 
 TEST(HealthMonitor, StartsHealthy)
@@ -130,13 +133,13 @@ TEST(HealthMonitor, UesEscalateFasterThanCes)
 TEST(HealthMonitor, DataEccDetailRoutesToDataPath)
 {
     // Standalone data-codec engines label detections with the scheme
-    // name, not DECC/eDECC; the "data-ecc" detail tag must route them
-    // down the address-evidence path all the same.
+    // name, not DECC/eDECC; the recorded symptom must route them down
+    // the address-evidence path all the same.
     ras::HealthMonitor mon;
     for (unsigned i = 0; i < 8; ++i) {
-        obs::TraceEvent ev = recorded(obs::EventKind::Detection, "QPC",
-                                      "data-ecc corrected",
-                                      dataCe(1, 9, i, 0).value);
+        obs::TraceEvent ev =
+            recorded(dataEcc("data-ecc corrected", obs::Symptom::DataCe,
+                             dataCe(1, 9, i, 0).value));
         ev.cycle = 100 * i;
         mon.record(ev);
     }
@@ -406,61 +409,123 @@ TEST(HealthMonitor, JsonCarriesSymptomTotals)
     EXPECT_NE(json.find("\"exhausted_total\": 1"), std::string::npos);
 }
 
-// ---- Symptoms from text: the trace parser's replay rules ----
+// ---- Symptom members: what a replayed trace reads back ----
 
-TEST(SymptomsFromText, DataDetectionsCarryClassAndChips)
+DetectionEvent
+alertDetection(const Alert &alert)
 {
-    using obs::EventKind;
+    return {.mech = Mechanism::Cstc,
+            .when = alert.when,
+            .early = true,
+            .diagnosedAddress = std::nullopt,
+            .accessAddress = std::nullopt,
+            .alert = alert};
+}
+
+TEST(SymptomMembers, DataDetectionsCarryClassAndChips)
+{
     using obs::Symptom;
-    obs::TraceEvent ev = recorded(
-        EventKind::Detection, "eDECC",
-        "QPC+eDECC-c corrected read @rank0.bg1.ba2.row0x3.col0x4 chips=80");
+    const Geometry geom;
+    const uint32_t addr = MtbAddress{0, 1, 2, 3, 4}.pack(geom);
+    obs::TraceEvent ev = recorded(detectionTrace(
+        {.mech = Mechanism::EDecc,
+         .corrected = true,
+         .diagnosedAddress = std::nullopt,
+         .accessAddress = addr,
+         .correctedChips = 0x80,
+         .codec = "QPC+eDECC-c"},
+        geom));
     EXPECT_EQ(ev.symptom, Symptom::DataCe);
     EXPECT_EQ(ev.chips, 0x80u);
 
-    ev = recorded(EventKind::Detection, "DECC",
-                  "QPC DUE on read @rank0.bg0.ba0.row0x1.col0x2");
+    ev = recorded(detectionTrace({.mech = Mechanism::Decc,
+                                  .diagnosedAddress = std::nullopt,
+                                  .accessAddress = addr,
+                                  .codec = "QPC"},
+                                 geom));
     EXPECT_EQ(ev.symptom, Symptom::DataUe);
     EXPECT_EQ(ev.chips, 0u);
 
-    // Standalone data-codec engines: the "data-ecc" tag, any label.
-    ev = recorded(EventKind::Detection, "QPC", "data-ecc DUE");
+    // Standalone data-codec engines: any label.
+    ev = recorded(dataEcc("data-ecc DUE", Symptom::DataUe));
     EXPECT_EQ(ev.symptom, Symptom::DataUe);
-    ev = recorded(EventKind::Detection, "QPC", "data-ecc retry-recovered");
+    ev = recorded(dataEcc("data-ecc retry-recovered", Symptom::DataCe));
     EXPECT_EQ(ev.symptom, Symptom::DataCe);
+
+    // Neither label nor text implies a symptom: only the member does.
+    const auto bare = obs::parseTraceLine(
+        R"({"kind":"detection","label":"eDECC","form":"why",)"
+        R"("why":"data-ecc DUE chips=80"})");
+    ASSERT_TRUE(bare.has_value());
+    EXPECT_EQ(bare->symptom, Symptom::None);
+    EXPECT_EQ(bare->chips, 0u);
 }
 
-TEST(SymptomsFromText, EveryOtherDetectionIsAnAlert)
+TEST(SymptomMembers, EveryOtherDetectionIsAnAlert)
 {
-    for (const char *label : {"CSTC", "eCAP", "eWCRC", "read-EDC"}) {
-        obs::TraceEvent ev = recorded(obs::EventKind::Detection, label,
-                                      "RD to idle bank (RD bg0 ba0)");
-        EXPECT_EQ(ev.symptom, obs::Symptom::Alert) << label;
+    const Command rd = Command::rd(0, 1, 0x10);
+    for (const Alert &alert :
+         {Alert{.kind = AlertKind::CaParity,
+                .when = 7,
+                .cmd = rd,
+                .flatBank = std::nullopt},
+          Alert{.kind = AlertKind::Wcrc,
+                .when = 8,
+                .cmd = rd,
+                .flatBank = 1},
+          Alert{.kind = AlertKind::Cstc,
+                .when = 9,
+                .why = "RD to idle bank",
+                .cmd = rd,
+                .flatBank = 1}}) {
+        const obs::TraceEvent ev =
+            recorded(detectionTrace(alertDetection(alert), Geometry{}));
+        EXPECT_EQ(ev.symptom, obs::Symptom::Alert) << ev.detailText();
     }
+    // The GDDR5 bench's label-only detections.
+    const obs::TraceEvent edc = recorded({.kind = obs::EventKind::Detection,
+                                          .symptom = obs::Symptom::Alert,
+                                          .label = "read-EDC"});
+    EXPECT_EQ(edc.symptom, obs::Symptom::Alert);
 }
 
-TEST(SymptomsFromText, PinsExhaustionAndQuarantine)
+TEST(SymptomMembers, PinsExhaustionAndQuarantine)
 {
     using obs::EventKind;
     using obs::Symptom;
-    obs::TraceEvent ev =
-        recorded(EventKind::Diagnosis, pinName(static_cast<Pin>(3)));
-    EXPECT_EQ(ev.pin, 3);
-    ev = recorded(EventKind::Diagnosis, "?");
+    const Geometry geom;
+    obs::TraceEvent ev = recorded(diagnosisTrace(0x1000, 0x1008, geom));
+    EXPECT_GE(ev.pin, 0);
+    EXPECT_EQ(ev.labelText(), pinName(static_cast<Pin>(ev.pin)));
+    ev = recorded(diagnosisTrace(0x1000, 0x1000, geom));
     EXPECT_EQ(ev.pin, -1);
 
-    ev = recorded(EventKind::Recovery, "cstc", "retry budget exhausted");
+    ev = recorded({.kind = EventKind::Recovery,
+                   .symptom = Symptom::Exhausted,
+                   .detail = obs::Detail::Why,
+                   .label = "cstc",
+                   .why = "retry budget exhausted"});
     EXPECT_EQ(ev.symptom, Symptom::Exhausted);
-    ev = recorded(EventKind::Recovery, "cstc", "in-band recovery succeeded");
+    ev = recorded({.kind = EventKind::Recovery,
+                   .detail = obs::Detail::Why,
+                   .label = "cstc",
+                   .why = "in-band recovery succeeded"});
     EXPECT_EQ(ev.symptom, Symptom::None);
 
-    ev = recorded(EventKind::Escalation, "quarantine", "", 5);
+    ev = recorded({.kind = EventKind::Escalation,
+                   .symptom = Symptom::Quarantine,
+                   .value = 5,
+                   .label = "quarantine"});
     EXPECT_EQ(ev.symptom, Symptom::Quarantine);
-    ev = recorded(EventKind::Escalation, "rank_degraded", "", 4);
+    ev = recorded(
+        {.kind = EventKind::Escalation, .value = 4, .label = "rank_degraded"});
     EXPECT_EQ(ev.symptom, Symptom::None);
 
-    // Kinds the monitor reads by kind alone gain nothing.
-    ev = recorded(EventKind::Retry, "read-decode", "exhausted");
+    // Kinds the monitor reads by kind alone carry none.
+    ev = recorded({.kind = EventKind::Retry,
+                   .detail = obs::Detail::Why,
+                   .label = "read-decode",
+                   .why = "exhausted"});
     EXPECT_EQ(ev.symptom, Symptom::None);
 }
 

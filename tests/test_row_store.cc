@@ -4,10 +4,13 @@
  * gating (reads of never-written columns in a populated row miss),
  * never-zeroed slab reads (stored bytes come back exactly, nothing
  * leaks from the uninitialized slab), slab growth past the initial
- * reserve, and the sorted iteration helpers.
+ * reserve, a differential run against a std::map through several
+ * hash rehashes, and the sorted iteration helpers.
  */
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -117,6 +120,77 @@ TEST(RowStore, GrowsPastInitialSlab)
         EXPECT_EQ(*store.find(key), patternBurst(r));
         // Sibling columns of the same row stay gated after growth.
         EXPECT_EQ(store.find(r << kColBits | ((r % 3) + 1)), nullptr);
+    }
+}
+
+// Seeded random put/find against a std::map reference.  About 8500
+// distinct rows pass the hash's rehash points (2048, 4096 and 8192
+// rows with the initial 4096 slots) and chain ~30 extra slabs; size,
+// sortedKeys and rowCols are checked against the reference as the
+// store grows, and every stored burst at the end.
+TEST(RowStore, MatchesMapReferenceThroughRehashes)
+{
+    RowStore store(kColBits);
+    std::map<uint32_t, uint32_t> ref; // packed address -> burst salt
+    std::vector<uint32_t> stored;     // ref's keys, in insertion order
+    std::mt19937_64 rng(0x12057);
+    const uint32_t rowSpace = 1u << 14;
+    const auto randomKey = [&] {
+        return static_cast<uint32_t>(rng() % rowSpace) << kColBits |
+               static_cast<uint32_t>(rng() % (1u << kColBits));
+    };
+    const auto refRowCols = [&](uint32_t rowKey) {
+        std::vector<unsigned> cols;
+        for (auto it = ref.lower_bound(rowKey << kColBits);
+             it != ref.end() && it->first >> kColBits == rowKey; ++it)
+            cols.push_back(it->first & ((1u << kColBits) - 1));
+        return cols;
+    };
+    for (uint32_t step = 1; step <= 24000; ++step) {
+        const unsigned op = rng() % 8;
+        if (op < 5) {
+            // Put: a fresh random key, or an overwrite of a stored one.
+            const uint32_t key = op < 4 || stored.empty()
+                                     ? randomKey()
+                                     : stored[rng() % stored.size()];
+            store.put(key, patternBurst(step));
+            if (ref.insert_or_assign(key, step).second)
+                stored.push_back(key);
+        } else {
+            // Find: a stored key, or any key.
+            const uint32_t key = op == 5 && !stored.empty()
+                                     ? stored[rng() % stored.size()]
+                                     : randomKey();
+            const Burst *got = store.find(key);
+            const auto it = ref.find(key);
+            ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << key;
+            if (got) {
+                ASSERT_EQ(*got, patternBurst(it->second)) << "key " << key;
+            }
+        }
+        if (step % 1500 == 0) {
+            ASSERT_EQ(store.size(), ref.size()) << "step " << step;
+            std::vector<uint32_t> keys;
+            for (const auto &[key, salt] : ref)
+                keys.push_back(key);
+            ASSERT_EQ(store.sortedKeys(), keys) << "step " << step;
+            for (const uint32_t rowKey :
+                 {stored[rng() % stored.size()] >> kColBits,
+                  randomKey() >> kColBits}) {
+                std::vector<unsigned> cols;
+                store.rowCols(rowKey, cols);
+                ASSERT_EQ(cols, refRowCols(rowKey)) << "row " << rowKey;
+            }
+        }
+    }
+    std::vector<uint32_t> rows;
+    for (const auto &[key, salt] : ref)
+        rows.push_back(key >> kColBits);
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    EXPECT_GT(rows.size(), 8192u) << "too few rows for a third rehash";
+    for (const auto &[key, salt] : ref) {
+        ASSERT_NE(store.find(key), nullptr) << "key " << key;
+        EXPECT_EQ(*store.find(key), patternBurst(salt)) << "key " << key;
     }
 }
 

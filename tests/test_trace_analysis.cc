@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for offline trace analysis: the eventKindFromName inverse,
- * the flat JSONL line parser (including escape handling and malformed
- * input), whole-file reading against the checked-in miniature fixture,
- * per-kind summaries, filtering, and the structural validity of the
- * Chrome trace-event export (the golden-output contract behind
- * `aiecc-trace export --chrome`).  A seeded mutation test drives both
- * flat-line parsers — trace events and heartbeat records — with
- * damaged lines: each must end in an error or a successful parse.
+ * the flat JSONL line parser (typed members, escape handling, malformed
+ * input, and the refusal of format-1 "detail" lines), the heartbeat
+ * parser's boolean "forced" member, whole-file reading against the
+ * checked-in miniature fixture, per-kind summaries, filtering, and the
+ * structural validity of the Chrome trace-event export (the
+ * golden-output contract behind `aiecc-trace export --chrome`).  A
+ * seeded mutation test drives both flat-line parsers — trace events
+ * and heartbeat records — with damaged lines: each must end in an
+ * error or a successful parse.
  */
 
 #include <gtest/gtest.h>
@@ -60,8 +62,8 @@ TEST(EventKindName, UnknownNamesAreRejected)
 TEST(ParseTraceLine, FullObjectInAnyMemberOrder)
 {
     const auto event = obs::parseTraceLine(
-        R"({"value":3,"detail":"ctx","cycle":42,"kind":"retry",)"
-        R"("label":"read-decode"})");
+        R"({"value":3,"why":"ctx","cycle":42,"kind":"retry",)"
+        R"("form":"why","label":"read-decode"})");
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->kind, obs::EventKind::Retry);
     EXPECT_EQ(event->cycle, 42u);
@@ -125,6 +127,75 @@ TEST(ParseTraceLine, MalformedInputIsRejectedWithDiagnostics)
         << "nested values are outside the schema";
     EXPECT_FALSE(
         obs::parseTraceLine(R"({"kind":"scrub"} trailing)").has_value());
+
+    // Typed members: names from their tables, numbers that fit.
+    const std::string pastLastPin = std::to_string(numCccaPins);
+    for (const std::string &line : {
+             std::string(R"({"kind":"scrub","form":"sonnet"})"),
+             std::string(R"({"kind":"scrub","form":3})"),
+             std::string(R"({"kind":"detection","symptom":"grumpy"})"),
+             std::string(R"({"kind":"retry","form":"replay","cmd":"JMP"})"),
+             std::string(R"({"kind":"diagnosis","pins":"A3+Q9"})"),
+             std::string(R"({"kind":"diagnosis","pins":"A3++BG1"})"),
+             std::string(R"({"kind":"diagnosis","pins":"A3+"})"),
+             std::string(R"({"kind":"diagnosis","pins":""})"),
+             std::string(R"({"kind":"diagnosis","pins":3})"),
+             std::string(R"({"kind":"detection","chips":"81"})"),
+             std::string(R"({"kind":"retry","form":"window","row":"0x1f"})"),
+             std::string(R"({"kind":"classification","edges":-2})"),
+             std::string(R"({"kind":"detection","chips":4294967296})"),
+             std::string(R"({"kind":"retry","why":7})"),
+             std::string(R"({"kind":"retry","cmd":"RD","ap":1})"),
+             std::string(R"({"kind":"retry","cmd":"RD","rank":1})"),
+             std::string(R"({"kind":"retry","form":"window","bc":true})"),
+             R"({"kind":"diagnosis","pin":)" + pastLastPin + "}",
+             std::string(R"({"kind":"diagnosis","pin":-1})"),
+             std::string(R"({"kind":"diagnosis","pin":"A3"})"),
+         }) {
+        error.clear();
+        EXPECT_FALSE(obs::parseTraceLine(line, &error).has_value()) << line;
+        EXPECT_FALSE(error.empty()) << line;
+    }
+}
+
+TEST(ParseTraceLine, FormatOneDetailLinesAreRefused)
+{
+    std::string error;
+    EXPECT_FALSE(obs::parseTraceLine(
+                     R"({"kind":"detection","cycle":41,"label":"eDECC",)"
+                     R"("value":7,"detail":"corrected read"})",
+                     &error)
+                     .has_value());
+    EXPECT_NE(error.find("format 1"), std::string::npos) << error;
+    for (const char *line : {R"({"kind":"retry","detail":""})",
+                             R"({"detail":3,"kind":"retry"})"}) {
+        error.clear();
+        EXPECT_FALSE(obs::parseTraceLine(line, &error).has_value()) << line;
+        EXPECT_NE(error.find("format 1"), std::string::npos) << error;
+    }
+
+    // A whole format-1 file: every detail line is a bad line.
+    const std::string path = testing::TempDir() + "/aiecc_format1.jsonl";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << R"({"kind":"command","cycle":1,"label":"ACT"})" << '\n'
+            << R"({"kind":"recovery","cycle":2,"detail":"retry budget )"
+            << R"(exhausted"})" << '\n';
+    }
+    const obs::TraceFile tf = obs::readTraceFile(path);
+    EXPECT_EQ(tf.events.size(), 1u);
+    EXPECT_EQ(tf.badLines, 1u);
+    EXPECT_NE(tf.firstError.find("format 1"), std::string::npos)
+        << tf.firstError;
+    std::remove(path.c_str());
+
+    // Without "detail" a format-1 line is a format-2 line: only the
+    // symptom a format-1 reader guessed from the label is gone.
+    const auto plain = obs::parseTraceLine(
+        R"({"kind":"detection","cycle":9,"label":"eDECC","value":3})");
+    ASSERT_TRUE(plain.has_value());
+    EXPECT_EQ(plain->value, 3u);
+    EXPECT_EQ(plain->symptom, obs::Symptom::None);
 }
 
 TEST(ParseTraceLine, UnknownMembersAreIgnored)
@@ -134,6 +205,26 @@ TEST(ParseTraceLine, UnknownMembersAreIgnored)
         R"("note":"hi","flag":true})");
     ASSERT_TRUE(event.has_value());
     EXPECT_EQ(event->cycle, 5u);
+}
+
+// ---- parseHeartbeatLine ----
+
+TEST(ParseHeartbeatLine, ForcedMustBeABoolean)
+{
+    const std::string head = R"({"type":"heartbeat","seq":1,"forced":)";
+    auto record = obs::parseHeartbeatLine(head + "true}");
+    ASSERT_TRUE(record.has_value());
+    EXPECT_TRUE(record->forced);
+    record = obs::parseHeartbeatLine(head + "false}");
+    ASSERT_TRUE(record.has_value());
+    EXPECT_FALSE(record->forced);
+    for (const char *forced : {"\"yes\"", "\"false\"", "1", "0", "null"}) {
+        std::string error;
+        EXPECT_FALSE(
+            obs::parseHeartbeatLine(head + forced + "}", &error).has_value())
+            << forced;
+        EXPECT_NE(error.find("forced"), std::string::npos) << error;
+    }
 }
 
 // ---- readTraceFile + the fixture ----
@@ -218,7 +309,8 @@ mutateLine(std::string line, std::mt19937_64 &rng)
     static const char *inserts[] = {
         "\"", "{", "}", "[", ",", ":", "\\", "\\u", "\\u12", "-",
         "+", ".", "e", "1e999", "-0", "18446744073709551616", "null",
-        "true", "\"\"", " ", "\x01", "\xff", "0.5", "\"kind\":"};
+        "true", "\"\"", " ", "\x01", "\xff", "0.5", "\"kind\":", "+",
+        "\"all\""};
     const size_t at = line.empty() ? 0 : rng() % (line.size() + 1);
     switch (rng() % 6) {
     case 0:
@@ -269,9 +361,54 @@ TEST(ParserMutation, DamagedLinesEndInErrorsNotAborts)
     escaped.label = "quote\" back\\slash";
     escaped.detail = obs::Detail::Why;
     escaped.why = "tab\tnul:\x01";
-    obs::JsonWriter w(0);
-    escaped.writeJson(w);
-    traceSeeds.push_back(w.str());
+    // Typed lines carrying every member the writer emits.
+    const MtbAddress addr{1, 2, 3, 0x1f, 0x5};
+    Command rd = Command::rd(1, 2, 0x18, true);
+    rd.burstChop = true;
+    obs::TraceEvent trial{.kind = obs::EventKind::Classification,
+                          .detail = obs::Detail::Trial,
+                          .cycle = 90,
+                          .value = 4,
+                          .faultId = 0xbeef,
+                          .label = "SDC",
+                          .why = "ACT+WR",
+                          .mech = "eCAP",
+                          .recovery = "retry",
+                          .attempts = 2,
+                          .edges = 3};
+    trial.pins.push(Pin::A3);
+    trial.pins.push(Pin::BG1);
+    obs::TraceEvent diagnosis{.kind = obs::EventKind::Diagnosis,
+                              .detail = obs::Detail::Diagnosis,
+                              .value = 0x1000ull << 32 | 0x1008,
+                              .label = pinName(Pin::A3),
+                              .pin = static_cast<int>(Pin::A3)};
+    diagnosis.pins.push(Pin::A3);
+    obs::TraceEvent allPin{.kind = obs::EventKind::Classification,
+                           .detail = obs::Detail::Trial,
+                           .why = "PRE"};
+    allPin.pins.all = true;
+    for (const obs::TraceEvent &event :
+         {escaped, trial, diagnosis, allPin,
+          obs::TraceEvent{.kind = obs::EventKind::Detection,
+                          .symptom = obs::Symptom::Alert,
+                          .detail = obs::Detail::Cstc,
+                          .cycle = 500,
+                          .label = "CSTC",
+                          .why = "RD to a closed bank",
+                          .cmd = rd},
+          obs::TraceEvent{.kind = obs::EventKind::Detection,
+                          .symptom = obs::Symptom::DataCe,
+                          .detail = obs::Detail::ReadCe,
+                          .cycle = 600,
+                          .label = "eDECC",
+                          .why = "QPC+eDECC-c",
+                          .chips = 0x81,
+                          .addr = addr}}) {
+        obs::JsonWriter w(0);
+        event.writeJson(w);
+        traceSeeds.push_back(w.str());
+    }
 
     const std::string hbPath = testing::TempDir() + "/aiecc_hb_seed.jsonl";
     std::remove(hbPath.c_str());
@@ -318,6 +455,11 @@ TEST(ParserMutation, DamagedLinesEndInErrorsNotAborts)
             EXPECT_EQ(back->cycle, event->cycle);
             EXPECT_EQ(back->labelText(), event->labelText());
             EXPECT_EQ(back->detailText(), event->detailText());
+            // ...and re-emits it unchanged: the writer's line is a
+            // fixed point.
+            obs::JsonWriter third(0);
+            back->writeJson(third);
+            EXPECT_EQ(third.str(), again.str());
         }
     }
     for (const std::string &seed : hbSeeds) {

@@ -4,7 +4,8 @@
  *
  * Every simulation surface that attaches a JsonlTraceSink (campaign
  * drivers, bench_e2e_throughput --trace, examples) writes the same
- * flat one-object-per-line schema; this CLI consumes those files:
+ * flat one-object-per-line schema, every fact its own member (trace
+ * format 2, DESIGN.md §6); this CLI consumes those files:
  *
  *   aiecc-trace summary FILE...            per-kind counts, rates and
  *                                          inter-event gap statistics
@@ -130,54 +131,12 @@ usage(std::FILE *to)
 }
 
 /**
- * Load and concatenate every input file; exits on unreadable files.
- * With @p strict, malformed lines and truncated tails exit 1 instead
- * of warning — recorded campaign traces are complete by construction,
- * so in CI any parse damage means the artifact cannot be trusted.
- */
-std::vector<obs::TraceEvent>
-loadAll(const std::vector<std::string> &paths, bool strict)
-{
-    std::vector<obs::TraceEvent> events;
-    bool damaged = false;
-    for (const std::string &path : paths) {
-        obs::TraceFile tf = obs::readTraceFile(path);
-        if (!tf.opened) {
-            std::fprintf(stderr, "aiecc-trace: cannot read %s\n",
-                         path.c_str());
-            std::exit(1);
-        }
-        if (tf.badLines) {
-            damaged = true;
-            std::fprintf(stderr,
-                         "aiecc-trace: %s: %llu malformed line(s) "
-                         "skipped (first: %s)\n",
-                         path.c_str(),
-                         static_cast<unsigned long long>(tf.badLines),
-                         tf.firstError.c_str());
-        }
-        if (tf.truncatedTail) {
-            damaged = true;
-            std::fprintf(stderr,
-                         "aiecc-trace: %s: truncated final record "
-                         "dropped (writer stopped mid-write?)\n",
-                         path.c_str());
-        }
-        events.insert(events.end(), tf.events.begin(), tf.events.end());
-    }
-    if (strict && damaged) {
-        std::fprintf(stderr,
-                     "aiecc-trace: --strict: damaged input is a hard "
-                     "error\n");
-        std::exit(1);
-    }
-    return events;
-}
-
-/**
  * Stream every input file through @p consume without retaining
- * events; same diagnostics and --strict policy as loadAll.  Returns
- * the total number of events delivered.
+ * events; exits on unreadable files.  With @p strict, malformed lines
+ * and truncated tails exit 1 instead of warning — recorded campaign
+ * traces are complete by construction, so in CI any parse damage
+ * means the artifact cannot be trusted.  Returns the total number of
+ * events delivered.
  */
 uint64_t
 streamAll(const std::vector<std::string> &paths, bool strict,
@@ -217,6 +176,16 @@ streamAll(const std::vector<std::string> &paths, bool strict,
         std::exit(1);
     }
     return total;
+}
+
+/** Load and concatenate every input file (streamAll's policy). */
+std::vector<obs::TraceEvent>
+loadAll(const std::vector<std::string> &paths, bool strict)
+{
+    std::vector<obs::TraceEvent> events;
+    streamAll(paths, strict,
+              [&](const obs::TraceEvent &event) { events.push_back(event); });
+    return events;
 }
 
 int
